@@ -64,7 +64,7 @@ from .metrics import (
     paired_bootstrap,
 )
 from .policies import PolicyKind, build_policy
-from .verifier import HiddenValidSet, StatusSnapshot, judge_ids, snapshot
+from .verifier import IdVerdict, judge_ids
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,8 @@
 """Command-line pipelines: generate, run, aggregate, delta, smoke.
 
-Reruns never mutate earlier outputs; every command writes fresh files so the
-audit trail stays append-only. All pipelines are deterministic under a fixed
+Each command writes the output path it is given and replaces a file already
+there; `run --out` rewrites its records file in place, so keep earlier
+outputs under other names. All pipelines are deterministic under a fixed
 seed, including across different worker counts.
 """
 
@@ -23,7 +24,7 @@ from .controllers import (
     build_controller,
 )
 from .core import read_record_dicts, record_to_dict, run_episode
-from .errors import AdapterError, QgpError
+from .errors import AdapterError, QgpError, loading
 from .metrics import (
     aggregate_csv,
     delta_csv,
@@ -77,7 +78,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        with loading(path):
+            config = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            config.controller_config()
+            PolicyKind(config.policy)
+        return config
 
     def controller_config(self) -> ControllerConfig:
         flag = AblationFlag(self.ablation) if self.ablation else None
@@ -93,9 +98,9 @@ def _parse_targets(text: str) -> list[int]:
 
 
 def _manifest_family(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return obj.get("family", "")
+    with loading(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh).get("family", "")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,7 @@ def run_manifest(
 
         tasks = dmanifest.tasks
     else:
-        raise QgpError(f"unrecognized manifest family: {family!r}")
+        raise QgpError(f"unrecognized manifest family {family!r}: {manifest_path}")
 
     def run_one(task) -> dict:
         controller = build_controller(controller_config)
@@ -298,13 +303,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _record_metrics(path: str) -> list:
+    """Metric vectors of a record file's runs; aborted runs carry none."""
+    with loading(path):
+        return [
+            metrics_from_record_dict(record)
+            for record in read_record_dicts(path)
+            if record.get("outcome") != "aborted"
+        ]
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    rows = []
-    for path in args.records:
-        for record in read_record_dicts(path):
-            if record.get("outcome") == "aborted":
-                continue
-            rows.append(metrics_from_record_dict(record))
+    rows = [metric for path in args.records for metric in _record_metrics(path)]
     group_keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
     csv_text = aggregate_csv(rows, group_keys)
     Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -314,10 +324,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _metrics_by_task(path: str) -> dict:
     table = {}
-    for record in read_record_dicts(path):
-        if record.get("outcome") == "aborted":
-            continue
-        metric = metrics_from_record_dict(record)
+    for metric in _record_metrics(path):
         if metric.task_id in table:
             raise QgpError(f"duplicate task {metric.task_id} in {path}")
         table[metric.task_id] = metric
@@ -405,7 +412,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         failures = _smoke_dataops(args.manifest, workspace_root)
         checks = "leak-freedom, solver-within-budget"
     else:
-        print(f"error: unrecognized manifest family {family!r}", file=sys.stderr)
+        print(f"error: unrecognized manifest family {family!r}: {args.manifest}", file=sys.stderr)
         return 2
     if failures:
         for failure in failures:

@@ -77,11 +77,6 @@ class ControllerConfig:
             raise ConfigurationError("no_progress_limit must be >= 1")
 
 
-def standard_transform(action: Action, ctx: RunContext) -> Action:
-    """The passthrough contract: well-formed actions execute unchanged."""
-    return action
-
-
 def gate_termination(
     action: Action, valid_count: int, target_count: int
 ) -> Action | ControllerNotice:
@@ -100,10 +95,12 @@ def gate_termination(
 
 
 class StandardController:
+    """The passthrough contract: well-formed actions execute unchanged."""
+
     kind_label = ControllerKind.STANDARD.value
 
     def transform(self, action: Action, ctx: RunContext) -> StepDecision:
-        return StepDecision(action=standard_transform(action, ctx))
+        return StepDecision(action=action)
 
     def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
         pass
@@ -323,7 +320,6 @@ def ablation_controller(flag: AblationFlag) -> StateQgpController:
 @dataclass
 class UnitQgpState:
     unit_status_view: dict[str, UnitStatus] = field(default_factory=dict)
-    last_action_per_unit: dict[str, str] = field(default_factory=dict)
     steps_without_progress: int = 0
     steering_target: str | None = None
     recoveries: int = 0
@@ -449,7 +445,6 @@ class UnitQgpController:
         progressed = False
         if isinstance(observation, UnitFeedback):
             unit_id = observation.unit_id
-            self.state.last_action_per_unit[unit_id] = type(action).__name__
             previous = self._status(unit_id)
             self.state.unit_status_view[unit_id] = observation.status_after
             if isinstance(action, Edit) and observation.status_after != UnitStatus.PASSED:

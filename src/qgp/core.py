@@ -3,7 +3,7 @@
 Every run is one policy driving one environment through one controller until
 the count goal is verified, an allowed termination happens, or the budget is
 exhausted. The ledger is the audit trail: a multiset of submitted identifiers,
-its distinct support, the verified count, and the full step history.
+the verified ids, and the full step history.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .actions import (
     Terminal,
     is_legal_for_family,
 )
-from .errors import ConfigurationError, TerminatedRunError
+from .errors import ConfigurationError, TerminatedRunError, loading
+from .verifier import IdVerdict
 
 
 class _BudgetExhausted:
@@ -38,11 +39,6 @@ class _BudgetExhausted:
 
 
 BUDGET_EXHAUSTED = _BudgetExhausted()
-
-
-def normalize_id(raw: str) -> str:
-    # Identifier identity is the surrounding-whitespace-trimmed string; no case folding.
-    return raw.strip()
 
 
 @dataclass(frozen=True)
@@ -84,13 +80,16 @@ class PublicTaskView:
 
 @dataclass
 class RunLedger:
-    """Mutable per-run accounting: multiset of submissions, distinct support, verified count."""
+    """Mutable per-run accounting: multiset of submissions, verified ids, step history.
+
+    The distinct support of the submissions is ``set(submissions)``. Only
+    ``record_submission`` changes the counts.
+    """
 
     target_count: int
     budget: int
     step: int = 0
     submissions: Counter = field(default_factory=Counter)
-    distinct: set[str] = field(default_factory=set)
     valid_ids: set[str] = field(default_factory=set)
     reported_count: int | None = None
     history: list[tuple[object, object]] = field(default_factory=list)
@@ -109,66 +108,30 @@ class RunLedger:
     def remaining(self) -> int:
         return max(0, self.target_count - self.valid_count)
 
-    def record_batch(
-        self,
-        ids: Sequence[str],
-        accepted: Iterable[str],
-        duplicates: Sequence[str],
-    ) -> None:
-        """Extend the multiset with a batch whose partition was decided elsewhere."""
-        if self.outcome is not None:
-            raise TerminatedRunError("run already terminated")
-        for raw in ids:
-            key = normalize_id(raw)
-            self.submissions[key] += 1
-            self.distinct.add(key)
-        self.valid_ids.update(normalize_id(x) for x in accepted)
-        self.duplicate_occurrences += len(duplicates)
-
 
 def record_submission(
-    ledger: RunLedger,
-    ids: Sequence[str],
-    verdicts: dict[str, bool],
-    prior_accepted: Iterable[str],
-) -> tuple[RunLedger, SubmitFeedback]:
-    """Fold one identifier batch into the ledger and build its feedback.
+    ledger: RunLedger, verdicts: Sequence[tuple[str, IdVerdict]]
+) -> SubmitFeedback:
+    """Fold one judged batch into the ledger and build its feedback.
 
-    Partition rule, applied left to right: an occurrence is a duplicate when its
-    identifier was already in the ledger's distinct set, was already counted by
-    the verifier, or appeared earlier in the same batch. Otherwise it is
-    accepted when its verdict is true and rejected when false.
+    Each (normalized id, verdict) pair is one submission occurrence. The
+    family's rule has already decided every verdict; this fold only counts.
     """
     if ledger.outcome is not None:
         raise TerminatedRunError("run already terminated")
-    prior_distinct = set(ledger.distinct)
-    prior = {normalize_id(x) for x in prior_accepted}
-    seen_in_batch: set[str] = set()
-    accepted: list[str] = []
-    duplicates: list[str] = []
-    rejected: list[str] = []
-    for raw in ids:
-        key = normalize_id(raw)
-        if key in prior_distinct or key in prior or key in seen_in_batch:
-            duplicates.append(key)
-        elif verdicts.get(key, False):
-            accepted.append(key)
-        else:
-            rejected.append(key)
-        seen_in_batch.add(key)
+    split: dict[IdVerdict, list[str]] = {verdict: [] for verdict in IdVerdict}
+    for key, verdict in verdicts:
         ledger.submissions[key] += 1
-        ledger.distinct.add(key)
-        if verdicts.get(key, False):
-            ledger.valid_ids.add(key)
-    ledger.duplicate_occurrences += len(duplicates)
-    feedback = SubmitFeedback(
-        accepted=tuple(accepted),
-        rejected=tuple(rejected),
-        duplicates=tuple(duplicates),
+        split[verdict].append(key)
+    ledger.valid_ids.update(split[IdVerdict.ACCEPT_NEW])
+    ledger.duplicate_occurrences += len(split[IdVerdict.DUPLICATE])
+    return SubmitFeedback(
+        accepted=tuple(split[IdVerdict.ACCEPT_NEW]),
+        rejected=tuple(split[IdVerdict.REJECT]),
+        duplicates=tuple(split[IdVerdict.DUPLICATE]),
         valid_count=ledger.valid_count,
         remaining=ledger.remaining,
     )
-    return ledger, feedback
 
 
 def is_complete(ledger: RunLedger, target_count: int) -> bool:
@@ -411,9 +374,12 @@ def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
 
 def read_record_dicts(path: str | Path) -> list[dict]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with loading(path), open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                row = json.loads(line)
+                if not isinstance(row, dict) or not set(RECORD_FIELDS) <= row.keys():
+                    raise ConfigurationError(f"{path}:{lineno}: not a run record")
+                rows.append(row)
     return rows

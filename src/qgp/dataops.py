@@ -13,7 +13,7 @@ import io
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -30,10 +30,10 @@ from .actions import (
     UnitStatus,
     Verdict,
 )
-from .core import PublicTaskView, RunLedger, TaskSpec, UnitPublicView
-from .errors import ConfigurationError, GenerationError
+from .core import PublicTaskView, RunLedger, TaskSpec, UnitPublicView, record_submission
+from .errors import ConfigurationError, GenerationError, loading
 from .seeding import derive_seed, stream
-from .verifier import StatusSnapshot
+from .verifier import IdVerdict, normalize_id
 
 DATAOPS_BUDGETS = {3: 30, 5: 50, 10: 90, 20: 160}
 
@@ -131,7 +131,6 @@ class BacklogUnit:
     artifact_path: str
     checker: CheckerSpec
     status: UnitStatus = UnitStatus.PENDING
-    inspect_count: int = 0
 
     def mark_attempted(self) -> None:
         if self.status == UnitStatus.PENDING:
@@ -156,7 +155,6 @@ class Workspace:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.edit_log: list[tuple[str, str]] = []
 
     def seed(self, files: dict[str, str]) -> None:
         for relpath, content in sorted(files.items()):
@@ -178,22 +176,6 @@ class Workspace:
         path = self._resolve(relpath)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
-
-
-@dataclass
-class UnitAcceptance:
-    """Counted-unit tracker: the dataops analogue of the hidden-set accepted state."""
-
-    target_count: int
-    accepted: set[str] = field(default_factory=set)
-
-    def snapshot(self) -> StatusSnapshot:
-        valid = len(self.accepted)
-        return StatusSnapshot(
-            valid_count=valid,
-            target_count=self.target_count,
-            remaining=max(0, self.target_count - valid),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +272,6 @@ def inspect_unit(backlog: Backlog, workspace: Workspace, unit_id: str) -> UnitFe
     unit = backlog.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
-    unit.inspect_count += 1
     if workspace.exists(unit.artifact_path):
         excerpt = workspace.read(unit.artifact_path)[:200]
     else:
@@ -375,7 +356,6 @@ def apply_edit(
         return UnitFeedback(
             unit_id=unit_id, verdict=Verdict.FAIL, detail=error, status_after=unit.status
         )
-    workspace.edit_log.append((unit_id, payload))
     return UnitFeedback(
         unit_id=unit_id,
         verdict=Verdict.PASS,
@@ -407,29 +387,22 @@ def run_check(backlog: Backlog, workspace: Workspace, unit_id: str) -> UnitFeedb
     )
 
 
-def submit_unit(
-    backlog: Backlog, acceptance: UnitAcceptance, unit_id: str
-) -> SubmitFeedback:
-    """Count the unit only if its checker has accepted it and it is uncounted."""
+def submit_unit(backlog: Backlog, ledger: RunLedger, unit_id: str) -> SubmitFeedback:
+    """Judge one unit submission and fold it into the ledger.
+
+    A unit the ledger already counts is a duplicate; a unit whose checker has
+    accepted it is counted; any other id, known or not, is rejected every time
+    it is submitted. Unit ids match exactly, so a padded id is unknown.
+    """
     unit = backlog.get(unit_id)
-    accepted: tuple[str, ...] = ()
-    rejected: tuple[str, ...] = ()
-    duplicates: tuple[str, ...] = ()
-    if unit is not None and unit.unit_id in acceptance.accepted:
-        duplicates = (unit_id,)
+    key = normalize_id(unit_id)
+    if unit is not None and key in ledger.valid_ids:
+        verdict = IdVerdict.DUPLICATE
     elif unit is not None and unit.status == UnitStatus.PASSED:
-        acceptance.accepted.add(unit.unit_id)
-        accepted = (unit_id,)
+        verdict = IdVerdict.ACCEPT_NEW
     else:
-        rejected = (unit_id,)
-    snap = acceptance.snapshot()
-    return SubmitFeedback(
-        accepted=accepted,
-        rejected=rejected,
-        duplicates=duplicates,
-        valid_count=snap.valid_count,
-        remaining=snap.remaining,
-    )
+        verdict = IdVerdict.REJECT
+    return record_submission(ledger, [(key, verdict)])
 
 
 # ---------------------------------------------------------------------------
@@ -763,36 +736,39 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 
 
 def load_manifest(path: str | Path) -> DataopsManifest:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.DATAOPS.value:
-        raise ConfigurationError(f"not a dataops manifest: {path}")
-    tasks = []
-    for entry in obj["tasks"]:
-        spec = TaskSpec(
-            task_id=entry["task_id"],
-            family=Family.DATAOPS,
-            objective_text=entry["objective_text"],
-            target_count=entry["target_count"],
-            budget=entry["budget"],
-            seed=entry["seed"],
-            verifier_config=entry["task_id"],
-        )
-        checkers = entry["hidden"]["checkers"]
-        units = [
-            BacklogUnit(
-                unit_id=u["unit_id"],
-                kind=u["kind"],
-                prompt=u["prompt"],
-                artifact_path=u["artifact_path"],
-                checker=checker_from_dict(checkers[u["unit_id"]]),
+    with loading(path):
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.DATAOPS.value:
+            raise ConfigurationError(f"not a dataops manifest: {path}")
+        tasks = []
+        for entry in obj["tasks"]:
+            spec = TaskSpec(
+                task_id=entry["task_id"],
+                family=Family.DATAOPS,
+                objective_text=entry["objective_text"],
+                target_count=entry["target_count"],
+                budget=entry["budget"],
+                seed=entry["seed"],
+                verifier_config=entry["task_id"],
             )
-            for u in entry["units"]
-        ]
-        tasks.append(DataopsTask(spec=spec, units=units, files=dict(entry["hidden"]["files"])))
+            checkers = entry["hidden"]["checkers"]
+            units = [
+                BacklogUnit(
+                    unit_id=u["unit_id"],
+                    kind=u["kind"],
+                    prompt=u["prompt"],
+                    artifact_path=u["artifact_path"],
+                    checker=checker_from_dict(checkers[u["unit_id"]]),
+                )
+                for u in entry["units"]
+            ]
+            files = dict(entry["hidden"]["files"])
+            tasks.append(DataopsTask(spec=spec, units=units, files=files))
+        metadata = obj["metadata"]
     ids = [t.spec.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate task ids in manifest: {path}")
-    return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
+    return DataopsManifest(metadata=metadata, tasks=tasks)
 
 
 def load_public_tasks(path: str | Path) -> list[dict]:
@@ -845,7 +821,6 @@ class DataopsEnvironment:
                 for u in units
             ],
         )
-        self.acceptance = UnitAcceptance(target_count=task.target_count)
         parent = workspace_root or tempfile.gettempdir()
         Path(parent).mkdir(parents=True, exist_ok=True)
         self._tmpdir = tempfile.mkdtemp(prefix=f"qgp-{task.task_id}-", dir=parent)
@@ -878,9 +853,7 @@ class DataopsEnvironment:
         if isinstance(action, RunCheck):
             return run_check(self.backlog, self.workspace, action.unit_id)
         if isinstance(action, SubmitUnit):
-            feedback = submit_unit(self.backlog, self.acceptance, action.unit_id)
-            ledger.record_batch([action.unit_id], feedback.accepted, feedback.duplicates)
-            return feedback
+            return submit_unit(self.backlog, ledger, action.unit_id)
         raise ConfigurationError(f"dataops cannot execute {action!r}")
 
     def close(self) -> None:

@@ -1,5 +1,10 @@
 """Exception types shared across the engine."""
 
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class QgpError(Exception):
     """Base class for engine errors."""
@@ -7,6 +12,15 @@ class QgpError(Exception):
 
 class ConfigurationError(QgpError):
     """A component was wired with unusable inputs (bad paths, family mismatch)."""
+
+
+@contextmanager
+def loading(path: object) -> Iterator[None]:
+    """Report an unreadable or malformed input file as a ConfigurationError naming it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
 class GenerationError(QgpError):

@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -54,10 +55,6 @@ class PolicyKind(str, Enum):
     SOLVER = "solver"
     REDUNDANT_SEARCHER = "redundant_searcher"
     EXTERNAL = "external"
-
-
-def decide(policy, view: PublicTaskView, history: History, seed: int):
-    return policy.decide(view, history, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +344,18 @@ class _PipeReader(threading.Thread):
 
 @dataclass
 class ExternalAdapterPolicy:
-    """Line-delimited protocol: one request record out, one action record back."""
+    """Line-delimited protocol: one request record out, one action record back.
+
+    Replies carry no step number, so a reply that misses its step's timeout is
+    still owed; it is read and dropped before the reply to a later step.
+    """
 
     command: list[str]
     timeout: float = 30.0
     label: str = PolicyKind.EXTERNAL.value
     _process: subprocess.Popen | None = field(default=None, repr=False)
     _reader: _PipeReader | None = field(default=None, repr=False)
+    _owed: int = field(default=0, init=False, repr=False)
 
     def _ensure_started(self) -> None:
         if self._process is not None:
@@ -398,12 +400,18 @@ class ExternalAdapterPolicy:
             self._process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise AdapterError(f"adapter pipe closed: {exc}") from exc
-        try:
-            line = self._reader.lines.get(timeout=self.timeout)
-        except queue.Empty:
-            return Malformed(raw="", reason="adapter_timeout")
-        if line is None:
-            raise AdapterError("adapter closed its output stream")
+        deadline = time.monotonic() + self.timeout
+        while True:
+            try:
+                line = self._reader.lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                self._owed += 1
+                return Malformed(raw="", reason="adapter_timeout")
+            if line is None:
+                raise AdapterError("adapter closed its output stream")
+            if not self._owed:
+                break
+            self._owed -= 1
         line = line.strip()
         try:
             return action_from_dict(json.loads(line))

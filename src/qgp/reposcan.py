@@ -25,9 +25,9 @@ from .actions import (
     Submit,
 )
 from .core import PublicTaskView, RunLedger, TaskSpec, record_submission
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, loading
 from .seeding import derive_seed, stream
-from .verifier import HiddenValidSet, judge_ids
+from .verifier import judge_ids, normalize_id
 
 PAGE_SIZE = 10
 TEXT_TRUNCATE_BYTES = 64 * 1024
@@ -508,15 +508,17 @@ def _task_from_dict(obj: dict) -> ReposcanTask:
 
 
 def load_manifest(path: str | Path) -> ReposcanManifest:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.REPOSCAN.value:
-        raise ConfigurationError(f"not a reposcan manifest: {path}")
-    snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
-    tasks = [_task_from_dict(t) for t in obj["tasks"]]
+    with loading(path):
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.REPOSCAN.value:
+            raise ConfigurationError(f"not a reposcan manifest: {path}")
+        snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
+        tasks = [_task_from_dict(t) for t in obj["tasks"]]
+        metadata = obj["metadata"]
     ids = [t.spec.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate task ids in manifest: {path}")
-    return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)
+    return ReposcanManifest(metadata=metadata, snapshots=snapshots, tasks=tasks)
 
 
 def load_public_tasks(path: str | Path) -> list[dict]:
@@ -548,7 +550,7 @@ class ReposcanEnvironment:
         self.task = task
         self.corpus = list(corpus)
         self.page_size = page_size
-        self.hidden = HiddenValidSet.from_ids(valid_ids)
+        self.members = frozenset(normalize_id(x) for x in valid_ids)
 
     def public_view(self) -> PublicTaskView:
         return PublicTaskView(
@@ -563,12 +565,6 @@ class ReposcanEnvironment:
         if isinstance(action, Search):
             return search(self.corpus, action.query, action.page, self.page_size)
         if isinstance(action, Submit):
-            prior_accepted = frozenset(self.hidden.accepted)
-            verdicts = {
-                key: key in self.hidden.members
-                for key in (i.strip() for i in action.ids)
-            }
-            judge_ids(self.hidden, action.ids)
-            _, feedback = record_submission(ledger, action.ids, verdicts, prior_accepted)
-            return feedback
+            verdicts = judge_ids(self.members, ledger.submissions, action.ids)
+            return record_submission(ledger, verdicts)
         raise ConfigurationError(f"reposcan cannot execute {action!r}")

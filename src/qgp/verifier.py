@@ -1,17 +1,15 @@
-"""Hidden valid set and verdict issuing.
+"""Identifier normalization and the retrieval verdict rule.
 
 The verifier is the only component that knows which identifiers count. It
-answers per-identifier verdicts and count snapshots; nothing it emits ever
-enumerates hidden members that the caller has not itself submitted.
+answers one verdict per submitted identifier; nothing it emits ever enumerates
+hidden members that the caller has not itself submitted. It holds no state:
+the run ledger is the only record of what was submitted and counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
-
-from .core import normalize_id
+from typing import AbstractSet, Container, Sequence
 
 
 class IdVerdict(str, Enum):
@@ -20,52 +18,29 @@ class IdVerdict(str, Enum):
     REJECT = "reject"
 
 
-@dataclass
-class HiddenValidSet:
-    members: frozenset[str]
-    accepted: set[str] = field(default_factory=set)
-    submitted: set[str] = field(default_factory=set)
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[str]) -> "HiddenValidSet":
-        return cls(members=frozenset(normalize_id(x) for x in ids))
-
-    def is_valid(self, raw: str) -> bool:
-        return normalize_id(raw) in self.members
+def normalize_id(raw: str) -> str:
+    # Identifier identity is the surrounding-whitespace-trimmed string; no case folding.
+    return raw.strip()
 
 
-@dataclass(frozen=True)
-class StatusSnapshot:
-    valid_count: int
-    target_count: int
-    remaining: int
+def judge_ids(
+    members: AbstractSet[str], submitted: Container[str], ids: Sequence[str]
+) -> list[tuple[str, IdVerdict]]:
+    """Judge a batch left to right against the hidden members.
 
-
-def judge_ids(verifier: HiddenValidSet, ids: Sequence[str]) -> list[tuple[str, IdVerdict]]:
-    """Judge a batch left to right, updating the accepted set as it goes.
-
-    Any identifier previously submitted (in an earlier batch or earlier in this
-    one) is a duplicate regardless of validity; a fresh valid identifier is
-    accepted exactly once.
+    Any identifier previously submitted (in ``submitted``, or earlier in this
+    batch) is a duplicate regardless of validity; a fresh member is accepted
+    exactly once; anything else is rejected.
     """
     verdicts: list[tuple[str, IdVerdict]] = []
+    seen: set[str] = set()
     for raw in ids:
         key = normalize_id(raw)
-        if key in verifier.accepted or key in verifier.submitted:
+        if key in submitted or key in seen:
             verdicts.append((key, IdVerdict.DUPLICATE))
-        elif key in verifier.members:
-            verifier.accepted.add(key)
+        elif key in members:
             verdicts.append((key, IdVerdict.ACCEPT_NEW))
         else:
             verdicts.append((key, IdVerdict.REJECT))
-        verifier.submitted.add(key)
+        seen.add(key)
     return verdicts
-
-
-def snapshot(verifier: HiddenValidSet, target_count: int) -> StatusSnapshot:
-    valid = len(verifier.accepted)
-    return StatusSnapshot(
-        valid_count=valid,
-        target_count=target_count,
-        remaining=max(0, target_count - valid),
-    )

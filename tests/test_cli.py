@@ -421,3 +421,38 @@ class TestSmoke:
         leaky.write_text(json.dumps(obj))
         assert main(["smoke", "--manifest", str(leaky)]) == 1
         assert "leaked" in capsys.readouterr().out
+
+
+MALFORMED_INPUTS = {
+    "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
+    "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
+    "not-json": "this is not json\n",
+    "not-an-object": "[1, 2]\n",
+    "config-with-unknown-controller": json.dumps(
+        {"manifest": "m.json", "controller": "bogus", "policy": "solver", "out": "o.jsonl"}
+    )
+    + "\n",
+    "record-with-unknown-outcome": json.dumps(
+        {field: 1 for field in RECORD_FIELDS} | {"outcome": "won"}
+    )
+    + "\n",
+}
+COMMANDS = {
+    "run": lambda path, out: ["run", "--manifest", path, "--out", out],
+    "run-config": lambda path, out: ["run", "--config", path],
+    "smoke": lambda path, out: ["smoke", "--manifest", path],
+    "aggregate": lambda path, out: ["aggregate", "--records", path, "--out", out],
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("content", sorted(MALFORMED_INPUTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_error_exit_not_traceback(self, command, content, tmp_path, capsys):
+        path = tmp_path / f"{content}.json"
+        path.write_text(MALFORMED_INPUTS[content], encoding="utf-8")
+        code = main(COMMANDS[command](str(path), str(tmp_path / "out")))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert path.name in err

@@ -33,7 +33,6 @@ from qgp.controllers import (
     ablation_controller,
     build_controller,
     gate_termination,
-    standard_transform,
 )
 from qgp.core import RunContext, TaskSpec, run_episode
 from qgp.errors import ConfigurationError
@@ -62,7 +61,6 @@ def make_ctx(step=1, valid=0, target=10, objective="session : find artifacts", u
 class TestStandard:
     def test_repeated_submit_passthrough(self):
         action = Submit(ids=("a", "a"))
-        assert standard_transform(action, make_ctx()) == action
         decision = StandardController().transform(action, make_ctx())
         assert decision.action == action and not decision.interventions
 

@@ -21,7 +21,6 @@ from qgp.dataops import (
     FixtureSources,
     KeyPresent,
     RowCount,
-    UnitAcceptance,
     Workspace,
     apply_edit,
     generate_backlog,
@@ -218,28 +217,48 @@ class TestEditAndCheck:
 class TestSubmitUnit:
     def test_accept_then_duplicate(self, tmp_path):
         backlog, ws = small_backlog(tmp_path)
-        acceptance = UnitAcceptance(target_count=3)
+        ledger = RunLedger(target_count=3, budget=30)
         run_check(backlog, ws, "u2")
-        first = submit_unit(backlog, acceptance, "u2")
+        first = submit_unit(backlog, ledger, "u2")
         assert first.accepted == ("u2",)
         assert first.valid_count == 1
-        again = submit_unit(backlog, acceptance, "u2")
+        again = submit_unit(backlog, ledger, "u2")
         assert again.duplicates == ("u2",)
         assert again.valid_count == 1
+        assert ledger.duplicate_occurrences == 1
+        assert ledger.submission_occurrences == 2
 
     def test_pending_rejected(self, tmp_path):
         backlog, ws = small_backlog(tmp_path)
-        acceptance = UnitAcceptance(target_count=3)
-        fb = submit_unit(backlog, acceptance, "u1")
+        ledger = RunLedger(target_count=3, budget=30)
+        fb = submit_unit(backlog, ledger, "u1")
         assert fb.rejected == ("u1",)
         assert fb.valid_count == 0
+        # A unit that has not passed is rejected every time, never a duplicate.
+        again = submit_unit(backlog, ledger, "u1")
+        assert again.rejected == ("u1",)
+        assert ledger.duplicate_occurrences == 0
+
+    def test_padded_id_rejected_without_count_change(self, tmp_path):
+        backlog, ws = small_backlog(tmp_path)
+        ledger = RunLedger(target_count=3, budget=30)
+        run_check(backlog, ws, "u2")
+        run_check(backlog, ws, "u5")
+        submit_unit(backlog, ledger, "u2")
+        for padded in (" u2", "u5 "):
+            fb = submit_unit(backlog, ledger, padded)
+            # Feedback echoes the trimmed id, as retrieval feedback does.
+            assert fb.rejected == (padded.strip(),)
+            assert fb.accepted == fb.duplicates == ()
+            assert ledger.valid_ids == {"u2"}
+            assert ledger.duplicate_occurrences == 0
 
     def test_count_gate_under_random_actions(self, tmp_path):
         # Oracle: a unit counts iff some submission of it happened while its
         # status was passed and it had not been counted before.
         rng = random.Random(17)
         backlog, ws = small_backlog(tmp_path)
-        acceptance = UnitAcceptance(target_count=5)
+        ledger = RunLedger(target_count=5, budget=300)
         counted: set[str] = set()
         ids = [u.unit_id for u in backlog.units] + ["u999"]
         for _ in range(300):
@@ -263,7 +282,7 @@ class TestSubmitUnit:
             else:
                 unit = backlog.get(unit_id)
                 was_passed = unit is not None and unit.status == UnitStatus.PASSED
-                fb = submit_unit(backlog, acceptance, unit_id)
+                fb = submit_unit(backlog, ledger, unit_id)
                 if was_passed and unit.unit_id not in counted:
                     assert fb.accepted == (unit_id,)
                     counted.add(unit_id)
@@ -271,7 +290,7 @@ class TestSubmitUnit:
                     assert fb.duplicates == (unit_id,)
                 else:
                     assert fb.rejected == (unit_id,)
-            assert len(acceptance.accepted) == len(counted)
+            assert ledger.valid_ids == counted
 
     def test_passed_is_absorbing(self, tmp_path):
         backlog, ws = small_backlog(tmp_path)

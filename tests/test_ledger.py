@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -10,11 +11,15 @@ import pytest
 from qgp.actions import (
     AskUser,
     ControllerNotice,
+    Edit,
     Family,
     Final,
+    Inspect,
     Outcome,
+    RunCheck,
     SearchResults,
     SubmitFeedback,
+    SubmitUnit,
 )
 from qgp.core import (
     BUDGET_EXHAUSTED,
@@ -27,10 +32,12 @@ from qgp.core import (
     reported_count_error,
     run_episode,
 )
-from qgp.controllers import StandardController, VerifierGatedController
+from qgp.controllers import StandardController, UnitQgpController, VerifierGatedController
+from qgp.dataops import DataopsEnvironment
 from qgp.errors import ConfigurationError, TerminatedRunError
 from qgp.policies import EarlyStopperPolicy, GreedyOraclePolicy
 from qgp.reposcan import ReposcanEnvironment
+from qgp.verifier import IdVerdict, judge_ids
 
 from synth import tiny_corpus
 
@@ -46,10 +53,15 @@ def brute_force_valid_count(batches, valid_set) -> int:
     return len(support & {v.strip() for v in valid_set})
 
 
+def _submit(ledger: RunLedger, batch, valid) -> SubmitFeedback:
+    """Judge a batch with the retrieval rule and fold it, as ReposcanEnvironment does."""
+    return record_submission(ledger, judge_ids(frozenset(valid), ledger.submissions, batch))
+
+
 class TestRecordSubmission:
     def test_within_batch_repeat_partition(self):
         ledger = _ledger()
-        _, fb = record_submission(ledger, ["a", "b", "a"], {"a": True, "b": False}, set())
+        fb = _submit(ledger, ["a", "b", "a"], {"a"})
         assert fb.accepted == ("a",)
         assert fb.duplicates == ("a",)
         assert fb.rejected == ("b",)
@@ -58,8 +70,8 @@ class TestRecordSubmission:
 
     def test_empty_batch_identity(self):
         ledger = _ledger()
-        record_submission(ledger, ["x"], {"x": True}, set())
-        _, fb = record_submission(ledger, [], {}, {"x"})
+        _submit(ledger, ["x"], {"x"})
+        fb = _submit(ledger, [], {"x"})
         assert fb.accepted == fb.rejected == fb.duplicates == ()
         assert ledger.valid_count == 1
 
@@ -72,30 +84,21 @@ class TestRecordSubmission:
         assert expected == 3
 
         ledger = _ledger()
-        prior: set[str] = set()
-        feedbacks = []
-        for batch in batches:
-            _, fb = record_submission(ledger, batch, {k: k in valid for k in batch}, prior)
-            prior.update(fb.accepted)
-            feedbacks.append(fb)
+        feedbacks = [_submit(ledger, batch, valid) for batch in batches]
         assert ledger.valid_count == expected
         assert feedbacks[1].duplicates == ("y",)
 
         # Any batch order reaches the same final count.
         for order in itertools.permutations(batches):
             ledger2 = _ledger()
-            prior2: set[str] = set()
             for batch in order:
-                _, fb = record_submission(
-                    ledger2, list(batch), {k: k in valid for k in batch}, prior2
-                )
-                prior2.update(fb.accepted)
+                _submit(ledger2, list(batch), valid)
             assert ledger2.valid_count == expected
 
     def test_previously_rejected_id_is_duplicate_on_resubmission(self):
         ledger = _ledger()
-        record_submission(ledger, ["bad"], {"bad": False}, set())
-        _, fb = record_submission(ledger, ["bad"], {"bad": False}, set())
+        _submit(ledger, ["bad"], set())
+        fb = _submit(ledger, ["bad"], set())
         assert fb.duplicates == ("bad",)
         assert fb.rejected == ()
 
@@ -103,24 +106,23 @@ class TestRecordSubmission:
         ledger = _ledger()
         ledger.outcome = Outcome.BUDGET_EXHAUSTED
         with pytest.raises(TerminatedRunError):
-            record_submission(ledger, ["a"], {"a": True}, set())
+            record_submission(ledger, [("a", IdVerdict.ACCEPT_NEW)])
+        assert ledger.submission_occurrences == 0
 
     def test_distinct_is_support_and_valid_bounded(self):
         rng = random.Random(5)
         universe = [f"id{i}" for i in range(12)]
         valid = set(rng.sample(universe, 5))
         ledger = _ledger()
-        prior: set[str] = set()
         batches = []
         for _ in range(20):
             batch = [rng.choice(universe) for _ in range(rng.randrange(0, 6))]
             batches.append(batch)
             before = ledger.valid_count
-            _, fb = record_submission(ledger, batch, {k: k in valid for k in batch}, prior)
-            prior.update(fb.accepted)
+            _submit(ledger, batch, valid)
             assert ledger.valid_count >= before  # monotone
-            assert ledger.distinct == set(ledger.submissions)
-            assert ledger.valid_count <= len(ledger.distinct)
+            assert ledger.valid_ids <= set(ledger.submissions)
+            assert ledger.valid_count <= len(ledger.submissions)
         assert ledger.valid_count == brute_force_valid_count(batches, valid)
 
 
@@ -303,6 +305,59 @@ def _random_run(seed: int):
     return record, set(valid_ids), batches
 
 
+def _random_dataops_run(seed: int, task):
+    """One randomized run over a generated backlog: random unit operations,
+    unknown and padded unit ids, and terminations, under a random controller."""
+    rng = random.Random(seed)
+    unit_ids = [u.unit_id for u in task.units]
+    choices = unit_ids + ["u999", " " + unit_ids[0], unit_ids[-1] + " "]
+    spec = dataclasses.replace(
+        task.spec,
+        target_count=rng.randrange(1, len(unit_ids) + 1),
+        budget=rng.randrange(1, 60),
+    )
+
+    class RandomUnitPolicy:
+        label = "random"
+
+        def decide(self, view, history, seed_):
+            roll = rng.random()
+            unit_id = rng.choice(choices)
+            if roll < 0.35:
+                return SubmitUnit(unit_id=unit_id)
+            if roll < 0.65:
+                return RunCheck(unit_id=unit_id)
+            if roll < 0.75:
+                return Inspect(unit_id=unit_id)
+            if roll < 0.85:
+                return Edit(unit_id=unit_id, payload=rng.choice(["junk", '{"key": "a"}']))
+            if roll < 0.95:
+                return Final(completion_claim=rng.random() < 0.5, reported_count=rng.randrange(5))
+            return AskUser(message="?")
+
+    controller = rng.choice([StandardController, VerifierGatedController, UnitQgpController])()
+    env = DataopsEnvironment(spec, task.units, task.files)
+    try:
+        return run_episode(spec, env, controller, RandomUnitPolicy())
+    finally:
+        env.close()
+
+
+def _assert_ledger_matches_history(record) -> None:
+    """The feedback in the step history is an independent oracle for the counts."""
+    ledger = record.ledger
+    feedback = [obs for _, obs in ledger.history if isinstance(obs, SubmitFeedback)]
+    judged = sum(len(f.accepted) + len(f.rejected) + len(f.duplicates) for f in feedback)
+    assert judged == ledger.submission_occurrences
+    assert sum(len(f.duplicates) for f in feedback) == ledger.duplicate_occurrences
+    accepted = [key for f in feedback for key in f.accepted]
+    assert len(accepted) == len(set(accepted))  # each id counts once
+    assert ledger.valid_count == len(set(accepted))
+    assert (record.outcome == Outcome.SUCCESS) == (
+        ledger.valid_count >= record.task.target_count
+    )
+
+
 class TestRandomizedInvariants:
     def test_ledger_matches_brute_force_recomputation(self):
         for seed in range(200):
@@ -312,6 +367,15 @@ class TestRandomizedInvariants:
             assert (record.outcome == Outcome.SUCCESS) == (
                 record.ledger.valid_count >= record.task.target_count
             )
+
+    def test_ledger_matches_feedback_history(self, dataops_loaded):
+        for seed in range(200):
+            record, _, _ = _random_run(seed)
+            _assert_ledger_matches_history(record)
+        tasks = dataops_loaded.tasks
+        for seed in range(60):
+            record = _random_dataops_run(seed, tasks[seed % len(tasks)])
+            _assert_ledger_matches_history(record)
 
     def test_confidentiality_of_observations(self):
         # Hidden ids may only appear in feedback if the policy surfaced them

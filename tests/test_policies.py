@@ -13,6 +13,7 @@ from qgp.actions import (
     ControllerNotice,
     Family,
     Final,
+    Malformed,
     Outcome,
     Search,
     Submit,
@@ -31,7 +32,6 @@ from qgp.policies import (
     RedundantSearcherPolicy,
     SolverPolicy,
     build_policy,
-    decide,
     derive_edit_payload,
 )
 from qgp.reposcan import ReposcanEnvironment
@@ -227,13 +227,6 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             build_policy("external")
 
-    def test_decide_helper(self):
-        policy = FalseCompleterPolicy(final_step=1)
-        view_task = _task()
-        env = ReposcanEnvironment(view_task, tiny_corpus(), [])
-        action = decide(policy, env.public_view(), [], 0)
-        assert isinstance(action, Final)
-
 
 # ---------------------------------------------------------------------------
 # External adapter
@@ -351,3 +344,31 @@ class TestExternalAdapter:
         assert record.outcome == Outcome.BUDGET_EXHAUSTED
         notices = [o for _, o in record.ledger.history if isinstance(o, ControllerNotice)]
         assert len(notices) == 1
+
+    def test_late_reply_never_reaches_a_later_step(self, tmp_path):
+        # The reply to step 1 arrives after its timeout; step 2 must get its
+        # own reply, not the stale one.
+        command = _write_adapter(
+            tmp_path,
+            """
+            import json, sys, time
+            for line in sys.stdin:
+                step = json.loads(line)["step"]
+                if step == 1:
+                    time.sleep(0.6)
+                reply = {"kind": "ask_user", "message": f"reply-to-step-{step}"}
+                sys.stdout.write(json.dumps(reply) + "\\n")
+                sys.stdout.flush()
+            """,
+        )
+        policy = ExternalAdapterPolicy(command=command, timeout=0.3)
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        try:
+            first = policy.decide(view, [], 0)
+            assert isinstance(first, Malformed) and first.reason == "adapter_timeout"
+            notice = ControllerNotice(reason="parse_error", valid_count=0, remaining=3)
+            policy.timeout = 5.0
+            second = policy.decide(view, [(first, notice)], 0)
+        finally:
+            policy.close()
+        assert second == AskUser(message="reply-to-step-2")

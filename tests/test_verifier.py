@@ -1,4 +1,4 @@
-"""Hidden-set verdicts, snapshots, and coupling with the run ledger."""
+"""Retrieval verdicts, remaining counts, and coupling with the run ledger."""
 
 from __future__ import annotations
 
@@ -6,38 +6,47 @@ import json
 import random
 
 from qgp.actions import Family, Submit
-from qgp.core import RunLedger, TaskSpec, run_episode
+from qgp.core import RunLedger, TaskSpec, record_submission, run_episode
 from qgp.controllers import StandardController
 from qgp.reposcan import ReposcanEnvironment
-from qgp.verifier import HiddenValidSet, IdVerdict, judge_ids, snapshot
+from qgp.verifier import IdVerdict, judge_ids
 
 from synth import tiny_corpus
 
 
+def _judge(ledger: RunLedger, members, ids):
+    """Judge against the ledger's submissions and fold, as ReposcanEnvironment does."""
+    return record_submission(ledger, judge_ids(frozenset(members), ledger.submissions, ids))
+
+
 class TestJudgeIds:
     def test_accept_and_reject(self):
-        verifier = HiddenValidSet.from_ids(["x"])
-        verdicts = judge_ids(verifier, ["x", "y"])
+        verdicts = judge_ids({"x"}, set(), ["x", "y"])
         assert verdicts == [("x", IdVerdict.ACCEPT_NEW), ("y", IdVerdict.REJECT)]
-        assert verifier.accepted == {"x"}
 
     def test_idempotent_acceptance(self):
-        verifier = HiddenValidSet.from_ids(["x"])
-        judge_ids(verifier, ["x"])
-        verdicts = judge_ids(verifier, ["x"])
+        ledger = RunLedger(target_count=5, budget=5)
+        _judge(ledger, {"x"}, ["x"])
+        verdicts = judge_ids({"x"}, ledger.submissions, ["x"])
         assert verdicts == [("x", IdVerdict.DUPLICATE)]
-        assert len(verifier.accepted) == 1
+        _judge(ledger, {"x"}, ["x"])
+        assert ledger.valid_ids == {"x"}
 
     def test_within_batch_repeat(self):
-        verifier = HiddenValidSet.from_ids(["x"])
-        verdicts = judge_ids(verifier, ["x", "x"])
+        verdicts = judge_ids({"x"}, set(), ["x", "x"])
         assert verdicts == [("x", IdVerdict.ACCEPT_NEW), ("x", IdVerdict.DUPLICATE)]
 
     def test_whitespace_trimmed_exact_match(self):
-        verifier = HiddenValidSet.from_ids(["Item#source"])
-        verdicts = judge_ids(verifier, ["  Item#source  ", "item#source"])
-        assert verdicts[0][1] == IdVerdict.ACCEPT_NEW  # trimmed
+        verdicts = judge_ids({"Item#source"}, set(), ["  Item#source  ", "item#source"])
+        assert verdicts[0] == ("Item#source", IdVerdict.ACCEPT_NEW)  # trimmed
         assert verdicts[1][1] == IdVerdict.REJECT  # no case folding
+
+    def test_pure_function_of_its_inputs(self):
+        members = frozenset({"x"})
+        submitted = {"y"}
+        first = judge_ids(members, submitted, ["x", "y", "z"])
+        assert judge_ids(members, submitted, ["x", "y", "z"]) == first
+        assert members == {"x"} and submitted == {"y"}
 
     def test_permutation_invariance(self):
         rng = random.Random(3)
@@ -48,38 +57,40 @@ class TestJudgeIds:
         for _ in range(10):
             order = list(multiset)
             rng.shuffle(order)
-            verifier = HiddenValidSet.from_ids(members)
-            judge_ids(verifier, order)
+            ledger = RunLedger(target_count=10, budget=10)
+            _judge(ledger, members, order)
             if baseline is None:
-                baseline = set(verifier.accepted)
-            assert verifier.accepted == baseline
+                baseline = set(ledger.valid_ids)
+            assert ledger.valid_ids == baseline
 
     def test_leak_freedom(self):
-        verifier = HiddenValidSet.from_ids([f"secret{i}" for i in range(30)])
-        verdicts = judge_ids(verifier, ["secret1", "nope"])
+        members = frozenset(f"secret{i}" for i in range(30))
+        verdicts = judge_ids(members, set(), ["secret1", "nope"])
         text = json.dumps([(i, v.value) for i, v in verdicts])
-        for member in verifier.members - {"secret1"}:
+        for member in members - {"secret1"}:
             assert member not in text
 
 
 class TestSnapshot:
+    """Remaining-count arithmetic, as the ledger and its feedback report it."""
+
     def test_remaining(self):
-        verifier = HiddenValidSet.from_ids([f"v{i}" for i in range(60)])
-        judge_ids(verifier, [f"v{i}" for i in range(38)])
-        snap = snapshot(verifier, 50)
-        assert snap.valid_count == 38
-        assert snap.remaining == 12
+        ledger = RunLedger(target_count=50, budget=5)
+        fb = _judge(ledger, {f"v{i}" for i in range(60)}, [f"v{i}" for i in range(38)])
+        assert fb.valid_count == ledger.valid_count == 38
+        assert fb.remaining == ledger.remaining == 12
 
     def test_zero_progress(self):
-        verifier = HiddenValidSet.from_ids(["a"])
-        assert snapshot(verifier, 10).remaining == 10
+        ledger = RunLedger(target_count=10, budget=5)
+        assert ledger.remaining == 10
+        fb = _judge(ledger, {"a"}, [])
+        assert fb.remaining == 10
 
     def test_clamped_at_zero(self):
-        verifier = HiddenValidSet.from_ids([f"v{i}" for i in range(12)])
-        judge_ids(verifier, [f"v{i}" for i in range(12)])
-        snap = snapshot(verifier, 10)
-        assert snap.valid_count == 12
-        assert snap.remaining == 0
+        ledger = RunLedger(target_count=10, budget=5)
+        fb = _judge(ledger, {f"v{i}" for i in range(12)}, [f"v{i}" for i in range(12)])
+        assert fb.valid_count == 12
+        assert fb.remaining == ledger.remaining == 0
 
 
 class TestLedgerCoupling:
@@ -107,11 +118,14 @@ class TestLedgerCoupling:
         ledger = RunLedger(target_count=task.target_count, budget=task.budget)
         policy = Submitter()
         view = env.public_view()
+        submitted: set[str] = set()
         for _ in range(task.budget):
             action = policy.decide(view, ledger.history, 0)
             obs = env.execute(action, ledger)
             ledger.history.append((action, obs))
-            assert len(env.hidden.accepted) == ledger.valid_count
+            submitted.update(action.ids)
+            # Oracle: distinct support of everything submitted, within the valid set.
+            assert ledger.valid_ids == submitted & set(valid_ids)
 
     def test_full_episode_coupling(self):
         corpus = tiny_corpus(valid=3)
@@ -128,4 +142,5 @@ class TestLedgerCoupling:
         from qgp.policies import GreedyOraclePolicy
 
         record = run_episode(task, env, StandardController(), GreedyOraclePolicy())
-        assert len(env.hidden.accepted) == record.ledger.valid_count == 3
+        assert record.ledger.valid_ids == set(valid_ids)
+        assert record.ledger.valid_count == 3
