@@ -1,14 +1,17 @@
 """Command-line pipelines: generate, run, aggregate, delta, smoke.
 
 Each command writes the output path it is given and replaces a file already
-there; `run --out` rewrites its records file in place, so keep earlier
-outputs under other names. All pipelines are deterministic under a fixed
+there, so keep earlier outputs under other names. `run --out` writes a
+temporary file beside its records file and renames it over the old one, so
+a run that fails leaves the previous file intact. Each command reads every
+snapshot it needs once. All pipelines are deterministic under a fixed
 seed, including across different worker counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -109,10 +112,6 @@ def _manifest_family(path: str) -> str:
 
 
 def cmd_gen_reposcan(args: argparse.Namespace) -> int:
-    for snap in args.snapshot:
-        if not Path(snap).is_dir():
-            print(f"error: snapshot path not found: {snap}", file=sys.stderr)
-            return 2
     manifest = reposcan.generate_manifest(
         snapshots=args.snapshot,
         targets=_parse_targets(args.targets),
@@ -222,15 +221,15 @@ def run_manifest(
     family = _manifest_family(manifest_path)
     if family == "reposcan":
         manifest = reposcan.load_manifest(manifest_path)
-        corpora: dict[str, list] = {}
+        corpora: dict[str, reposcan.Corpus] = {}
         for info in manifest.snapshots:
-            actual = reposcan.snapshot_digest(info.root)
-            if actual != info.digest:
+            snapshot = reposcan.read_snapshot(info.root)
+            if snapshot.digest != info.digest:
                 raise QgpError(
                     f"snapshot {info.name} changed since generation "
-                    f"(digest {actual[:12]} != {info.digest[:12]})"
+                    f"(digest {snapshot.digest[:12]} != {info.digest[:12]})"
                 )
-            corpora[info.name] = reposcan.index_snapshot(info.root)
+            corpora[info.name] = snapshot.corpus
 
         def make_env(task):
             return reposcan.ReposcanEnvironment(
@@ -280,6 +279,20 @@ def run_manifest(
     return rows, aborts
 
 
+def _write_records(path: str, rows: list[dict]) -> None:
+    """Write record lines to a temporary file beside `path`, then rename it
+    over `path`, so a failed write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config_from_args(args)
     rows, aborts = run_manifest(
@@ -291,9 +304,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         jobs=config.jobs,
         workspace_root=config.workspace_root,
     )
-    with open(config.out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    _write_records(config.out, rows)
     print(f"wrote {config.out} runs={len(rows)} aborts={aborts}")
     return 1 if aborts else 0
 
@@ -361,10 +372,10 @@ def _smoke_reposcan(path: str) -> list[str]:
     manifest = reposcan.load_manifest(path)
     corpora = {}
     for info in manifest.snapshots:
-        actual = reposcan.snapshot_digest(info.root)
-        if actual != info.digest:
+        snapshot = reposcan.read_snapshot(info.root)
+        if snapshot.digest != info.digest:
             failures.append(f"snapshot digest drift: {info.name}")
-        corpora[info.name] = reposcan.index_snapshot(info.root)
+        corpora[info.name] = snapshot.corpus
     public_text = json.dumps(reposcan.load_public_tasks(path))
     for task in manifest.tasks:
         corpus = corpora[task.snapshot]

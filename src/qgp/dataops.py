@@ -483,9 +483,10 @@ class _SnapshotFixture:
 
 
 def _snapshot_fixture(root: Path) -> _SnapshotFixture:
-    from .reposcan import index_snapshot, snapshot_digest
+    from .reposcan import read_snapshot
 
-    corpus = index_snapshot(root)
+    snapshot = read_snapshot(root)
+    corpus = snapshot.corpus
     if not corpus:
         raise GenerationError(f"snapshot {root} has no indexable artifacts")
     kinds = {}
@@ -494,7 +495,7 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
     lines = [
         f"name: {root.name}",
         f"artifacts: {len(corpus)}",
-        f"revision: {snapshot_digest(root)[:12]}",
+        f"revision: {snapshot.digest[:12]}",
     ]
     for kind in sorted(kinds):
         lines.append(f"{kind}_count: {kinds[kind]}")

@@ -1,19 +1,22 @@
 """Repository-scan task family: artifact indexing, predicates, search, manifests.
 
-A snapshot is a local directory tree. Indexing turns it into an immutable
-corpus of artifact records; a predicate over those records defines a hidden
-valid set; search is deterministic ranked pagination over the same corpus.
+A snapshot is a local directory tree. Reading it once yields its content
+digest and an immutable corpus of artifact records; a predicate over those
+records defines a hidden valid set; search is deterministic ranked
+pagination over the same corpus, memoised per corpus.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 from .actions import (
     Action,
@@ -43,7 +46,7 @@ _CONFIG_SUFFIXES = {".cfg", ".toml", ".ini", ".yaml"}
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]{3,}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArtifactRecord:
     artifact_id: str
     relpath: str
@@ -54,7 +57,55 @@ class ArtifactRecord:
 
     def __post_init__(self) -> None:
         if not self.blob:
-            self.blob = (self.text + "\n" + self.relpath).lower()
+            object.__setattr__(self, "blob", (self.text + "\n" + self.relpath).lower())
+
+
+class Corpus(Sequence):
+    """An immutable, ordered sequence of artifact records.
+
+    It owns the memo of ranked search results, keyed by the normalised query
+    tokens, so the memo lives exactly as long as the corpus and is shared by
+    every task and worker thread that searches it.
+    """
+
+    __slots__ = ("_records", "_ranked")
+
+    def __init__(self, records: Iterable[ArtifactRecord]) -> None:
+        self._records = tuple(records)
+        self._ranked: dict[tuple[str, ...], tuple[ArtifactRecord, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __iter__(self) -> Iterator[ArtifactRecord]:
+        return iter(self._records)
+
+    def ranked(self, tokens: tuple[str, ...]) -> tuple[ArtifactRecord, ...]:
+        """Records matching any token, by descending match count, then id."""
+        found = self._ranked.get(tokens)
+        if found is None:
+            scored: list[tuple[int, str, ArtifactRecord]] = []
+            for artifact in self._records:
+                score = sum(1 for t in tokens if t in artifact.blob)
+                if score > 0:
+                    scored.append((-score, artifact.artifact_id, artifact))
+            scored.sort(key=lambda item: (item[0], item[1]))
+            # setdefault is atomic, so threads racing on one query share one ranking.
+            found = self._ranked.setdefault(tokens, tuple(a for _, _, a in scored))
+        return found
+
+
+def _as_corpus(records: Sequence[ArtifactRecord]) -> Corpus:
+    return records if isinstance(records, Corpus) else Corpus(records)
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    digest: str
+    corpus: Corpus
 
 
 def classify_kind(relpath: str) -> str:
@@ -71,30 +122,61 @@ def classify_kind(relpath: str) -> str:
     return KIND_SOURCE
 
 
-def _walk_files(root: Path) -> list[Path]:
-    files = []
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and ".git" not in path.relative_to(root).parts:
-            files.append(path)
-    return files
+def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """Yield (relpath, path) for every file below a directory, in the order of
+    sorted path components: pre-order, siblings sorted by name.
+
+    Paths with a `.git` component are skipped, directories reached through a
+    symlink are not entered, symlinked files are followed and broken symlinks
+    skipped. An unreadable subdirectory is skipped, as `Path.rglob` does.
+    """
+    try:
+        with os.scandir(directory) as it:
+            entries = sorted(it, key=lambda e: e.name)
+    except PermissionError:
+        return
+    for entry in entries:
+        if entry.name == ".git":
+            continue
+        relpath = prefix + entry.name
+        if entry.is_dir(follow_symlinks=False):
+            yield from _walk_files(entry.path, relpath + "/")
+        elif _is_file(entry):
+            yield relpath, entry.path
 
 
-def index_snapshot(root: str | Path) -> list[ArtifactRecord]:
-    """Index a snapshot into records, ordered by relpath then kind.
+def _is_file(entry: os.DirEntry) -> bool:
+    """As `Path.is_file`: a broken or looping symlink is not a file."""
+    try:
+        return entry.is_file()
+    except OSError:
+        return False
 
-    Binary files are skipped via a null-byte heuristic; text is truncated to
-    the first 64 KiB so indexing stays bounded and deterministic.
+
+def read_snapshot(root: str | Path) -> Snapshot:
+    """Read a snapshot once: its content digest and its indexed corpus.
+
+    The digest is a sha256 over (relpath, size, bytes) of every file in walk
+    order. Records are ordered by relpath then kind; binary files are skipped
+    via a null-byte heuristic and text is truncated to the first 64 KiB, so
+    indexing stays bounded and deterministic.
     """
     root = Path(root)
     if not root.is_dir():
-        raise ConfigurationError(f"snapshot root not readable: {root}")
+        raise ConfigurationError(f"snapshot root not found or not a directory: {root}")
+    h = hashlib.sha256()
     records = []
-    for path in _walk_files(root):
-        data = path.read_bytes()
+    for relpath, path in _walk_files(str(root)):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(relpath.encode("utf-8"))
+        h.update(b"\0")
+        h.update(str(len(data)).encode("ascii"))
+        h.update(b"\0")
+        h.update(data)
         if b"\0" in data[:8192]:
             continue
         text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
-        relpath = path.relative_to(root).as_posix()
         kind = classify_kind(relpath)
         records.append(
             ArtifactRecord(
@@ -106,22 +188,17 @@ def index_snapshot(root: str | Path) -> list[ArtifactRecord]:
             )
         )
     records.sort(key=lambda r: (r.relpath, r.kind))
-    return records
+    return Snapshot(digest=h.hexdigest(), corpus=Corpus(records))
+
+
+def index_snapshot(root: str | Path) -> list[ArtifactRecord]:
+    """The snapshot's records, ordered by relpath then kind."""
+    return list(read_snapshot(root).corpus)
 
 
 def snapshot_digest(root: str | Path) -> str:
-    """Content hash over sorted (relpath, bytes) pairs of the whole snapshot."""
-    root = Path(root)
-    h = hashlib.sha256()
-    for path in _walk_files(root):
-        relpath = path.relative_to(root).as_posix()
-        data = path.read_bytes()
-        h.update(relpath.encode("utf-8"))
-        h.update(b"\0")
-        h.update(str(len(data)).encode("ascii"))
-        h.update(b"\0")
-        h.update(data)
-    return h.hexdigest()
+    """Content hash over (relpath, bytes) pairs of the whole snapshot."""
+    return read_snapshot(root).digest
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +300,15 @@ def search(
     """Rank by how many query tokens appear in text-plus-path, then paginate.
 
     Zero-score artifacts are excluded; ties break on ascending artifact id, so
-    identical (query, page) requests always return identical results.
+    identical (query, page) requests always return identical results. The
+    ranking of each distinct token set is computed once per corpus; a plain
+    sequence is wrapped in a fresh Corpus for the call.
     """
     if page < 0 or page_size < 1:
         raise ConfigurationError("page must be >= 0 and page_size >= 1")
-    tokens = [t for t in dict.fromkeys(query.lower().split()) if t]
-    scored: list[tuple[int, str, ArtifactRecord]] = []
-    for artifact in corpus:
-        score = sum(1 for t in tokens if t in artifact.blob)
-        if score > 0:
-            scored.append((-score, artifact.artifact_id, artifact))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    window = scored[page * page_size : (page + 1) * page_size]
-    candidates = tuple(
-        Candidate(artifact_id=a.artifact_id, preview=a.preview) for _, _, a in window
-    )
+    tokens = tuple(dict.fromkeys(query.lower().split()))
+    window = _as_corpus(corpus).ranked(tokens)[page * page_size : (page + 1) * page_size]
+    candidates = tuple(Candidate(artifact_id=a.artifact_id, preview=a.preview) for a in window)
     return SearchResults(query=query, page=page, candidates=candidates)
 
 
@@ -381,11 +452,12 @@ def generate_manifest(
     if not roots:
         raise GenerationError("at least one snapshot is required")
     infos: list[SnapshotInfo] = []
-    corpora: dict[str, list[ArtifactRecord]] = {}
+    corpora: dict[str, Corpus] = {}
     tables: dict[str, Counter] = {}
     used_names: set[str] = set()
     for root in roots:
-        corpus = index_snapshot(root)
+        snapshot = read_snapshot(root)
+        corpus = snapshot.corpus
         name = root.name or "snapshot"
         while name in used_names:
             name += "_"
@@ -396,7 +468,7 @@ def generate_manifest(
             SnapshotInfo(
                 name=name,
                 root=str(root),
-                digest=snapshot_digest(root),
+                digest=snapshot.digest,
                 artifact_count=len(corpus),
             )
         )
@@ -548,7 +620,7 @@ class ReposcanEnvironment:
         page_size: int = PAGE_SIZE,
     ) -> None:
         self.task = task
-        self.corpus = list(corpus)
+        self.corpus = _as_corpus(corpus)
         self.page_size = page_size
         self.members = frozenset(normalize_id(x) for x in valid_ids)
 

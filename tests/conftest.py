@@ -32,7 +32,7 @@ def reposcan_manifest_path(snapshot_roots, tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def reposcan_loaded(reposcan_manifest_path):
     manifest = reposcan.load_manifest(reposcan_manifest_path)
-    corpora = {info.name: reposcan.index_snapshot(info.root) for info in manifest.snapshots}
+    corpora = {info.name: reposcan.read_snapshot(info.root).corpus for info in manifest.snapshots}
     return manifest, corpora
 
 

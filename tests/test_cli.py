@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qgp.cli import main
+from qgp import cli
+from qgp.cli import _write_records, main
 from qgp.core import RECORD_FIELDS, read_record_dicts
 
 
@@ -90,6 +91,30 @@ class TestGeneration:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestMissingSnapshotRoot:
+    @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
+    def test_one_error_line_naming_the_root(self, command, mini_manifest, tmp_path, capsys):
+        missing = tmp_path / "gone"
+        obj = json.loads(Path(mini_manifest).read_text())
+        obj["snapshots"][0]["root"] = str(missing)
+        manifest = tmp_path / "moved.json"
+        manifest.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        argv = {
+            "run": ["run", "--manifest", str(manifest), "--out", str(out)],
+            "smoke": ["smoke", "--manifest", str(manifest)],
+            "gen-reposcan": ["gen-reposcan", "--snapshot", str(missing), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert str(missing) in lines[0] and "not found" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
 
 class TestRun:
@@ -210,6 +235,48 @@ class TestRun:
         rows = read_record_dicts(out)
         assert all(r["outcome"] == "aborted" for r in rows)
         assert all("abort_reason" in r for r in rows)
+
+
+class TestRunOutput:
+    def test_replaces_existing_file_without_leftovers(self, mini_manifest, tmp_path):
+        out = tmp_path / "records.jsonl"
+        out.write_text("stale\n")
+        argv = ["run", "--manifest", str(mini_manifest), "--policy", "duplicator"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read_record_dicts(out)
+        assert len(rows) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        out.write_text("previous\n")
+        rows = [{"task_id": "t1"}, {"task_id": object()}]  # the second row cannot be encoded
+        with pytest.raises(TypeError):
+            _write_records(str(out), rows)
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+    def test_failed_run_keeps_previous_file(self, mini_manifest, tmp_path, monkeypatch):
+        out = tmp_path / "records.jsonl"
+        out.write_text("previous\n")
+        real_dumps = json.dumps
+        calls = []
+
+        def failing_dumps(obj, **kwargs):
+            calls.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(calls) == 2:  # the second record line: the temp file holds the first
+                raise OSError("disk full")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", failing_dumps)
+        argv = ["run", "--manifest", str(mini_manifest), "--policy", "duplicator"]
+        with pytest.raises(OSError, match="disk full"):
+            main(argv + ["--out", str(out)])
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert len(calls[1]) == 2 and calls[1][1].endswith(".tmp")
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
 @pytest.fixture(scope="module")

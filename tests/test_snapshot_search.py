@@ -1,0 +1,392 @@
+"""One-pass snapshot reading and memoised search against their old forms.
+
+The two-walk `_walk_files`/`index_snapshot`/`snapshot_digest` and the linear
+`search` that `read_snapshot` and the per-corpus memo replaced are kept here
+verbatim as references: the new code must give the same digest, the same
+records in the same order, and the same result for every (query, page).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import random
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from qgp import cli, reposcan
+from qgp.actions import Candidate, SearchResults
+from qgp.controllers import ControllerConfig, ControllerKind
+from qgp.errors import ConfigurationError
+from qgp.reposcan import (
+    PAGE_SIZE,
+    TEXT_TRUNCATE_BYTES,
+    ArtifactRecord,
+    Corpus,
+    build_token_table,
+    classify_kind,
+    index_snapshot,
+    read_snapshot,
+    search,
+    snapshot_digest,
+)
+
+# ---------------------------------------------------------------------------
+# References: the two-walk reader and the linear search
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk_files(root: Path) -> list[Path]:
+    files = []
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and ".git" not in path.relative_to(root).parts:
+            files.append(path)
+    return files
+
+
+def reference_index_snapshot(root) -> list[ArtifactRecord]:
+    root = Path(root)
+    if not root.is_dir():
+        raise ConfigurationError(f"snapshot root not readable: {root}")
+    records = []
+    for path in _reference_walk_files(root):
+        data = path.read_bytes()
+        if b"\0" in data[:8192]:
+            continue
+        text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
+        relpath = path.relative_to(root).as_posix()
+        kind = classify_kind(relpath)
+        records.append(
+            ArtifactRecord(
+                artifact_id=f"{relpath}#{kind}",
+                relpath=relpath,
+                kind=kind,
+                text=text,
+                preview=text[:200],
+            )
+        )
+    records.sort(key=lambda r: (r.relpath, r.kind))
+    return records
+
+
+def reference_snapshot_digest(root) -> str:
+    root = Path(root)
+    h = hashlib.sha256()
+    for path in _reference_walk_files(root):
+        relpath = path.relative_to(root).as_posix()
+        data = path.read_bytes()
+        h.update(relpath.encode("utf-8"))
+        h.update(b"\0")
+        h.update(str(len(data)).encode("ascii"))
+        h.update(b"\0")
+        h.update(data)
+    return h.hexdigest()
+
+
+def reference_search(corpus, query: str, page: int, page_size: int = PAGE_SIZE) -> SearchResults:
+    if page < 0 or page_size < 1:
+        raise ConfigurationError("page must be >= 0 and page_size >= 1")
+    tokens = [t for t in dict.fromkeys(query.lower().split()) if t]
+    scored = []
+    for artifact in corpus:
+        score = sum(1 for t in tokens if t in artifact.blob)
+        if score > 0:
+            scored.append((-score, artifact.artifact_id, artifact))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    window = scored[page * page_size : (page + 1) * page_size]
+    candidates = tuple(
+        Candidate(artifact_id=a.artifact_id, preview=a.preview) for _, _, a in window
+    )
+    return SearchResults(query=query, page=page, candidates=candidates)
+
+
+def _fields(records) -> list[tuple]:
+    return [(r.artifact_id, r.relpath, r.kind, r.text, r.preview, r.blob) for r in records]
+
+
+# ---------------------------------------------------------------------------
+# One pass per snapshot
+# ---------------------------------------------------------------------------
+
+# Siblings whose string order differs from their path-component order.
+SIBLINGS = ("a b", "a!x", "a#b", "a-b", "a.b", "A")
+
+
+@pytest.fixture
+def adversarial_tree(tmp_path) -> Path:
+    root = tmp_path / "tree"
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "target.py").write_text("reached through a link\n")
+
+    def write(relpath: str, data: bytes | str) -> None:
+        path = root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        path.write_bytes(data)
+
+    write("a/b", "inside directory a\n")
+    for name in SIBLINGS:
+        write(name, f"sibling {name}\n")
+    write(".git/config", "[core]\n")
+    write(".git/objects/ab/cdef", b"\0binary object")
+    write("pkg/.git/HEAD", "ref: refs/heads/main\n")
+    write("pkg/deep/.git/info/exclude", "*.tmp\n")
+    write("vendor/lib/.git", "gitdir: ../../.git/modules/lib\n")  # a submodule's .git file
+    write("vendor/lib/code.py", "def vendored():\n    pass\n")
+    write(".env", "SECRET=1\n")
+    write(".hidden/tool.py", "hidden tool\n")
+    write("src/.dotfile", "dot\n")
+    write("src/app.py", "def app():\n    return 'app'\n")
+    write("tests/test_app.py", "def test_app():\n    assert True\n")
+    write("docs/guide.md", "# Guide\n")
+    write("setup.cfg", "[metadata]\n")
+    write("bin/early_nul.dat", b"head\0tail")
+    write("bin/late_nul.txt", b"x" * 9000 + b"\0after the first 8 KiB")
+    # A two-byte character straddles the 64 KiB truncation point.
+    write("big/large.txt", "a" + "é" * 40_000)
+    write("ünïcode.py", "café = 1\n")
+    write("日本/テスト.md", "テスト\n")
+    (root / "empty").mkdir()
+    (root / "nested" / "empty").mkdir(parents=True)
+    os.symlink(outside / "target.py", root / "src" / "linked_file.py")
+    os.symlink(outside, root / "linked_dir")
+    os.symlink(root / "does-not-exist", root / "broken_link")
+    os.symlink(root / "src" / "loop", root / "src" / "loop")
+    return root
+
+
+class TestReadSnapshot:
+    def test_matches_two_walk_reference(self, adversarial_tree):
+        snapshot = read_snapshot(adversarial_tree)
+        assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
+        assert _fields(snapshot.corpus) == _fields(reference_index_snapshot(adversarial_tree))
+
+    def test_adversarial_selection_and_order(self, adversarial_tree):
+        relpaths = [r.relpath for r in read_snapshot(adversarial_tree).corpus]
+        assert relpaths == sorted(relpaths)  # records stay in string order
+        assert "src/linked_file.py" in relpaths
+        assert "bin/late_nul.txt" in relpaths
+        assert "bin/early_nul.dat" not in relpaths
+        assert not any(p.startswith("linked_dir") or p == "broken_link" for p in relpaths)
+        assert "src/loop" not in relpaths
+        assert not any(".git" in p.split("/") for p in relpaths)
+        assert {"a/b", *SIBLINGS} <= set(relpaths)
+        # The walk itself visits a/b before its sibling "a b".
+        walked = [relpath for relpath, _ in reposcan._walk_files(str(adversarial_tree))]
+        assert walked.index("a/b") < walked.index("a b")
+        assert walked == [
+            p.relative_to(adversarial_tree).as_posix()
+            for p in _reference_walk_files(adversarial_tree)
+        ]
+
+    def test_truncation_and_binary_heuristic(self, adversarial_tree):
+        by_path = {r.relpath: r for r in read_snapshot(adversarial_tree).corpus}
+        assert len(by_path["big/large.txt"].text.encode("utf-8")) <= TEXT_TRUNCATE_BYTES + 3
+        assert by_path["big/large.txt"].text.endswith("�")
+        assert "\0" in by_path["bin/late_nul.txt"].text
+
+    def test_wrappers_match_reference(self, adversarial_tree):
+        assert snapshot_digest(adversarial_tree) == reference_snapshot_digest(adversarial_tree)
+        assert _fields(index_snapshot(adversarial_tree)) == _fields(
+            reference_index_snapshot(adversarial_tree)
+        )
+
+    def test_synth_snapshots_match_reference(self, snapshot_roots):
+        for root in snapshot_roots:
+            snapshot = read_snapshot(root)
+            assert snapshot.digest == reference_snapshot_digest(root)
+            assert _fields(snapshot.corpus) == _fields(reference_index_snapshot(root))
+
+    def test_missing_or_file_root_is_configuration_error(self, tmp_path):
+        (tmp_path / "file.txt").write_text("not a directory\n")
+        for root in (tmp_path / "missing", tmp_path / "file.txt"):
+            with pytest.raises(ConfigurationError, match="not found or not a directory"):
+                read_snapshot(root)
+            with pytest.raises(ConfigurationError):
+                snapshot_digest(root)
+
+    def test_empty_root_differs_from_missing(self, tmp_path):
+        assert read_snapshot(tmp_path).digest == hashlib.sha256().hexdigest()
+        assert len(read_snapshot(tmp_path).corpus) == 0
+
+
+# ---------------------------------------------------------------------------
+# Memoised search
+# ---------------------------------------------------------------------------
+
+
+def _random_queries(rng: random.Random, corpus, count: int) -> list[str]:
+    vocabulary = sorted(build_token_table(corpus))
+    vocabulary += ["src/", "mod_0", "def", "test_", ".md", "_"]
+    absent = ["zzqqxx", "nonexistenttoken", "ééé"]
+    queries = ["", "   ", "\t"]
+    while len(queries) < count:
+        tokens = [rng.choice(vocabulary) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            tokens.append(rng.choice(tokens))  # a repeated token
+        if rng.random() < 0.3:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(absent))
+        if rng.random() < 0.4:
+            tokens = ["".join(c.upper() if rng.random() < 0.5 else c for c in t) for t in tokens]
+        queries.append((" " if rng.random() < 0.8 else "  ").join(tokens))
+    return queries
+
+
+class TestMemoisedSearch:
+    def test_random_queries_match_reference(self, reposcan_loaded):
+        _, corpora = reposcan_loaded
+        shared = Corpus(corpora["alpha_repo"])
+        records = list(shared)
+        rng = random.Random(20260418)
+        requests = []
+        for query in _random_queries(rng, records, 520):
+            last = len(reference_search(records, query, 0, 10**6).candidates) // PAGE_SIZE
+            for page in {0, rng.randint(0, last + 1), last + 1, last + 3}:
+                requests.append((query, page))
+        requests *= 2  # every request twice, so each is seen both cold and memoised
+        rng.shuffle(requests)
+        for query, page in requests:
+            assert search(shared, query, page) == reference_search(records, query, page)
+        assert len(requests) >= 2 * 520
+
+    def test_page_sizes_and_invalid_pages(self, reposcan_loaded):
+        _, corpora = reposcan_loaded
+        shared = Corpus(corpora["beta_repo"])
+        for page_size in (1, 3, 10, 25):
+            for page in range(6):
+                assert search(shared, "treacle saffron", page, page_size) == reference_search(
+                    list(shared), "treacle saffron", page, page_size
+                )
+        for page, page_size in ((-1, 10), (0, 0)):
+            with pytest.raises(ConfigurationError):
+                search(shared, "treacle", page, page_size)
+
+    @pytest.mark.parametrize("policy", ["greedy_oracle", "duplicator", "redundant_searcher"])
+    @pytest.mark.parametrize("controller", ["standard", "state_qgp"])
+    def test_every_policy_request_matches_reference(
+        self, policy, controller, reposcan_manifest_path, monkeypatch
+    ):
+        original = reposcan.search
+        seen = []
+
+        def checked(corpus, query, page, page_size=PAGE_SIZE):
+            result = original(corpus, query, page, page_size)
+            assert isinstance(corpus, Corpus)
+            assert result == reference_search(list(corpus), query, page, page_size)
+            seen.append((query, page))
+            return result
+
+        monkeypatch.setattr(reposcan, "search", checked)
+        rows, aborts = cli.run_manifest(
+            str(reposcan_manifest_path),
+            ControllerConfig(kind=ControllerKind(controller)),
+            policy,
+            {},
+            seed=5,
+        )
+        assert aborts == 0 and len(rows) == 36
+        assert sum(row["steps_used"] for row in rows) >= len(seen) > 0
+
+    def test_tie_break_by_id_not_corpus_order(self):
+        # (relpath, kind) order: a, a b, a!x, a#b, a-b, a.b; id order puts
+        # "a#source" after "a#b#source".
+        records = [
+            ArtifactRecord(
+                artifact_id=f"{name}#source",
+                relpath=name,
+                kind="source",
+                text="same token",
+                preview="same token",
+            )
+            for name in ("a", "a b", "a!x", "a#b", "a-b", "a.b")
+        ]
+        corpus = Corpus(records)
+        ids = [c.artifact_id for c in search(corpus, "token", 0).candidates]
+        assert ids == sorted(r.artifact_id for r in records)
+        assert ids != [r.artifact_id for r in records]
+        assert ids == [c.artifact_id for c in reference_search(records, "token", 0).candidates]
+        assert [c.artifact_id for c in search(corpus, "token", 1, 4).candidates] == ids[4:]
+
+    def test_ranking_computed_once_per_token_set(self):
+        corpus = Corpus(
+            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"alpha {i}", "") for i in range(5)
+        )
+        first = corpus.ranked(("alpha",))
+        assert corpus.ranked(("alpha",)) is first
+        # Case and repeated tokens normalise to the same memo entry.
+        assert search(corpus, "ALPHA alpha", 0).candidates == search(corpus, "alpha", 0).candidates
+        assert corpus.ranked(("alpha",)) is first
+
+    def test_corpus_cannot_change_after_search(self):
+        records = [
+            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"beta {i}", f"beta {i}")
+            for i in range(3)
+        ]
+        corpus = Corpus(records)
+        before = search(corpus, "beta", 0)
+        records.append(ArtifactRecord("g#source", "g", "source", "beta", "beta"))
+        assert len(corpus) == 3
+        with pytest.raises(TypeError):
+            corpus[0] = records[-1]
+        with pytest.raises(TypeError):
+            del corpus[0]
+        assert not hasattr(corpus, "append")
+        with pytest.raises(AttributeError):
+            corpus.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus[0].text = "gamma"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus[0].blob = "gamma"
+        assert search(corpus, "beta", 0) == before
+
+    def test_environment_shares_the_corpus(self, reposcan_loaded):
+        manifest, corpora = reposcan_loaded
+        task = manifest.tasks[0]
+        corpus = corpora[task.snapshot]
+        first = reposcan.ReposcanEnvironment(task.spec, corpus, task.valid_ids)
+        second = reposcan.ReposcanEnvironment(task.spec, corpus, task.valid_ids)
+        assert first.corpus is corpus and second.corpus is corpus
+        plain = reposcan.ReposcanEnvironment(task.spec, list(corpus), task.valid_ids)
+        assert isinstance(plain.corpus, Corpus) and tuple(plain.corpus) == tuple(corpus)
+
+    def test_threads_share_one_ranking_per_query(self, reposcan_loaded):
+        _, corpora = reposcan_loaded
+        records = list(corpora["gamma_repo"])
+        queries = _random_queries(random.Random(7), records, 60)
+        expected = {q: reference_search(records, q, 0) for q in queries}
+        shared = Corpus(records)
+        workers = (os.cpu_count() or 2) + 2  # more threads than cores
+        results: list[dict] = [{} for _ in range(workers)]
+        errors = []
+
+        def work(index: int) -> None:
+            try:
+                order = list(queries)
+                random.Random(index).shuffle(order)
+                for query in order:
+                    assert search(shared, query, 0) == expected[query]
+                    tokens = tuple(dict.fromkeys(query.lower().split()))
+                    results[index][tokens] = shared.ranked(tokens)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        for tokens, ranking in results[0].items():
+            assert all(r[tokens] is ranking for r in results)
