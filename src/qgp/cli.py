@@ -37,13 +37,18 @@ from .metrics import (
 from .policies import PolicyKind, build_policy
 from .seeding import derive_seed
 
+# Dataops workspaces are held in memory. The flag, the variable and the
+# `RunConfig` field are still accepted, so older scripts and saved configs
+# keep working, and have no effect.
 WORKSPACE_ENV = "QGP_WORKSPACE_ROOT"
+WORKSPACE_HELP = "ignored: dataops workspaces are held in memory"
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One run invocation, with all paths resolved; round-trips losslessly
-    through its JSON file form."""
+    through its JSON file form. `workspace_root` is kept for that round trip
+    and has no effect."""
 
     manifest: str
     controller: str
@@ -136,7 +141,6 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
         targets=_parse_targets(args.targets),
         instances_per_target=args.instances,
         seed=args.seed,
-        workspace_root=args.workspace_root or os.environ.get(WORKSPACE_ENV),
     )
     digest = dataops.write_manifest(manifest, args.out)
     print(f"wrote {args.out} tasks={len(manifest.tasks)} digest={digest}")
@@ -217,7 +221,11 @@ def run_manifest(
     jobs: int = 1,
     workspace_root: str | None = None,
 ) -> tuple[list[dict], int]:
-    """Execute every manifest task; returns (record rows in task order, abort count)."""
+    """Execute every manifest task; returns (record rows in task order, abort count).
+
+    `workspace_root` is accepted and ignored: dataops workspaces are held in
+    memory.
+    """
     family = _manifest_family(manifest_path)
     if family == "reposcan":
         manifest = reposcan.load_manifest(manifest_path)
@@ -241,9 +249,7 @@ def run_manifest(
         dmanifest = dataops.load_manifest(manifest_path)
 
         def make_env(task):
-            return dataops.DataopsEnvironment(
-                task.spec, task.units, task.files, workspace_root=workspace_root
-            )
+            return dataops.DataopsEnvironment(task.spec, task.units, task.files)
 
         tasks = dmanifest.tasks
     else:
@@ -302,7 +308,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         policy_params=config.policy_params,
         seed=config.seed,
         jobs=config.jobs,
-        workspace_root=config.workspace_root,
     )
     _write_records(config.out, rows)
     print(f"wrote {config.out} runs={len(rows)} aborts={aborts}")
@@ -395,7 +400,7 @@ def _smoke_reposcan(path: str) -> list[str]:
     return failures
 
 
-def _smoke_dataops(path: str, workspace_root: str | None) -> list[str]:
+def _smoke_dataops(path: str) -> list[str]:
     failures = []
     manifest = dataops.load_manifest(path)
     public_text = json.dumps(dataops.load_public_tasks(path))
@@ -407,7 +412,7 @@ def _smoke_dataops(path: str, workspace_root: str | None) -> list[str]:
             if isinstance(checker, dataops.FileDigest) and checker.expected_digest in public_text:
                 failures.append(f"checker digest leaked: {task.spec.task_id}/{unit.unit_id}")
         try:
-            dataops._assert_solvable(task, workspace_root)
+            dataops._assert_solvable(task)
         except QgpError as exc:
             failures.append(f"solvability: {exc}")
     return failures
@@ -415,12 +420,11 @@ def _smoke_dataops(path: str, workspace_root: str | None) -> list[str]:
 
 def cmd_smoke(args: argparse.Namespace) -> int:
     family = _manifest_family(args.manifest)
-    workspace_root = args.workspace_root or os.environ.get(WORKSPACE_ENV)
     if family == "reposcan":
         failures = _smoke_reposcan(args.manifest)
         checks = "digests, hidden-set consistency, leak-freedom"
     elif family == "dataops":
-        failures = _smoke_dataops(args.manifest, workspace_root)
+        failures = _smoke_dataops(args.manifest)
         checks = "leak-freedom, solver-within-budget"
     else:
         print(f"error: unrecognized manifest family {family!r}: {args.manifest}", file=sys.stderr)
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--targets", default="3,5,10,20")
     d.add_argument("--instances", type=int, default=6, help="backlogs per target")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workspace-root", default=None)
+    d.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_gen_dataops)
 
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--no-progress-limit", type=int, default=6)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--jobs", type=int, default=1)
-    r.add_argument("--workspace-root", default=None)
+    r.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)
 
@@ -512,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("smoke", help="verify manifest consistency and leak-freedom")
     s.add_argument("--manifest", required=True)
-    s.add_argument("--workspace-root", default=None)
+    s.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     s.set_defaults(func=cmd_smoke)
 
     return parser

@@ -1,8 +1,9 @@
 """Checker-backed backlog family: work units over CSV snippets and repo fixtures.
 
-Each backlog seeds an isolated per-run workspace. A unit only counts after its
-deterministic checker accepts it and the unit is then submitted; checker
-internals stay hidden from the policy-facing surfaces.
+Each backlog seeds an isolated per-run workspace, a file tree held in memory:
+no policy can reach it, and a run creates no file or directory. A unit only
+counts after its deterministic checker accepts it and the unit is then
+submitted; checker internals stay hidden from the policy-facing surfaces.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import csv
 import hashlib
 import io
 import json
-import shutil
-import tempfile
+import posixpath
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -150,32 +150,59 @@ class Backlog:
 
 
 class Workspace:
-    """Per-run scratch tree; all reads and writes stay under its root."""
+    """Per-run file tree held in memory: normalised relative path to text.
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    It refuses what an on-disk scratch tree would refuse, as a
+    `ConfigurationError`: a path that names the workspace itself or escapes
+    it, a path with a NUL, a file where a directory is or under a file, and
+    text that is not encodable as UTF-8. `a/./b`, `a//b` and `x/../a/b` name
+    the same file, and text reads back as a file read in text mode returns
+    it: `\\r\\n` and a lone `\\r` become `\\n`.
+    """
+
+    def __init__(self) -> None:
+        self._files: dict[str, str] = {}
+        self._dirs: set[str] = set()
 
     def seed(self, files: dict[str, str]) -> None:
         for relpath, content in sorted(files.items()):
             self.write(relpath, content)
 
-    def _resolve(self, relpath: str) -> Path:
-        path = (self.root / relpath).resolve()
-        if self.root.resolve() not in path.parents and path != self.root.resolve():
-            raise ConfigurationError(f"path escapes workspace: {relpath}")
-        return path
+    @staticmethod
+    def _key(relpath: str) -> str:
+        key = posixpath.normpath(relpath)
+        if key in (".", "..") or key.startswith(("/", "../")) or "\0" in key:
+            raise ConfigurationError(f"not a file path inside the workspace: {relpath!r}")
+        return key
 
     def exists(self, relpath: str) -> bool:
-        return self._resolve(relpath).is_file()
+        return self._key(relpath) in self._files
 
     def read(self, relpath: str) -> str:
-        return self._resolve(relpath).read_text(encoding="utf-8")
+        try:
+            return self._files[self._key(relpath)]
+        except KeyError:
+            raise ConfigurationError(f"no such workspace file: {relpath}") from None
 
     def write(self, relpath: str, content: str) -> None:
-        path = self._resolve(relpath)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        key = self._key(relpath)
+        parents = []
+        parent = posixpath.dirname(key)
+        while parent:
+            parents.append(parent)
+            parent = posixpath.dirname(parent)
+        if key in self._dirs or any(p in self._files for p in parents):
+            raise ConfigurationError(f"path conflicts with a file or directory: {relpath}")
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigurationError(
+                f"text is not encodable as UTF-8: {exc.reason} at position {exc.start}"
+            ) from None
+        if "\r" in content:
+            content = content.replace("\r\n", "\n").replace("\r", "\n")
+        self._files[key] = content
+        self._dirs.update(parents)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +669,10 @@ def generate_dataops_manifest(
     verify_solvable: bool = True,
     workspace_root: str | None = None,
 ) -> DataopsManifest:
+    """Generate and, unless told not to, solve every backlog.
+
+    `workspace_root` is accepted and ignored: workspaces are held in memory.
+    """
     budgets = dict(DATAOPS_BUDGETS if budget_map is None else budget_map)
     tasks: list[DataopsTask] = []
     for target in targets:
@@ -656,7 +687,7 @@ def generate_dataops_manifest(
             )
             task = DataopsTask(spec=spec, units=backlog.units, files=files)
             if verify_solvable:
-                _assert_solvable(task, workspace_root)
+                _assert_solvable(task)
             tasks.append(task)
     metadata = {
         "seed": seed,
@@ -672,13 +703,13 @@ def generate_dataops_manifest(
     return DataopsManifest(metadata=metadata, tasks=tasks)
 
 
-def _assert_solvable(task: DataopsTask, workspace_root: str | None) -> None:
+def _assert_solvable(task: DataopsTask) -> None:
     # The scripted solver must clear every generated backlog within budget.
     from .controllers import StandardController
     from .core import run_episode
     from .policies import SolverPolicy
 
-    env = DataopsEnvironment(task.spec, task.units, task.files, workspace_root=workspace_root)
+    env = DataopsEnvironment(task.spec, task.units, task.files)
     try:
         record = run_episode(task.spec, env, StandardController(), SolverPolicy())
     finally:
@@ -795,17 +826,13 @@ def load_public_tasks(path: str | Path) -> list[dict]:
 
 
 class DataopsEnvironment:
-    """Serves Inspect/Edit/RunCheck/SubmitUnit inside an isolated workspace."""
+    """Serves Inspect/Edit/RunCheck/SubmitUnit inside its own in-memory workspace."""
 
     family = Family.DATAOPS
     page_size = 10
 
     def __init__(
-        self,
-        task: TaskSpec,
-        units: Sequence[BacklogUnit],
-        files: dict[str, str],
-        workspace_root: str | None = None,
+        self, task: TaskSpec, units: Sequence[BacklogUnit], files: dict[str, str]
     ) -> None:
         self.task = task
         # Fresh unit state per run; manifests are immutable.
@@ -822,10 +849,7 @@ class DataopsEnvironment:
                 for u in units
             ],
         )
-        parent = workspace_root or tempfile.gettempdir()
-        Path(parent).mkdir(parents=True, exist_ok=True)
-        self._tmpdir = tempfile.mkdtemp(prefix=f"qgp-{task.task_id}-", dir=parent)
-        self.workspace = Workspace(self._tmpdir)
+        self.workspace = Workspace()
         self.workspace.seed(files)
 
     def public_view(self) -> PublicTaskView:
@@ -858,4 +882,5 @@ class DataopsEnvironment:
         raise ConfigurationError(f"dataops cannot execute {action!r}")
 
     def close(self) -> None:
-        shutil.rmtree(self._tmpdir, ignore_errors=True)
+        """Nothing to release: the workspace lives in memory and goes with the
+        environment. Kept so that callers close every environment alike."""

@@ -5,6 +5,12 @@ history, so identical (task, seed) inputs replay identical action sequences.
 Each one reproduces a specific behavior: duplicate resubmission, premature
 stopping, unsupported completion claims, no-submit work loops, redundant
 searching, or a straightforward greedy/solver baseline.
+
+The greedy, solver and looper policies memoise what they derive from the
+history in a `HistoryFold`, which folds each new entry once and starts over
+whenever the history is not the one it has folded, so a decision still
+equals one made from the whole history and a run costs O(budget), not
+O(budget²).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Generic, Sequence, TypeVar
 
 from .actions import (
     Action,
@@ -76,6 +83,60 @@ def _latest_search(history: History) -> SearchResults | None:
         if isinstance(obs, SearchResults):
             return obs
     return None
+
+
+S = TypeVar("S")
+
+
+class HistoryFold(Generic[S]):
+    """A left fold over a run's history, advanced by the entries added since
+    the last call.
+
+    `start(view)` builds the empty state and `step(state, action, obs)` folds
+    one entry into it in place. The fold starts over when the view or the
+    history is another object, when the history is shorter than what was
+    folded, or when the last folded entry is no longer the same object, so
+    the state always equals a fold of the whole history from scratch.
+    Callers read the state and do not change it.
+    """
+
+    def __init__(
+        self,
+        start: Callable[[PublicTaskView], S],
+        step: Callable[[S, object, object], None],
+    ) -> None:
+        self._start = start
+        self._step = step
+        self._view: PublicTaskView | None = None
+        self._history: History | None = None
+        self._folded = 0
+        self._last: object = None
+        self._state: S | None = None
+
+    def __call__(self, view: PublicTaskView, history: History) -> S:
+        folded = self._folded
+        if (
+            view is not self._view
+            or history is not self._history
+            or len(history) < folded
+            or (folded and history[folded - 1] is not self._last)
+        ):
+            self._view, self._history = view, history
+            self._state = self._start(view)
+            folded = 0
+        state = self._state
+        for action, obs in islice(history, folded, None):
+            self._step(state, action, obs)
+        self._folded = len(history)
+        self._last = history[-1] if history else None
+        return state
+
+
+def _fold_field(start, step):
+    """A per-policy `HistoryFold`, left out of the policy's repr and equality."""
+    return field(
+        default_factory=lambda: HistoryFold(start, step), init=False, repr=False, compare=False
+    )
 
 
 def _filler_action(view: PublicTaskView) -> Action:
@@ -143,6 +204,36 @@ class FalseCompleterPolicy:
 
 
 @dataclass
+class _SearchState:
+    # Candidate ids seen and not yet submitted, in first-seen order.
+    pending: dict[str, None] = field(default_factory=dict)
+    submitted: set[str] = field(default_factory=set)
+    # Highest page searched per query, and the queries whose last page was empty.
+    last_page: dict[str, int] = field(default_factory=dict)
+    exhausted: set[str] = field(default_factory=set)
+    last_feedback: SubmitFeedback | None = None
+
+
+def _fold_search(state: _SearchState, action: object, obs: object) -> None:
+    if isinstance(obs, SearchResults):
+        top = state.last_page.get(obs.query)
+        if top is None or obs.page > top:
+            state.last_page[obs.query] = obs.page
+        if not obs.candidates:
+            state.exhausted.add(obs.query)
+        for candidate in obs.candidates:
+            # A pending id keeps its place; a submitted one never returns.
+            if candidate.artifact_id not in state.submitted:
+                state.pending[candidate.artifact_id] = None
+    elif isinstance(obs, SubmitFeedback):
+        state.last_feedback = obs
+    if isinstance(action, Submit):
+        state.submitted.update(action.ids)
+        for cid in action.ids:
+            state.pending.pop(cid, None)
+
+
+@dataclass
 class GreedyOraclePolicy:
     """Searches objective tokens in order with ascending pages and submits
     every unseen candidate; finals only once the verifier reports zero
@@ -150,38 +241,20 @@ class GreedyOraclePolicy:
 
     submit_batch: int = 10
     label: str = PolicyKind.GREEDY_ORACLE.value
+    _fold: HistoryFold[_SearchState] = _fold_field(lambda view: _SearchState(), _fold_search)
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
-        last_feedback = None
-        for _, obs in reversed(history):
-            if isinstance(obs, SubmitFeedback):
-                last_feedback = obs
-                break
+        state = self._fold(view, history)
+        last_feedback = state.last_feedback
         if last_feedback is not None and last_feedback.remaining == 0:
             return Final(completion_claim=True, reported_count=last_feedback.valid_count)
-
-        seen: dict[str, None] = {}
-        pages: dict[str, set[int]] = {}
-        exhausted: set[str] = set()
-        submitted: set[str] = set()
-        for action, obs in history:
-            if isinstance(obs, SearchResults):
-                pages.setdefault(obs.query, set()).add(obs.page)
-                if not obs.candidates:
-                    exhausted.add(obs.query)
-                for candidate in obs.candidates:
-                    seen.setdefault(candidate.artifact_id, None)
-            if isinstance(action, Submit):
-                submitted.update(action.ids)
-        pending = [cid for cid in seen if cid not in submitted]
-        if pending:
-            return Submit(ids=tuple(pending[: self.submit_batch]))
+        if state.pending:
+            return Submit(ids=tuple(islice(state.pending, self.submit_batch)))
         for token in _objective_tokens(view):
-            if token in exhausted:
+            if token in state.exhausted:
                 continue
-            searched = pages.get(token)
-            next_page = max(searched) + 1 if searched else 0
-            return Search(query=token, page=next_page)
+            top = state.last_page.get(token)
+            return Search(query=token, page=0 if top is None else top + 1)
         return AskUser(message="all objective queries are exhausted")
 
 
@@ -220,27 +293,28 @@ class _UnitTrace:
     accepted: bool = False
 
 
-def _derive_unit_traces(view: PublicTaskView, history: History) -> dict[str, _UnitTrace]:
+def _start_unit_traces(view: PublicTaskView) -> dict[str, _UnitTrace]:
     assert view.units is not None
-    traces = {u.unit_id: _UnitTrace() for u in view.units}
-    for action, obs in history:
-        if isinstance(obs, UnitFeedback) and obs.unit_id in traces:
-            trace = traces[obs.unit_id]
-            trace.status = obs.status_after
-            if isinstance(action, Inspect):
-                trace.inspected = True
-            elif isinstance(action, Edit):
-                trace.edits += 1
-                trace.checks_since_change = 0
-            elif isinstance(action, RunCheck):
-                trace.checks_since_change += 1
-                if obs.verdict == Verdict.FAIL:
-                    trace.last_fail_detail = obs.detail
-        elif isinstance(obs, SubmitFeedback):
-            for unit_id in list(obs.accepted) + list(obs.duplicates):
-                if unit_id in traces:
-                    traces[unit_id].accepted = True
-    return traces
+    return {u.unit_id: _UnitTrace() for u in view.units}
+
+
+def _fold_unit_trace(traces: dict[str, _UnitTrace], action: object, obs: object) -> None:
+    if isinstance(obs, UnitFeedback) and obs.unit_id in traces:
+        trace = traces[obs.unit_id]
+        trace.status = obs.status_after
+        if isinstance(action, Inspect):
+            trace.inspected = True
+        elif isinstance(action, Edit):
+            trace.edits += 1
+            trace.checks_since_change = 0
+        elif isinstance(action, RunCheck):
+            trace.checks_since_change += 1
+            if obs.verdict == Verdict.FAIL:
+                trace.last_fail_detail = obs.detail
+    elif isinstance(obs, SubmitFeedback):
+        for unit_id in list(obs.accepted) + list(obs.duplicates):
+            if unit_id in traces:
+                traces[unit_id].accepted = True
 
 
 _QUOTED = re.compile(r'"([^"]*)"')
@@ -284,9 +358,10 @@ class SolverPolicy:
     """Inspect, check, repair if needed, recheck, submit; unit by unit."""
 
     label: str = PolicyKind.SOLVER.value
+    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(_start_unit_traces, _fold_unit_trace)
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
-        traces = _derive_unit_traces(view, history)
+        traces = self._fold(view, history)
         assert view.units is not None
         for unit in view.units:
             trace = traces[unit.unit_id]
@@ -309,11 +384,12 @@ class NoSubmitLooperPolicy:
 
     loop_unit: str | None = None
     label: str = PolicyKind.NO_SUBMIT_LOOPER.value
+    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(_start_unit_traces, _fold_unit_trace)
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         if self.loop_unit is not None:
             return Inspect(unit_id=self.loop_unit)
-        traces = _derive_unit_traces(view, history)
+        traces = self._fold(view, history)
         assert view.units is not None
         for unit in view.units:
             action = _next_work_action(unit, traces[unit.unit_id])
@@ -339,6 +415,9 @@ class _PipeReader(threading.Thread):
                 self.lines.put(line)
         except ValueError:
             pass
+        finally:
+            # The reader owns the pipe: at end of stream nothing else reads it.
+            self.pipe.close()
         self.lines.put(None)
 
 
@@ -421,14 +500,19 @@ class ExternalAdapterPolicy:
     def close(self) -> None:
         if self._process is None:
             return
+        process, self._process = self._process, None
         try:
-            if self._process.stdin is not None:
-                self._process.stdin.close()
-            self._process.terminate()
-            self._process.wait(timeout=5)
+            if process.stdin is not None:
+                process.stdin.close()
+            process.terminate()
+            process.wait(timeout=5)
         except Exception:
-            self._process.kill()
-        self._process = None
+            process.kill()
+            process.wait()
+        # Once the adapter has exited its stdout ends, and the reader closes it.
+        if self._reader is not None:
+            self._reader.join(timeout=5)
+            self._reader = None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from qgp.errors import GenerationError
 from qgp.policies import SolverPolicy
 
 
-def small_backlog(tmp_path):
+def small_backlog():
     digest = hashlib.sha256(b"hello world\n").hexdigest()
     files = {
         "data/t.csv": "id,name,score\nr1,alpha,5\nr2,beta,7\n",
@@ -90,37 +90,37 @@ def small_backlog(tmp_path):
             checker=FileDigest(file="artifacts/a.txt", expected_digest=digest),
         ),
     ]
-    workspace = Workspace(tmp_path / "ws")
+    workspace = Workspace()
     workspace.seed(files)
     return Backlog(backlog_id="b0", units=units), workspace
 
 
 class TestInspect:
-    def test_pending_unit(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_pending_unit(self):
+        backlog, ws = small_backlog()
         fb = inspect_unit(backlog, ws, "u1")
         assert fb.status_after == UnitStatus.PENDING
         assert "data/t.csv" in fb.detail
         assert "---" in fb.detail and len(fb.detail.split("---")[1].strip()) > 0
 
-    def test_passed_unit(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_passed_unit(self):
+        backlog, ws = small_backlog()
         run_check(backlog, ws, "u2")
         fb = inspect_unit(backlog, ws, "u2")
         assert fb.status_after == UnitStatus.PASSED
 
-    def test_unknown_unit(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_unknown_unit(self):
+        backlog, ws = small_backlog()
         fb = inspect_unit(backlog, ws, "u999")
         assert fb.verdict == Verdict.FAIL
         assert "unknown unit" in fb.detail
 
 
 class TestEditAndCheck:
-    def test_metadata_repair_flow(self, tmp_path):
+    def test_metadata_repair_flow(self):
         # Expected value is fixed by construction ("mit"); the failing check
         # diagnoses it, the edit applies it, the recheck passes.
-        backlog, ws = small_backlog(tmp_path)
+        backlog, ws = small_backlog()
         fail = run_check(backlog, ws, "u3")
         assert fail.verdict == Verdict.FAIL
         assert '"mit"' in fail.detail
@@ -130,33 +130,33 @@ class TestEditAndCheck:
         assert result.verdict == Verdict.PASS
         assert result.status_after == UnitStatus.PASSED
 
-    def test_edit_on_passed_unit_is_noop(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_edit_on_passed_unit_is_noop(self):
+        backlog, ws = small_backlog()
         run_check(backlog, ws, "u2")
         before = ws.read("data/t.csv")
         fb = apply_edit(backlog, ws, "u2", json.dumps({"row_key": "r1", "column": "score", "value": "9"}))
         assert fb.status_after == UnitStatus.PASSED
         assert ws.read("data/t.csv") == before
 
-    def test_malformed_payload_marks_attempted(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_malformed_payload_marks_attempted(self):
+        backlog, ws = small_backlog()
         fb = apply_edit(backlog, ws, "u1", "not json at all")
         assert fb.verdict == Verdict.FAIL
         assert fb.status_after == UnitStatus.ATTEMPTED
 
-    def test_csv_cell_replacement(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_csv_cell_replacement(self):
+        backlog, ws = small_backlog()
         assert run_check(backlog, ws, "u1").verdict == Verdict.FAIL
         apply_edit(backlog, ws, "u1", json.dumps({"row_key": "r1", "column": "score", "value": "6"}))
         assert run_check(backlog, ws, "u1").verdict == Verdict.PASS
 
-    def test_field_equals_satisfied(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_field_equals_satisfied(self):
+        backlog, ws = small_backlog()
         fb = run_check(backlog, ws, "u5")
         assert fb.verdict == Verdict.PASS
 
-    def test_row_count_mismatch(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_row_count_mismatch(self):
+        backlog, ws = small_backlog()
         rows = "\n".join(f"r{i},n{i},1" for i in range(31))
         ws.write("data/wide.csv", "id,name,score\n" + rows + "\n")
         backlog.units.append(
@@ -172,21 +172,21 @@ class TestEditAndCheck:
         assert fb.verdict == Verdict.FAIL
         assert "expected 32, found 31" in fb.detail
 
-    def test_answer_whitespace_normalization(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_answer_whitespace_normalization(self):
+        backlog, ws = small_backlog()
         apply_edit(backlog, ws, "u4", "  tag-12ab \n")
         fb = run_check(backlog, ws, "u4")
         assert fb.verdict == Verdict.PASS
 
-    def test_answer_diagnostic_never_echoes_expected(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_answer_diagnostic_never_echoes_expected(self):
+        backlog, ws = small_backlog()
         apply_edit(backlog, ws, "u4", "wrong")
         fb = run_check(backlog, ws, "u4")
         assert fb.verdict == Verdict.FAIL
         assert "tag-12ab" not in fb.detail
 
-    def test_missing_artifact_fails_with_diagnostic(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_missing_artifact_fails_with_diagnostic(self):
+        backlog, ws = small_backlog()
         backlog.units.append(
             BacklogUnit(
                 unit_id="u7",
@@ -204,10 +204,10 @@ class TestEditAndCheck:
         assert normalize_answer("  a   b\tc \n") == "a b c"
         assert normalize_answer("A") != normalize_answer("a")
 
-    def test_workspace_rejects_path_escape(self, tmp_path):
+    def test_workspace_rejects_path_escape(self):
         from qgp.errors import ConfigurationError
 
-        ws = Workspace(tmp_path / "ws")
+        ws = Workspace()
         with pytest.raises(ConfigurationError):
             ws.write("../outside.txt", "nope")
         with pytest.raises(ConfigurationError):
@@ -215,8 +215,8 @@ class TestEditAndCheck:
 
 
 class TestSubmitUnit:
-    def test_accept_then_duplicate(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_accept_then_duplicate(self):
+        backlog, ws = small_backlog()
         ledger = RunLedger(target_count=3, budget=30)
         run_check(backlog, ws, "u2")
         first = submit_unit(backlog, ledger, "u2")
@@ -228,8 +228,8 @@ class TestSubmitUnit:
         assert ledger.duplicate_occurrences == 1
         assert ledger.submission_occurrences == 2
 
-    def test_pending_rejected(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_pending_rejected(self):
+        backlog, ws = small_backlog()
         ledger = RunLedger(target_count=3, budget=30)
         fb = submit_unit(backlog, ledger, "u1")
         assert fb.rejected == ("u1",)
@@ -239,8 +239,8 @@ class TestSubmitUnit:
         assert again.rejected == ("u1",)
         assert ledger.duplicate_occurrences == 0
 
-    def test_padded_id_rejected_without_count_change(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_padded_id_rejected_without_count_change(self):
+        backlog, ws = small_backlog()
         ledger = RunLedger(target_count=3, budget=30)
         run_check(backlog, ws, "u2")
         run_check(backlog, ws, "u5")
@@ -253,11 +253,11 @@ class TestSubmitUnit:
             assert ledger.valid_ids == {"u2"}
             assert ledger.duplicate_occurrences == 0
 
-    def test_count_gate_under_random_actions(self, tmp_path):
+    def test_count_gate_under_random_actions(self):
         # Oracle: a unit counts iff some submission of it happened while its
         # status was passed and it had not been counted before.
         rng = random.Random(17)
-        backlog, ws = small_backlog(tmp_path)
+        backlog, ws = small_backlog()
         ledger = RunLedger(target_count=5, budget=300)
         counted: set[str] = set()
         ids = [u.unit_id for u in backlog.units] + ["u999"]
@@ -292,8 +292,8 @@ class TestSubmitUnit:
                     assert fb.rejected == (unit_id,)
             assert ledger.valid_ids == counted
 
-    def test_passed_is_absorbing(self, tmp_path):
-        backlog, ws = small_backlog(tmp_path)
+    def test_passed_is_absorbing(self):
+        backlog, ws = small_backlog()
         run_check(backlog, ws, "u5")
         # Corrupt the artifact after the pass; status must not regress.
         ws.write("artifacts/a.txt", "tampered\n")
