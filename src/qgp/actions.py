@@ -2,14 +2,17 @@
 
 Actions are the policy-facing vocabulary; observations are everything the
 engine sends back. Both serialize to single-line JSON objects tagged with a
-``kind`` field so external adapters can speak the same wire format.
+``kind`` field so external adapters can speak the same wire format. One
+table-driven codec, `TaggedCodec`, encodes and decodes them, and also the
+predicates and checkers that manifests tag with a ``type`` field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Union
+from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 from .errors import ActionParseError
 
@@ -158,124 +161,152 @@ Observation = Union[SearchResults, SubmitFeedback, UnitFeedback, ControllerNotic
 
 
 # ---------------------------------------------------------------------------
-# Wire format
+# Wire format: one codec for every tagged record
 # ---------------------------------------------------------------------------
 
-_ACTION_KINDS: dict[type, str] = {
-    Search: "search",
-    Submit: "submit",
-    Inspect: "inspect",
-    Edit: "edit",
-    RunCheck: "run_check",
-    SubmitUnit: "submit_unit",
-    Final: "final",
-    AskUser: "ask_user",
+_BAD = object()  # what a field check returns for a value its annotation does not admit
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# Integers on the wire are counts and page numbers, so they are never negative.
+_SCALARS = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (_is_count, "a non-negative integer"),
 }
 
 
-def action_to_dict(action: Action) -> dict:
-    if isinstance(action, Search):
-        return {"kind": "search", "query": action.query, "page": action.page}
-    if isinstance(action, Submit):
-        return {"kind": "submit", "ids": list(action.ids)}
-    if isinstance(action, Inspect):
-        return {"kind": "inspect", "unit_id": action.unit_id}
-    if isinstance(action, Edit):
-        return {"kind": "edit", "unit_id": action.unit_id, "payload": action.payload}
-    if isinstance(action, RunCheck):
-        return {"kind": "run_check", "unit_id": action.unit_id}
-    if isinstance(action, SubmitUnit):
-        return {"kind": "submit_unit", "unit_id": action.unit_id}
-    if isinstance(action, Final):
-        return {
-            "kind": "final",
-            "completion_claim": action.completion_claim,
-            "reported_count": action.reported_count,
-        }
-    if isinstance(action, AskUser):
-        return {"kind": "ask_user", "message": action.message}
-    raise ActionParseError(f"not an action: {action!r}")
+def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callable, str]:
+    """(encode, check, expected) for one field annotation.
+
+    `encode` maps a value to its JSON form, or is None where JSON takes the
+    value as it is. `check` maps a JSON value to the field's value, or to
+    _BAD when the value is not `expected`; a nested record that does not fit
+    raises `error` naming its own field.
+    """
+    args = get_args(hint)
+    if hint in _SCALARS:
+        admits, expected = _SCALARS[hint]
+        return None, lambda v: v if admits(v) else _BAD, expected
+    if type(None) in args:
+        encode, check, expected = _field_codec(args[0], error)
+        return encode, lambda v: None if v is None else check(v), f"{expected} or null"
+    if get_origin(hint) is tuple:
+        encode_item, check_item, expected = _field_codec(args[0], error)
+
+        def check_list(value: object) -> object:
+            items = tuple(map(check_item, value)) if isinstance(value, list) else (_BAD,)
+            return _BAD if any(item is _BAD for item in items) else items
+
+        encode = list if encode_item is None else lambda v: [encode_item(x) for x in v]
+        many = "strings" if args[0] is str else f"items each {expected}"
+        return encode, check_list, f"a list of {many}"
+    if issubclass(hint, Enum):
+        members = {member.value: member for member in hint}
+        return (
+            operator.attrgetter("value"),
+            lambda v: members.get(v, _BAD) if isinstance(v, str) else _BAD,
+            "one of " + ", ".join(members),
+        )
+    plan = _plan(hint, error)  # a nested dataclass: an untagged object
+    name = hint.__name__
+    decode = lambda v: _decode(hint, plan, v, name, error)  # noqa: E731
+    return lambda v: _encode(v, plan, {}), decode, f"a {name}"
 
 
-def _require_str(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise ActionParseError(f"field {key!r} must be a string")
-    return value
+def _plan(cls: type, error: type[Exception]) -> list[tuple]:
+    """(name, encode, check, expected, default) per field, in declaration order."""
+    hints = get_type_hints(cls)
+    return [(f.name, *_field_codec(hints[f.name], error), f.default) for f in fields(cls)]
 
 
-def action_from_dict(obj: object) -> Action:
-    """Decode one action record; raises ActionParseError on any shape violation."""
+def _encode(record: object, plan: list[tuple], out: dict) -> dict:
+    for name, encode, _, _, _ in plan:
+        value = getattr(record, name)
+        out[name] = value if encode is None else encode(value)
+    return out
+
+
+def _decode(cls: type, plan: list[tuple], obj: object, label: str, error: type) -> object:
+    """The `cls` record that `obj` holds; raises `error` naming a field that does not fit."""
     if not isinstance(obj, dict):
-        raise ActionParseError("action record must be an object")
-    kind = obj.get("kind")
-    if kind == "search":
-        page = obj.get("page", 0)
-        if not isinstance(page, int) or isinstance(page, bool) or page < 0:
-            raise ActionParseError("search.page must be a non-negative integer")
-        return Search(query=_require_str(obj, "query"), page=page)
-    if kind == "submit":
-        ids = obj.get("ids")
-        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-            raise ActionParseError("submit.ids must be a list of strings")
-        return Submit(ids=tuple(ids))
-    if kind == "inspect":
-        return Inspect(unit_id=_require_str(obj, "unit_id"))
-    if kind == "edit":
-        return Edit(unit_id=_require_str(obj, "unit_id"), payload=_require_str(obj, "payload"))
-    if kind == "run_check":
-        return RunCheck(unit_id=_require_str(obj, "unit_id"))
-    if kind == "submit_unit":
-        return SubmitUnit(unit_id=_require_str(obj, "unit_id"))
-    if kind == "final":
-        claim = obj.get("completion_claim")
-        if not isinstance(claim, bool):
-            raise ActionParseError("final.completion_claim must be a boolean")
-        reported = obj.get("reported_count")
-        if reported is not None and (
-            not isinstance(reported, int) or isinstance(reported, bool) or reported < 0
-        ):
-            raise ActionParseError("final.reported_count must be a non-negative integer or null")
-        return Final(completion_claim=claim, reported_count=reported)
-    if kind == "ask_user":
-        return AskUser(message=_require_str(obj, "message"))
-    raise ActionParseError(f"unknown action kind: {kind!r}")
+        raise error(f"{label} must be an object")
+    values = {}
+    for name, _, check, expected, default in plan:
+        if name not in obj and default is not MISSING:
+            continue
+        values[name] = check(obj.get(name))
+        if values[name] is _BAD:
+            raise error(f"{label}.{name} must be {expected}")
+    return cls(**values)
 
 
-def observation_to_dict(obs: Observation) -> dict:
-    if isinstance(obs, SearchResults):
-        return {
-            "kind": "search_results",
-            "query": obs.query,
-            "page": obs.page,
-            "candidates": [
-                {"artifact_id": c.artifact_id, "preview": c.preview} for c in obs.candidates
-            ],
-        }
-    if isinstance(obs, SubmitFeedback):
-        return {
-            "kind": "submit_feedback",
-            "accepted": list(obs.accepted),
-            "rejected": list(obs.rejected),
-            "duplicates": list(obs.duplicates),
-            "valid_count": obs.valid_count,
-            "remaining": obs.remaining,
-        }
-    if isinstance(obs, UnitFeedback):
-        return {
-            "kind": "unit_feedback",
-            "unit_id": obs.unit_id,
-            "verdict": obs.verdict.value,
-            "detail": obs.detail,
-            "status_after": obs.status_after.value,
-        }
-    if isinstance(obs, ControllerNotice):
-        return {
-            "kind": "controller_notice",
-            "reason": obs.reason,
-            "valid_count": obs.valid_count,
-            "remaining": obs.remaining,
-        }
-    if isinstance(obs, Terminal):
-        return {"kind": "terminal", "outcome": obs.outcome.value}
-    raise ActionParseError(f"not an observation: {obs!r}")
+class TaggedCodec:
+    """Frozen dataclasses as JSON objects tagged by one key, from one table.
+
+    Encoding writes the tag, then each field in declaration order: tuples
+    become lists, enums their values and nested dataclasses objects.
+    Decoding checks each field against its annotation and ignores other
+    keys; a missing field takes its dataclass default where there is one.
+    Every failure raises `error`, naming the tag and the field.
+    """
+
+    def __init__(
+        self, noun: str, tag_key: str, table: dict[str, type], error: type[Exception]
+    ) -> None:
+        self.noun = noun
+        self.tag_key = tag_key
+        self.error = error
+        plans = {cls: _plan(cls, error) for cls in table.values()}
+        self._decoders = {tag: (cls, plans[cls]) for tag, cls in table.items()}
+        self._encoders = {cls: (tag, plans[cls]) for tag, cls in table.items()}
+
+    def encode(self, record: object) -> dict:
+        if type(record) not in self._encoders:
+            raise self.error(f"unknown {self.noun}: {record!r}")
+        tag, plan = self._encoders[type(record)]
+        return _encode(record, plan, {self.tag_key: tag})
+
+    def decode(self, obj: object):
+        if not isinstance(obj, dict):
+            raise self.error(f"{self.noun} record must be an object")
+        tag = obj.get(self.tag_key)
+        if not isinstance(tag, str) or tag not in self._decoders:
+            raise self.error(f"unknown {self.noun} {self.tag_key}: {tag!r}")
+        return _decode(*self._decoders[tag], obj, tag, self.error)
+
+
+ACTIONS = TaggedCodec(
+    "action",
+    "kind",
+    {
+        "search": Search,
+        "submit": Submit,
+        "inspect": Inspect,
+        "edit": Edit,
+        "run_check": RunCheck,
+        "submit_unit": SubmitUnit,
+        "final": Final,
+        "ask_user": AskUser,
+    },
+    ActionParseError,
+)
+OBSERVATIONS = TaggedCodec(
+    "observation",
+    "kind",
+    {
+        "search_results": SearchResults,
+        "submit_feedback": SubmitFeedback,
+        "unit_feedback": UnitFeedback,
+        "controller_notice": ControllerNotice,
+        "terminal": Terminal,
+    },
+    ActionParseError,
+)
+
+action_to_dict = ACTIONS.encode
+action_from_dict = ACTIONS.decode
+observation_to_dict = OBSERVATIONS.encode

@@ -3,9 +3,9 @@
 Each command writes the output path it is given and replaces a file already
 there, so keep earlier outputs under other names. `run --out` writes a
 temporary file beside its records file and renames it over the old one, so
-a run that fails leaves the previous file intact. Each command reads every
-snapshot it needs once. All pipelines are deterministic under a fixed
-seed, including across different worker counts.
+a run that fails leaves the previous file intact. Each command reads its
+manifest once and every snapshot it needs once. All pipelines are
+deterministic under a fixed seed, including across different worker counts.
 """
 
 from __future__ import annotations
@@ -16,17 +16,18 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import dataops, reposcan
+from .actions import Family
 from .controllers import (
     AblationFlag,
     ControllerConfig,
     ControllerKind,
     build_controller,
 )
-from .core import read_record_dicts, record_to_dict, run_episode
+from .core import read_manifest_file, read_record_dicts, record_to_dict, run_episode
 from .errors import AdapterError, QgpError, loading
 from .metrics import (
     aggregate_csv,
@@ -62,18 +63,7 @@ class RunConfig:
     workspace_root: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "controller": self.controller,
-            "policy": self.policy,
-            "out": self.out,
-            "ablation": self.ablation,
-            "policy_params": dict(self.policy_params),
-            "no_progress_limit": self.no_progress_limit,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "workspace_root": self.workspace_root,
-        }
+        return asdict(self)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -105,10 +95,10 @@ def _parse_targets(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _manifest_family(path: str) -> str:
-    with loading(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh).get("family", "")
+_PAYLOADS = {
+    Family.REPOSCAN: reposcan.manifest_payload,
+    Family.DATAOPS: dataops.manifest_payload,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +216,8 @@ def run_manifest(
     `workspace_root` is accepted and ignored: dataops workspaces are held in
     memory.
     """
-    family = _manifest_family(manifest_path)
-    if family == "reposcan":
-        manifest = reposcan.load_manifest(manifest_path)
+    manifest, _ = read_manifest_file(manifest_path, _PAYLOADS)
+    if isinstance(manifest, reposcan.ReposcanManifest):
         corpora: dict[str, reposcan.Corpus] = {}
         for info in manifest.snapshots:
             snapshot = reposcan.read_snapshot(info.root)
@@ -244,16 +233,12 @@ def run_manifest(
                 task.spec, corpora[task.snapshot], task.valid_ids
             )
 
-        tasks = manifest.tasks
-    elif family == "dataops":
-        dmanifest = dataops.load_manifest(manifest_path)
+    else:
 
         def make_env(task):
             return dataops.DataopsEnvironment(task.spec, task.units, task.files)
 
-        tasks = dmanifest.tasks
-    else:
-        raise QgpError(f"unrecognized manifest family {family!r}: {manifest_path}")
+    tasks = manifest.tasks
 
     def run_one(task) -> dict:
         controller = build_controller(controller_config)
@@ -372,16 +357,14 @@ def cmd_delta(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _smoke_reposcan(path: str) -> list[str]:
+def _smoke_reposcan(manifest: reposcan.ReposcanManifest, public_text: str) -> list[str]:
     failures = []
-    manifest = reposcan.load_manifest(path)
     corpora = {}
     for info in manifest.snapshots:
         snapshot = reposcan.read_snapshot(info.root)
         if snapshot.digest != info.digest:
             failures.append(f"snapshot digest drift: {info.name}")
         corpora[info.name] = snapshot.corpus
-    public_text = json.dumps(reposcan.load_public_tasks(path))
     for task in manifest.tasks:
         corpus = corpora[task.snapshot]
         recomputed = sorted(
@@ -395,17 +378,11 @@ def _smoke_reposcan(path: str) -> list[str]:
             if hidden_id in public_text:
                 failures.append(f"hidden id leaked: {task.spec.task_id}")
                 break
-    if '"hidden"' in public_text:
-        failures.append("public loader exposed a hidden section")
     return failures
 
 
-def _smoke_dataops(path: str) -> list[str]:
+def _smoke_dataops(manifest: dataops.DataopsManifest, public_text: str) -> list[str]:
     failures = []
-    manifest = dataops.load_manifest(path)
-    public_text = json.dumps(dataops.load_public_tasks(path))
-    if '"hidden"' in public_text or '"checkers"' in public_text:
-        failures.append("public loader exposed a hidden section")
     for task in manifest.tasks:
         for unit in task.units:
             checker = unit.checker
@@ -419,16 +396,17 @@ def _smoke_dataops(path: str) -> list[str]:
 
 
 def cmd_smoke(args: argparse.Namespace) -> int:
-    family = _manifest_family(args.manifest)
-    if family == "reposcan":
-        failures = _smoke_reposcan(args.manifest)
+    manifest, public_tasks = read_manifest_file(args.manifest, _PAYLOADS)
+    public_text = json.dumps(public_tasks)
+    failures = []
+    if '"hidden"' in public_text or '"checkers"' in public_text:
+        failures.append("public loader exposed a hidden section")
+    if isinstance(manifest, reposcan.ReposcanManifest):
+        failures += _smoke_reposcan(manifest, public_text)
         checks = "digests, hidden-set consistency, leak-freedom"
-    elif family == "dataops":
-        failures = _smoke_dataops(args.manifest)
-        checks = "leak-freedom, solver-within-budget"
     else:
-        print(f"error: unrecognized manifest family {family!r}: {args.manifest}", file=sys.stderr)
-        return 2
+        failures += _smoke_dataops(manifest, public_text)
+        checks = "leak-freedom, solver-within-budget"
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")

@@ -134,7 +134,6 @@ class StateQgpState:
     submitted_ids: set[str] = field(default_factory=set)
     seen_pages: set[tuple[str, int]] = field(default_factory=set)
     last_query: str | None = None
-    next_unseen_page: dict[str, int] = field(default_factory=dict)
     # Ordered set: search-result ids seen but not yet submitted.
     candidate_buffer: dict[str, None] = field(default_factory=dict)
 
@@ -279,9 +278,6 @@ class StateQgpController:
     def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
         if isinstance(observation, SearchResults):
             self.state.seen_pages.add((observation.query, observation.page))
-            self.state.next_unseen_page[observation.query] = self.state.next_page(
-                observation.query
-            )
             for candidate in observation.candidates:
                 key = candidate.artifact_id.strip()
                 if key not in self.state.submitted_ids:
@@ -321,8 +317,6 @@ def ablation_controller(flag: AblationFlag) -> StateQgpController:
 class UnitQgpState:
     unit_status_view: dict[str, UnitStatus] = field(default_factory=dict)
     steps_without_progress: int = 0
-    steering_target: str | None = None
-    recoveries: int = 0
 
 
 class UnitQgpController:
@@ -337,11 +331,8 @@ class UnitQgpController:
         # unit -> step at which a pass was observed without a submit yet
         self.awaiting_submit: dict[str, int] = {}
         self.accepted_units: set[str] = set()
-        self.failed_units: set[str] = set()
-        self.routed_units: set[str] = set()
         self.last_proposal: Action | None = None
         self.stopped = False
-        self._stop_logged = False
 
     def _status(self, unit_id: str) -> UnitStatus:
         return self.state.unit_status_view.get(unit_id, UnitStatus.PENDING)
@@ -378,18 +369,16 @@ class UnitQgpController:
 
         if not self.stopped and self.state.steps_without_progress >= 2 * self.k:
             self.stopped = True
-            if not self._stop_logged:
-                self._stop_logged = True
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.NO_PROGRESS_STOP,
-                        detail=(
-                            f"no progress for {2 * self.k} steps; "
-                            f"routing disabled, budget will exhaust"
-                        ),
-                    )
+            ivs.append(
+                Intervention(
+                    step=ctx.step,
+                    kind=InterventionKind.NO_PROGRESS_STOP,
+                    detail=(
+                        f"no progress for {2 * self.k} steps; "
+                        f"routing disabled, budget will exhaust"
+                    ),
                 )
+            )
         if self.stopped:
             self.last_proposal = proposal
             return StepDecision(action=action, interventions=ivs)
@@ -407,7 +396,6 @@ class UnitQgpController:
                         detail=f"post-edit action routed to checker for {unit}",
                     )
                 )
-                self.routed_units.add(unit)
         if rewritten is None:
             due = self._due_submit(ctx)
             if due is not None and not (
@@ -421,7 +409,6 @@ class UnitQgpController:
                         detail=f"passed unit {due} routed to submission",
                     )
                 )
-                self.routed_units.add(due)
         if rewritten is None and self.state.steps_without_progress >= self.k:
             stale = isinstance(action, Inspect) or action == self.last_proposal
             target = self._first_open_unit(ctx)
@@ -429,7 +416,6 @@ class UnitQgpController:
                 candidate = Inspect(unit_id=target)
                 if candidate != action:
                     rewritten = candidate
-                    self.state.steering_target = target
                     ivs.append(
                         Intervention(
                             step=ctx.step,
@@ -437,7 +423,6 @@ class UnitQgpController:
                             detail=f"stalled policy steered to first open unit {target}",
                         )
                     )
-                    self.routed_units.add(target)
         self.last_proposal = proposal
         return StepDecision(action=rewritten or action, interventions=ivs)
 
@@ -450,16 +435,14 @@ class UnitQgpController:
             if isinstance(action, Edit) and observation.status_after != UnitStatus.PASSED:
                 # The next policy action must run this unit's checker.
                 self.pending_check = unit_id
-            if isinstance(action, RunCheck):
-                if observation.status_after == UnitStatus.PASSED:
-                    if previous != UnitStatus.PASSED:
-                        progressed = True
-                        if unit_id not in self.accepted_units:
-                            self.awaiting_submit.setdefault(unit_id, ctx.step)
-                        if unit_id in self.failed_units and unit_id in self.routed_units:
-                            self.state.recoveries += 1
-                else:
-                    self.failed_units.add(unit_id)
+            if (
+                isinstance(action, RunCheck)
+                and observation.status_after == UnitStatus.PASSED
+                and previous != UnitStatus.PASSED
+            ):
+                progressed = True
+                if unit_id not in self.accepted_units:
+                    self.awaiting_submit.setdefault(unit_id, ctx.step)
         elif isinstance(observation, SubmitFeedback):
             if observation.accepted:
                 progressed = True

@@ -1,18 +1,22 @@
-"""Task model, run ledger, outcome classification, and the execution loop.
+"""Task model, run ledger, outcome classification, the execution loop, and
+the manifest envelope.
 
 Every run is one policy driving one environment through one controller until
 the count goal is verified, an allowed termination happens, or the budget is
 exhausted. The ledger is the audit trail: a multiset of submitted identifiers,
-the verified ids, and the full step history.
+the verified ids, and the full step history. Each family's manifest file
+shares one envelope, read and written here; the family reads and writes only
+its own payload.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from .actions import (
     Action,
@@ -49,7 +53,6 @@ class TaskSpec:
     target_count: int
     budget: int
     seed: int
-    verifier_config: str = ""
 
     def __post_init__(self) -> None:
         if self.target_count < 1:
@@ -68,6 +71,10 @@ class UnitPublicView:
     artifact_path: str
 
 
+PUBLIC_TASK_FIELDS = ("task_id", "family", "objective_text", "target_count", "budget", "seed")
+PUBLIC_UNIT_FIELDS = tuple(f.name for f in fields(UnitPublicView))
+
+
 @dataclass(frozen=True)
 class PublicTaskView:
     task_id: str
@@ -76,6 +83,22 @@ class PublicTaskView:
     target_count: int
     budget: int
     units: tuple[UnitPublicView, ...] | None = None
+
+    @classmethod
+    def of(cls, task: TaskSpec, units: Sequence | None = None) -> PublicTaskView:
+        """What a policy sees of a task and, for a backlog, of its units."""
+        if units is not None:
+            units = tuple(
+                UnitPublicView(**{k: getattr(u, k) for k in PUBLIC_UNIT_FIELDS}) for u in units
+            )
+        return cls(
+            task_id=task.task_id,
+            family=Family(task.family),
+            objective_text=task.objective_text,
+            target_count=task.target_count,
+            budget=task.budget,
+            units=units,
+        )
 
 
 @dataclass
@@ -352,24 +375,8 @@ def record_to_dict(record: RunRecord) -> dict:
     return row
 
 
-def _intervention_to_dict(iv: object) -> dict:
-    if is_dataclass(iv) and not isinstance(iv, type):
-        raw = asdict(iv)
-        kind = raw.get("kind")
-        if hasattr(kind, "value"):
-            raw["kind"] = kind.value
-        return raw
-    return dict(iv)  # type: ignore[call-overload]
-
-
-def record_line(record: RunRecord) -> str:
-    return json.dumps(record_to_dict(record), separators=(",", ":"))
-
-
-def write_records(path: str | Path, records: Iterable[RunRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_line(record) + "\n")
+def _intervention_to_dict(iv) -> dict:
+    return asdict(iv) | {"kind": iv.kind.value}
 
 
 def read_record_dicts(path: str | Path) -> list[dict]:
@@ -383,3 +390,76 @@ def read_record_dicts(path: str | Path) -> list[dict]:
                     raise ConfigurationError(f"{path}:{lineno}: not a run record")
                 rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Manifest envelope: the fields every family's manifest file shares
+# ---------------------------------------------------------------------------
+
+MANIFEST_FORMAT = "qgp-manifest"
+MANIFEST_VERSION = 1
+
+M = TypeVar("M")
+
+
+def read_manifest_file(
+    path: str | Path, payloads: Mapping[Family, Callable[[dict, list[TaskSpec]], M]]
+) -> tuple[M, list[dict]]:
+    """Parse a manifest file once, check its envelope and read its payload.
+
+    The format must be `qgp-manifest`, the family one of `payloads`, the
+    version MANIFEST_VERSION and each task's family the envelope's; task ids
+    must be distinct. Returns what the family's payload reader builds from
+    the parsed file and the task specs, and the policy-facing projection of
+    each task: its public fields and its units' public fields. Malformed
+    input raises a ConfigurationError naming the file.
+    """
+    with loading(path):
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict) or obj.get("format") != MANIFEST_FORMAT:
+            raise ValueError(f"not a {MANIFEST_FORMAT} file")
+        family = Family(obj.get("family"))
+        if family not in payloads:
+            raise ValueError(f"not a {' or '.join(payloads)} manifest: {family.value}")
+        version = obj.get("version")
+        if type(version) is not int or version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {version!r}")
+        specs, public_tasks = [], []
+        for entry in obj["tasks"]:
+            if entry["family"] != family.value:
+                raise ValueError(f"task {entry['task_id']!r} is not a {family.value} task")
+            public = {k: entry[k] for k in PUBLIC_TASK_FIELDS}
+            specs.append(TaskSpec(**public | {"family": family}))
+            if "units" in entry:
+                public["units"] = [{k: u[k] for k in PUBLIC_UNIT_FIELDS} for u in entry["units"]]
+            public_tasks.append(public)
+        if len({spec.task_id for spec in specs}) != len(specs):
+            raise ValueError("duplicate task ids")
+        return payloads[family](obj, specs), public_tasks
+
+
+def write_manifest_file(
+    path: str | Path,
+    family: Family,
+    metadata: dict,
+    tasks: Iterable[tuple[TaskSpec, dict]],
+    **payload,
+) -> str:
+    """Write a manifest with sorted keys; returns the sha256 of the file.
+
+    Each task is its spec's public fields plus the family's fields for it,
+    and `payload` holds the family's top-level fields.
+    """
+    obj = {
+        "format": MANIFEST_FORMAT,
+        "family": family.value,
+        "version": MANIFEST_VERSION,
+        "metadata": metadata,
+        **payload,
+        "tasks": [
+            {k: getattr(spec, k) for k in PUBLIC_TASK_FIELDS} | {"family": family.value} | extra
+            for spec, extra in tasks
+        ],
+    }
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

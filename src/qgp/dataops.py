@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import posixpath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -28,22 +28,23 @@ from .actions import (
     SubmitUnit,
     UnitFeedback,
     UnitStatus,
+    TaggedCodec,
     Verdict,
 )
-from .core import PublicTaskView, RunLedger, TaskSpec, UnitPublicView, record_submission
-from .errors import ConfigurationError, GenerationError, loading
+from .core import (
+    PUBLIC_UNIT_FIELDS,
+    PublicTaskView,
+    RunLedger,
+    TaskSpec,
+    read_manifest_file,
+    record_submission,
+    write_manifest_file,
+)
+from .errors import ConfigurationError, GenerationError
 from .seeding import derive_seed, stream
 from .verifier import IdVerdict, normalize_id
 
 DATAOPS_BUDGETS = {3: 30, 5: 50, 10: 90, 20: 160}
-
-UNIT_KINDS = (
-    "csv_field_check",
-    "csv_count_check",
-    "metadata_repair",
-    "consistency_answer",
-    "artifact_validation",
-)
 
 _CSV_KINDS = {"csv_field_check", "csv_count_check"}
 
@@ -88,29 +89,18 @@ class FileDigest:
 
 CheckerSpec = Union[FieldEquals, RowCount, KeyPresent, AnswerEquals, FileDigest]
 
-_CHECKER_TYPES = {
-    "field_equals": FieldEquals,
-    "row_count": RowCount,
-    "key_present": KeyPresent,
-    "answer_equals": AnswerEquals,
-    "file_digest": FileDigest,
-}
-
-
-def checker_to_dict(checker: CheckerSpec) -> dict:
-    for name, cls in _CHECKER_TYPES.items():
-        if isinstance(checker, cls):
-            payload = {"type": name}
-            payload.update(checker.__dict__)
-            return payload
-    raise ConfigurationError(f"unknown checker: {checker!r}")
-
-
-def checker_from_dict(obj: dict) -> CheckerSpec:
-    cls = _CHECKER_TYPES.get(obj.get("type", ""))
-    if cls is None:
-        raise ConfigurationError(f"unknown checker type: {obj.get('type')!r}")
-    return cls(**{k: v for k, v in obj.items() if k != "type"})
+CHECKERS = TaggedCodec(
+    "checker",
+    "type",
+    {
+        "field_equals": FieldEquals,
+        "row_count": RowCount,
+        "key_present": KeyPresent,
+        "answer_equals": AnswerEquals,
+        "file_digest": FileDigest,
+    },
+    ValueError,
+)
 
 
 def normalize_answer(text: str) -> str:
@@ -655,7 +645,6 @@ def generate_backlog(
         target_count=target_count,
         budget=budgets[target_count],
         seed=seed,
-        verifier_config=backlog_id,
     )
     return Backlog(backlog_id=backlog_id, units=units), spec, files
 
@@ -725,99 +714,37 @@ def _assert_solvable(task: DataopsTask) -> None:
 # Manifest file format
 # ---------------------------------------------------------------------------
 
-PUBLIC_UNIT_FIELDS = ("unit_id", "kind", "prompt", "artifact_path")
-
-
-def manifest_to_dict(manifest: DataopsManifest) -> dict:
-    return {
-        "format": "qgp-manifest",
-        "family": Family.DATAOPS.value,
-        "version": 1,
-        "metadata": manifest.metadata,
-        "tasks": [
-            {
-                "task_id": t.spec.task_id,
-                "family": Family.DATAOPS.value,
-                "objective_text": t.spec.objective_text,
-                "target_count": t.spec.target_count,
-                "budget": t.spec.budget,
-                "seed": t.spec.seed,
-                "units": [
-                    {
-                        "unit_id": u.unit_id,
-                        "kind": u.kind,
-                        "prompt": u.prompt,
-                        "artifact_path": u.artifact_path,
-                    }
-                    for u in t.units
-                ],
-                "hidden": {
-                    "checkers": {u.unit_id: checker_to_dict(u.checker) for u in t.units},
-                    "files": t.files,
-                },
-            }
-            for t in manifest.tasks
-        ],
-    }
-
-
 def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
-    payload = json.dumps(manifest_to_dict(manifest), sort_keys=True, indent=1)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Write the manifest; returns the sha256 of the file."""
+    tasks = []
+    for t in manifest.tasks:
+        units = [{k: getattr(u, k) for k in PUBLIC_UNIT_FIELDS} for u in t.units]
+        checkers = {u.unit_id: CHECKERS.encode(u.checker) for u in t.units}
+        tasks.append((t.spec, {"units": units, "hidden": {"checkers": checkers, "files": t.files}}))
+    return write_manifest_file(path, Family.DATAOPS, manifest.metadata, tasks)
+
+
+def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
+    """Each task's units, checkers and files. Every artifact path and checker
+    file must be a file path inside the workspace."""
+    tasks = []
+    for spec, entry in zip(specs, obj["tasks"]):
+        units = []
+        for u in entry["units"]:
+            checker = CHECKERS.decode(entry["hidden"]["checkers"][u["unit_id"]])
+            for relpath in (u["artifact_path"], checker.file):
+                try:
+                    Workspace._key(relpath)
+                except ConfigurationError as exc:
+                    where = f"task {spec.task_id!r} unit {u['unit_id']!r}"
+                    raise ValueError(f"{where}: {exc}") from None
+            units.append(BacklogUnit(**{k: u[k] for k in PUBLIC_UNIT_FIELDS}, checker=checker))
+        tasks.append(DataopsTask(spec=spec, units=units, files=dict(entry["hidden"]["files"])))
+    return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
 
 def load_manifest(path: str | Path) -> DataopsManifest:
-    with loading(path):
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.DATAOPS.value:
-            raise ConfigurationError(f"not a dataops manifest: {path}")
-        tasks = []
-        for entry in obj["tasks"]:
-            spec = TaskSpec(
-                task_id=entry["task_id"],
-                family=Family.DATAOPS,
-                objective_text=entry["objective_text"],
-                target_count=entry["target_count"],
-                budget=entry["budget"],
-                seed=entry["seed"],
-                verifier_config=entry["task_id"],
-            )
-            checkers = entry["hidden"]["checkers"]
-            units = [
-                BacklogUnit(
-                    unit_id=u["unit_id"],
-                    kind=u["kind"],
-                    prompt=u["prompt"],
-                    artifact_path=u["artifact_path"],
-                    checker=checker_from_dict(checkers[u["unit_id"]]),
-                )
-                for u in entry["units"]
-            ]
-            files = dict(entry["hidden"]["files"])
-            tasks.append(DataopsTask(spec=spec, units=units, files=files))
-        metadata = obj["metadata"]
-    ids = [t.spec.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"duplicate task ids in manifest: {path}")
-    return DataopsManifest(metadata=metadata, tasks=tasks)
-
-
-def load_public_tasks(path: str | Path) -> list[dict]:
-    """Policy-facing loader: unit checkers and fixture files are skipped."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = []
-    for task in obj.get("tasks", []):
-        row = {
-            k: task[k]
-            for k in ("task_id", "family", "objective_text", "target_count", "budget", "seed")
-            if k in task
-        }
-        row["units"] = [
-            {k: u[k] for k in PUBLIC_UNIT_FIELDS if k in u} for u in task.get("units", [])
-        ]
-        rows.append(row)
-    return rows
+    return read_manifest_file(path, {Family.DATAOPS: manifest_payload})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -838,37 +765,13 @@ class DataopsEnvironment:
         # Fresh unit state per run; manifests are immutable.
         self.backlog = Backlog(
             backlog_id=task.task_id,
-            units=[
-                BacklogUnit(
-                    unit_id=u.unit_id,
-                    kind=u.kind,
-                    prompt=u.prompt,
-                    artifact_path=u.artifact_path,
-                    checker=u.checker,
-                )
-                for u in units
-            ],
+            units=[replace(u, status=UnitStatus.PENDING) for u in units],
         )
         self.workspace = Workspace()
         self.workspace.seed(files)
 
     def public_view(self) -> PublicTaskView:
-        return PublicTaskView(
-            task_id=self.task.task_id,
-            family=Family.DATAOPS,
-            objective_text=self.task.objective_text,
-            target_count=self.task.target_count,
-            budget=self.task.budget,
-            units=tuple(
-                UnitPublicView(
-                    unit_id=u.unit_id,
-                    kind=u.kind,
-                    prompt=u.prompt,
-                    artifact_path=u.artifact_path,
-                )
-                for u in self.backlog.units
-            ),
-        )
+        return PublicTaskView.of(self.task, self.backlog.units)
 
     def execute(self, action: Action, ledger: RunLedger) -> Observation:
         if isinstance(action, Inspect):

@@ -9,12 +9,11 @@ pagination over the same corpus, memoised per corpus.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -26,9 +25,17 @@ from .actions import (
     Search,
     SearchResults,
     Submit,
+    TaggedCodec,
 )
-from .core import PublicTaskView, RunLedger, TaskSpec, record_submission
-from .errors import ConfigurationError, GenerationError, loading
+from .core import (
+    PublicTaskView,
+    RunLedger,
+    TaskSpec,
+    read_manifest_file,
+    record_submission,
+    write_manifest_file,
+)
+from .errors import ConfigurationError, GenerationError
 from .seeding import derive_seed, stream
 from .verifier import judge_ids, normalize_id
 
@@ -255,38 +262,16 @@ def evaluate_predicate(artifact: ArtifactRecord, predicate: Predicate) -> bool:
     raise ConfigurationError(f"unknown predicate: {predicate!r}")
 
 
-def predicate_to_dict(predicate: Predicate) -> dict:
-    if isinstance(predicate, KeywordOrPattern):
-        return {
-            "type": "keyword_or_pattern",
-            "keywords": list(predicate.keywords),
-            "patterns": list(predicate.patterns),
-        }
-    if isinstance(predicate, PathAndContent):
-        return {
-            "type": "path_and_content",
-            "path_substring": predicate.path_substring,
-            "content_substring": predicate.content_substring,
-        }
-    if isinstance(predicate, TestOrDocumentation):
-        return {"type": "test_or_documentation", "kinds": list(predicate.kinds)}
-    raise ConfigurationError(f"unknown predicate: {predicate!r}")
-
-
-def predicate_from_dict(obj: dict) -> Predicate:
-    ptype = obj.get("type")
-    if ptype == "keyword_or_pattern":
-        return KeywordOrPattern(
-            keywords=tuple(obj["keywords"]), patterns=tuple(obj.get("patterns", []))
-        )
-    if ptype == "path_and_content":
-        return PathAndContent(
-            path_substring=obj["path_substring"],
-            content_substring=obj["content_substring"],
-        )
-    if ptype == "test_or_documentation":
-        return TestOrDocumentation(kinds=tuple(obj["kinds"]))
-    raise ConfigurationError(f"unknown predicate type: {ptype!r}")
+PREDICATES = TaggedCodec(
+    "predicate",
+    "type",
+    {
+        "keyword_or_pattern": KeywordOrPattern,
+        "path_and_content": PathAndContent,
+        "test_or_documentation": TestOrDocumentation,
+    },
+    ValueError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +481,6 @@ def generate_manifest(
                 target_count=target,
                 budget=budgets[target],
                 seed=derive_seed(seed, task_id),
-                verifier_config=task_id,
             )
             tasks.append(
                 ReposcanTask(
@@ -517,89 +501,38 @@ def generate_manifest(
 # Manifest file format
 # ---------------------------------------------------------------------------
 
-PUBLIC_TASK_FIELDS = ("task_id", "family", "objective_text", "target_count", "budget", "seed")
-
-
-def manifest_to_dict(manifest: ReposcanManifest) -> dict:
-    return {
-        "format": "qgp-manifest",
-        "family": Family.REPOSCAN.value,
-        "version": 1,
-        "metadata": manifest.metadata,
-        "snapshots": [
-            {
-                "name": s.name,
-                "root": s.root,
-                "digest": s.digest,
-                "artifact_count": s.artifact_count,
-            }
-            for s in manifest.snapshots
-        ],
-        "tasks": [
-            {
-                "task_id": t.spec.task_id,
-                "family": Family.REPOSCAN.value,
-                "objective_text": t.spec.objective_text,
-                "target_count": t.spec.target_count,
-                "budget": t.spec.budget,
-                "seed": t.spec.seed,
-                "snapshot": t.snapshot,
-                "hidden": {
-                    "predicate": predicate_to_dict(t.predicate),
-                    "valid_ids": list(t.valid_ids),
-                },
-            }
-            for t in manifest.tasks
-        ],
-    }
-
-
 def write_manifest(manifest: ReposcanManifest, path: str | Path) -> str:
-    payload = json.dumps(manifest_to_dict(manifest), sort_keys=True, indent=1)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Write the manifest; returns the sha256 of the file."""
+    tasks = []
+    for t in manifest.tasks:
+        hidden = {"predicate": PREDICATES.encode(t.predicate), "valid_ids": list(t.valid_ids)}
+        tasks.append((t.spec, {"snapshot": t.snapshot, "hidden": hidden}))
+    snapshots = [asdict(s) for s in manifest.snapshots]
+    return write_manifest_file(path, Family.REPOSCAN, manifest.metadata, tasks, snapshots=snapshots)
 
 
-def _task_from_dict(obj: dict) -> ReposcanTask:
-    spec = TaskSpec(
-        task_id=obj["task_id"],
-        family=Family(obj["family"]),
-        objective_text=obj["objective_text"],
-        target_count=obj["target_count"],
-        budget=obj["budget"],
-        seed=obj["seed"],
-        verifier_config=obj["task_id"],
-    )
-    hidden = obj["hidden"]
-    return ReposcanTask(
-        spec=spec,
-        snapshot=obj["snapshot"],
-        predicate=predicate_from_dict(hidden["predicate"]),
-        valid_ids=tuple(hidden["valid_ids"]),
-    )
+def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
+    """The snapshots, and each task's snapshot, predicate and valid ids. A
+    task must name one of the snapshots."""
+    snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
+    names = {s.name for s in snapshots}
+    tasks = []
+    for spec, entry in zip(specs, obj["tasks"]):
+        if entry["snapshot"] not in names:
+            raise ValueError(f"task {spec.task_id!r} names unknown snapshot {entry['snapshot']!r}")
+        tasks.append(
+            ReposcanTask(
+                spec=spec,
+                snapshot=entry["snapshot"],
+                predicate=PREDICATES.decode(entry["hidden"]["predicate"]),
+                valid_ids=tuple(entry["hidden"]["valid_ids"]),
+            )
+        )
+    return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)
 
 
 def load_manifest(path: str | Path) -> ReposcanManifest:
-    with loading(path):
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if obj.get("format") != "qgp-manifest" or obj.get("family") != Family.REPOSCAN.value:
-            raise ConfigurationError(f"not a reposcan manifest: {path}")
-        snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
-        tasks = [_task_from_dict(t) for t in obj["tasks"]]
-        metadata = obj["metadata"]
-    ids = [t.spec.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"duplicate task ids in manifest: {path}")
-    return ReposcanManifest(metadata=metadata, snapshots=snapshots, tasks=tasks)
-
-
-def load_public_tasks(path: str | Path) -> list[dict]:
-    """Policy-facing loader: hidden sections are never materialized."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = []
-    for task in obj.get("tasks", []):
-        rows.append({k: task[k] for k in PUBLIC_TASK_FIELDS if k in task})
-    return rows
+    return read_manifest_file(path, {Family.REPOSCAN: manifest_payload})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +558,7 @@ class ReposcanEnvironment:
         self.members = frozenset(normalize_id(x) for x in valid_ids)
 
     def public_view(self) -> PublicTaskView:
-        return PublicTaskView(
-            task_id=self.task.task_id,
-            family=Family.REPOSCAN,
-            objective_text=self.task.objective_text,
-            target_count=self.task.target_count,
-            budget=self.task.budget,
-        )
+        return PublicTaskView.of(self.task)
 
     def execute(self, action: Action, ledger: RunLedger) -> Observation:
         if isinstance(action, Search):

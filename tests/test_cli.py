@@ -490,8 +490,44 @@ class TestSmoke:
         assert "leaked" in capsys.readouterr().out
 
 
+def _manifest_text(family: str, tasks: list, version: int = 1, **payload) -> str:
+    obj = {"format": "qgp-manifest", "family": family, "version": version, "metadata": {}}
+    return json.dumps(obj | payload | {"tasks": tasks}) + "\n"
+
+
+def _task(family: str, **payload) -> dict:
+    public = {"task_id": "t1", "objective_text": "o", "target_count": 1, "budget": 5, "seed": 0}
+    return public | {"family": family} | payload
+
+
+_SNAPSHOT = {"name": "s", "root": "no-such-root", "digest": "0" * 64, "artifact_count": 1}
+_HIDDEN = {"predicate": {"type": "test_or_documentation", "kinds": ["test"]}, "valid_ids": ["a"]}
+_ESCAPING_UNIT = {
+    "units": [
+        {"unit_id": "u0", "kind": "consistency_answer", "prompt": "p", "artifact_path": "../a.txt"}
+    ],
+    "hidden": {
+        "checkers": {
+            "u0": {"type": "answer_equals", "file": "../a.txt", "expected_normalized": "x"}
+        },
+        "files": {},
+    },
+}
+
 MALFORMED_INPUTS = {
     "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
+    "reposcan-task-naming-unknown-snapshot": _manifest_text(
+        "reposcan",
+        [_task("reposcan", snapshot="nope", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "reposcan-version-99": _manifest_text("reposcan", [], version=99, snapshots=[]),
+    "task-family-differs-from-envelope": _manifest_text(
+        "reposcan", [_task("dataops", snapshot="s", hidden=_HIDDEN)], snapshots=[_SNAPSHOT]
+    ),
+    "dataops-unit-path-outside-workspace": _manifest_text(
+        "dataops", [_task("dataops", **_ESCAPING_UNIT)]
+    ),
     "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
     "not-json": "this is not json\n",
     "not-an-object": "[1, 2]\n",

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from qgp.actions import Edit, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
-from qgp.core import RunLedger, run_episode
+from qgp.actions import Edit, Family, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
+from qgp.core import RunLedger, read_manifest_file, run_episode
 from qgp.controllers import StandardController
 from qgp.dataops import (
     AnswerEquals,
@@ -27,7 +27,7 @@ from qgp.dataops import (
     generate_dataops_manifest,
     inspect_unit,
     load_manifest,
-    load_public_tasks,
+    manifest_payload,
     normalize_answer,
     run_check,
     submit_unit,
@@ -342,7 +342,7 @@ class TestGeneration:
 
     def test_public_loader_hides_checkers(self, dataops_manifest_path, dataops_loaded):
         manifest = dataops_loaded
-        public = load_public_tasks(dataops_manifest_path)
+        _, public = read_manifest_file(dataops_manifest_path, {Family.DATAOPS: manifest_payload})
         text = json.dumps(public)
         assert '"hidden"' not in text and '"checkers"' not in text
         assert "expected" not in text

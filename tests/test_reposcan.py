@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from qgp.actions import Family
+from qgp.core import read_manifest_file
 from qgp.errors import GenerationError
 from qgp.reposcan import (
     ArtifactRecord,
@@ -18,7 +20,7 @@ from qgp.reposcan import (
     generate_manifest,
     index_snapshot,
     load_manifest,
-    load_public_tasks,
+    manifest_payload,
     search,
     snapshot_digest,
     write_manifest,
@@ -219,7 +221,7 @@ class TestManifest:
 
     def test_public_loader_hides_everything_hidden(self, reposcan_manifest_path, reposcan_loaded):
         manifest, _ = reposcan_loaded
-        public = load_public_tasks(reposcan_manifest_path)
+        _, public = read_manifest_file(reposcan_manifest_path, {Family.REPOSCAN: manifest_payload})
         assert len(public) == 36
         text = json.dumps(public)
         assert "hidden" not in text
