@@ -27,8 +27,14 @@ from .controllers import (
     ControllerKind,
     build_controller,
 )
-from .core import read_manifest_file, read_record_dicts, record_to_dict, run_episode
-from .errors import AdapterError, QgpError, loading
+from .core import (
+    aborted_record_dict,
+    read_manifest_file,
+    read_record_dicts,
+    record_to_dict,
+    run_episode,
+)
+from .errors import AdapterError, ConfigurationError, QgpError, loading
 from .metrics import (
     aggregate_csv,
     delta_csv,
@@ -78,7 +84,10 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         with loading(path):
             config = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-            config.controller_config()
+            try:
+                config.controller_config()
+            except ConfigurationError as exc:
+                raise ValueError(exc) from exc
             PolicyKind(config.policy)
         return config
 
@@ -92,7 +101,12 @@ class RunConfig:
 
 
 def _parse_targets(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    """`--targets` value: comma-separated integers; a bad one is a usage error."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        message = f"not a comma-separated list of integers: {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 _PAYLOADS = {
@@ -109,7 +123,7 @@ _PAYLOADS = {
 def cmd_gen_reposcan(args: argparse.Namespace) -> int:
     manifest = reposcan.generate_manifest(
         snapshots=args.snapshot,
-        targets=_parse_targets(args.targets),
+        targets=args.targets,
         instances_per_target=args.instances,
         seed=args.seed,
     )
@@ -128,7 +142,7 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
     )
     manifest = dataops.generate_dataops_manifest(
         sources=sources,
-        targets=_parse_targets(args.targets),
+        targets=args.targets,
         instances_per_target=args.instances,
         seed=args.seed,
     )
@@ -180,26 +194,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         jobs=args.jobs,
         workspace_root=workspace_root,
     )
-
-
-def _abort_row(task, controller_label: str, policy_label: str, reason: str) -> dict:
-    return {
-        "task_id": task.task_id,
-        "family": task.family.value,
-        "target_count": task.target_count,
-        "budget": task.budget,
-        "controller": controller_label,
-        "policy": policy_label,
-        "outcome": "aborted",
-        "valid_count": 0,
-        "steps_used": 0,
-        "duplicate_occurrences": 0,
-        "submission_occurrences": 0,
-        "reported_count": None,
-        "intervention_count": 0,
-        "intervention_log": [],
-        "abort_reason": reason,
-    }
 
 
 def run_manifest(
@@ -254,7 +248,7 @@ def run_manifest(
             )
             return record_to_dict(record)
         except AdapterError as exc:
-            return _abort_row(task.spec, controller.kind_label, policy.label, str(exc))
+            return aborted_record_dict(task.spec, controller.kind_label, policy.label, str(exc))
         finally:
             if hasattr(policy, "close"):
                 policy.close()
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-reposcan", help="generate a repository-scan manifest")
     g.add_argument("--snapshot", action="append", required=True, help="snapshot directory")
-    g.add_argument("--targets", default="10,25,50,100")
+    g.add_argument("--targets", type=_parse_targets, default="10,25,50,100")
     g.add_argument("--instances", type=int, default=9, help="instances per target")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -437,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("gen-dataops", help="generate a work-unit backlog manifest")
     d.add_argument("--csv", action="append", default=[], help="source CSV file")
     d.add_argument("--snapshot", action="append", default=[], help="snapshot directory")
-    d.add_argument("--targets", default="3,5,10,20")
+    d.add_argument("--targets", type=_parse_targets, default="3,5,10,20")
     d.add_argument("--instances", type=int, default=6, help="backlogs per target")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .actions import (
     Action,
@@ -73,8 +74,24 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if self.kind == ControllerKind.ABLATION and self.ablation_flags is None:
             raise ConfigurationError("ablation controller requires ablation_flags")
+        if self.kind != ControllerKind.ABLATION and self.ablation_flags is not None:
+            raise ConfigurationError(
+                f"ablation flag {AblationFlag(self.ablation_flags).value} "
+                f"needs the ablation controller, not {ControllerKind(self.kind).value}"
+            )
         if self.no_progress_limit < 1:
             raise ConfigurationError("no_progress_limit must be >= 1")
+
+    @property
+    def label(self) -> str:
+        """The controller's record label, e.g. `state_qgp` or `ablation:dedupe_only`."""
+        if self.ablation_flags is not None:
+            return _ablation_label(self.ablation_flags)
+        return ControllerKind(self.kind).value
+
+
+def _ablation_label(flag: AblationFlag) -> str:
+    return f"{ControllerKind.ABLATION.value}:{AblationFlag(flag).value}"
 
 
 def gate_termination(
@@ -94,39 +111,39 @@ def gate_termination(
     return action
 
 
-class StandardController:
-    """The passthrough contract: well-formed actions execute unchanged."""
-
-    kind_label = ControllerKind.STANDARD.value
-
-    def transform(self, action: Action, ctx: RunContext) -> StepDecision:
-        return StepDecision(action=action)
-
-    def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
-        pass
-
-
-class VerifierGatedController:
-    kind_label = ControllerKind.VERIFIER_GATED.value
-
-    def transform(self, action: Action, ctx: RunContext) -> StepDecision:
-        gated = gate_termination(action, ctx.valid_count, ctx.target_count)
-        if isinstance(gated, ControllerNotice):
-            iv = Intervention(
-                step=ctx.step,
-                kind=InterventionKind.BLOCKED_TERMINATION,
-                detail=gated.reason,
-            )
-            return StepDecision(notice=gated, interventions=[iv])
-        return StepDecision(action=gated)
-
-    def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
-        pass
+def _blocked_termination(action: Action, ctx: RunContext) -> StepDecision | None:
+    """The notice and its intervention for a blocked Final/AskUser, else None."""
+    gated = gate_termination(action, ctx.valid_count, ctx.target_count)
+    if not isinstance(gated, ControllerNotice):
+        return None
+    iv = Intervention(
+        step=ctx.step, kind=InterventionKind.BLOCKED_TERMINATION, detail=gated.reason
+    )
+    return StepDecision(notice=gated, interventions=[iv])
 
 
 # ---------------------------------------------------------------------------
-# State-tracking retrieval controller (and its ablation variants)
+# Retrieval controllers: one feature table over StateQgpController
 # ---------------------------------------------------------------------------
+
+
+class Features(NamedTuple):
+    gate: bool
+    dedupe: bool
+    page_memory: bool
+    buffered_submit: bool
+
+
+# Each retrieval controller label is one row. `standard` forwards every
+# well-formed action unchanged; the ablations never gate termination.
+CONTROLLER_FEATURES: dict[str, Features] = {
+    ControllerKind.STANDARD.value: Features(False, False, False, False),
+    ControllerKind.VERIFIER_GATED.value: Features(True, False, False, False),
+    ControllerKind.STATE_QGP.value: Features(True, True, True, True),
+    _ablation_label(AblationFlag.DEDUPE_ONLY): Features(False, True, False, False),
+    _ablation_label(AblationFlag.PAGE_MEMORY_ONLY): Features(False, False, True, False),
+    _ablation_label(AblationFlag.DEDUPE_PLUS_PAGE_NO_BUFFER): Features(False, True, True, False),
+}
 
 
 @dataclass
@@ -147,24 +164,18 @@ class StateQgpState:
 class StateQgpController:
     """Retrieval persistence state: dedupe, page memory, buffered repair, gating.
 
-    The ablation variants reuse this machinery with individual features
-    switched off; the full controller enables everything.
+    Every retrieval controller is this class with its row of
+    CONTROLLER_FEATURES switched on. The state is kept whatever the row, so
+    rows differ only in what they forward.
     """
 
-    def __init__(
-        self,
-        *,
-        gate: bool = True,
-        dedupe: bool = True,
-        page_memory: bool = True,
-        buffered_submit: bool = True,
-        label: str = ControllerKind.STATE_QGP.value,
-    ) -> None:
-        self.gate = gate
-        self.dedupe = dedupe
-        self.page_memory = page_memory
-        self.buffered_submit = buffered_submit
-        self.kind_label = label
+    kind_label = ControllerKind.STATE_QGP.value
+
+    def __init__(self, label: str | None = None) -> None:
+        self.kind_label = label or self.kind_label
+        self.gate, self.dedupe, self.page_memory, self.buffered_submit = CONTROLLER_FEATURES[
+            self.kind_label
+        ]
         self.state = StateQgpState()
 
     # -- helpers ----------------------------------------------------------
@@ -191,18 +202,9 @@ class StateQgpController:
     # -- contract ----------------------------------------------------------
 
     def transform(self, action: Action, ctx: RunContext) -> StepDecision:
+        if self.gate and (blocked := _blocked_termination(action, ctx)) is not None:
+            return blocked
         ivs: list[Intervention] = []
-        if self.gate:
-            gated = gate_termination(action, ctx.valid_count, ctx.target_count)
-            if isinstance(gated, ControllerNotice):
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.BLOCKED_TERMINATION,
-                        detail=gated.reason,
-                    )
-                )
-                return StepDecision(notice=gated, interventions=ivs)
 
         if isinstance(action, Search):
             self.state.last_query = action.query
@@ -283,29 +285,26 @@ class StateQgpController:
                 if key not in self.state.submitted_ids:
                     self.state.candidate_buffer.setdefault(key, None)
         elif isinstance(observation, SubmitFeedback) and isinstance(action, Submit):
-            # Track forwarded ids even when dedupe is off (ablation variants).
+            # Track forwarded ids even in rows with dedupe off.
             self.state.submitted_ids.update(i.strip() for i in action.ids)
             for raw in action.ids:
                 self.state.candidate_buffer.pop(raw.strip(), None)
 
 
+class StandardController(StateQgpController):
+    """The passthrough contract: every feature off."""
+
+    kind_label = ControllerKind.STANDARD.value
+
+
+class VerifierGatedController(StateQgpController):
+    """Termination gating only."""
+
+    kind_label = ControllerKind.VERIFIER_GATED.value
+
+
 def ablation_controller(flag: AblationFlag) -> StateQgpController:
-    """Component ablations; none of them gate termination or buffer candidates
-    beyond what their flag allows."""
-    label = f"{ControllerKind.ABLATION.value}:{flag.value}"
-    if flag == AblationFlag.DEDUPE_ONLY:
-        return StateQgpController(
-            gate=False, dedupe=True, page_memory=False, buffered_submit=False, label=label
-        )
-    if flag == AblationFlag.PAGE_MEMORY_ONLY:
-        return StateQgpController(
-            gate=False, dedupe=False, page_memory=True, buffered_submit=False, label=label
-        )
-    if flag == AblationFlag.DEDUPE_PLUS_PAGE_NO_BUFFER:
-        return StateQgpController(
-            gate=False, dedupe=True, page_memory=True, buffered_submit=False, label=label
-        )
-    raise ConfigurationError(f"unknown ablation flag: {flag!r}")
+    return StateQgpController(_ablation_label(flag))
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +350,14 @@ class UnitQgpController:
         return None
 
     def transform(self, action: Action, ctx: RunContext) -> StepDecision:
-        ivs: list[Intervention] = []
         proposal = action
         # Gating is unconditional while the target is unmet, even after the
         # controller has stopped repairing a stalled run.
-        gated = gate_termination(action, ctx.valid_count, ctx.target_count)
-        if isinstance(gated, ControllerNotice):
-            ivs.append(
-                Intervention(
-                    step=ctx.step,
-                    kind=InterventionKind.BLOCKED_TERMINATION,
-                    detail=gated.reason,
-                )
-            )
+        blocked = _blocked_termination(action, ctx)
+        if blocked is not None:
             self.last_proposal = proposal
-            return StepDecision(notice=gated, interventions=ivs)
+            return blocked
+        ivs: list[Intervention] = []
 
         if not self.stopped and self.state.steps_without_progress >= 2 * self.k:
             self.stopped = True
@@ -463,15 +455,6 @@ class UnitQgpController:
 
 
 def build_controller(config: ControllerConfig):
-    if config.kind == ControllerKind.STANDARD:
-        return StandardController()
-    if config.kind == ControllerKind.VERIFIER_GATED:
-        return VerifierGatedController()
-    if config.kind == ControllerKind.STATE_QGP:
-        return StateQgpController()
     if config.kind == ControllerKind.UNIT_QGP:
         return UnitQgpController(no_progress_limit=config.no_progress_limit)
-    if config.kind == ControllerKind.ABLATION:
-        assert config.ablation_flags is not None
-        return ablation_controller(config.ablation_flags)
-    raise ConfigurationError(f"unknown controller kind: {config.kind!r}")
+    return StateQgpController(config.label)

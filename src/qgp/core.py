@@ -292,23 +292,20 @@ def run_episode(
             unit_order=unit_order,
         )
         proposal = policy.decide(view, ledger.history, seed)
+        # The controller transforms only well-formed, legal proposals; every
+        # other proposal, and every one it blocks, is answered with a notice.
         if isinstance(proposal, Malformed):
-            notice = _notice("parse_error", ledger)
+            action, notice = None, _notice("parse_error", ledger)
+        elif not is_legal_for_family(proposal, task.family):
+            action, notice = None, _notice("unsupported_action", ledger)
+        else:
+            decision = controller.transform(proposal, ctx)
+            interventions.extend(decision.interventions)
+            action, notice = decision.action, decision.notice
+        if notice is not None:
             ledger.history.append((proposal, notice))
             controller.observe(proposal, notice, ctx)
             continue
-        if not is_legal_for_family(proposal, task.family):
-            notice = _notice("unsupported_action", ledger)
-            ledger.history.append((proposal, notice))
-            controller.observe(proposal, notice, ctx)
-            continue
-        decision = controller.transform(proposal, ctx)
-        interventions.extend(decision.interventions)
-        if decision.notice is not None:
-            ledger.history.append((proposal, decision.notice))
-            controller.observe(proposal, decision.notice, ctx)
-            continue
-        action = decision.action
         assert action is not None
         if isinstance(action, (Final, AskUser)):
             if isinstance(action, Final) and action.reported_count is not None:
@@ -355,24 +352,41 @@ RECORD_FIELDS = (
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    ledger = record.ledger
-    row = {
-        "task_id": record.task.task_id,
-        "family": Family(record.task.family).value,
-        "target_count": record.task.target_count,
-        "budget": record.task.budget,
-        "controller": record.controller,
-        "policy": record.policy,
-        "outcome": record.outcome.value,
+    return _record_row(
+        record.task,
+        record.controller,
+        record.policy,
+        record.outcome.value,
+        record.ledger,
+        record.interventions,
+    )
+
+
+def aborted_record_dict(task: TaskSpec, controller: str, policy: str, reason: str) -> dict:
+    """The record of a run its adapter aborted: no steps, no counts, the reason last."""
+    ledger = RunLedger(target_count=task.target_count, budget=task.budget)
+    return _record_row(task, controller, policy, "aborted", ledger, []) | {"abort_reason": reason}
+
+
+def _record_row(
+    task: TaskSpec, controller: str, policy: str, outcome: str, ledger: RunLedger, interventions
+) -> dict:
+    return {
+        "task_id": task.task_id,
+        "family": Family(task.family).value,
+        "target_count": task.target_count,
+        "budget": task.budget,
+        "controller": controller,
+        "policy": policy,
+        "outcome": outcome,
         "valid_count": ledger.valid_count,
         "steps_used": ledger.step,
         "duplicate_occurrences": ledger.duplicate_occurrences,
         "submission_occurrences": ledger.submission_occurrences,
         "reported_count": ledger.reported_count,
-        "intervention_count": len(record.interventions),
-        "intervention_log": [_intervention_to_dict(iv) for iv in record.interventions],
+        "intervention_count": len(interventions),
+        "intervention_log": [_intervention_to_dict(iv) for iv in interventions],
     }
-    return row
 
 
 def _intervention_to_dict(iv) -> dict:
@@ -429,7 +443,10 @@ def read_manifest_file(
             if entry["family"] != family.value:
                 raise ValueError(f"task {entry['task_id']!r} is not a {family.value} task")
             public = {k: entry[k] for k in PUBLIC_TASK_FIELDS}
-            specs.append(TaskSpec(**public | {"family": family}))
+            try:
+                specs.append(TaskSpec(**public | {"family": family}))
+            except ConfigurationError as exc:
+                raise ValueError(f"task {entry['task_id']!r}: {exc}") from exc
             if "units" in entry:
                 public["units"] = [{k: u[k] for k in PUBLIC_UNIT_FIELDS} for u in entry["units"]]
             public_tasks.append(public)

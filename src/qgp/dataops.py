@@ -363,8 +363,6 @@ def apply_edit(
                 if not replaced:
                     lines.append(f"{key}: {decoded['value']}")
                 workspace.write(unit.artifact_path, "\n".join(lines) + "\n")
-        elif unit.kind == "consistency_answer":
-            workspace.write(unit.artifact_path, payload)
         else:
             workspace.write(unit.artifact_path, payload)
     except (json.JSONDecodeError, ConfigurationError) as exc:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from qgp import cli
+from qgp.actions import Family
 from qgp.cli import _write_records, main
-from qgp.core import RECORD_FIELDS, read_record_dicts
+from qgp.core import RECORD_FIELDS, TaskSpec, aborted_record_dict, read_record_dicts
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,17 @@ class TestGeneration:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-reposcan", "gen-dataops"])
+    def test_bad_targets_is_usage_error(self, command, snapshot_roots, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        args = [command, "--snapshot", str(snapshot_roots[0]), "--targets", "10,x"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --targets" in err and "'10,x'" in err
+        assert not out.exists()
 
 
 class TestMissingSnapshotRoot:
@@ -235,6 +247,26 @@ class TestRun:
         rows = read_record_dicts(out)
         assert all(r["outcome"] == "aborted" for r in rows)
         assert all("abort_reason" in r for r in rows)
+
+    def test_aborted_row_bytes(self):
+        task = TaskSpec("t1", Family.REPOSCAN, "find things", 10, 20, 3)
+        row = aborted_record_dict(task, "verifier_gated", "external", "adapter exited (code 3)")
+        assert json.dumps(row, separators=(",", ":")) == (
+            '{"task_id":"t1","family":"reposcan","target_count":10,"budget":20,'
+            '"controller":"verifier_gated","policy":"external","outcome":"aborted",'
+            '"valid_count":0,"steps_used":0,"duplicate_occurrences":0,'
+            '"submission_occurrences":0,"reported_count":null,"intervention_count":0,'
+            '"intervention_log":[],"abort_reason":"adapter exited (code 3)"}'
+        )
+        assert list(row)[: len(RECORD_FIELDS)] == list(RECORD_FIELDS)
+
+    def test_ablation_flag_needs_ablation_controller(self, mini_manifest, tmp_path, capsys):
+        out = tmp_path / "refused.jsonl"
+        args = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
+        code = main(args + ["--controller", "state_qgp", "--ablation", "dedupe_only"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestRunOutput:
@@ -454,6 +486,24 @@ class TestRunConfig:
         ) == 0
         assert out.read_bytes() == direct.read_bytes()
 
+    def test_saved_ablation_flag_needs_ablation_controller(self, mini_manifest, tmp_path, capsys):
+        from qgp.cli import RunConfig
+
+        out = tmp_path / "refused.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="state_qgp",
+            policy="duplicator",
+            out=str(out),
+            ablation="dedupe_only",
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and config_path.name in err
+        assert not out.exists()
+
     def test_run_without_manifest_errors(self, capsys):
         assert main(["run", "--policy", "duplicator"]) == 2
         assert "requires" in capsys.readouterr().err
@@ -529,6 +579,12 @@ MALFORMED_INPUTS = {
         "dataops", [_task("dataops", **_ESCAPING_UNIT)]
     ),
     "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
+    "reposcan-task-with-target-count-0": _manifest_text(
+        "reposcan",
+        [_task("reposcan", target_count=0, snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "dataops-task-with-budget-0": _manifest_text("dataops", [_task("dataops", budget=0)]),
     "not-json": "this is not json\n",
     "not-an-object": "[1, 2]\n",
     "config-with-unknown-controller": json.dumps(
@@ -559,3 +615,14 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:")
         assert path.name in err
+
+    @pytest.mark.parametrize(
+        "content", ["reposcan-task-with-target-count-0", "dataops-task-with-budget-0"]
+    )
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_task_field_error_names_the_task(self, command, content, tmp_path, capsys):
+        path = tmp_path / f"{content}.json"
+        path.write_text(MALFORMED_INPUTS[content], encoding="utf-8")
+        assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert "task 't1'" in err and "must be >= 1, got 0" in err

@@ -407,6 +407,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ControllerConfig(kind=ControllerKind.ABLATION)
 
+    @pytest.mark.parametrize("kind", [k for k in ControllerKind if k != ControllerKind.ABLATION])
+    def test_flags_require_ablation(self, kind):
+        with pytest.raises(ConfigurationError, match="needs the ablation controller"):
+            ControllerConfig(kind=kind, ablation_flags=AblationFlag.DEDUPE_ONLY)
+
     def test_factory_labels(self):
         assert build_controller(ControllerConfig(kind=ControllerKind.STANDARD)).kind_label == "standard"
         assert (
