@@ -31,6 +31,7 @@ from .actions import (
 )
 from .core import RunContext, StepDecision
 from .errors import ConfigurationError
+from .verifier import normalize_id
 
 
 class ControllerKind(str, Enum):
@@ -226,14 +227,14 @@ class StateQgpController:
             filtered: list[str] = []
             batch_keys: set[str] = set()
             for raw in action.ids:
-                key = raw.strip()
+                key = normalize_id(raw)
                 if key in self.state.submitted_ids or key in batch_keys:
                     continue
                 batch_keys.add(key)
                 filtered.append(raw)
             if filtered:
                 forwarded = Submit(ids=tuple(filtered))
-                self.state.submitted_ids.update(i.strip() for i in filtered)
+                self.state.submitted_ids.update(normalize_id(i) for i in filtered)
                 for key in batch_keys:
                     self.state.candidate_buffer.pop(key, None)
                 if forwarded.ids != action.ids:
@@ -281,14 +282,14 @@ class StateQgpController:
         if isinstance(observation, SearchResults):
             self.state.seen_pages.add((observation.query, observation.page))
             for candidate in observation.candidates:
-                key = candidate.artifact_id.strip()
+                key = normalize_id(candidate.artifact_id)
                 if key not in self.state.submitted_ids:
                     self.state.candidate_buffer.setdefault(key, None)
         elif isinstance(observation, SubmitFeedback) and isinstance(action, Submit):
             # Track forwarded ids even in rows with dedupe off.
-            self.state.submitted_ids.update(i.strip() for i in action.ids)
+            self.state.submitted_ids.update(normalize_id(i) for i in action.ids)
             for raw in action.ids:
-                self.state.candidate_buffer.pop(raw.strip(), None)
+                self.state.candidate_buffer.pop(normalize_id(raw), None)
 
 
 class StandardController(StateQgpController):

@@ -222,6 +222,7 @@ class Controller(Protocol):
 
 class Environment(Protocol):
     family: Family
+    page_size: int
 
     def public_view(self) -> PublicTaskView: ...
 
@@ -276,7 +277,7 @@ def run_episode(
         )
     seed = task.seed if run_seed is None else run_seed
     view = environment.public_view()
-    page_size = getattr(environment, "page_size", 10)
+    page_size = environment.page_size
     ledger = RunLedger(target_count=task.target_count, budget=task.budget)
     interventions: list = []
     unit_order = tuple(u.unit_id for u in view.units) if view.units else ()

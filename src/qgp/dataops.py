@@ -1,9 +1,13 @@
 """Checker-backed backlog family: work units over CSV snippets and repo fixtures.
 
-Each backlog seeds an isolated per-run workspace, a file tree held in memory:
-no policy can reach it, and a run creates no file or directory. A unit only
-counts after its deterministic checker accepts it and the unit is then
-submitted; checker internals stay hidden from the policy-facing surfaces.
+A backlog is its task: a spec, its units and the files they start from. A
+manifest reads each CSV source and walks each snapshot root once, and every
+backlog is built from those loaded tables and fixtures. Each run keeps fresh
+copies of the units keyed by unit id and seeds an isolated workspace, a file
+tree held in memory: no policy can reach it, and a run creates no file or
+directory. A unit only counts after its deterministic checker accepts it and
+the unit is then submitted; checker internals stay hidden from the
+policy-facing surfaces.
 """
 
 from __future__ import annotations
@@ -127,18 +131,6 @@ class BacklogUnit:
             self.status = UnitStatus.ATTEMPTED
 
 
-@dataclass
-class Backlog:
-    backlog_id: str
-    units: list[BacklogUnit]
-
-    def get(self, unit_id: str) -> BacklogUnit | None:
-        for unit in self.units:
-            if unit.unit_id == unit_id:
-                return unit
-        return None
-
-
 class Workspace:
     """Per-run file tree held in memory: normalised relative path to text.
 
@@ -206,6 +198,14 @@ def _read_rows(workspace: Workspace, relpath: str) -> tuple[list[str], list[list
     if not rows:
         return [], []
     return rows[0], rows[1:]
+
+
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _read_metadata(workspace: Workspace, relpath: str) -> dict[str, str]:
@@ -285,8 +285,10 @@ def _unknown_unit(unit_id: str) -> UnitFeedback:
     )
 
 
-def inspect_unit(backlog: Backlog, workspace: Workspace, unit_id: str) -> UnitFeedback:
-    unit = backlog.get(unit_id)
+def inspect_unit(
+    units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str
+) -> UnitFeedback:
+    unit = units.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
     if workspace.exists(unit.artifact_path):
@@ -310,20 +312,16 @@ def _apply_csv_edit(workspace: Workspace, relpath: str, payload: dict) -> str | 
             while len(row) <= col:
                 row.append("")
             row[col] = payload["value"]
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-            workspace.write(relpath, out.getvalue())
+            workspace.write(relpath, _csv_text(header, rows))
             return None
     return f'edit failed: no row keyed "{payload["row_key"]}"'
 
 
 def apply_edit(
-    backlog: Backlog, workspace: Workspace, unit_id: str, payload: str
+    units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str, payload: str
 ) -> UnitFeedback:
     """Interpret the payload per unit kind; the checker is never run here."""
-    unit = backlog.get(unit_id)
+    unit = units.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
     if unit.status == UnitStatus.PASSED:
@@ -379,8 +377,10 @@ def apply_edit(
     )
 
 
-def run_check(backlog: Backlog, workspace: Workspace, unit_id: str) -> UnitFeedback:
-    unit = backlog.get(unit_id)
+def run_check(
+    units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str
+) -> UnitFeedback:
+    unit = units.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
     if unit.status == UnitStatus.PASSED:
@@ -402,14 +402,14 @@ def run_check(backlog: Backlog, workspace: Workspace, unit_id: str) -> UnitFeedb
     )
 
 
-def submit_unit(backlog: Backlog, ledger: RunLedger, unit_id: str) -> SubmitFeedback:
+def submit_unit(units: dict[str, BacklogUnit], ledger: RunLedger, unit_id: str) -> SubmitFeedback:
     """Judge one unit submission and fold it into the ledger.
 
     A unit the ledger already counts is a duplicate; a unit whose checker has
     accepted it is counted; any other id, known or not, is rejected every time
     it is submitted. Unit ids match exactly, so a padded id is unknown.
     """
-    unit = backlog.get(unit_id)
+    unit = units.get(unit_id)
     key = normalize_id(unit_id)
     if unit is not None and key in ledger.valid_ids:
         verdict = IdVerdict.DUPLICATE
@@ -444,12 +444,16 @@ class DataopsManifest:
     tasks: list[DataopsTask]
 
 
-def _load_csv_source(path: Path) -> tuple[list[str], list[list[str]]]:
+# A loaded CSV source: (file stem, header, data rows).
+CsvTable = tuple[str, list[str], list[list[str]]]
+
+
+def _load_csv_source(path: Path) -> CsvTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 4:
         raise GenerationError(f"insufficient source rows in {path}")
-    return rows[0], rows[1:]
+    return path.stem, rows[0], rows[1:]
 
 
 def _fixture_rows(rng, data: list[list[str]], want: int = 12) -> list[list[str]]:
@@ -469,14 +473,6 @@ def _fixture_rows(rng, data: list[list[str]], want: int = 12) -> list[list[str]]
     if len(chosen) < 3:
         raise GenerationError("insufficient usable source rows")
     return [list(data[i]) for i in sorted(chosen)]
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def _corrupt_value(rng, value: str) -> str:
@@ -520,17 +516,24 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
     return _SnapshotFixture(name=root.name, metadata_lines=lines, artifacts=artifacts)
 
 
+def _load_sources(sources: FixtureSources) -> tuple[list[CsvTable], list[_SnapshotFixture]]:
+    """Read every CSV source and walk every snapshot root, once each, in order."""
+    tables = [_load_csv_source(Path(p)) for p in sources.csv_paths]
+    fixtures = [_snapshot_fixture(Path(p)) for p in sources.snapshot_roots]
+    return tables, fixtures
+
+
 def _build_unit(
     rng,
     kind: str,
     unit_idx: int,
-    csv_sources: list[tuple[str, list[str], list[list[str]]]],
-    snap_fixtures: list[_SnapshotFixture],
+    tables: Sequence[CsvTable],
+    fixtures: Sequence[_SnapshotFixture],
     files: dict[str, str],
 ) -> BacklogUnit:
     unit_id = f"u{unit_idx:03d}"
     if kind in _CSV_KINDS:
-        stem, header, data = csv_sources[rng.randrange(len(csv_sources))]
+        stem, header, data = tables[rng.randrange(len(tables))]
         rows = _fixture_rows(rng, data)
         relpath = f"data/{stem}_{unit_idx:03d}.csv"
         if kind == "csv_count_check":
@@ -561,7 +564,7 @@ def _build_unit(
                 f"the cell if it fails."
             )
     elif kind == "metadata_repair":
-        fixture = snap_fixtures[rng.randrange(len(snap_fixtures))]
+        fixture = fixtures[rng.randrange(len(fixtures))]
         relpath = f"meta/{fixture.name}_{unit_idx:03d}.txt"
         lines = list(fixture.metadata_lines)
         target_line = rng.randrange(len(lines))
@@ -586,7 +589,7 @@ def _build_unit(
             f'token "{token}" exactly.'
         )
     elif kind == "artifact_validation":
-        fixture = snap_fixtures[rng.randrange(len(snap_fixtures))]
+        fixture = fixtures[rng.randrange(len(fixtures))]
         basename, text = fixture.artifacts[rng.randrange(len(fixture.artifacts))]
         relpath = f"artifacts/{unit_idx:03d}_{basename}"
         files[relpath] = text
@@ -601,50 +604,44 @@ def _build_unit(
 
 
 def generate_backlog(
-    sources: FixtureSources,
+    tables: Sequence[CsvTable],
+    fixtures: Sequence[_SnapshotFixture],
     target_count: int,
     seed: int,
-    budget_map: dict[int, int] | None = None,
-    task_id: str | None = None,
-) -> tuple[Backlog, TaskSpec, dict[str, str]]:
-    """Build one backlog of target_count + 2 mixed-kind units plus its task spec."""
-    budgets = dict(DATAOPS_BUDGETS if budget_map is None else budget_map)
-    if target_count not in budgets:
+    task_id: str,
+) -> DataopsTask:
+    """Build one backlog of target_count + 2 mixed-kind units plus its task spec.
+
+    The loaded tables and fixtures are shared by every backlog of a manifest;
+    units copy what they take from them.
+    """
+    if target_count not in DATAOPS_BUDGETS:
         raise GenerationError(f"no budget configured for target {target_count}")
+    if not tables and not fixtures:
+        raise GenerationError("dataops generation needs at least one CSV or snapshot source")
     rng = stream(seed, "dataops-backlog")
-    csv_sources = []
-    for path in sources.csv_paths:
-        p = Path(path)
-        header, data = _load_csv_source(p)
-        csv_sources.append((p.stem, header, data))
-    snap_fixtures = [_snapshot_fixture(Path(p)) for p in sources.snapshot_roots]
     kinds = []
-    if csv_sources:
+    if tables:
         kinds += ["csv_field_check", "csv_count_check"]
-    if snap_fixtures:
+    if fixtures:
         kinds += ["metadata_repair", "artifact_validation"]
     kinds.append("consistency_answer")
-    if len(kinds) == 1 and not csv_sources and not snap_fixtures:
-        raise GenerationError("dataops generation needs at least one CSV or snapshot source")
-    pattern = list(kinds)
-    rng.shuffle(pattern)
+    rng.shuffle(kinds)
 
-    size = target_count + 2
     files: dict[str, str] = {}
     units = [
-        _build_unit(rng, pattern[i % len(pattern)], i, csv_sources, snap_fixtures, files)
-        for i in range(size)
+        _build_unit(rng, kinds[i % len(kinds)], i, tables, fixtures, files)
+        for i in range(target_count + 2)
     ]
-    backlog_id = task_id or f"dataops-n{target_count}-s{seed}"
     spec = TaskSpec(
-        task_id=backlog_id,
+        task_id=task_id,
         family=Family.DATAOPS,
         objective_text=f"complete {target_count} verified work units from the backlog",
         target_count=target_count,
-        budget=budgets[target_count],
+        budget=DATAOPS_BUDGETS[target_count],
         seed=seed,
     )
-    return Backlog(backlog_id=backlog_id, units=units), spec, files
+    return DataopsTask(spec=spec, units=units, files=files)
 
 
 def generate_dataops_manifest(
@@ -652,35 +649,30 @@ def generate_dataops_manifest(
     targets: Sequence[int] = (3, 5, 10, 20),
     instances_per_target: int = 6,
     seed: int = 0,
-    budget_map: dict[int, int] | None = None,
-    verify_solvable: bool = True,
     workspace_root: str | None = None,
 ) -> DataopsManifest:
-    """Generate and, unless told not to, solve every backlog.
+    """Generate and solve every backlog; each source is read once per call.
 
     `workspace_root` is accepted and ignored: workspaces are held in memory.
     """
-    budgets = dict(DATAOPS_BUDGETS if budget_map is None else budget_map)
+    tables, fixtures = _load_sources(sources)
     tasks: list[DataopsTask] = []
     for target in targets:
         for idx in range(instances_per_target):
-            task_id = f"dataops-n{target}-b{idx}"
-            backlog, spec, files = generate_backlog(
-                sources,
+            task = generate_backlog(
+                tables,
+                fixtures,
                 target,
                 seed=derive_seed(seed, "dataops", target, idx),
-                budget_map=budgets,
-                task_id=task_id,
+                task_id=f"dataops-n{target}-b{idx}",
             )
-            task = DataopsTask(spec=spec, units=backlog.units, files=files)
-            if verify_solvable:
-                _assert_solvable(task)
+            _assert_solvable(task)
             tasks.append(task)
     metadata = {
         "seed": seed,
         "targets": list(targets),
         "instances_per_target": instances_per_target,
-        "budget_map": {str(k): v for k, v in sorted(budgets.items())},
+        "budget_map": {str(k): v for k, v in sorted(DATAOPS_BUDGETS.items())},
         "task_count": len(tasks),
         "sources": {
             "csv": [str(p) for p in sources.csv_paths],
@@ -723,8 +715,9 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
-    """Each task's units, checkers and files. Every artifact path and checker
-    file must be a file path inside the workspace."""
+    """Each task's units, checkers and files. Unit ids are unique within a
+    task, and every artifact path and checker file must be a file path inside
+    the workspace."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         units = []
@@ -737,6 +730,8 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
                     where = f"task {spec.task_id!r} unit {u['unit_id']!r}"
                     raise ValueError(f"{where}: {exc}") from None
             units.append(BacklogUnit(**{k: u[k] for k in PUBLIC_UNIT_FIELDS}, checker=checker))
+        if len({u.unit_id for u in units}) < len(units):
+            raise ValueError(f"task {spec.task_id!r} repeats a unit id")
         tasks.append(DataopsTask(spec=spec, units=units, files=dict(entry["hidden"]["files"])))
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
@@ -760,26 +755,23 @@ class DataopsEnvironment:
         self, task: TaskSpec, units: Sequence[BacklogUnit], files: dict[str, str]
     ) -> None:
         self.task = task
-        # Fresh unit state per run; manifests are immutable.
-        self.backlog = Backlog(
-            backlog_id=task.task_id,
-            units=[replace(u, status=UnitStatus.PENDING) for u in units],
-        )
+        # Fresh unit state per run, keyed by unit id; manifests are immutable.
+        self.units = {u.unit_id: replace(u, status=UnitStatus.PENDING) for u in units}
         self.workspace = Workspace()
         self.workspace.seed(files)
 
     def public_view(self) -> PublicTaskView:
-        return PublicTaskView.of(self.task, self.backlog.units)
+        return PublicTaskView.of(self.task, self.units.values())
 
     def execute(self, action: Action, ledger: RunLedger) -> Observation:
         if isinstance(action, Inspect):
-            return inspect_unit(self.backlog, self.workspace, action.unit_id)
+            return inspect_unit(self.units, self.workspace, action.unit_id)
         if isinstance(action, Edit):
-            return apply_edit(self.backlog, self.workspace, action.unit_id, action.payload)
+            return apply_edit(self.units, self.workspace, action.unit_id, action.payload)
         if isinstance(action, RunCheck):
-            return run_check(self.backlog, self.workspace, action.unit_id)
+            return run_check(self.units, self.workspace, action.unit_id)
         if isinstance(action, SubmitUnit):
-            return submit_unit(self.backlog, ledger, action.unit_id)
+            return submit_unit(self.units, ledger, action.unit_id)
         raise ConfigurationError(f"dataops cannot execute {action!r}")
 
     def close(self) -> None:

@@ -24,6 +24,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import islice
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -293,8 +294,11 @@ class _UnitTrace:
     accepted: bool = False
 
 
-def _start_unit_traces(view: PublicTaskView) -> dict[str, _UnitTrace]:
-    assert view.units is not None
+def _start_unit_traces(label: str, view: PublicTaskView) -> dict[str, _UnitTrace]:
+    if view.units is None:
+        raise ConfigurationError(
+            f"policy {label} works through backlog units; {view.family.value} tasks have none"
+        )
     return {u.unit_id: _UnitTrace() for u in view.units}
 
 
@@ -358,11 +362,12 @@ class SolverPolicy:
     """Inspect, check, repair if needed, recheck, submit; unit by unit."""
 
     label: str = PolicyKind.SOLVER.value
-    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(_start_unit_traces, _fold_unit_trace)
+    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(
+        partial(_start_unit_traces, PolicyKind.SOLVER.value), _fold_unit_trace
+    )
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         traces = self._fold(view, history)
-        assert view.units is not None
         for unit in view.units:
             trace = traces[unit.unit_id]
             if trace.status == UnitStatus.PASSED and not trace.accepted:
@@ -384,13 +389,14 @@ class NoSubmitLooperPolicy:
 
     loop_unit: str | None = None
     label: str = PolicyKind.NO_SUBMIT_LOOPER.value
-    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(_start_unit_traces, _fold_unit_trace)
+    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(
+        partial(_start_unit_traces, PolicyKind.NO_SUBMIT_LOOPER.value), _fold_unit_trace
+    )
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         if self.loop_unit is not None:
             return Inspect(unit_id=self.loop_unit)
         traces = self._fold(view, history)
-        assert view.units is not None
         for unit in view.units:
             action = _next_work_action(unit, traces[unit.unit_id])
             if action is not None:

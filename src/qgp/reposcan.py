@@ -424,7 +424,6 @@ def generate_manifest(
     targets: Sequence[int] = (10, 25, 50, 100),
     instances_per_target: int = 9,
     seed: int = 0,
-    budget_map: dict[int, int] | None = None,
 ) -> ReposcanManifest:
     """Build the task manifest: per target, instances cycle snapshot/predicate pairs.
 
@@ -432,7 +431,6 @@ def generate_manifest(
     satisfying its predicate; generation retries predicate parameters from the
     seeded stream until the match count reaches the target.
     """
-    budgets = dict(REPOSCAN_BUDGETS if budget_map is None else budget_map)
     roots = [Path(p) for p in snapshots]
     if not roots:
         raise GenerationError("at least one snapshot is required")
@@ -461,7 +459,7 @@ def generate_manifest(
     combos = [(info.name, fam) for info in infos for fam in PREDICATE_FAMILIES]
     tasks: list[ReposcanTask] = []
     for target in targets:
-        if target not in budgets:
+        if target not in REPOSCAN_BUDGETS:
             raise GenerationError(f"no budget configured for target {target}")
         for idx in range(instances_per_target):
             snap_name, fam = combos[idx % len(combos)]
@@ -479,7 +477,7 @@ def generate_manifest(
                 family=Family.REPOSCAN,
                 objective_text=_objective_text(predicate, target),
                 target_count=target,
-                budget=budgets[target],
+                budget=REPOSCAN_BUDGETS[target],
                 seed=derive_seed(seed, task_id),
             )
             tasks.append(
@@ -491,7 +489,7 @@ def generate_manifest(
         "seed": seed,
         "targets": list(targets),
         "instances_per_target": instances_per_target,
-        "budget_map": {str(k): v for k, v in sorted(budgets.items())},
+        "budget_map": {str(k): v for k, v in sorted(REPOSCAN_BUDGETS.items())},
         "task_count": len(tasks),
     }
     return ReposcanManifest(metadata=metadata, snapshots=infos, tasks=tasks)
@@ -544,17 +542,13 @@ class ReposcanEnvironment:
     """Serves Search and Submit for one task over an indexed corpus."""
 
     family = Family.REPOSCAN
+    page_size = PAGE_SIZE
 
     def __init__(
-        self,
-        task: TaskSpec,
-        corpus: Sequence[ArtifactRecord],
-        valid_ids: Sequence[str],
-        page_size: int = PAGE_SIZE,
+        self, task: TaskSpec, corpus: Sequence[ArtifactRecord], valid_ids: Sequence[str]
     ) -> None:
         self.task = task
         self.corpus = _as_corpus(corpus)
-        self.page_size = page_size
         self.members = frozenset(normalize_id(x) for x in valid_ids)
 
     def public_view(self) -> PublicTaskView:

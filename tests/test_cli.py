@@ -260,6 +260,24 @@ class TestRun:
         )
         assert list(row)[: len(RECORD_FIELDS)] == list(RECORD_FIELDS)
 
+    @pytest.mark.parametrize("policy", ["solver", "no_submit_looper"])
+    def test_backlog_policy_on_reposcan_is_refused(self, policy, mini_manifest, tmp_path, capsys):
+        out = tmp_path / "refused.jsonl"
+        code = main(["run", "--manifest", str(mini_manifest), "--policy", policy, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"policy {policy}" in err and "reposcan" in err
+        assert not out.exists()
+
+    def test_loop_unit_run_on_reposcan_keeps_its_records(self, mini_manifest, tmp_path):
+        # A pure stall never reads the backlog, so it is not refused.
+        out = tmp_path / "stall.jsonl"
+        args = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
+        assert main(args + ["--policy", "no_submit_looper", "--loop-unit", "u000"]) == 0
+        rows = read_record_dicts(out)
+        assert all(r["outcome"] == "budget_exhausted" and r["valid_count"] == 0 for r in rows)
+
     def test_ablation_flag_needs_ablation_controller(self, mini_manifest, tmp_path, capsys):
         out = tmp_path / "refused.jsonl"
         args = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
@@ -564,6 +582,17 @@ _ESCAPING_UNIT = {
     },
 }
 
+_REPEATED_UNIT = {
+    "units": [
+        {"unit_id": "u0", "kind": "consistency_answer", "prompt": "p", "artifact_path": "a.txt"}
+    ]
+    * 2,
+    "hidden": {
+        "checkers": {"u0": {"type": "answer_equals", "file": "a.txt", "expected_normalized": "x"}},
+        "files": {},
+    },
+}
+
 MALFORMED_INPUTS = {
     "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
     "reposcan-task-naming-unknown-snapshot": _manifest_text(
@@ -577,6 +606,9 @@ MALFORMED_INPUTS = {
     ),
     "dataops-unit-path-outside-workspace": _manifest_text(
         "dataops", [_task("dataops", **_ESCAPING_UNIT)]
+    ),
+    "dataops-task-repeating-a-unit-id": _manifest_text(
+        "dataops", [_task("dataops", **_REPEATED_UNIT)]
     ),
     "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
     "reposcan-task-with-target-count-0": _manifest_text(

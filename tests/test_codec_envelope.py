@@ -605,6 +605,13 @@ class TestDecoding:
 # Manifests
 # ---------------------------------------------------------------------------
 
+# sha256 of the canonical JSON of each conftest manifest's task list; task
+# lists hold no absolute paths, so the value does not depend on the tmp dir.
+PINNED_TASK_DIGESTS = {
+    "reposcan": "89d314b14a40abaa7e17e5679ebe9084722281d5f9480562f1a99cf4dab8a02b",
+    "dataops": "0c4bde8083e90521f0473406c5e080efb5f71eb9bf4c773b7aae738f9eab69b2",
+}
+
 FAMILIES = {
     "reposcan": (
         reposcan,
@@ -637,6 +644,12 @@ class TestManifests:
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
         assert (tmp_path / "new.json").read_bytes() == Path(path).read_bytes()
         assert new_digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_reference_task_digest_is_pinned(self, family, request):
+        path = request.getfixturevalue(f"{family}_manifest_path")
+        tasks = json.loads(Path(path).read_text(encoding="utf-8"))["tasks"]
+        digest = hashlib.sha256(json.dumps(tasks, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_TASK_DIGESTS[family]
 
     def test_public_tasks_equal_reference(self, family, request):
         ref_public = FAMILIES[family][3]

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
+from qgp import reposcan
 from qgp.actions import Edit, Family, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
 from qgp.core import RunLedger, read_manifest_file, run_episode
 from qgp.controllers import StandardController
 from qgp.dataops import (
     AnswerEquals,
-    Backlog,
     BacklogUnit,
     DataopsEnvironment,
     FieldEquals,
@@ -22,8 +24,8 @@ from qgp.dataops import (
     KeyPresent,
     RowCount,
     Workspace,
+    _load_sources,
     apply_edit,
-    generate_backlog,
     generate_dataops_manifest,
     inspect_unit,
     load_manifest,
@@ -92,7 +94,7 @@ def small_backlog():
     ]
     workspace = Workspace()
     workspace.seed(files)
-    return Backlog(backlog_id="b0", units=units), workspace
+    return {u.unit_id: u for u in units}, workspace
 
 
 class TestInspect:
@@ -159,14 +161,12 @@ class TestEditAndCheck:
         backlog, ws = small_backlog()
         rows = "\n".join(f"r{i},n{i},1" for i in range(31))
         ws.write("data/wide.csv", "id,name,score\n" + rows + "\n")
-        backlog.units.append(
-            BacklogUnit(
-                unit_id="u6",
-                kind="csv_count_check",
-                prompt="count",
-                artifact_path="data/wide.csv",
-                checker=RowCount(file="data/wide.csv", expected=32),
-            )
+        backlog["u6"] = BacklogUnit(
+            unit_id="u6",
+            kind="csv_count_check",
+            prompt="count",
+            artifact_path="data/wide.csv",
+            checker=RowCount(file="data/wide.csv", expected=32),
         )
         fb = run_check(backlog, ws, "u6")
         assert fb.verdict == Verdict.FAIL
@@ -187,14 +187,12 @@ class TestEditAndCheck:
 
     def test_missing_artifact_fails_with_diagnostic(self):
         backlog, ws = small_backlog()
-        backlog.units.append(
-            BacklogUnit(
-                unit_id="u7",
-                kind="artifact_validation",
-                prompt="x",
-                artifact_path="artifacts/gone.txt",
-                checker=FileDigest(file="artifacts/gone.txt", expected_digest="0" * 64),
-            )
+        backlog["u7"] = BacklogUnit(
+            unit_id="u7",
+            kind="artifact_validation",
+            prompt="x",
+            artifact_path="artifacts/gone.txt",
+            checker=FileDigest(file="artifacts/gone.txt", expected_digest="0" * 64),
         )
         fb = run_check(backlog, ws, "u7")
         assert fb.verdict == Verdict.FAIL
@@ -260,7 +258,7 @@ class TestSubmitUnit:
         backlog, ws = small_backlog()
         ledger = RunLedger(target_count=5, budget=300)
         counted: set[str] = set()
-        ids = [u.unit_id for u in backlog.units] + ["u999"]
+        ids = list(backlog) + ["u999"]
         for _ in range(300):
             unit_id = rng.choice(ids)
             op = rng.randrange(4)
@@ -315,19 +313,40 @@ class TestGeneration:
         assert per_target == {3: 6, 5: 6, 10: 6, 20: 6}
 
     def test_generation_deterministic(self, fixture_sources, tmp_path):
-        m1 = generate_dataops_manifest(
-            fixture_sources, targets=(3,), instances_per_target=2, seed=7, verify_solvable=False
-        )
-        m2 = generate_dataops_manifest(
-            fixture_sources, targets=(3,), instances_per_target=2, seed=7, verify_solvable=False
-        )
+        m1 = generate_dataops_manifest(fixture_sources, targets=(3,), instances_per_target=2, seed=7)
+        m2 = generate_dataops_manifest(fixture_sources, targets=(3,), instances_per_target=2, seed=7)
         assert write_manifest(m1, tmp_path / "a.json") == write_manifest(m2, tmp_path / "b.json")
 
     def test_insufficient_rows_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,v\nr1,1\n")
         with pytest.raises(GenerationError):
-            generate_backlog(FixtureSources(csv_paths=(str(bad),)), target_count=3, seed=0)
+            _load_sources(FixtureSources(csv_paths=(str(bad),)))
+
+    def test_each_source_read_once_per_manifest(self, fixture_sources, monkeypatch):
+        # The reference manifest builds 24 backlogs from these sources.
+        walks = []
+        real_read_snapshot = reposcan.read_snapshot
+
+        def read_snapshot(root, *args, **kwargs):
+            walks.append(str(root))
+            return real_read_snapshot(root, *args, **kwargs)
+
+        opens = []
+        real_open = io.open
+
+        def spy(file, *args, **kwargs):
+            if str(file) in fixture_sources.csv_paths:
+                opens.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(reposcan, "read_snapshot", read_snapshot)
+        monkeypatch.setattr(io, "open", spy)
+        monkeypatch.setattr(builtins, "open", spy)
+        manifest = generate_dataops_manifest(fixture_sources, seed=23)
+        assert len(manifest.tasks) == 24
+        assert walks == list(fixture_sources.snapshot_roots)
+        assert opens == list(fixture_sources.csv_paths)
 
     def test_solver_completes_every_backlog(self, dataops_loaded):
         manifest = dataops_loaded

@@ -10,6 +10,7 @@ the fold from scratch and the policy must decide as the reference does.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -216,7 +217,7 @@ class TestFoldEquivalence:
             _fold_unit_trace(traces, action, obs)
 
         policy = NoSubmitLooperPolicy()
-        policy._fold = HistoryFold(_start_unit_traces, counting_step)
+        policy._fold = HistoryFold(partial(_start_unit_traces, policy.label), counting_step)
         env = DataopsEnvironment(task.spec, task.units, task.files)
         record = _record(task, env, ControllerKind.STANDARD, policy)
         assert record.ledger.step == task.spec.budget == 160
@@ -238,7 +239,7 @@ def _failed_edit(unit_id):
 
 class TestFoldResets:
     def _fold(self):
-        return HistoryFold(_start_unit_traces, _fold_unit_trace)
+        return HistoryFold(partial(_start_unit_traces, "solver"), _fold_unit_trace)
 
     def test_new_history_object(self, backlog_histories):
         (view, first), (_, second) = backlog_histories[0], backlog_histories[1]

@@ -218,7 +218,7 @@ class TestUnencodableText:
         backlog, ws = small_backlog()
 
         def files():
-            paths = {u.artifact_path for u in backlog.units}
+            paths = {u.artifact_path for u in backlog.values()}
             return {path: ws.read(path) for path in paths if ws.exists(path)}
 
         before = files()
@@ -242,7 +242,7 @@ class TestUnencodableText:
         self, fixture_sources, tmp_path, capsys
     ):
         manifest = dataops.generate_dataops_manifest(
-            fixture_sources, targets=(3,), instances_per_target=2, seed=5, verify_solvable=False
+            fixture_sources, targets=(3,), instances_per_target=2, seed=5
         )
         manifest_path = tmp_path / "dataops.json"
         dataops.write_manifest(manifest, manifest_path)
