@@ -1,11 +1,14 @@
 """Command-line pipelines: generate, run, aggregate, delta, smoke.
 
-Each command writes the output path it is given and replaces a file already
-there, so keep earlier outputs under other names. `run --out` writes a
-temporary file beside its records file and renames it over the old one, so
-a run that fails leaves the previous file intact. Each command reads its
-manifest once and every snapshot it needs once. All pipelines are
-deterministic under a fixed seed, including across different worker counts.
+Commands and argument parsing only, with no family code. Each command reads
+its manifest once; `run` and `smoke` open it through the family's `open()`,
+which reads and digest-checks each snapshot once, and `smoke` adds the
+family's own `smoke_failures`. Each command writes the output path it is
+given and replaces a file already there, so keep earlier outputs under other
+names. `run --out` writes a temporary file beside its records file and
+renames it over the old one, so a run that fails leaves the previous file
+intact. All pipelines are deterministic under a fixed seed, including across
+different worker counts.
 """
 
 from __future__ import annotations
@@ -133,10 +136,6 @@ def cmd_gen_reposcan(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_dataops(args: argparse.Namespace) -> int:
-    for path in list(args.csv) + list(args.snapshot):
-        if not Path(path).exists():
-            print(f"error: source path not found: {path}", file=sys.stderr)
-            return 2
     sources = dataops.FixtureSources(
         csv_paths=tuple(args.csv), snapshot_roots=tuple(args.snapshot)
     )
@@ -210,34 +209,19 @@ def run_manifest(
     `workspace_root` is accepted and ignored: dataops workspaces are held in
     memory.
     """
-    manifest, _ = read_manifest_file(manifest_path, _PAYLOADS)
-    if isinstance(manifest, reposcan.ReposcanManifest):
-        corpora: dict[str, reposcan.Corpus] = {}
-        for info in manifest.snapshots:
-            snapshot = reposcan.read_snapshot(info.root)
-            if snapshot.digest != info.digest:
-                raise QgpError(
-                    f"snapshot {info.name} changed since generation "
-                    f"(digest {snapshot.digest[:12]} != {info.digest[:12]})"
-                )
-            corpora[info.name] = snapshot.corpus
-
-        def make_env(task):
-            return reposcan.ReposcanEnvironment(
-                task.spec, corpora[task.snapshot], task.valid_ids
-            )
-
-    else:
-
-        def make_env(task):
-            return dataops.DataopsEnvironment(task.spec, task.units, task.files)
-
-    tasks = manifest.tasks
+    manifest = read_manifest_file(manifest_path, _PAYLOADS)
+    environment, changed = manifest.open()
+    if changed:
+        info, digest = changed[0]
+        raise QgpError(
+            f"snapshot {info.name} changed since generation "
+            f"(digest {digest[:12]} != {info.digest[:12]})"
+        )
 
     def run_one(task) -> dict:
         controller = build_controller(controller_config)
         policy = build_policy(policy_kind, **policy_params)
-        env = make_env(task)
+        env = environment(task)
         try:
             record = run_episode(
                 task.spec,
@@ -256,10 +240,10 @@ def run_manifest(
                 env.close()
 
     if jobs <= 1:
-        rows = [run_one(task) for task in tasks]
+        rows = [run_one(task) for task in manifest.tasks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, tasks))
+            rows = list(pool.map(run_one, manifest.tasks))
     aborts = sum(1 for row in rows if row["outcome"] == "aborted")
     return rows, aborts
 
@@ -351,61 +335,23 @@ def cmd_delta(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _smoke_reposcan(manifest: reposcan.ReposcanManifest, public_text: str) -> list[str]:
-    failures = []
-    corpora = {}
-    for info in manifest.snapshots:
-        snapshot = reposcan.read_snapshot(info.root)
-        if snapshot.digest != info.digest:
-            failures.append(f"snapshot digest drift: {info.name}")
-        corpora[info.name] = snapshot.corpus
-    for task in manifest.tasks:
-        corpus = corpora[task.snapshot]
-        recomputed = sorted(
-            a.artifact_id for a in corpus if reposcan.evaluate_predicate(a, task.predicate)
-        )
-        if recomputed != sorted(task.valid_ids):
-            failures.append(f"hidden set mismatch: {task.spec.task_id}")
-        if len(task.valid_ids) < task.spec.target_count:
-            failures.append(f"hidden set smaller than target: {task.spec.task_id}")
-        for hidden_id in task.valid_ids:
-            if hidden_id in public_text:
-                failures.append(f"hidden id leaked: {task.spec.task_id}")
-                break
-    return failures
-
-
-def _smoke_dataops(manifest: dataops.DataopsManifest, public_text: str) -> list[str]:
-    failures = []
-    for task in manifest.tasks:
-        for unit in task.units:
-            checker = unit.checker
-            if isinstance(checker, dataops.FileDigest) and checker.expected_digest in public_text:
-                failures.append(f"checker digest leaked: {task.spec.task_id}/{unit.unit_id}")
-        try:
-            dataops._assert_solvable(task)
-        except QgpError as exc:
-            failures.append(f"solvability: {exc}")
-    return failures
-
-
 def cmd_smoke(args: argparse.Namespace) -> int:
-    manifest, public_tasks = read_manifest_file(args.manifest, _PAYLOADS)
-    public_text = json.dumps(public_tasks)
+    # Scan what policies receive, as JSON: the public view of each environment
+    # `run` would build (`vars` gives the fields of a view and of a unit view).
+    manifest = read_manifest_file(args.manifest, _PAYLOADS)
+    environment, changed = manifest.open()
+    environments = [environment(task) for task in manifest.tasks]
+    public_text = json.dumps([env.public_view() for env in environments], default=vars)
     failures = []
     if '"hidden"' in public_text or '"checkers"' in public_text:
         failures.append("public loader exposed a hidden section")
-    if isinstance(manifest, reposcan.ReposcanManifest):
-        failures += _smoke_reposcan(manifest, public_text)
-        checks = "digests, hidden-set consistency, leak-freedom"
-    else:
-        failures += _smoke_dataops(manifest, public_text)
-        checks = "leak-freedom, solver-within-budget"
+    failures += [f"snapshot digest drift: {info.name}" for info, _ in changed]
+    failures += manifest.smoke_failures(environments, public_text)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"ok: {args.manifest} passed verifier smoke checks ({checks})")
+    print(f"ok: {args.manifest} passed verifier smoke checks ({manifest.checks})")
     return 0
 
 

@@ -419,15 +419,15 @@ M = TypeVar("M")
 
 def read_manifest_file(
     path: str | Path, payloads: Mapping[Family, Callable[[dict, list[TaskSpec]], M]]
-) -> tuple[M, list[dict]]:
+) -> M:
     """Parse a manifest file once, check its envelope and read its payload.
 
     The format must be `qgp-manifest`, the family one of `payloads`, the
     version MANIFEST_VERSION and each task's family the envelope's; task ids
     must be distinct. Returns what the family's payload reader builds from
-    the parsed file and the task specs, and the policy-facing projection of
-    each task: its public fields and its units' public fields. Malformed
-    input raises a ConfigurationError naming the file.
+    the parsed file and the task specs. What a policy sees of a task is its
+    environment's `public_view()`, not anything read here. Malformed input
+    raises a ConfigurationError naming the file.
     """
     with loading(path):
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -439,7 +439,7 @@ def read_manifest_file(
         version = obj.get("version")
         if type(version) is not int or version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
-        specs, public_tasks = [], []
+        specs = []
         for entry in obj["tasks"]:
             if entry["family"] != family.value:
                 raise ValueError(f"task {entry['task_id']!r} is not a {family.value} task")
@@ -448,12 +448,9 @@ def read_manifest_file(
                 specs.append(TaskSpec(**public | {"family": family}))
             except ConfigurationError as exc:
                 raise ValueError(f"task {entry['task_id']!r}: {exc}") from exc
-            if "units" in entry:
-                public["units"] = [{k: u[k] for k in PUBLIC_UNIT_FIELDS} for u in entry["units"]]
-            public_tasks.append(public)
         if len({spec.task_id for spec in specs}) != len(specs):
             raise ValueError("duplicate task ids")
-        return payloads[family](obj, specs), public_tasks
+        return payloads[family](obj, specs)
 
 
 def write_manifest_file(

@@ -7,7 +7,7 @@ copies of the units keyed by unit id and seeds an isolated workspace, a file
 tree held in memory: no policy can reach it, and a run creates no file or
 directory. A unit only counts after its deterministic checker accepts it and
 the unit is then submitted; checker internals stay hidden from the
-policy-facing surfaces.
+policy-facing surfaces, which a manifest's own smoke checks scan.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import posixpath
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .actions import (
     Action,
@@ -44,7 +44,7 @@ from .core import (
     record_submission,
     write_manifest_file,
 )
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, QgpError
 from .seeding import derive_seed, stream
 from .verifier import IdVerdict, normalize_id
 
@@ -443,6 +443,33 @@ class DataopsManifest:
     metadata: dict
     tasks: list[DataopsTask]
 
+    checks = "leak-freedom, solver-within-budget"
+
+    def open(self) -> tuple[Callable[[DataopsTask], DataopsEnvironment], list]:
+        """The factory of a task's environment; a backlog carries its files,
+        so nothing is read and no snapshot can have changed."""
+
+        def environment(task: DataopsTask) -> DataopsEnvironment:
+            return DataopsEnvironment(task.spec, task.units, task.files)
+
+        return environment, []
+
+    def smoke_failures(self, environments: Sequence, public_text: str) -> list[str]:
+        """No digest checker's value may appear in the text policies see, and
+        the scripted solver must clear every backlog within budget; it runs in
+        the environments, which smoke does not use again."""
+        failures = []
+        for task, env in zip(self.tasks, environments):
+            for unit in task.units:
+                checker = unit.checker
+                if isinstance(checker, FileDigest) and checker.expected_digest in public_text:
+                    failures.append(f"checker digest leaked: {task.spec.task_id}/{unit.unit_id}")
+            try:
+                _assert_solvable(env)
+            except QgpError as exc:
+                failures.append(f"solvability: {exc}")
+        return failures
+
 
 # A loaded CSV source: (file stem, header, data rows).
 CsvTable = tuple[str, list[str], list[list[str]]]
@@ -517,7 +544,11 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
 
 
 def _load_sources(sources: FixtureSources) -> tuple[list[CsvTable], list[_SnapshotFixture]]:
-    """Read every CSV source and walk every snapshot root, once each, in order."""
+    """Read every CSV source and walk every snapshot root, once each, in order,
+    after checking that every source path exists."""
+    for path in (*sources.csv_paths, *sources.snapshot_roots):
+        if not Path(path).exists():
+            raise ConfigurationError(f"source path not found: {path}")
     tables = [_load_csv_source(Path(p)) for p in sources.csv_paths]
     fixtures = [_snapshot_fixture(Path(p)) for p in sources.snapshot_roots]
     return tables, fixtures
@@ -666,7 +697,7 @@ def generate_dataops_manifest(
                 seed=derive_seed(seed, "dataops", target, idx),
                 task_id=f"dataops-n{target}-b{idx}",
             )
-            _assert_solvable(task)
+            _assert_solvable(DataopsEnvironment(task.spec, task.units, task.files))
             tasks.append(task)
     metadata = {
         "seed": seed,
@@ -682,20 +713,19 @@ def generate_dataops_manifest(
     return DataopsManifest(metadata=metadata, tasks=tasks)
 
 
-def _assert_solvable(task: DataopsTask) -> None:
+def _assert_solvable(env: DataopsEnvironment) -> None:
     # The scripted solver must clear every generated backlog within budget.
     from .controllers import StandardController
     from .core import run_episode
     from .policies import SolverPolicy
 
-    env = DataopsEnvironment(task.spec, task.units, task.files)
     try:
-        record = run_episode(task.spec, env, StandardController(), SolverPolicy())
+        record = run_episode(env.task, env, StandardController(), SolverPolicy())
     finally:
         env.close()
     if record.outcome.value != "success":
         raise GenerationError(
-            f"backlog {task.spec.task_id} not solvable within budget "
+            f"backlog {env.task.task_id} not solvable within budget "
             f"(outcome={record.outcome.value}, valid={record.ledger.valid_count})"
         )
 
@@ -715,9 +745,9 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
-    """Each task's units, checkers and files. Unit ids are unique within a
-    task, and every artifact path and checker file must be a file path inside
-    the workspace."""
+    """Each task's units, checkers and files. A task has at least one unit,
+    unit ids are unique within it, and every artifact path and checker file
+    must be a file path inside the workspace."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         units = []
@@ -730,6 +760,8 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
                     where = f"task {spec.task_id!r} unit {u['unit_id']!r}"
                     raise ValueError(f"{where}: {exc}") from None
             units.append(BacklogUnit(**{k: u[k] for k in PUBLIC_UNIT_FIELDS}, checker=checker))
+        if not units:
+            raise ValueError(f"task {spec.task_id!r} has no units")
         if len({u.unit_id for u in units}) < len(units):
             raise ValueError(f"task {spec.task_id!r} repeats a unit id")
         tasks.append(DataopsTask(spec=spec, units=units, files=dict(entry["hidden"]["files"])))
@@ -737,7 +769,7 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
 
 
 def load_manifest(path: str | Path) -> DataopsManifest:
-    return read_manifest_file(path, {Family.DATAOPS: manifest_payload})[0]
+    return read_manifest_file(path, {Family.DATAOPS: manifest_payload})
 
 
 # ---------------------------------------------------------------------------

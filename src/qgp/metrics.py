@@ -6,7 +6,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .actions import Outcome
@@ -71,18 +71,6 @@ def metrics_from_record_dict(row: Mapping) -> RunMetrics:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-AGGREGATE_METRIC_COLUMNS = (
-    "success_rate",
-    "avg_valid_count",
-    "duplicate_submit_rate",
-    "valid_per_step",
-    "budget_exhausted_rate",
-    "premature_stop_rate",
-    "false_completion_rate",
-    "provider_error_rate",
-)
-
-
 @dataclass(frozen=True)
 class AggregateRow:
     group: tuple
@@ -98,32 +86,36 @@ class AggregateRow:
     provider_error_rate: float = 0.0
 
 
+AGGREGATE_METRIC_COLUMNS = tuple(
+    f.name for f in fields(AggregateRow) if f.name not in ("group", "runs")
+)
+
+# The RunMetrics attribute each aggregate column is the mean of.
+_COLUMN_MEANS = {
+    "success_rate": "success",
+    "avg_valid_count": "valid_count",
+    "duplicate_submit_rate": "duplicate_submit_rate",
+    "valid_per_step": "valid_per_step",
+    "budget_exhausted_rate": "budget_exhausted",
+    "premature_stop_rate": "premature_stop",
+    "false_completion_rate": "false_completion",
+}
+
+
 def aggregate(rows: Sequence[RunMetrics], group_keys: Sequence[str]) -> list[AggregateRow]:
     """Unweighted per-group means; groups ordered by their key tuple."""
     groups: dict[tuple, list[RunMetrics]] = {}
     for row in rows:
         key = tuple(getattr(row, k) for k in group_keys)
         groups.setdefault(key, []).append(row)
-
-    def mean(values: Sequence[float]) -> float:
-        return sum(values) / len(values)
-
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
         members = groups[key]
-        out.append(
-            AggregateRow(
-                group=key,
-                runs=len(members),
-                success_rate=mean([m.success for m in members]),
-                avg_valid_count=mean([m.valid_count for m in members]),
-                duplicate_submit_rate=mean([m.duplicate_submit_rate for m in members]),
-                valid_per_step=mean([m.valid_per_step for m in members]),
-                budget_exhausted_rate=mean([m.budget_exhausted for m in members]),
-                premature_stop_rate=mean([m.premature_stop for m in members]),
-                false_completion_rate=mean([m.false_completion for m in members]),
-            )
-        )
+        means = {
+            column: sum(getattr(m, attr) for m in members) / len(members)
+            for column, attr in _COLUMN_MEANS.items()
+        }
+        out.append(AggregateRow(group=key, runs=len(members), **means))
     return out
 
 
@@ -135,16 +127,7 @@ def aggregate_csv(rows: Sequence[RunMetrics], group_keys: Sequence[str]) -> str:
         writer.writerow(
             [str(v) for v in row.group]
             + [row.runs]
-            + [
-                f"{row.success_rate:.6f}",
-                f"{row.avg_valid_count:.6f}",
-                f"{row.duplicate_submit_rate:.6f}",
-                f"{row.valid_per_step:.6f}",
-                f"{row.budget_exhausted_rate:.6f}",
-                f"{row.premature_stop_rate:.6f}",
-                f"{row.false_completion_rate:.6f}",
-                f"{row.provider_error_rate:.6f}",
-            ]
+            + [f"{getattr(row, column):.6f}" for column in AGGREGATE_METRIC_COLUMNS]
         )
     return out.getvalue()
 

@@ -1,4 +1,5 @@
-"""Repository-scan task family: artifact indexing, predicates, search, manifests.
+"""Repository-scan task family: artifact indexing, predicates, search, manifests,
+and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
 digest and an immutable corpus of artifact records; a predicate over those
@@ -12,7 +13,7 @@ import hashlib
 import os
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Union
@@ -329,6 +330,39 @@ class ReposcanManifest:
     snapshots: list[SnapshotInfo]
     tasks: list[ReposcanTask]
 
+    checks = "digests, hidden-set consistency, leak-freedom"
+
+    def open(self) -> tuple[Callable[[ReposcanTask], ReposcanEnvironment], list]:
+        """Read each snapshot once. Returns the factory of a task's environment
+        over its snapshot's corpus, and an (info, digest read now) pair for
+        each snapshot whose digest changed since generation."""
+        corpora: dict[str, Corpus] = {}
+        changed = []
+        for info in self.snapshots:
+            snapshot = read_snapshot(info.root)
+            if snapshot.digest != info.digest:
+                changed.append((info, snapshot.digest))
+            corpora[info.name] = snapshot.corpus
+
+        def environment(task: ReposcanTask) -> ReposcanEnvironment:
+            return ReposcanEnvironment(task.spec, corpora[task.snapshot], task.valid_ids)
+
+        return environment, changed
+
+    def smoke_failures(self, environments: Sequence, public_text: str) -> list[str]:
+        """Each task's hidden set must be what its predicate selects now, hold
+        at least the target, and share no id with the text policies see."""
+        failures = []
+        for task, env in zip(self.tasks, environments):
+            task_id = task.spec.task_id
+            if sorted(_matches(env.corpus, task.predicate)) != sorted(task.valid_ids):
+                failures.append(f"hidden set mismatch: {task_id}")
+            if len(task.valid_ids) < task.spec.target_count:
+                failures.append(f"hidden set smaller than target: {task_id}")
+            if any(hidden_id in public_text for hidden_id in task.valid_ids):
+                failures.append(f"hidden id leaked: {task_id}")
+        return failures
+
 
 def build_token_table(corpus: Sequence[ArtifactRecord]) -> Counter:
     """Document frequency of word tokens over the corpus."""
@@ -530,7 +564,7 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
 
 
 def load_manifest(path: str | Path) -> ReposcanManifest:
-    return read_manifest_file(path, {Family.REPOSCAN: manifest_payload})[0]
+    return read_manifest_file(path, {Family.REPOSCAN: manifest_payload})
 
 
 # ---------------------------------------------------------------------------

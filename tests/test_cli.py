@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from qgp import cli
+from qgp import cli, reposcan
 from qgp.actions import Family
 from qgp.cli import _write_records, main
 from qgp.core import RECORD_FIELDS, TaskSpec, aborted_record_dict, read_record_dicts
@@ -102,6 +103,13 @@ class TestGeneration:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --targets" in err and "'10,x'" in err
+        assert not out.exists()
+
+    def test_missing_dataops_source_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "m.json"
+        assert main(["gen-dataops", "--csv", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: source path not found: {missing}\n"
         assert not out.exists()
 
 
@@ -557,6 +565,88 @@ class TestSmoke:
         assert main(["smoke", "--manifest", str(leaky)]) == 1
         assert "leaked" in capsys.readouterr().out
 
+    def test_hidden_id_in_objective_text_is_a_leak(self, mini_manifest, tmp_path, capsys):
+        obj = json.loads(Path(mini_manifest).read_text())
+        task = obj["tasks"][0]
+        # An id no other task counts, so only this task reports a leak.
+        others = {i for t in obj["tasks"] if t is not task for i in t["hidden"]["valid_ids"]}
+        task["objective_text"] += " " + min(set(task["hidden"]["valid_ids"]) - others)
+        leaky = tmp_path / "leaky.json"
+        leaky.write_text(json.dumps(obj))
+        assert main(["smoke", "--manifest", str(leaky)]) == 1
+        assert capsys.readouterr().out == f"FAIL: hidden id leaked: {task['task_id']}\n"
+
+    def test_target_above_hidden_set_size(self, mini_manifest, tmp_path, capsys):
+        obj = json.loads(Path(mini_manifest).read_text())
+        task = obj["tasks"][0]
+        task["target_count"] = len(task["hidden"]["valid_ids"]) + 1
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj))
+        assert main(["smoke", "--manifest", str(broken)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"FAIL: hidden set smaller than target: {task['task_id']}\n"
+
+
+class TestSnapshotChecks:
+    """`run` and `smoke` read each snapshot of a manifest once and compare
+    its digest with the one recorded at generation."""
+
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_each_snapshot_read_once(
+        self, command, reposcan_manifest_path, tmp_path, monkeypatch
+    ):
+        reads = []
+        real_read_snapshot = reposcan.read_snapshot
+
+        def counting(root):
+            reads.append(str(root))
+            return real_read_snapshot(root)
+
+        monkeypatch.setattr(reposcan, "read_snapshot", counting)
+        argv = {
+            "run": ["run", "--out", str(tmp_path / "records.jsonl")],
+            "smoke": ["smoke"],
+        }[command]
+        assert main(argv + ["--manifest", str(reposcan_manifest_path)]) == 0
+        snapshots = json.loads(Path(reposcan_manifest_path).read_text())["snapshots"]
+        assert len(snapshots) == 3
+        assert sorted(reads) == sorted(s["root"] for s in snapshots)
+
+    @pytest.fixture
+    def drifted_manifest(self, snapshot_roots, tmp_path) -> tuple[Path, str]:
+        """A manifest over a copied snapshot whose file changed after generation,
+        and the error line `run` reports for it."""
+        root = tmp_path / "alpha_repo"
+        shutil.copytree(snapshot_roots[0], root)
+        manifest = tmp_path / "manifest.json"
+        argv = ["gen-reposcan", "--snapshot", str(root), "--targets", "10", "--instances", "1"]
+        assert main(argv + ["--out", str(manifest)]) == 0
+        recorded = json.loads(manifest.read_text())["snapshots"][0]["digest"]
+        edited = next(p for p in sorted(root.rglob("*")) if p.is_file())
+        edited.write_text(edited.read_text() + "\nedited\n")
+        found = reposcan.read_snapshot(root).digest
+        assert found != recorded
+        error = (
+            f"error: snapshot alpha_repo changed since generation "
+            f"(digest {found[:12]} != {recorded[:12]})\n"
+        )
+        return manifest, error
+
+    def test_run_refuses_a_changed_snapshot(self, drifted_manifest, tmp_path, capsys):
+        manifest, error = drifted_manifest
+        capsys.readouterr()
+        out = tmp_path / "records.jsonl"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+    def test_smoke_reports_a_changed_snapshot(self, drifted_manifest, capsys):
+        manifest, _ = drifted_manifest
+        capsys.readouterr()
+        assert main(["smoke", "--manifest", str(manifest)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL: snapshot digest drift: alpha_repo"
+
 
 def _manifest_text(family: str, tasks: list, version: int = 1, **payload) -> str:
     obj = {"format": "qgp-manifest", "family": family, "version": version, "metadata": {}}
@@ -593,6 +683,8 @@ _REPEATED_UNIT = {
     },
 }
 
+_NO_UNITS = {"units": [], "hidden": {"checkers": {}, "files": {}}}
+
 MALFORMED_INPUTS = {
     "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
     "reposcan-task-naming-unknown-snapshot": _manifest_text(
@@ -610,6 +702,7 @@ MALFORMED_INPUTS = {
     "dataops-task-repeating-a-unit-id": _manifest_text(
         "dataops", [_task("dataops", **_REPEATED_UNIT)]
     ),
+    "dataops-task-without-units": _manifest_text("dataops", [_task("dataops", **_NO_UNITS)]),
     "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
     "reposcan-task-with-target-count-0": _manifest_text(
         "reposcan",
@@ -627,6 +720,12 @@ MALFORMED_INPUTS = {
         {field: 1 for field in RECORD_FIELDS} | {"outcome": "won"}
     )
     + "\n",
+}
+# What loading says of the one task of each malformed manifest.
+TASK_ERRORS = {
+    "reposcan-task-with-target-count-0": "must be >= 1, got 0",
+    "dataops-task-with-budget-0": "must be >= 1, got 0",
+    "dataops-task-without-units": "has no units",
 }
 COMMANDS = {
     "run": lambda path, out: ["run", "--manifest", path, "--out", out],
@@ -648,13 +747,11 @@ class TestMalformedInputs:
         assert err.startswith("error:")
         assert path.name in err
 
-    @pytest.mark.parametrize(
-        "content", ["reposcan-task-with-target-count-0", "dataops-task-with-budget-0"]
-    )
+    @pytest.mark.parametrize("content", sorted(TASK_ERRORS))
     @pytest.mark.parametrize("command", ["run", "smoke"])
     def test_task_field_error_names_the_task(self, command, content, tmp_path, capsys):
         path = tmp_path / f"{content}.json"
         path.write_text(MALFORMED_INPUTS[content], encoding="utf-8")
         assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
-        assert "task 't1'" in err and "must be >= 1, got 0" in err
+        assert "task 't1'" in err and TASK_ERRORS[content] in err

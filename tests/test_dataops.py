@@ -7,12 +7,13 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from qgp import reposcan
-from qgp.actions import Edit, Family, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
-from qgp.core import RunLedger, read_manifest_file, run_episode
+from qgp.actions import Edit, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
+from qgp.core import RunLedger, run_episode
 from qgp.controllers import StandardController
 from qgp.dataops import (
     AnswerEquals,
@@ -29,7 +30,6 @@ from qgp.dataops import (
     generate_dataops_manifest,
     inspect_unit,
     load_manifest,
-    manifest_payload,
     normalize_answer,
     run_check,
     submit_unit,
@@ -359,17 +359,19 @@ class TestGeneration:
             assert record.outcome.value == "success"
             assert record.ledger.step <= task.spec.budget
 
-    def test_public_loader_hides_checkers(self, dataops_manifest_path, dataops_loaded):
+    def test_public_views_hide_checkers(self, dataops_loaded):
         manifest = dataops_loaded
-        _, public = read_manifest_file(dataops_manifest_path, {Family.DATAOPS: manifest_payload})
-        text = json.dumps(public)
+        environment, changed = manifest.open()
+        assert changed == []
+        views = [asdict(environment(task).public_view()) for task in manifest.tasks]
+        text = json.dumps(views)
         assert '"hidden"' not in text and '"checkers"' not in text
         assert "expected" not in text
         for task in manifest.tasks:
             for unit in task.units:
                 if isinstance(unit.checker, FileDigest):
                     assert unit.checker.expected_digest not in text
-        assert {u["unit_id"] for u in public[0]["units"]} == {
+        assert {u["unit_id"] for u in views[0]["units"]} == {
             u.unit_id for u in manifest.tasks[0].units
         }
 

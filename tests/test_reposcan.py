@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from qgp.actions import Family
-from qgp.core import read_manifest_file
 from qgp.errors import GenerationError
 from qgp.reposcan import (
     ArtifactRecord,
@@ -20,7 +19,6 @@ from qgp.reposcan import (
     generate_manifest,
     index_snapshot,
     load_manifest,
-    manifest_payload,
     search,
     snapshot_digest,
     write_manifest,
@@ -219,25 +217,27 @@ class TestManifest:
         assert [t.spec for t in reloaded.tasks] == [t.spec for t in manifest.tasks]
         assert [t.valid_ids for t in reloaded.tasks] == [t.valid_ids for t in manifest.tasks]
 
-    def test_public_loader_hides_everything_hidden(self, reposcan_manifest_path, reposcan_loaded):
+    def test_public_views_hide_everything_hidden(self, reposcan_loaded):
         manifest, _ = reposcan_loaded
-        _, public = read_manifest_file(reposcan_manifest_path, {Family.REPOSCAN: manifest_payload})
-        assert len(public) == 36
-        text = json.dumps(public)
+        environment, _ = manifest.open()
+        views = [asdict(environment(task).public_view()) for task in manifest.tasks]
+        assert len(views) == 36
+        text = json.dumps(views)
         assert "hidden" not in text
         assert "valid_ids" not in text
         assert "predicate" not in text
         for task in manifest.tasks:
             for hidden_id in task.valid_ids:
                 assert hidden_id not in text
-        assert set(public[0]) == {
+        assert set(views[0]) == {
             "task_id",
             "family",
             "objective_text",
             "target_count",
             "budget",
-            "seed",
+            "units",
         }
+        assert views[0]["units"] is None
 
     def test_unknown_target_budget_rejected(self, snapshot_roots):
         with pytest.raises(GenerationError):
