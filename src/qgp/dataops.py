@@ -746,8 +746,9 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
     """Each task's units, checkers and files. A task has at least one unit,
-    unit ids are unique within it, and every artifact path and checker file
-    must be a file path inside the workspace."""
+    unit ids are unique within it, every artifact path and checker file must
+    be a file path inside the workspace, and a workspace must take every
+    file."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         units = []
@@ -764,7 +765,14 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
             raise ValueError(f"task {spec.task_id!r} has no units")
         if len({u.unit_id for u in units}) < len(units):
             raise ValueError(f"task {spec.task_id!r} repeats a unit id")
-        tasks.append(DataopsTask(spec=spec, units=units, files=dict(entry["hidden"]["files"])))
+        files = dict(entry["hidden"]["files"])
+        workspace = Workspace()
+        for relpath, content in sorted(files.items()):
+            try:
+                workspace.write(relpath, content)
+            except ConfigurationError as exc:
+                raise ValueError(f"task {spec.task_id!r} file {relpath!r}: {exc}") from None
+        tasks.append(DataopsTask(spec=spec, units=units, files=files))
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
 

@@ -2,9 +2,11 @@
 and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
-digest and an immutable corpus of artifact records; a predicate over those
-records defines a hidden valid set; search is deterministic ranked
-pagination over the same corpus, memoised per corpus.
+digest and an immutable corpus of artifact records; every read hashes every
+byte, and a read whose bytes hash as the last read of the same root did
+returns that corpus again. A predicate over those records defines a hidden
+valid set; search is deterministic ranked pagination over the same corpus,
+memoised per corpus.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .verifier import judge_ids, normalize_id
 
 PAGE_SIZE = 10
 TEXT_TRUNCATE_BYTES = 64 * 1024
+_READ_CHUNK = 64 * 1024
 REPOSCAN_BUDGETS = {10: 30, 25: 60, 50: 100, 100: 180}
 
 KIND_SOURCE = "source"
@@ -161,27 +164,62 @@ def _is_file(entry: os.DirEntry) -> bool:
         return False
 
 
-def read_snapshot(root: str | Path) -> Snapshot:
-    """Read a snapshot once: its content digest and its indexed corpus.
+def _read_file(path: str) -> bytes:
+    """Every byte of a file: read until end of file, since a read may return
+    fewer bytes than asked before the end on some file systems."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read snapshot file {path}: {exc.strerror or exc}"
+        ) from exc
+    return b"".join(chunks)
 
+
+# The last snapshot read from each root. Records, and with them every search
+# ranking, are a pure function of the (relpath, size, bytes) sequence that the
+# digest commits to, so a read whose digest matches may return that snapshot.
+# Threads racing on one root may each build a corpus; all are equal.
+_LAST_READ: dict[str, Snapshot] = {}
+
+
+def read_snapshot(root: str | Path) -> Snapshot:
+    """Read a snapshot: its content digest and its indexed corpus.
+
+    Every call walks the tree and reads and hashes every byte of every file;
+    no stat data is trusted, since an edit can keep a file's size and mtime.
     The digest is a sha256 over (relpath, size, bytes) of every file in walk
-    order. Records are ordered by relpath then kind; binary files are skipped
-    via a null-byte heuristic and text is truncated to the first 64 KiB, so
-    indexing stays bounded and deterministic.
+    order. When it equals the digest of the last snapshot read from the same
+    root in this process, that snapshot is returned, with its corpus and the
+    corpus's search memo; otherwise the records are built from the bytes
+    just read and replace it. Records are ordered by relpath then kind;
+    binary files are skipped via a null-byte heuristic and text is truncated
+    to the first 64 KiB, so indexing stays bounded and deterministic. A file
+    that cannot be read raises ConfigurationError naming it.
     """
     root = Path(root)
     if not root.is_dir():
         raise ConfigurationError(f"snapshot root not found or not a directory: {root}")
     h = hashlib.sha256()
-    records = []
+    files = []
     for relpath, path in _walk_files(str(root)):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        h.update(relpath.encode("utf-8"))
-        h.update(b"\0")
-        h.update(str(len(data)).encode("ascii"))
-        h.update(b"\0")
+        data = _read_file(path)
+        h.update(b"%s\0%d\0" % (relpath.encode("utf-8"), len(data)))
         h.update(data)
+        files.append((relpath, data))
+    digest = h.hexdigest()
+    key = os.path.abspath(root)
+    last = _LAST_READ.get(key)
+    if last is not None and last.digest == digest:
+        return last
+    records = []
+    for relpath, data in files:
         if b"\0" in data[:8192]:
             continue
         text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
@@ -196,7 +234,9 @@ def read_snapshot(root: str | Path) -> Snapshot:
             )
         )
     records.sort(key=lambda r: (r.relpath, r.kind))
-    return Snapshot(digest=h.hexdigest(), corpus=Corpus(records))
+    snapshot = Snapshot(digest=digest, corpus=Corpus(records))
+    _LAST_READ[key] = snapshot
+    return snapshot
 
 
 def index_snapshot(root: str | Path) -> list[ArtifactRecord]:

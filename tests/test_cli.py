@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -134,6 +136,36 @@ class TestMissingSnapshotRoot:
         assert lines[0].startswith("error:")
         assert str(missing) in lines[0] and "not found" in lines[0]
         assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+
+class TestUnreadableSnapshotFile:
+    @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
+    def test_one_error_line_naming_the_file(
+        self, command, mini_manifest, snapshot_roots, tmp_path, monkeypatch, capsys
+    ):
+        # Refused by patching os.open: permission bits do not stop root.
+        refused = next(path for _, path in reposcan._walk_files(str(snapshot_roots[0])))
+        real_open = os.open
+
+        def denying(path, *args, **kwargs):
+            if os.fspath(path) == refused:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", denying)
+        out = tmp_path / "out.json"
+        argv = {
+            "run": ["run", "--manifest", str(mini_manifest), "--out", str(out)],
+            "smoke": ["smoke", "--manifest", str(mini_manifest)],
+            "gen-reposcan": ["gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read snapshot file {refused}: {os.strerror(errno.EACCES)}\n"
+        )
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -685,6 +717,16 @@ _REPEATED_UNIT = {
 
 _NO_UNITS = {"units": [], "hidden": {"checkers": {}, "files": {}}}
 
+_ESCAPING_FILE = {
+    "units": [
+        {"unit_id": "u0", "kind": "consistency_answer", "prompt": "p", "artifact_path": "a.txt"}
+    ],
+    "hidden": {
+        "checkers": {"u0": {"type": "answer_equals", "file": "a.txt", "expected_normalized": "x"}},
+        "files": {"../x": "x"},
+    },
+}
+
 MALFORMED_INPUTS = {
     "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
     "reposcan-task-naming-unknown-snapshot": _manifest_text(
@@ -703,6 +745,9 @@ MALFORMED_INPUTS = {
         "dataops", [_task("dataops", **_REPEATED_UNIT)]
     ),
     "dataops-task-without-units": _manifest_text("dataops", [_task("dataops", **_NO_UNITS)]),
+    "dataops-task-with-file-outside-workspace": _manifest_text(
+        "dataops", [_task("dataops", **_ESCAPING_FILE)]
+    ),
     "dataops-without-tasks": '{"format": "qgp-manifest", "family": "dataops"}\n',
     "reposcan-task-with-target-count-0": _manifest_text(
         "reposcan",
@@ -726,6 +771,7 @@ TASK_ERRORS = {
     "reposcan-task-with-target-count-0": "must be >= 1, got 0",
     "dataops-task-with-budget-0": "must be >= 1, got 0",
     "dataops-task-without-units": "has no units",
+    "dataops-task-with-file-outside-workspace": "file '../x': not a file path inside",
 }
 COMMANDS = {
     "run": lambda path, out: ["run", "--manifest", path, "--out", out],
@@ -755,3 +801,23 @@ class TestMalformedInputs:
         assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
         assert "task 't1'" in err and TASK_ERRORS[content] in err
+
+    @pytest.mark.parametrize(
+        "files, refused",
+        [
+            ({"../x": "x"}, "../x"),
+            ({"a": "x", "a/b": "y"}, "a/b"),
+            ({"a.txt": "lone \ud800 surrogate"}, "a.txt"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_hidden_file_a_workspace_refuses(self, command, files, refused, tmp_path, capsys):
+        hidden = _ESCAPING_FILE["hidden"] | {"files": files}
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            _manifest_text("dataops", [_task("dataops", **_ESCAPING_FILE | {"hidden": hidden})]),
+            encoding="utf-8",
+        )
+        assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}: ValueError: task 't1' file {refused!r}: ")

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 
 from qgp import cli, reposcan
 from qgp.actions import Candidate, SearchResults
-from qgp.controllers import ControllerConfig, ControllerKind
+from qgp.controllers import AblationFlag, ControllerConfig, ControllerKind
 from qgp.errors import ConfigurationError
 from qgp.reposcan import (
     PAGE_SIZE,
@@ -390,3 +391,155 @@ class TestMemoisedSearch:
         assert not errors, errors[0]
         for tokens, ranking in results[0].items():
             assert all(r[tokens] is ranking for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Reuse by content: every read opens every file, equal bytes share one corpus
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_reuse_slots(monkeypatch) -> dict:
+    """A fresh reuse table for one test, so its first read of a root misses."""
+    slots: dict = {}
+    monkeypatch.setattr(reposcan, "_LAST_READ", slots)
+    return slots
+
+
+def _same_size_rewrite(path: Path, token: bytes) -> None:
+    """Put `token` at the start of the file, keeping its size and its times."""
+    before = os.stat(path)
+    data = path.read_bytes()
+    assert len(data) > len(token) + 1
+    path.write_bytes(token + b" " + data[len(token) + 1 :])
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+class TestReuseByContent:
+    def test_every_read_opens_every_file_once(
+        self, adversarial_tree, empty_reuse_slots, monkeypatch
+    ):
+        files = [str(p) for p in _reference_walk_files(adversarial_tree)]
+        opened: list[str] = []
+        real_open = os.open
+
+        def counting(path, *args, **kwargs):
+            if os.fspath(path).startswith(str(adversarial_tree)):
+                opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting)
+        first = read_snapshot(adversarial_tree)  # a miss
+        assert sorted(opened) == sorted(files)
+        opened.clear()
+        assert read_snapshot(adversarial_tree) is first  # a hit
+        assert sorted(opened) == sorted(files)
+
+    def test_hit_is_the_same_corpus_with_its_memo(self, adversarial_tree, empty_reuse_slots):
+        first = read_snapshot(adversarial_tree)
+        ranking = first.corpus.ranked(("sibling",))
+        again = read_snapshot(adversarial_tree)
+        assert again.corpus is first.corpus
+        assert again.corpus.ranked(("sibling",)) is ranking
+        assert again.digest == reference_snapshot_digest(adversarial_tree)
+        assert _fields(again.corpus) == _fields(reference_index_snapshot(adversarial_tree))
+
+    def test_same_size_same_mtime_edit_is_seen(
+        self, snapshot_roots, empty_reuse_slots, tmp_path, capsys
+    ):
+        root = tmp_path / "alpha_repo"
+        shutil.copytree(snapshot_roots[0], root)
+        manifest = tmp_path / "manifest.json"
+        argv = ["gen-reposcan", "--snapshot", str(root), "--targets", "10", "--instances", "1"]
+        assert cli.main(argv + ["--out", str(manifest)]) == 0
+        before = read_snapshot(root)
+        assert search(before.corpus, "qqzzedited", 0).candidates == ()
+        edited = next(p for p in sorted(root.rglob("*.py")) if p.stat().st_size > 40)
+        _same_size_rewrite(edited, b"qqzzedited")
+
+        after = read_snapshot(root)
+        assert after.digest != before.digest
+        assert after.digest == reference_snapshot_digest(root)
+        assert after.corpus is not before.corpus
+        assert _fields(after.corpus) == _fields(reference_index_snapshot(root))
+        relpath = edited.relative_to(root).as_posix()
+        found = [c.artifact_id for c in search(after.corpus, "qqzzedited", 0).candidates]
+        assert found == [f"{relpath}#{classify_kind(relpath)}"]
+
+        capsys.readouterr()
+        out = tmp_path / "records.jsonl"
+        assert cli.main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: snapshot alpha_repo changed since generation (digest "
+        )
+        assert not out.exists()
+
+    def test_concurrent_reads_of_one_root_agree(self, snapshot_roots, empty_reuse_slots):
+        root = snapshot_roots[1]
+        expected = (reference_snapshot_digest(root), _fields(reference_index_snapshot(root)))
+        workers = (os.cpu_count() or 2) + 2  # more threads than cores
+        results: list[list] = [[] for _ in range(workers)]
+        errors = []
+
+        def work(index: int) -> None:
+            try:
+                for _ in range(3):
+                    results[index].append(read_snapshot(root))
+                    if index % 2:
+                        empty_reuse_slots.clear()  # force more misses to race with hits
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        snapshots = {id(s): s for r in results for s in r}.values()
+        assert all(len(r) == 3 for r in results)
+        for snapshot in snapshots:
+            assert (snapshot.digest, _fields(snapshot.corpus)) == expected
+
+    # Pairs whose policies search and submit differently.
+    PAIRS = (
+        ("standard", None, "greedy_oracle"),
+        ("state_qgp", None, "duplicator"),
+        ("standard", None, "redundant_searcher"),
+        ("verifier_gated", None, "early_stopper"),
+        ("ablation", "dedupe_only", "redundant_searcher"),
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_do_not_depend_on_pair_order(
+        self, jobs, reposcan_manifest_path, empty_reuse_slots
+    ):
+        def run(pair) -> list[dict]:
+            controller, flag, policy = pair
+            config = ControllerConfig(
+                kind=ControllerKind(controller),
+                ablation_flags=AblationFlag(flag) if flag else None,
+            )
+            rows, aborts = cli.run_manifest(
+                str(reposcan_manifest_path), config, policy, {}, seed=5, jobs=jobs
+            )
+            assert aborts == 0
+            return rows
+
+        in_order = {pair: run(pair) for pair in self.PAIRS}
+        reversed_order = {pair: run(pair) for pair in reversed(self.PAIRS)}
+        cold = {}
+        for pair in self.PAIRS:
+            empty_reuse_slots.clear()
+            cold[pair] = run(pair)
+        for pair in self.PAIRS:
+            assert reversed_order[pair] == in_order[pair]
+            assert cold[pair] == in_order[pair]
