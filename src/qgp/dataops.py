@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import posixpath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -146,9 +146,20 @@ class Workspace:
         self._files: dict[str, str] = {}
         self._dirs: set[str] = set()
 
+    def copy(self) -> Workspace:
+        """An independent workspace holding the same files."""
+        other = Workspace()
+        other._files = dict(self._files)
+        other._dirs = set(self._dirs)
+        return other
+
     def seed(self, files: dict[str, str]) -> None:
+        """Write every file in path order; the error names a refused file."""
         for relpath, content in sorted(files.items()):
-            self.write(relpath, content)
+            try:
+                self.write(relpath, content)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"file {relpath!r}: {exc}") from None
 
     @staticmethod
     def _key(relpath: str) -> str:
@@ -433,9 +444,17 @@ class FixtureSources:
 
 @dataclass
 class DataopsTask:
+    """A backlog: its units and the files its runs start from. The files are
+    checked once, by seeding `workspace`, which every run then copies."""
+
     spec: TaskSpec
     units: list[BacklogUnit]
     files: dict[str, str]
+    workspace: Workspace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.workspace = Workspace()
+        self.workspace.seed(self.files)
 
 
 @dataclass
@@ -450,7 +469,7 @@ class DataopsManifest:
         so nothing is read and no snapshot can have changed."""
 
         def environment(task: DataopsTask) -> DataopsEnvironment:
-            return DataopsEnvironment(task.spec, task.units, task.files)
+            return DataopsEnvironment(task.spec, task.units, task.workspace)
 
         return environment, []
 
@@ -697,7 +716,7 @@ def generate_dataops_manifest(
                 seed=derive_seed(seed, "dataops", target, idx),
                 task_id=f"dataops-n{target}-b{idx}",
             )
-            _assert_solvable(DataopsEnvironment(task.spec, task.units, task.files))
+            _assert_solvable(DataopsEnvironment(task.spec, task.units, task.workspace))
             tasks.append(task)
     metadata = {
         "seed": seed,
@@ -765,14 +784,10 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
             raise ValueError(f"task {spec.task_id!r} has no units")
         if len({u.unit_id for u in units}) < len(units):
             raise ValueError(f"task {spec.task_id!r} repeats a unit id")
-        files = dict(entry["hidden"]["files"])
-        workspace = Workspace()
-        for relpath, content in sorted(files.items()):
-            try:
-                workspace.write(relpath, content)
-            except ConfigurationError as exc:
-                raise ValueError(f"task {spec.task_id!r} file {relpath!r}: {exc}") from None
-        tasks.append(DataopsTask(spec=spec, units=units, files=files))
+        try:
+            tasks.append(DataopsTask(spec, units, dict(entry["hidden"]["files"])))
+        except ConfigurationError as exc:
+            raise ValueError(f"task {spec.task_id!r} {exc}") from None
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
 
@@ -792,13 +807,13 @@ class DataopsEnvironment:
     page_size = 10
 
     def __init__(
-        self, task: TaskSpec, units: Sequence[BacklogUnit], files: dict[str, str]
+        self, task: TaskSpec, units: Sequence[BacklogUnit], workspace: Workspace
     ) -> None:
         self.task = task
-        # Fresh unit state per run, keyed by unit id; manifests are immutable.
+        # Fresh unit state, keyed by unit id, and fresh files per run; manifests
+        # are immutable.
         self.units = {u.unit_id: replace(u, status=UnitStatus.PENDING) for u in units}
-        self.workspace = Workspace()
-        self.workspace.seed(files)
+        self.workspace = workspace.copy()
 
     def public_view(self) -> PublicTaskView:
         return PublicTaskView.of(self.task, self.units.values())

@@ -2,10 +2,9 @@
 and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
-digest and an immutable corpus of artifact records; every read hashes every
-byte, and a read whose bytes hash as the last read of the same root did
-returns that corpus again. A predicate over those records defines a hidden
-valid set; search is deterministic ranked pagination over the same corpus,
+digest and an immutable corpus of artifact records; every read reads and
+hashes every byte. A predicate over those records defines a hidden valid
+set; search is deterministic ranked pagination over the same corpus,
 memoised per corpus.
 """
 
@@ -17,6 +16,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
@@ -98,14 +98,13 @@ class Corpus(Sequence):
         """Records matching any token, by descending match count, then id."""
         found = self._ranked.get(tokens)
         if found is None:
-            scored: list[tuple[int, str, ArtifactRecord]] = []
-            for artifact in self._records:
-                score = sum(1 for t in tokens if t in artifact.blob)
-                if score > 0:
-                    scored.append((-score, artifact.artifact_id, artifact))
-            scored.sort(key=lambda item: (item[0], item[1]))
+            records = self._records
+            scores: Counter[int] = Counter()
+            for t in tokens:
+                scores.update([i for i, artifact in enumerate(records) if t in artifact.blob])
+            order = sorted(scores, key=lambda i: (-scores[i], records[i].artifact_id, i))
             # setdefault is atomic, so threads racing on one query share one ranking.
-            found = self._ranked.setdefault(tokens, tuple(a for _, _, a in scored))
+            found = self._ranked.setdefault(tokens, tuple(records[i] for i in order))
         return found
 
 
@@ -120,13 +119,13 @@ class Snapshot:
 
 
 def classify_kind(relpath: str) -> str:
-    parts = relpath.split("/")
-    dirs = parts[:-1]
-    name = parts[-1]
-    suffix = ("." + name.rsplit(".", 1)[1]) if "." in name else ""
-    if any(d in ("test", "tests") for d in dirs):
+    head, _, name = relpath.rpartition("/")
+    dirs = f"/{head}/"  # each directory component between slashes
+    dot = name.rfind(".")
+    suffix = name[dot:] if dot >= 0 else ""
+    if "/test/" in dirs or "/tests/" in dirs:
         return KIND_TEST
-    if suffix in _DOC_SUFFIXES or "docs" in dirs:
+    if suffix in _DOC_SUFFIXES or "/docs/" in dirs:
         return KIND_DOCUMENTATION
     if suffix in _CONFIG_SUFFIXES:
         return KIND_CONFIGURATION
@@ -143,7 +142,7 @@ def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
     """
     try:
         with os.scandir(directory) as it:
-            entries = sorted(it, key=lambda e: e.name)
+            entries = sorted(it, key=attrgetter("name"))
     except PermissionError:
         return
     for entry in entries:
@@ -182,61 +181,35 @@ def _read_file(path: str) -> bytes:
     return b"".join(chunks)
 
 
-# The last snapshot read from each root. Records, and with them every search
-# ranking, are a pure function of the (relpath, size, bytes) sequence that the
-# digest commits to, so a read whose digest matches may return that snapshot.
-# Threads racing on one root may each build a corpus; all are equal.
-_LAST_READ: dict[str, Snapshot] = {}
-
-
 def read_snapshot(root: str | Path) -> Snapshot:
-    """Read a snapshot: its content digest and its indexed corpus.
+    """Read a snapshot once: its content digest and its indexed corpus.
 
-    Every call walks the tree and reads and hashes every byte of every file;
-    no stat data is trusted, since an edit can keep a file's size and mtime.
-    The digest is a sha256 over (relpath, size, bytes) of every file in walk
-    order. When it equals the digest of the last snapshot read from the same
-    root in this process, that snapshot is returned, with its corpus and the
-    corpus's search memo; otherwise the records are built from the bytes
-    just read and replace it. Records are ordered by relpath then kind;
-    binary files are skipped via a null-byte heuristic and text is truncated
-    to the first 64 KiB, so indexing stays bounded and deterministic. A file
-    that cannot be read raises ConfigurationError naming it.
+    Every call walks the tree and reads and hashes every byte of every file,
+    holding one file's bytes at a time; no stat data is trusted, since an
+    edit can keep a file's size and mtime. The digest is a sha256 over
+    (relpath, size, bytes) of every file in walk order. Records are ordered
+    by relpath then kind; binary files are skipped via a null-byte heuristic
+    and text is truncated to the first 64 KiB, so indexing stays bounded and
+    deterministic. A file that cannot be read raises ConfigurationError
+    naming it.
     """
     root = Path(root)
     if not root.is_dir():
         raise ConfigurationError(f"snapshot root not found or not a directory: {root}")
     h = hashlib.sha256()
-    files = []
+    records = []
     for relpath, path in _walk_files(str(root)):
         data = _read_file(path)
         h.update(b"%s\0%d\0" % (relpath.encode("utf-8"), len(data)))
         h.update(data)
-        files.append((relpath, data))
-    digest = h.hexdigest()
-    key = os.path.abspath(root)
-    last = _LAST_READ.get(key)
-    if last is not None and last.digest == digest:
-        return last
-    records = []
-    for relpath, data in files:
-        if b"\0" in data[:8192]:
+        if data.find(b"\0", 0, 8192) >= 0:
             continue
         text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
         kind = classify_kind(relpath)
-        records.append(
-            ArtifactRecord(
-                artifact_id=f"{relpath}#{kind}",
-                relpath=relpath,
-                kind=kind,
-                text=text,
-                preview=text[:200],
-            )
-        )
-    records.sort(key=lambda r: (r.relpath, r.kind))
-    snapshot = Snapshot(digest=digest, corpus=Corpus(records))
-    _LAST_READ[key] = snapshot
-    return snapshot
+        records.append(ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text, text[:200]))
+    # Relpaths are unique, so this is the order by relpath then kind.
+    records.sort(key=attrgetter("relpath"))
+    return Snapshot(digest=h.hexdigest(), corpus=Corpus(records))
 
 
 def index_snapshot(root: str | Path) -> list[ArtifactRecord]:

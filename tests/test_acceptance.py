@@ -57,7 +57,7 @@ def _reposcan_runs(manifest, corpora, controller_factory, policy_factory):
 def _dataops_runs(manifest, controller_factory, policy_factory):
     records = []
     for task in manifest.tasks:
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         try:
             records.append(run_episode(task.spec, env, controller_factory(), policy_factory()))
         finally:

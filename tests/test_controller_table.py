@@ -318,7 +318,7 @@ def _environments(family, reposcan_loaded, dataops_loaded):
             for t in manifest.tasks
         ]
     return [
-        (t.spec, functools.partial(DataopsEnvironment, t.spec, t.units, t.files))
+        (t.spec, functools.partial(DataopsEnvironment, t.spec, t.units, t.workspace))
         for t in dataops_loaded.tasks
     ]
 

@@ -289,7 +289,7 @@ class TestUnitQgp:
         from qgp.dataops import DataopsEnvironment
 
         task = dataops_loaded.tasks[0]
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         try:
             record = run_episode(
                 task.spec,
@@ -392,7 +392,7 @@ class TestGatedNeverFalseCompletes:
         task = dataops_loaded.tasks[0]
         from qgp.dataops import DataopsEnvironment
 
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         try:
             record = run_episode(
                 task.spec, env, UnitQgpController(), FalseCompleterPolicy()

@@ -351,7 +351,7 @@ class TestGeneration:
     def test_solver_completes_every_backlog(self, dataops_loaded):
         manifest = dataops_loaded
         for task in manifest.tasks[:6]:
-            env = DataopsEnvironment(task.spec, task.units, task.files)
+            env = DataopsEnvironment(task.spec, task.units, task.workspace)
             try:
                 record = run_episode(task.spec, env, StandardController(), SolverPolicy())
             finally:
@@ -397,7 +397,7 @@ class TestReplayDeterminism:
             ]
         transcripts = []
         for _ in range(2):
-            env = DataopsEnvironment(task.spec, task.units, task.files)
+            env = DataopsEnvironment(task.spec, task.units, task.workspace)
             try:
                 ledger = RunLedger(target_count=task.spec.target_count, budget=task.spec.budget)
                 transcripts.append([env.execute(a, ledger) for a in script])

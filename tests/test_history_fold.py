@@ -132,7 +132,7 @@ def backlog_histories(dataops_loaded):
     for task in by_budget.values():
         for kind in _DATAOPS_CONTROLLERS:
             for policy in (SolverPolicy(), NoSubmitLooperPolicy()):
-                env = DataopsEnvironment(task.spec, task.units, task.files)
+                env = DataopsEnvironment(task.spec, task.units, task.workspace)
                 record = _record(task, env, kind, policy)
                 runs.append((env.public_view(), record.ledger.history))
     return runs
@@ -218,7 +218,7 @@ class TestFoldEquivalence:
 
         policy = NoSubmitLooperPolicy()
         policy._fold = HistoryFold(partial(_start_unit_traces, policy.label), counting_step)
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         record = _record(task, env, ControllerKind.STANDARD, policy)
         assert record.ledger.step == task.spec.budget == 160
         # The last decision saw 159 entries; each was folded exactly once.

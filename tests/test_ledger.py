@@ -336,7 +336,7 @@ def _random_dataops_run(seed: int, task):
             return AskUser(message="?")
 
     controller = rng.choice([StandardController, VerifierGatedController, UnitQgpController])()
-    env = DataopsEnvironment(spec, task.units, task.files)
+    env = DataopsEnvironment(spec, task.units, task.workspace)
     try:
         return run_episode(spec, env, controller, RandomUnitPolicy())
     finally:

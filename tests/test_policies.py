@@ -189,7 +189,7 @@ class TestLooperAndSolver:
         from qgp.dataops import DataopsEnvironment
 
         task = dataops_loaded.tasks[0]
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         try:
             record = run_episode(task.spec, env, StandardController(), NoSubmitLooperPolicy())
         finally:
@@ -208,7 +208,7 @@ class TestLooperAndSolver:
         from qgp.dataops import DataopsEnvironment
 
         task = dataops_loaded.tasks[0]
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         try:
             record = run_episode(task.spec, env, StandardController(), SolverPolicy())
         finally:

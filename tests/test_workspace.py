@@ -231,12 +231,25 @@ class TestUnencodableText:
 
     def test_environment_answers_with_feedback(self, dataops_loaded):
         task = dataops_loaded.tasks[0]
-        env = DataopsEnvironment(task.spec, task.units, task.files)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
         ledger = RunLedger(target_count=task.spec.target_count, budget=task.spec.budget)
         for unit in task.units:
             fb = env.execute(Edit(unit_id=unit.unit_id, payload="\ud800"), ledger)
             assert fb.verdict == Verdict.FAIL
             assert fb.detail.startswith("malformed edit payload: ")
+
+    def test_each_run_starts_from_the_task_files(self, dataops_loaded):
+        task = dataops_loaded.tasks[0]
+        expected = {path: task.workspace.read(path) for path in task.files}
+        relpath = sorted(task.files)[0]
+        first = DataopsEnvironment(task.spec, task.units, task.workspace)
+        first.workspace.write(relpath, "changed")
+        first.workspace.write("new/file.txt", "x")
+        second = DataopsEnvironment(task.spec, task.units, task.workspace)
+        for ws in (task.workspace, second.workspace):
+            assert {path: ws.read(path) for path in task.files} == expected
+            assert not ws.exists("new/file.txt")
+        second.workspace.write("new", "a file where the first run made a directory")
 
     def test_adapter_edit_consumes_a_step_without_abort(
         self, fixture_sources, tmp_path, capsys
