@@ -30,14 +30,11 @@ from .actions import (
     Verdict,
 )
 from .core import (
-    BUDGET_EXHAUSTED,
     PublicTaskView,
     RunLedger,
     RunRecord,
     TaskSpec,
     classify_termination,
-    is_complete,
-    progress_inflation,
     record_submission,
     reported_count_error,
     run_episode,
@@ -52,7 +49,6 @@ from .controllers import (
     StateQgpController,
     UnitQgpController,
     VerifierGatedController,
-    ablation_controller,
     build_controller,
     gate_termination,
 )
@@ -60,7 +56,6 @@ from .metrics import (
     PairedDelta,
     RunMetrics,
     aggregate,
-    compute_run_metrics,
     paired_bootstrap,
 )
 from .policies import PolicyKind, build_policy

@@ -27,6 +27,7 @@ class Outcome(str, Enum):
     FALSE_COMPLETION = "false_completion"
     PREMATURE_STOP = "premature_stop"
     BUDGET_EXHAUSTED = "budget_exhausted"
+    ABORTED = "aborted"
 
 
 class UnitStatus(str, Enum):

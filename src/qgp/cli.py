@@ -7,8 +7,10 @@ family's own `smoke_failures`. Each command writes the output path it is
 given and replaces a file already there, so keep earlier outputs under other
 names. `run --out` writes a temporary file beside its records file and
 renames it over the old one, so a run that fails leaves the previous file
-intact. All pipelines are deterministic under a fixed seed, including across
-different worker counts.
+intact; it refuses an output directory that does not exist before its first
+task. An output that cannot be written ends any command with one `error:`
+line and exit code 2. All pipelines are deterministic under a fixed seed,
+including across different worker counts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import dataops, reposcan
-from .actions import Family
+from .actions import Family, Outcome
 from .controllers import (
     AblationFlag,
     ControllerConfig,
@@ -31,13 +33,12 @@ from .controllers import (
     build_controller,
 )
 from .core import (
-    aborted_record_dict,
     read_manifest_file,
     read_record_dicts,
     record_to_dict,
     run_episode,
 )
-from .errors import AdapterError, ConfigurationError, QgpError, loading
+from .errors import ConfigurationError, QgpError, loading, writing
 from .metrics import (
     aggregate_csv,
     delta_csv,
@@ -71,27 +72,22 @@ class RunConfig:
     jobs: int = 1
     workspace_root: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
+            json.dumps(asdict(self), sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "RunConfig":
-        return cls(**obj)
-
-    @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        """Read a saved run; a controller, ablation flag or policy parameter
+        that `run` would refuse is refused here, naming the file."""
         with loading(path):
-            config = cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            config = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
             try:
                 config.controller_config()
+                build_policy(config.policy, **config.policy_params)
             except ConfigurationError as exc:
                 raise ValueError(exc) from exc
-            PolicyKind(config.policy)
         return config
 
     def controller_config(self) -> ControllerConfig:
@@ -130,7 +126,8 @@ def cmd_gen_reposcan(args: argparse.Namespace) -> int:
         instances_per_target=args.instances,
         seed=args.seed,
     )
-    digest = reposcan.write_manifest(manifest, args.out)
+    with writing(args.out):
+        digest = reposcan.write_manifest(manifest, args.out)
     print(f"wrote {args.out} tasks={len(manifest.tasks)} digest={digest}")
     return 0
 
@@ -145,7 +142,8 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
         instances_per_target=args.instances,
         seed=args.seed,
     )
-    digest = dataops.write_manifest(manifest, args.out)
+    with writing(args.out):
+        digest = dataops.write_manifest(manifest, args.out)
     print(f"wrote {args.out} tasks={len(manifest.tasks)} digest={digest}")
     return 0
 
@@ -156,23 +154,18 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
 
 
 def _policy_params(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    if args.stop_step is not None:
-        params["stop_step"] = args.stop_step
-    if args.claim_count is not None:
-        params["claim_count"] = args.claim_count
-    if args.final_step is not None:
-        params["final_step"] = args.final_step
-    if args.loop_unit is not None:
-        params["loop_unit"] = args.loop_unit
-    if args.policy_cmd:
-        params["command"] = args.policy_cmd
-        params["timeout"] = args.adapter_timeout
-    if args.submit_width is not None:
-        params["submit_width"] = args.submit_width
-    if args.submits_per_search is not None:
-        params["submits_per_search"] = args.submits_per_search
-    return params
+    """The policy parameters set on the command line."""
+    params = {
+        "stop_step": args.stop_step,
+        "claim_count": args.claim_count,
+        "final_step": args.final_step,
+        "loop_unit": args.loop_unit,
+        "command": args.policy_cmd,
+        "timeout": args.adapter_timeout,
+        "submit_width": args.submit_width,
+        "submits_per_search": args.submits_per_search,
+    }
+    return {name: value for name, value in params.items() if value is not None}
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -231,8 +224,6 @@ def run_manifest(
                 run_seed=derive_seed(seed, task.spec.task_id),
             )
             return record_to_dict(record)
-        except AdapterError as exc:
-            return aborted_record_dict(task.spec, controller.kind_label, policy.label, str(exc))
         finally:
             if hasattr(policy, "close"):
                 policy.close()
@@ -244,7 +235,7 @@ def run_manifest(
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_one, manifest.tasks))
-    aborts = sum(1 for row in rows if row["outcome"] == "aborted")
+    aborts = sum(1 for row in rows if row["outcome"] == Outcome.ABORTED.value)
     return rows, aborts
 
 
@@ -264,6 +255,10 @@ def _write_records(path: str, rows: list[dict]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config_from_args(args)
+    build_policy(config.policy, **config.policy_params)  # refuse its parameters before any task
+    out_dir = Path(config.out).parent
+    if not out_dir.is_dir():
+        raise QgpError(f"cannot write {config.out}: no directory {out_dir}")
     rows, aborts = run_manifest(
         manifest_path=config.manifest,
         controller_config=config.controller_config(),
@@ -272,7 +267,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=config.seed,
         jobs=config.jobs,
     )
-    _write_records(config.out, rows)
+    with writing(config.out):
+        _write_records(config.out, rows)
     print(f"wrote {config.out} runs={len(rows)} aborts={aborts}")
     return 1 if aborts else 0
 
@@ -288,7 +284,7 @@ def _record_metrics(path: str) -> list:
         return [
             metrics_from_record_dict(record)
             for record in read_record_dicts(path)
-            if record.get("outcome") != "aborted"
+            if record.get("outcome") != Outcome.ABORTED.value
         ]
 
 
@@ -296,7 +292,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     rows = [metric for path in args.records for metric in _record_metrics(path)]
     group_keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
     csv_text = aggregate_csv(rows, group_keys)
-    Path(args.out).write_text(csv_text, encoding="utf-8")
+    with writing(args.out):
+        Path(args.out).write_text(csv_text, encoding="utf-8")
     print(f"wrote {args.out} groups={max(0, csv_text.count(chr(10)) - 1)}")
     return 0
 
@@ -322,7 +319,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
         left_label=args.left_label,
         right_label=args.right_label,
     )
-    Path(args.out).write_text(delta_csv(delta), encoding="utf-8")
+    with writing(args.out):
+        Path(args.out).write_text(delta_csv(delta), encoding="utf-8")
     print(
         f"wrote {args.out} delta={delta.success_delta:.3f} "
         f"ci=[{delta.ci_low:.3f}, {delta.ci_high:.3f}]"
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in PolicyKind],
     )
     r.add_argument("--policy-cmd", default=None, help="external adapter command line")
-    r.add_argument("--adapter-timeout", type=float, default=30.0)
+    r.add_argument("--adapter-timeout", type=float, default=None, help="seconds (default 30)")
     r.add_argument("--stop-step", type=int, default=None)
     r.add_argument("--claim-count", type=int, default=None)
     r.add_argument("--final-step", type=int, default=None)

@@ -304,10 +304,6 @@ class VerifierGatedController(StateQgpController):
     kind_label = ControllerKind.VERIFIER_GATED.value
 
 
-def ablation_controller(flag: AblationFlag) -> StateQgpController:
-    return StateQgpController(_ablation_label(flag))
-
-
 # ---------------------------------------------------------------------------
 # Backlog work-unit controller
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 the manifest envelope.
 
 Every run is one policy driving one environment through one controller until
-the count goal is verified, an allowed termination happens, or the budget is
-exhausted. The ledger is the audit trail: a multiset of submitted identifiers,
-the verified ids, and the full step history. Each family's manifest file
-shares one envelope, read and written here; the family reads and writes only
-its own payload.
+the count goal is verified, an allowed termination happens, the budget is
+exhausted, or the policy's adapter aborts. The ledger is the audit trail: a
+multiset of submitted identifiers, the verified ids, and the full step
+history. Each family's manifest file shares one envelope, read and written
+here; the family reads and writes only its own payload.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
@@ -31,18 +31,8 @@ from .actions import (
     Terminal,
     is_legal_for_family,
 )
-from .errors import ConfigurationError, TerminatedRunError, loading
+from .errors import AdapterError, ConfigurationError, TerminatedRunError, loading
 from .verifier import IdVerdict
-
-
-class _BudgetExhausted:
-    """Sentinel handed to classify_termination when the step budget runs out."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "BUDGET_EXHAUSTED"
-
-
-BUDGET_EXHAUSTED = _BudgetExhausted()
 
 
 @dataclass(frozen=True)
@@ -157,31 +147,23 @@ def record_submission(
     )
 
 
-def is_complete(ledger: RunLedger, target_count: int) -> bool:
-    return ledger.valid_count >= target_count
-
-
 def reported_count_error(reported: int, valid: int, target_count: int) -> float:
     return abs(reported - valid) / max(1, target_count)
 
 
-def progress_inflation(reported: int, valid: int) -> bool:
-    return reported > valid
+def classify_termination(ledger: RunLedger, terminating: object = None) -> Outcome:
+    """Outcome from verifier state alone; the claim text never decides success.
 
-
-def classify_termination(
-    ledger: RunLedger, terminating: object, target_count: int
-) -> Outcome:
-    """Outcome from verifier state alone; the claim text never decides success."""
-    if ledger.valid_count >= target_count:
+    `terminating` is the Final or AskUser that ended the run, or None when
+    the budget ran out. A run with nothing remaining succeeded either way.
+    """
+    if ledger.remaining == 0:
         return Outcome.SUCCESS
-    if terminating is BUDGET_EXHAUSTED:
+    if terminating is None:
         return Outcome.BUDGET_EXHAUSTED
-    if isinstance(terminating, Final):
-        if terminating.completion_claim:
-            return Outcome.FALSE_COMPLETION
-        return Outcome.PREMATURE_STOP
-    if isinstance(terminating, AskUser):
+    if isinstance(terminating, Final) and terminating.completion_claim:
+        return Outcome.FALSE_COMPLETION
+    if isinstance(terminating, (Final, AskUser)):
         return Outcome.PREMATURE_STOP
     raise ConfigurationError(f"not a terminating marker: {terminating!r}")
 
@@ -244,6 +226,7 @@ class RunRecord:
     policy: str
     ledger: RunLedger
     interventions: list = field(default_factory=list)
+    abort_reason: str | None = None
 
     @property
     def outcome(self) -> Outcome:
@@ -264,12 +247,14 @@ def run_episode(
     policy: Policy,
     run_seed: int | None = None,
 ) -> RunRecord:
-    """Drive one run to a classified outcome.
+    """Drive one run to a classified outcome; this is the only place a run ends.
 
     Every policy decision consumes exactly one budget step, including decisions
     that were malformed, blocked, or repaired by the controller. Completion is
     checked after each step's feedback is applied, so reaching the target on
-    the final budgeted step still counts as success.
+    the final budgeted step still counts as success. An adapter that fails
+    before its decision arrives aborts the run: that step is not counted, and
+    the record keeps the ledger as the verifier left it and the reason.
     """
     if Family(environment.family) != Family(task.family):
         raise ConfigurationError(
@@ -280,9 +265,15 @@ def run_episode(
     page_size = environment.page_size
     ledger = RunLedger(target_count=task.target_count, budget=task.budget)
     interventions: list = []
+    abort_reason = None
     unit_order = tuple(u.unit_id for u in view.units) if view.units else ()
 
-    while ledger.step < task.budget and ledger.outcome is None:
+    while ledger.step < task.budget:
+        try:
+            proposal = policy.decide(view, ledger.history, seed)
+        except AdapterError as exc:
+            ledger.outcome, abort_reason = Outcome.ABORTED, str(exc)
+            break
         ledger.step += 1
         ctx = RunContext(
             step=ledger.step,
@@ -292,7 +283,6 @@ def run_episode(
             page_size=page_size,
             unit_order=unit_order,
         )
-        proposal = policy.decide(view, ledger.history, seed)
         # The controller transforms only well-formed, legal proposals; every
         # other proposal, and every one it blocks, is answered with a notice.
         if isinstance(proposal, Malformed):
@@ -311,23 +301,24 @@ def run_episode(
         if isinstance(action, (Final, AskUser)):
             if isinstance(action, Final) and action.reported_count is not None:
                 ledger.reported_count = action.reported_count
-            ledger.outcome = classify_termination(ledger, action, task.target_count)
+            ledger.outcome = classify_termination(ledger, action)
             ledger.history.append((action, Terminal(outcome=ledger.outcome)))
             break
         observation = environment.execute(action, ledger)
         ledger.history.append((action, observation))
         controller.observe(action, observation, ctx)
-        if is_complete(ledger, task.target_count):
-            ledger.outcome = Outcome.SUCCESS
+        if ledger.remaining == 0:
+            break
 
     if ledger.outcome is None:
-        ledger.outcome = classify_termination(ledger, BUDGET_EXHAUSTED, task.target_count)
+        ledger.outcome = classify_termination(ledger)
     return RunRecord(
         task=task,
         controller=controller.kind_label,
         policy=policy.label,
         ledger=ledger,
         interventions=interventions,
+        abort_reason=abort_reason,
     )
 
 
@@ -353,45 +344,31 @@ RECORD_FIELDS = (
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    return _record_row(
-        record.task,
-        record.controller,
-        record.policy,
-        record.outcome.value,
-        record.ledger,
-        record.interventions,
-    )
-
-
-def aborted_record_dict(task: TaskSpec, controller: str, policy: str, reason: str) -> dict:
-    """The record of a run its adapter aborted: no steps, no counts, the reason last."""
-    ledger = RunLedger(target_count=task.target_count, budget=task.budget)
-    return _record_row(task, controller, policy, "aborted", ledger, []) | {"abort_reason": reason}
-
-
-def _record_row(
-    task: TaskSpec, controller: str, policy: str, outcome: str, ledger: RunLedger, interventions
-) -> dict:
-    return {
+    """The record line of a run: RECORD_FIELDS, the intervention log and, for
+    an aborted run only, its `abort_reason` last."""
+    task, ledger = record.task, record.ledger
+    row = {
         "task_id": task.task_id,
         "family": Family(task.family).value,
         "target_count": task.target_count,
         "budget": task.budget,
-        "controller": controller,
-        "policy": policy,
-        "outcome": outcome,
+        "controller": record.controller,
+        "policy": record.policy,
+        "outcome": record.outcome.value,
         "valid_count": ledger.valid_count,
         "steps_used": ledger.step,
         "duplicate_occurrences": ledger.duplicate_occurrences,
         "submission_occurrences": ledger.submission_occurrences,
         "reported_count": ledger.reported_count,
-        "intervention_count": len(interventions),
-        "intervention_log": [_intervention_to_dict(iv) for iv in interventions],
+        "intervention_count": len(record.interventions),
+        "intervention_log": [
+            {"step": iv.step, "kind": iv.kind.value, "detail": iv.detail}
+            for iv in record.interventions
+        ],
     }
-
-
-def _intervention_to_dict(iv) -> dict:
-    return asdict(iv) | {"kind": iv.kind.value}
+    if record.outcome == Outcome.ABORTED:
+        row["abort_reason"] = record.abort_reason
+    return row
 
 
 def read_record_dicts(path: str | Path) -> list[dict]:

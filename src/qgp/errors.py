@@ -23,6 +23,15 @@ def loading(path: object) -> Iterator[None]:
         raise ConfigurationError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
+@contextmanager
+def writing(path: object) -> Iterator[None]:
+    """Report an output file that cannot be written as a QgpError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise QgpError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class GenerationError(QgpError):
     """Task or backlog generation could not satisfy its feasibility constraints."""
 

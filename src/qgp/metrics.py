@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .actions import Outcome
-from .core import RunRecord, record_to_dict, reported_count_error
+from .core import reported_count_error
 from .errors import AnalysisError
 
 
@@ -32,15 +32,12 @@ class RunMetrics:
     intervention_count: int
 
 
-def compute_run_metrics(record: RunRecord) -> RunMetrics:
-    if record.ledger.outcome is None:
-        raise AnalysisError(f"run {record.task.task_id} has no outcome yet")
-    return metrics_from_record_dict(record_to_dict(record))
-
-
 def metrics_from_record_dict(row: Mapping) -> RunMetrics:
-    """Rebuild the metric vector from a serialized run record line."""
+    """Rebuild the metric vector from a serialized run record line; an
+    aborted run has none."""
     outcome = Outcome(row["outcome"])
+    if outcome == Outcome.ABORTED:
+        raise AnalysisError(f"run {row['task_id']} was aborted and has no metrics")
     occurrences = int(row["submission_occurrences"])
     duplicates = int(row["duplicate_occurrences"])
     steps = int(row["steps_used"])

@@ -15,6 +15,7 @@ O(budget²).
 
 from __future__ import annotations
 
+import inspect
 import json
 import queue
 import re
@@ -410,15 +411,21 @@ class NoSubmitLooperPolicy:
 
 
 class _PipeReader(threading.Thread):
+    """Queues the adapter's reply lines, then None once it can read no more;
+    `end` says why."""
+
     def __init__(self, pipe) -> None:
         super().__init__(daemon=True)
         self.pipe = pipe
         self.lines: queue.Queue = queue.Queue()
+        self.end = "adapter closed its output stream"
 
     def run(self) -> None:
         try:
             for line in self.pipe:
                 self.lines.put(line)
+        except UnicodeDecodeError:
+            self.end = "adapter wrote a line that is not UTF-8"
         except ValueError:
             pass
         finally:
@@ -493,7 +500,7 @@ class ExternalAdapterPolicy:
                 self._owed += 1
                 return Malformed(raw="", reason="adapter_timeout")
             if line is None:
-                raise AdapterError("adapter closed its output stream")
+                raise AdapterError(self._reader.end)
             if not self._owed:
                 break
             self._owed -= 1
@@ -526,36 +533,36 @@ class ExternalAdapterPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _external_policy(command=None, timeout=30.0) -> ExternalAdapterPolicy:
+    if not command:
+        raise ConfigurationError("external policy requires a command")
+    if isinstance(command, str):
+        command = shlex.split(command)
+    return ExternalAdapterPolicy(command=list(command), timeout=float(timeout))
+
+
+# Each policy's builder. Its keyword parameters are the ones the policy
+# takes, and `build_policy` refuses any other.
+POLICY_BUILDERS: dict[PolicyKind, Callable[..., object]] = {
+    PolicyKind.DUPLICATOR: lambda: DuplicatorPolicy(),
+    PolicyKind.EARLY_STOPPER: lambda stop_step=1: EarlyStopperPolicy(int(stop_step)),
+    PolicyKind.FALSE_COMPLETER: lambda final_step=3, claim_count=None: FalseCompleterPolicy(
+        int(final_step), None if claim_count is None else int(claim_count)
+    ),
+    PolicyKind.NO_SUBMIT_LOOPER: lambda loop_unit=None: NoSubmitLooperPolicy(loop_unit),
+    PolicyKind.GREEDY_ORACLE: lambda: GreedyOraclePolicy(),
+    PolicyKind.SOLVER: lambda: SolverPolicy(),
+    PolicyKind.REDUNDANT_SEARCHER: lambda submit_width=3, submits_per_search=3: (
+        RedundantSearcherPolicy(int(submit_width), int(submits_per_search))
+    ),
+    PolicyKind.EXTERNAL: _external_policy,
+}
+
+
 def build_policy(kind: PolicyKind | str, **params):
     kind = PolicyKind(kind)
-    if kind == PolicyKind.DUPLICATOR:
-        return DuplicatorPolicy()
-    if kind == PolicyKind.EARLY_STOPPER:
-        return EarlyStopperPolicy(stop_step=int(params.get("stop_step", 1)))
-    if kind == PolicyKind.FALSE_COMPLETER:
-        claim = params.get("claim_count")
-        return FalseCompleterPolicy(
-            final_step=int(params.get("final_step", 3)),
-            claim_count=None if claim is None else int(claim),
-        )
-    if kind == PolicyKind.NO_SUBMIT_LOOPER:
-        return NoSubmitLooperPolicy(loop_unit=params.get("loop_unit"))
-    if kind == PolicyKind.GREEDY_ORACLE:
-        return GreedyOraclePolicy()
-    if kind == PolicyKind.SOLVER:
-        return SolverPolicy()
-    if kind == PolicyKind.REDUNDANT_SEARCHER:
-        return RedundantSearcherPolicy(
-            submit_width=int(params.get("submit_width", 3)),
-            submits_per_search=int(params.get("submits_per_search", 3)),
-        )
-    if kind == PolicyKind.EXTERNAL:
-        command = params.get("command")
-        if not command:
-            raise ConfigurationError("external policy requires a command")
-        if isinstance(command, str):
-            command = shlex.split(command)
-        return ExternalAdapterPolicy(
-            command=list(command), timeout=float(params.get("timeout", 30.0))
-        )
-    raise ConfigurationError(f"unknown policy kind: {kind!r}")
+    builder = POLICY_BUILDERS[kind]
+    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if unknown:
+        raise ConfigurationError(f"policy {kind.value} does not take {', '.join(unknown)}")
+    return builder(**params)

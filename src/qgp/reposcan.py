@@ -190,8 +190,8 @@ def read_snapshot(root: str | Path) -> Snapshot:
     (relpath, size, bytes) of every file in walk order. Records are ordered
     by relpath then kind; binary files are skipped via a null-byte heuristic
     and text is truncated to the first 64 KiB, so indexing stays bounded and
-    deterministic. A file that cannot be read raises ConfigurationError
-    naming it.
+    deterministic. A file that cannot be read, or whose name is not UTF-8,
+    raises ConfigurationError naming it.
     """
     root = Path(root)
     if not root.is_dir():
@@ -199,8 +199,12 @@ def read_snapshot(root: str | Path) -> Snapshot:
     h = hashlib.sha256()
     records = []
     for relpath, path in _walk_files(str(root)):
+        try:
+            name = relpath.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigurationError(f"snapshot file name is not UTF-8: {os.fsencode(path)!r}")
         data = _read_file(path)
-        h.update(b"%s\0%d\0" % (relpath.encode("utf-8"), len(data)))
+        h.update(b"%s\0%d\0" % (name, len(data)))
         h.update(data)
         if data.find(b"\0", 0, 8192) >= 0:
             continue

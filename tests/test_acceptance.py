@@ -14,12 +14,10 @@ import pytest
 from qgp.actions import Family, Outcome
 from qgp.cli import main
 from qgp.controllers import (
-    AblationFlag,
     StandardController,
     StateQgpController,
     UnitQgpController,
     VerifierGatedController,
-    ablation_controller,
 )
 from qgp.core import TaskSpec, read_record_dicts, reported_count_error, run_episode
 from qgp.dataops import DataopsEnvironment
@@ -154,8 +152,8 @@ def test_criterion_6_ablation_ordering():
         corpus, valid = _ablation_corpus()
         variants = {
             "standard": StandardController,
-            "page_memory_only": lambda: ablation_controller(AblationFlag.PAGE_MEMORY_ONLY),
-            "no_buffer": lambda: ablation_controller(AblationFlag.DEDUPE_PLUS_PAGE_NO_BUFFER),
+            "page_memory_only": lambda: StateQgpController("ablation:page_memory_only"),
+            "no_buffer": lambda: StateQgpController("ablation:dedupe_plus_page_no_buffer"),
             "full": StateQgpController,
         }
         rates = {}

@@ -14,7 +14,12 @@ import pytest
 from qgp import cli, reposcan
 from qgp.actions import Family
 from qgp.cli import _write_records, main
-from qgp.core import RECORD_FIELDS, TaskSpec, aborted_record_dict, read_record_dicts
+from qgp.controllers import VerifierGatedController
+from qgp.core import RECORD_FIELDS, TaskSpec, read_record_dicts, record_to_dict, run_episode
+from qgp.policies import ExternalAdapterPolicy
+from qgp.reposcan import ReposcanEnvironment
+
+from synth import tiny_corpus
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,132 @@ class TestUnreadableSnapshotFile:
         assert not out.exists()
 
 
+class TestNonUtf8SnapshotName:
+    @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
+    def test_one_error_line_naming_the_file(self, command, snapshot_roots, tmp_path, capsys):
+        root = tmp_path / "snap"
+        shutil.copytree(snapshot_roots[0], root)
+        manifest = tmp_path / "manifest.json"
+        args = ["--snapshot", str(root), "--targets", "10", "--instances", "1"]
+        assert main(["gen-reposcan", *args, "--out", str(manifest)]) == 0
+        bad = os.path.join(os.fsencode(root), b"src", b"\xff.py")
+        with open(bad, "wb") as fh:
+            fh.write(b"print('x')\n")
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {
+            "run": ["run", "--manifest", str(manifest), "--out", str(out)],
+            "smoke": ["smoke", "--manifest", str(manifest)],
+            "gen-reposcan": ["gen-reposcan", *args, "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: snapshot file name is not UTF-8: {bad!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def _no_tasks(*args, **kwargs):
+    raise AssertionError("a task ran")
+
+
+class TestUnwritableOutput:
+    def test_run_refuses_a_missing_directory_before_any_task(
+        self, mini_manifest, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
+        out = tmp_path / "missing" / "dir" / "r.jsonl"
+        assert main(["run", "--manifest", str(mini_manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: no directory {out.parent}\n"
+        )
+        assert not out.parent.exists()
+
+    def test_run_refuses_a_missing_directory_from_a_saved_config(
+        self, mini_manifest, tmp_path, monkeypatch, capsys
+    ):
+        from qgp.cli import RunConfig
+
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
+        out = tmp_path / "missing" / "r.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest), controller="standard", policy="duplicator", out=str(out)
+        )
+        config.save(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: no directory")
+
+    @pytest.mark.parametrize("command", ["aggregate", "delta", "gen-reposcan", "gen-dataops"])
+    def test_one_error_line_naming_the_output(
+        self, command, record_files, snapshot_roots, csv_sources, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "out.csv"
+        records = str(record_files["standard"])
+        argv = {
+            "aggregate": ["aggregate", "--records", records],
+            "delta": ["delta", "--left", records, "--right", records, "--resamples", "10"],
+            "gen-reposcan": [
+                "gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--targets", "10",
+                "--instances", "1",
+            ],
+            "gen-dataops": [
+                "gen-dataops", "--csv", str(csv_sources[0]), "--targets", "3", "--instances", "1",
+            ],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+
+class TestPolicyParams:
+    @pytest.mark.parametrize(
+        "policy,flags,param",
+        [
+            ("greedy_oracle", ["--stop-step", "1"], "stop_step"),
+            ("duplicator", ["--policy-cmd", "nonexistent-binary"], "command"),
+            ("early_stopper", ["--claim-count", "4"], "claim_count"),
+            ("solver", ["--adapter-timeout", "5"], "timeout"),
+        ],
+    )
+    def test_flag_the_policy_does_not_take_is_refused(
+        self, policy, flags, param, mini_manifest, tmp_path, capsys
+    ):
+        out = tmp_path / "refused.jsonl"
+        argv = ["run", "--manifest", str(mini_manifest), "--policy", policy, "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: policy {policy} does not take {param}\n"
+        assert not out.exists()
+
+    def test_saved_parameter_the_policy_does_not_take_is_refused(
+        self, mini_manifest, tmp_path, capsys
+    ):
+        from qgp.cli import RunConfig
+
+        out = tmp_path / "refused.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="standard",
+            policy="greedy_oracle",
+            out=str(out),
+            policy_params={"stop_step": 1},
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(config_path) in err and "policy greedy_oracle does not take stop_step" in err
+        assert not out.exists()
+
+    def test_flags_the_policy_takes_are_kept(self, mini_manifest, tmp_path):
+        out = tmp_path / "records.jsonl"
+        argv = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
+        assert main(argv + ["--policy", "early_stopper", "--stop-step", "2"]) == 0
+        assert all(r["steps_used"] == 2 for r in read_record_dicts(out))
+
+
 class TestRun:
     def test_record_fields_bit_exact(self, mini_manifest, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -288,15 +419,38 @@ class TestRun:
         assert all(r["outcome"] == "aborted" for r in rows)
         assert all("abort_reason" in r for r in rows)
 
-    def test_aborted_row_bytes(self):
-        task = TaskSpec("t1", Family.REPOSCAN, "find things", 10, 20, 3)
-        row = aborted_record_dict(task, "verifier_gated", "external", "adapter exited (code 3)")
+    def test_aborted_row_bytes(self, tmp_path):
+        # The adapter answers three steps, then exits on reading the fourth
+        # request: the row keeps the ledger's counts at that point.
+        replies = [
+            {"kind": "submit", "ids": ["src/mod_0.py#source", "src/mod_1.py#source",
+                                       "src/mod_2.py#source"]},
+            {"kind": "final", "completion_claim": True, "reported_count": 5},
+            {"kind": "submit", "ids": ["src/mod_0.py#source", "src/mod_3.py#source"]},
+        ]
+        script = tmp_path / "adapter.py"
+        script.write_text(
+            "import json, sys\n"
+            f"for line, reply in zip(sys.stdin, {replies!r}):\n"
+            "    print(json.dumps(reply), flush=True)\n"
+        )
+        task = TaskSpec("t1", Family.REPOSCAN, "zeta things", 5, 20, 3)
+        corpus = tiny_corpus()
+        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:4]])
+        policy = ExternalAdapterPolicy(command=[sys.executable, str(script)])
+        try:
+            record = run_episode(task, env, VerifierGatedController(), policy)
+        finally:
+            policy.close()
+        row = record_to_dict(record)
         assert json.dumps(row, separators=(",", ":")) == (
-            '{"task_id":"t1","family":"reposcan","target_count":10,"budget":20,'
+            '{"task_id":"t1","family":"reposcan","target_count":5,"budget":20,'
             '"controller":"verifier_gated","policy":"external","outcome":"aborted",'
-            '"valid_count":0,"steps_used":0,"duplicate_occurrences":0,'
-            '"submission_occurrences":0,"reported_count":null,"intervention_count":0,'
-            '"intervention_log":[],"abort_reason":"adapter exited (code 3)"}'
+            '"valid_count":4,"steps_used":3,"duplicate_occurrences":1,'
+            '"submission_occurrences":5,"reported_count":null,"intervention_count":1,'
+            '"intervention_log":[{"step":2,"kind":"blocked_termination",'
+            '"detail":"termination blocked: target not met, 2 of 5 still required"}],'
+            '"abort_reason":"adapter closed its output stream"}'
         )
         assert list(row)[: len(RECORD_FIELDS)] == list(RECORD_FIELDS)
 
@@ -346,7 +500,7 @@ class TestRunOutput:
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
-    def test_failed_run_keeps_previous_file(self, mini_manifest, tmp_path, monkeypatch):
+    def test_failed_run_keeps_previous_file(self, mini_manifest, tmp_path, monkeypatch, capsys):
         out = tmp_path / "records.jsonl"
         out.write_text("previous\n")
         real_dumps = json.dumps
@@ -360,9 +514,9 @@ class TestRunOutput:
 
         monkeypatch.setattr(cli.json, "dumps", failing_dumps)
         argv = ["run", "--manifest", str(mini_manifest), "--policy", "duplicator"]
-        with pytest.raises(OSError, match="disk full"):
-            main(argv + ["--out", str(out)])
+        assert main(argv + ["--out", str(out)]) == 2
         monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: cannot write {out}: disk full\n"
         assert len(calls) == 2
         assert len(calls[1]) == 2 and calls[1][1].endswith(".tmp")
         assert out.read_text() == "previous\n"

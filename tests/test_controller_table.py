@@ -382,7 +382,7 @@ class TestTableAgainstReferences:
     def test_ablation_controller_is_a_row_lookup(self, flag):
         label = f"ablation:{flag.value}"
         table = build_controller(_config(label))
-        assert vars(controllers.ablation_controller(flag)) == vars(table)
+        assert vars(controllers.StateQgpController(label)) == vars(table)
 
     def test_unit_qgp_keeps_its_class(self):
         controller = build_controller(ControllerConfig(kind=ControllerKind.UNIT_QGP))

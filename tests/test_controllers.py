@@ -30,7 +30,6 @@ from qgp.controllers import (
     StateQgpController,
     UnitQgpController,
     VerifierGatedController,
-    ablation_controller,
     build_controller,
     gate_termination,
 )
@@ -162,21 +161,21 @@ class TestStateQgp:
 
 class TestAblations:
     def test_dedupe_only_forwards_empty_submit(self):
-        controller = ablation_controller(AblationFlag.DEDUPE_ONLY)
+        controller = StateQgpController("ablation:dedupe_only")
         controller.state.submitted_ids.update({"a", "b"})
         decision = controller.transform(Submit(ids=("a", "b")), make_ctx())
         assert decision.action == Submit(ids=())
         assert [iv.kind for iv in decision.interventions] == [InterventionKind.DEDUP_FILTERED]
 
     def test_page_memory_only_leaves_duplicates_alone(self):
-        controller = ablation_controller(AblationFlag.PAGE_MEMORY_ONLY)
+        controller = StateQgpController("ablation:page_memory_only")
         controller.state.submitted_ids.update({"a"})
         action = Submit(ids=("a", "a"))
         decision = controller.transform(action, make_ctx())
         assert decision.action == action and not decision.interventions
 
     def test_no_buffer_variant_repairs_to_search_not_buffer(self):
-        controller = ablation_controller(AblationFlag.DEDUPE_PLUS_PAGE_NO_BUFFER)
+        controller = StateQgpController("ablation:dedupe_plus_page_no_buffer")
         controller.state.submitted_ids.add("a")
         controller.state.candidate_buffer["fresh"] = None
         controller.state.last_query = "q"
@@ -188,7 +187,7 @@ class TestAblations:
 
     def test_ablations_do_not_gate(self):
         for flag in AblationFlag:
-            controller = ablation_controller(flag)
+            controller = StateQgpController(f"ablation:{flag.value}")
             action = Final(completion_claim=True)
             decision = controller.transform(action, make_ctx(valid=0))
             assert decision.action == action
@@ -341,7 +340,7 @@ class TestInterventionCompleteness:
             (lambda: StateQgpController(), DuplicatorPolicy()),
             (lambda: StateQgpController(), RedundantSearcherPolicy()),
             (
-                lambda: ablation_controller(AblationFlag.DEDUPE_PLUS_PAGE_NO_BUFFER),
+                lambda: StateQgpController("ablation:dedupe_plus_page_no_buffer"),
                 RedundantSearcherPolicy(),
             ),
             (lambda: VerifierGatedController(), FalseCompleterPolicy()),

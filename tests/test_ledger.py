@@ -22,12 +22,9 @@ from qgp.actions import (
     SubmitUnit,
 )
 from qgp.core import (
-    BUDGET_EXHAUSTED,
     RunLedger,
     TaskSpec,
     classify_termination,
-    is_complete,
-    progress_inflation,
     record_submission,
     reported_count_error,
     run_episode,
@@ -128,26 +125,11 @@ class TestRecordSubmission:
 
 class TestScalarOps:
     @pytest.mark.parametrize(
-        "valid,target,expected",
-        [(10, 10, True), (9, 10, False), (38, 25, True)],
-    )
-    def test_is_complete(self, valid, target, expected):
-        ledger = _ledger(target=target)
-        ledger.valid_ids = {f"v{i}" for i in range(valid)}
-        assert is_complete(ledger, target) is expected
-
-    @pytest.mark.parametrize(
         "reported,valid,target,expected",
         [(12, 9, 10, 0.3), (5, 5, 20, 0.0), (2, 0, 0, 2.0)],
     )
     def test_reported_count_error(self, reported, valid, target, expected):
         assert reported_count_error(reported, valid, target) == pytest.approx(expected)
-
-    @pytest.mark.parametrize(
-        "reported,valid,expected", [(12, 9, True), (9, 9, False), (0, 3, False)]
-    )
-    def test_progress_inflation(self, reported, valid, expected):
-        assert progress_inflation(reported, valid) is expected
 
 
 class TestClassifyTermination:
@@ -158,32 +140,45 @@ class TestClassifyTermination:
 
     def test_false_completion(self):
         outcome = classify_termination(
-            self._with_valid(6), Final(completion_claim=True, reported_count=10), 10
+            self._with_valid(6), Final(completion_claim=True, reported_count=10)
         )
         assert outcome == Outcome.FALSE_COMPLETION
 
     def test_ask_user_premature(self):
         assert (
-            classify_termination(self._with_valid(3), AskUser(message="?"), 10)
+            classify_termination(self._with_valid(3), AskUser(message="?"))
             == Outcome.PREMATURE_STOP
         )
 
     def test_budget_marker(self):
         ledger = RunLedger(target_count=100, budget=200)
         ledger.valid_ids = {f"v{i}" for i in range(41)}
-        assert classify_termination(ledger, BUDGET_EXHAUSTED, 100) == Outcome.BUDGET_EXHAUSTED
+        assert classify_termination(ledger, None) == Outcome.BUDGET_EXHAUSTED
+        assert classify_termination(ledger) == Outcome.BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize(
+        "valid,target,expected",
+        [(10, 10, True), (9, 10, False), (38, 25, True)],
+    )
+    def test_success_iff_nothing_remains(self, valid, target, expected):
+        ledger = _ledger(target=target)
+        ledger.valid_ids = {f"v{i}" for i in range(valid)}
+        assert (ledger.remaining == 0) is expected
+        for terminating in (None, Final(completion_claim=True), AskUser(message="?")):
+            outcome = classify_termination(ledger, terminating)
+            assert (outcome == Outcome.SUCCESS) is expected
 
     def test_claim_text_never_decides_success(self):
         ledger = self._with_valid(10)
         assert (
-            classify_termination(ledger, Final(completion_claim=False), 10)
+            classify_termination(ledger, Final(completion_claim=False))
             == Outcome.SUCCESS
         )
-        assert classify_termination(ledger, AskUser(message="?"), 10) == Outcome.SUCCESS
+        assert classify_termination(ledger, AskUser(message="?")) == Outcome.SUCCESS
 
     def test_non_terminating_marker_rejected(self):
         with pytest.raises(ConfigurationError):
-            classify_termination(self._with_valid(0), object(), 10)
+            classify_termination(self._with_valid(0), object())
 
 
 class TestRunEpisode:

@@ -9,14 +9,13 @@ import pytest
 
 from qgp.actions import Family, Outcome
 from qgp.controllers import StandardController
-from qgp.core import TaskSpec, run_episode
+from qgp.core import TaskSpec, record_to_dict, run_episode
 from qgp.errors import AnalysisError
 from qgp.metrics import (
     AGGREGATE_METRIC_COLUMNS,
     RunMetrics,
     aggregate,
     aggregate_csv,
-    compute_run_metrics,
     delta_csv,
     empirical_percentile,
     metrics_from_record_dict,
@@ -69,7 +68,7 @@ class TestComputeRunMetrics:
         record = run_episode(task, env, StandardController(), DuplicatorPolicy())
         assert record.ledger.submission_occurrences == 10
         assert record.ledger.duplicate_occurrences == 4
-        metrics = compute_run_metrics(record)
+        metrics = metrics_from_record_dict(record_to_dict(record))
         assert metrics.duplicate_submit_rate == pytest.approx(0.4)
         assert metrics.valid_per_step == pytest.approx(6 / 6)
 
@@ -105,11 +104,13 @@ class TestComputeRunMetrics:
         )
         env = ReposcanEnvironment(task, corpus, [])
         record = run_episode(task, env, StandardController(), EarlyStopperPolicy())
-        metrics = compute_run_metrics(record)
+        metrics = metrics_from_record_dict(record_to_dict(record))
         assert metrics.duplicate_submit_rate == 0.0
 
     def test_exactly_one_outcome_indicator(self):
         for outcome in Outcome:
+            if outcome == Outcome.ABORTED:
+                continue
             row = {
                 "task_id": "t",
                 "family": "reposcan",
@@ -133,6 +134,11 @@ class TestComputeRunMetrics:
                 metrics.budget_exhausted,
             )
             assert sum(indicators) == 1
+
+    def test_aborted_run_has_no_metrics(self):
+        row = {"task_id": "t", "outcome": "aborted", "abort_reason": "adapter wrote a line"}
+        with pytest.raises(AnalysisError, match="aborted"):
+            metrics_from_record_dict(row)
 
 
 class TestAggregate:
@@ -302,7 +308,7 @@ class TestPairedBootstrap:
                 )
                 env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:2]])
                 record = run_episode(task, env, controller(), EarlyStopperPolicy())
-                table[task.task_id] = compute_run_metrics(record)
+                table[task.task_id] = metrics_from_record_dict(record_to_dict(record))
             conditions[name] = table
         delta = paired_bootstrap(conditions["vg"], conditions["std"], resamples=4000, seed=3)
         assert delta.success_delta == 0.0

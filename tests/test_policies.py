@@ -21,7 +21,7 @@ from qgp.actions import (
 )
 from qgp.controllers import StandardController, StateQgpController, VerifierGatedController
 from qgp.core import TaskSpec, run_episode
-from qgp.errors import AdapterError, ConfigurationError
+from qgp.errors import ConfigurationError
 from qgp.policies import (
     DuplicatorPolicy,
     ExternalAdapterPolicy,
@@ -319,10 +319,46 @@ class TestExternalAdapter:
             corpus = tiny_corpus()
             task = _task(target=3, budget=4)
             env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
-            with pytest.raises(AdapterError):
-                run_episode(task, env, StandardController(), policy)
+            record = run_episode(task, env, StandardController(), policy)
         finally:
             policy.close()
+        assert record.outcome == Outcome.ABORTED
+        assert record.abort_reason.startswith("adapter")
+        assert record.ledger.step == 0 and record.ledger.history == []
+        assert record.ledger.submission_occurrences == 0 and not record.interventions
+
+    @pytest.mark.parametrize(
+        "reply,reason",
+        [
+            (
+                r'sys.stdout.buffer.write(b"\xff\n"); sys.stdout.flush()',
+                "adapter wrote a line that is not UTF-8",
+            ),
+            ("os.close(1)", "adapter closed its output stream"),
+        ],
+    )
+    def test_abort_reason_names_the_fault(self, tmp_path, reply, reason):
+        # The first reply is a search; the second is the fault, after which
+        # the adapter keeps reading requests, so only the reply can end the run.
+        body = f"""
+            import json, os, sys
+            for step, line in enumerate(sys.stdin):
+                if step == 0:
+                    print(json.dumps({{"kind": "search", "query": "zeta", "page": 0}}), flush=True)
+                else:
+                    {reply}
+            """
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, body), timeout=10)
+        try:
+            corpus = tiny_corpus()
+            task = _task(target=3, budget=4)
+            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            record = run_episode(task, env, StandardController(), policy)
+        finally:
+            policy.close()
+        assert record.outcome == Outcome.ABORTED
+        assert record.abort_reason == reason
+        assert record.ledger.step == 1
 
     def test_timeout_is_malformed_step(self, tmp_path):
         command = _write_adapter(
