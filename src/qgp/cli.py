@@ -23,6 +23,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import dataops, reposcan
 from .actions import Family, Outcome
@@ -79,10 +80,17 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        """Read a saved run; a controller, ablation flag or policy parameter
-        that `run` would refuse is refused here, naming the file."""
+        """Read a saved run; a field whose value is not of its annotated type,
+        and a controller, ablation flag or policy parameter that `run` would
+        refuse, are refused here, naming the file."""
         with loading(path):
             config = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+            for name, hint in get_type_hints(cls).items():
+                value, kinds = getattr(config, name), get_args(hint) or (hint,)
+                # isinstance counts a bool as an int; a saved run does not.
+                if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+                    names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
+                    raise ValueError(f"field {name!r} must be {names}, got {value!r}")
             try:
                 config.controller_config()
                 build_policy(config.policy, **config.policy_params)

@@ -99,8 +99,17 @@ _COLUMN_MEANS = {
 }
 
 
+RUN_METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
+
+
 def aggregate(rows: Sequence[RunMetrics], group_keys: Sequence[str]) -> list[AggregateRow]:
-    """Unweighted per-group means; groups ordered by their key tuple."""
+    """Unweighted per-group means; groups, keyed by `RunMetrics` fields, in key order."""
+    for key in group_keys:
+        if key not in RUN_METRIC_FIELDS:
+            raise AnalysisError(
+                f"cannot group by {key!r}: not a run metric field; "
+                f"choose from {', '.join(RUN_METRIC_FIELDS)}"
+            )
     groups: dict[tuple, list[RunMetrics]] = {}
     for row in rows:
         key = tuple(getattr(row, k) for k in group_keys)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import inspect
 import json
-import queue
+import os
 import re
+import select
 import shlex
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -410,43 +410,22 @@ class NoSubmitLooperPolicy:
 # ---------------------------------------------------------------------------
 
 
-class _PipeReader(threading.Thread):
-    """Queues the adapter's reply lines, then None once it can read no more;
-    `end` says why."""
-
-    def __init__(self, pipe) -> None:
-        super().__init__(daemon=True)
-        self.pipe = pipe
-        self.lines: queue.Queue = queue.Queue()
-        self.end = "adapter closed its output stream"
-
-    def run(self) -> None:
-        try:
-            for line in self.pipe:
-                self.lines.put(line)
-        except UnicodeDecodeError:
-            self.end = "adapter wrote a line that is not UTF-8"
-        except ValueError:
-            pass
-        finally:
-            # The reader owns the pipe: at end of stream nothing else reads it.
-            self.pipe.close()
-        self.lines.put(None)
-
-
 @dataclass
 class ExternalAdapterPolicy:
     """Line-delimited protocol: one request record out, one action record back.
 
-    Replies carry no step number, so a reply that misses its step's timeout is
-    still owed; it is read and dropped before the reply to a later step.
+    The adapter's stdout is read as bytes on the calling thread, and each
+    reply is the bytes up to a newline, decoded on its own. Replies carry no
+    step number, so a reply that misses its step's timeout is still owed; it
+    is read and dropped before the reply to a later step.
     """
 
     command: list[str]
     timeout: float = 30.0
     label: str = PolicyKind.EXTERNAL.value
     _process: subprocess.Popen | None = field(default=None, repr=False)
-    _reader: _PipeReader | None = field(default=None, repr=False)
+    _poll: select.poll | None = field(default=None, init=False, repr=False)
+    _buffer: bytearray = field(default_factory=bytearray, init=False, repr=False)
     _owed: int = field(default=0, init=False, repr=False)
 
     def _ensure_started(self) -> None:
@@ -458,74 +437,69 @@ class ExternalAdapterPolicy:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
             )
         except OSError as exc:
             raise AdapterError(f"could not launch adapter {self.command!r}: {exc}") from exc
-        assert self._process.stdout is not None
-        self._reader = _PipeReader(self._process.stdout)
-        self._reader.start()
+        # poll, not select: select cannot wait on a descriptor >= 1024.
+        self._poll = select.poll()
+        self._poll.register(self._process.stdout, select.POLLIN)
+
+    def _read_line(self, deadline: float) -> bytearray | None:
+        """The next reply without its newline, or None once `deadline` passes."""
+        while b"\n" not in self._buffer:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not self._poll.poll(wait * 1000):
+                return None
+            chunk = os.read(self._process.stdout.fileno(), 65536)
+            if not chunk:
+                cut = " in the middle of a line" if self._buffer else ""
+                raise AdapterError(f"adapter closed its output stream{cut}")
+            self._buffer += chunk
+        line, _, self._buffer = self._buffer.partition(b"\n")
+        return line
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action | Malformed:
         self._ensure_started()
-        assert self._process is not None and self._reader is not None
-        step = len(history) + 1
-        last_observation = None
-        if history:
-            last = history[-1][1]
-            try:
-                last_observation = observation_to_dict(last)
-            except Exception:
-                last_observation = None
         request = {
             "task_id": view.task_id,
             "family": Family(view.family).value,
             "objective": view.objective_text,
             "target_count": view.target_count,
             "budget_remaining": view.budget - len(history),
-            "step": step,
-            "last_observation": last_observation,
+            "step": len(history) + 1,
+            "last_observation": observation_to_dict(history[-1][1]) if history else None,
         }
         try:
-            assert self._process.stdin is not None
-            self._process.stdin.write(json.dumps(request) + "\n")
+            self._process.stdin.write(json.dumps(request).encode() + b"\n")
             self._process.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise AdapterError(f"adapter pipe closed: {exc}") from exc
         deadline = time.monotonic() + self.timeout
         while True:
-            try:
-                line = self._reader.lines.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
+            line = self._read_line(deadline)
+            if line is None:
                 self._owed += 1
                 return Malformed(raw="", reason="adapter_timeout")
-            if line is None:
-                raise AdapterError(self._reader.end)
             if not self._owed:
                 break
             self._owed -= 1
-        line = line.strip()
         try:
-            return action_from_dict(json.loads(line))
+            return action_from_dict(json.loads(line.decode("utf-8").strip()))
         except Exception:
-            return Malformed(raw=line)
+            return Malformed(raw=line.decode("utf-8", "replace").strip())
 
     def close(self) -> None:
         if self._process is None:
             return
         process, self._process = self._process, None
         try:
-            if process.stdin is not None:
-                process.stdin.close()
+            process.stdin.close()
             process.terminate()
             process.wait(timeout=5)
         except Exception:
             process.kill()
             process.wait()
-        # Once the adapter has exited its stdout ends, and the reader closes it.
-        if self._reader is not None:
-            self._reader.join(timeout=5)
-            self._reader = None
+        process.stdout.close()
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +512,12 @@ def _external_policy(command=None, timeout=30.0) -> ExternalAdapterPolicy:
         raise ConfigurationError("external policy requires a command")
     if isinstance(command, str):
         command = shlex.split(command)
-    return ExternalAdapterPolicy(command=list(command), timeout=float(timeout))
+    timeout = float(timeout)
+    # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
+    if not 0 < timeout <= 86400:
+        message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {timeout:g}"
+        raise ConfigurationError(message)
+    return ExternalAdapterPolicy(command=list(command), timeout=timeout)
 
 
 # Each policy's builder. Its keyword parameters are the ones the policy

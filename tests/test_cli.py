@@ -293,6 +293,29 @@ class TestPolicyParams:
         assert str(config_path) in err and "policy greedy_oracle does not take stop_step" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "86401"])
+    def test_unusable_adapter_timeout_is_refused(self, timeout, mini_manifest, tmp_path, capsys):
+        from qgp.cli import RunConfig
+
+        out = tmp_path / "refused.jsonl"
+        argv = ["run", "--manifest", str(mini_manifest), "--policy", "external"]
+        argv += ["--policy-cmd", "python3 -c pass", "--adapter-timeout", timeout]
+        assert main(argv + ["--out", str(out)]) == 2
+        refusal = f"adapter timeout must be more than 0 and at most 86400 seconds, got {timeout}\n"
+        assert capsys.readouterr().err == f"error: {refusal}"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="standard",
+            policy="external",
+            out=str(out),
+            policy_params={"command": "python3 -c pass", "timeout": float(timeout)},
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load {config_path}: ValueError: {refusal}"
+        assert not out.exists()
+
     def test_flags_the_policy_takes_are_kept(self, mini_manifest, tmp_path):
         out = tmp_path / "records.jsonl"
         argv = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
@@ -716,6 +739,29 @@ class TestRunConfig:
         assert err.startswith("error:") and config_path.name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("jobs", "2", "int, got '2'"),
+            ("seed", True, "int, got True"),
+            ("ablation", 3, "str or null, got 3"),
+            ("policy_params", [], "dict, got []"),
+        ],
+    )
+    def test_wrongly_typed_field_is_refused(
+        self, field, value, expected, mini_manifest, tmp_path, capsys
+    ):
+        out = tmp_path / "refused.jsonl"
+        saved = {"manifest": str(mini_manifest), "controller": "standard"}
+        saved |= {"policy": "duplicator", "out": str(out), field: value}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(saved), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {config_path}: ValueError: field {field!r} must be {expected}\n"
+        )
+        assert not out.exists()
+
     def test_run_without_manifest_errors(self, capsys):
         assert main(["run", "--policy", "duplicator"]) == 2
         assert "requires" in capsys.readouterr().err
@@ -946,6 +992,15 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith("error:")
         assert path.name in err
+
+    def test_unknown_group_by_key(self, record_files, tmp_path, capsys):
+        out = tmp_path / "agg.csv"
+        argv = ["aggregate", "--records", str(record_files["standard"])]
+        assert main(argv + ["--group-by", "controller,nosuch", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot group by 'nosuch': not a run metric field; ")
+        assert "task_id, family, controller, policy, target_count" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", sorted(TASK_ERRORS))
     @pytest.mark.parametrize("command", ["run", "smoke"])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -259,6 +261,129 @@ ECHO_ADAPTER = """
 """
 
 
+FAULT_PRELUDE = """\
+import json, os, subprocess, sys, time
+SEARCH = b'{"kind": "search", "query": "zeta", "page": 0}\\n'
+FINAL = b'{"kind": "final", "completion_claim": true, "reported_count": 3}\\n'
+ASK = b'{"kind": "ask_user", "message": "done"}\\n'
+def send(data):
+    sys.stdout.buffer.write(data)
+    sys.stdout.flush()
+"""
+# Lives while the adapter that started it does, holding the adapter's stdout.
+HOLD_STDOUT = (
+    "import os, time\n"
+    "parent = os.getppid()\n"
+    "while os.getppid() == parent:\n"
+    "    time.sleep(0.05)\n"
+)
+# One misbehaving adapter per row, run for one task of budget 4 under the
+# standard controller: (adapter body after FAULT_PRELUDE, timeout, outcome,
+# abort_reason, the proposal type of each step).
+ADAPTER_FAULTS = {
+    "reply-not-utf-8": (
+        'for step, line in enumerate(sys.stdin):\n'
+        '    send(SEARCH if step == 0 else b"\\xff\\n")\n',
+        10.0,
+        Outcome.BUDGET_EXHAUSTED,
+        None,
+        ["Search", "Malformed", "Malformed", "Malformed"],
+    ),
+    "reply-and-non-utf-8-line-in-one-write": (
+        'for step, line in enumerate(sys.stdin):\n'
+        '    send(SEARCH + b"\\xff\\n" if step == 0 else ASK)\n',
+        10.0,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Search", "Malformed", "AskUser"],
+    ),
+    # A reply ends at b"\n" alone: a b"\r\n" ending still parses, and a lone
+    # b"\r" is part of the line.
+    "crlf-ending-and-lone-cr": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 0:\n"
+        '        send(SEARCH[:-1] + b"\\r\\n")\n'
+        "    elif step == 1:\n"
+        '        send(ASK[:-1] + b"\\r" + FINAL)\n'
+        "    else:\n"
+        "        send(ASK)\n",
+        10.0,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Search", "Malformed", "AskUser"],
+    ),
+    "partial-line-then-exit": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 0:\n"
+        "        send(SEARCH)\n"
+        "    else:\n"
+        "        send(ASK[:10])\n"
+        "        sys.exit(0)\n",
+        10.0,
+        Outcome.ABORTED,
+        "adapter closed its output stream in the middle of a line",
+        ["Search"],
+    ),
+    # The adapter reads the next request before it exits, so that write
+    # cannot fail and only the reply can end the run.
+    "exit-mid-run": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 0:\n"
+        "        send(SEARCH)\n"
+        "    else:\n"
+        "        sys.exit(0)\n",
+        10.0,
+        Outcome.ABORTED,
+        "adapter closed its output stream",
+        ["Search"],
+    ),
+    "stdout-closed": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 0:\n"
+        "        send(SEARCH)\n"
+        "    else:\n"
+        "        os.close(1)\n",
+        10.0,
+        Outcome.ABORTED,
+        "adapter closed its output stream",
+        ["Search"],
+    ),
+    # The reply to step 1 is sent only once step 2's request has arrived, so
+    # it is late whatever the timing; applied to step 2 it would end the run
+    # as a false completion.
+    "late-reply-after-timeout": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 1:\n"
+        "        send(FINAL)\n"
+        "        send(ASK)\n",
+        0.5,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Malformed", "AskUser"],
+    ),
+    "stdin-closed-early": (
+        "sys.stdin.readline()\n"
+        "os.close(0)\n"
+        "send(SEARCH)\n"
+        "time.sleep(30)\n",
+        10.0,
+        Outcome.ABORTED,
+        "adapter pipe closed: [Errno 32] Broken pipe",
+        ["Search"],
+    ),
+    "child-inherits-stdout": (
+        f"subprocess.Popen([sys.executable, '-c', {HOLD_STDOUT!r}], stdin=subprocess.DEVNULL)\n"
+        "for step, line in enumerate(sys.stdin):\n"
+        "    send(SEARCH if step == 0 else ASK)\n",
+        10.0,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Search", "AskUser"],
+    ),
+}
+FAULT_ROW_SECONDS = 3.0
+
+
 class TestExternalAdapter:
     def test_roundtrip_success(self, tmp_path):
         policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, ECHO_ADAPTER))
@@ -327,38 +452,26 @@ class TestExternalAdapter:
         assert record.ledger.step == 0 and record.ledger.history == []
         assert record.ledger.submission_occurrences == 0 and not record.interventions
 
-    @pytest.mark.parametrize(
-        "reply,reason",
-        [
-            (
-                r'sys.stdout.buffer.write(b"\xff\n"); sys.stdout.flush()',
-                "adapter wrote a line that is not UTF-8",
-            ),
-            ("os.close(1)", "adapter closed its output stream"),
-        ],
-    )
-    def test_abort_reason_names_the_fault(self, tmp_path, reply, reason):
-        # The first reply is a search; the second is the fault, after which
-        # the adapter keeps reading requests, so only the reply can end the run.
-        body = f"""
-            import json, os, sys
-            for step, line in enumerate(sys.stdin):
-                if step == 0:
-                    print(json.dumps({{"kind": "search", "query": "zeta", "page": 0}}), flush=True)
-                else:
-                    {reply}
-            """
-        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, body), timeout=10)
+    @pytest.mark.parametrize("fault", sorted(ADAPTER_FAULTS))
+    def test_fault_ends_in_its_named_outcome(self, tmp_path, fault):
+        body, timeout, outcome, reason, steps = ADAPTER_FAULTS[fault]
+        threads = threading.active_count()
+        started = time.monotonic()
+        policy = ExternalAdapterPolicy(
+            command=_write_adapter(tmp_path, FAULT_PRELUDE + body), timeout=timeout
+        )
         try:
-            corpus = tiny_corpus()
-            task = _task(target=3, budget=4)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
-            record = run_episode(task, env, StandardController(), policy)
+            record = _run(policy, target=3, budget=4)
         finally:
+            closing = time.monotonic()
             policy.close()
-        assert record.outcome == Outcome.ABORTED
-        assert record.abort_reason == reason
-        assert record.ledger.step == 1
+        ended = time.monotonic()
+        assert (record.outcome, record.abort_reason) == (outcome, reason)
+        assert [type(action).__name__ for action, _ in record.ledger.history] == steps
+        assert record.ledger.step == len(steps)
+        assert ended - closing < 1.0
+        assert ended - started < FAULT_ROW_SECONDS
+        assert threading.active_count() == threads
 
     def test_timeout_is_malformed_step(self, tmp_path):
         command = _write_adapter(
