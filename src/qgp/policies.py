@@ -410,6 +410,13 @@ class NoSubmitLooperPolicy:
 # ---------------------------------------------------------------------------
 
 
+# The longest reply line read, in bytes without its newline. A longer one is
+# one malformed step, and its bytes are dropped as they arrive.
+MAX_REPLY_BYTES = 1 << 20
+_READ_BYTES = 65536
+_TOO_LONG = object()  # what `_read_line` returns for such a reply
+
+
 @dataclass
 class ExternalAdapterPolicy:
     """Line-delimited protocol: one request record out, one action record back.
@@ -426,6 +433,7 @@ class ExternalAdapterPolicy:
     _process: subprocess.Popen | None = field(default=None, repr=False)
     _poll: select.poll | None = field(default=None, init=False, repr=False)
     _buffer: bytearray = field(default_factory=bytearray, init=False, repr=False)
+    _dropping: bool = field(default=False, init=False, repr=False)
     _owed: int = field(default=0, init=False, repr=False)
 
     def _ensure_started(self) -> None:
@@ -444,19 +452,40 @@ class ExternalAdapterPolicy:
         self._poll = select.poll()
         self._poll.register(self._process.stdout, select.POLLIN)
 
-    def _read_line(self, deadline: float) -> bytearray | None:
-        """The next reply without its newline, or None once `deadline` passes."""
-        while b"\n" not in self._buffer:
+    def _read_line(self, deadline: float) -> bytearray | object | None:
+        """The next reply without its newline, `_TOO_LONG` for one over
+        MAX_REPLY_BYTES, or None once `deadline` passes.
+
+        Each read's bytes are searched for a newline once. The buffer holds
+        at most MAX_REPLY_BYTES plus one read: a reply found to be longer is
+        reported at once, and the rest of it is dropped up to its newline,
+        in this call or a later one.
+        """
+        buffer, start = self._buffer, 0
+        while True:
+            end = buffer.find(b"\n", start)
+            if end >= 0:
+                line = buffer[:end]
+                del buffer[: end + 1]
+                start = 0
+                if self._dropping:  # the newline of an over-long reply
+                    self._dropping = False
+                    continue
+                return _TOO_LONG if end > MAX_REPLY_BYTES else line
+            if self._dropping or len(buffer) > MAX_REPLY_BYTES:
+                buffer.clear()
+                if not self._dropping:
+                    self._dropping = True
+                    return _TOO_LONG
+            start = len(buffer)
             wait = deadline - time.monotonic()
             if wait <= 0 or not self._poll.poll(wait * 1000):
                 return None
-            chunk = os.read(self._process.stdout.fileno(), 65536)
+            chunk = os.read(self._process.stdout.fileno(), _READ_BYTES)
             if not chunk:
-                cut = " in the middle of a line" if self._buffer else ""
+                cut = " in the middle of a line" if buffer or self._dropping else ""
                 raise AdapterError(f"adapter closed its output stream{cut}")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line
+            buffer += chunk
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action | Malformed:
         self._ensure_started()
@@ -483,6 +512,8 @@ class ExternalAdapterPolicy:
             if not self._owed:
                 break
             self._owed -= 1
+        if line is _TOO_LONG:
+            return Malformed(raw="", reason="reply_too_long")
         try:
             return action_from_dict(json.loads(line.decode("utf-8").strip()))
         except Exception:
@@ -507,32 +538,61 @@ class ExternalAdapterPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _integer(name: str, value: object) -> int:
+    """An integer policy parameter as given, or as a float with no fraction,
+    which is how JSON may write it; anything else is refused, not coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"policy parameter {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _string(name: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"policy parameter {name!r} must be a string, got {value!r}")
+    return value
+
+
 def _external_policy(command=None, timeout=30.0) -> ExternalAdapterPolicy:
     if not command:
         raise ConfigurationError("external policy requires a command")
     if isinstance(command, str):
         command = shlex.split(command)
-    timeout = float(timeout)
+    if not isinstance(command, (list, tuple)) or not all(isinstance(a, str) for a in command):
+        expected = "a string or a list of strings"
+        raise ConfigurationError(f"policy parameter 'command' must be {expected}, got {command!r}")
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise ConfigurationError(f"policy parameter 'timeout' must be a number, got {timeout!r}")
     # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
     if not 0 < timeout <= 86400:
-        message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {timeout:g}"
+        shown = f"{timeout:g}" if isinstance(timeout, float) else timeout
+        message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {shown}"
         raise ConfigurationError(message)
-    return ExternalAdapterPolicy(command=list(command), timeout=timeout)
+    return ExternalAdapterPolicy(command=list(command), timeout=float(timeout))
 
 
 # Each policy's builder. Its keyword parameters are the ones the policy
 # takes, and `build_policy` refuses any other.
 POLICY_BUILDERS: dict[PolicyKind, Callable[..., object]] = {
     PolicyKind.DUPLICATOR: lambda: DuplicatorPolicy(),
-    PolicyKind.EARLY_STOPPER: lambda stop_step=1: EarlyStopperPolicy(int(stop_step)),
-    PolicyKind.FALSE_COMPLETER: lambda final_step=3, claim_count=None: FalseCompleterPolicy(
-        int(final_step), None if claim_count is None else int(claim_count)
+    PolicyKind.EARLY_STOPPER: lambda stop_step=1: EarlyStopperPolicy(
+        _integer("stop_step", stop_step)
     ),
-    PolicyKind.NO_SUBMIT_LOOPER: lambda loop_unit=None: NoSubmitLooperPolicy(loop_unit),
+    PolicyKind.FALSE_COMPLETER: lambda final_step=3, claim_count=None: FalseCompleterPolicy(
+        _integer("final_step", final_step),
+        None if claim_count is None else _integer("claim_count", claim_count),
+    ),
+    PolicyKind.NO_SUBMIT_LOOPER: lambda loop_unit=None: NoSubmitLooperPolicy(
+        None if loop_unit is None else _string("loop_unit", loop_unit)
+    ),
     PolicyKind.GREEDY_ORACLE: lambda: GreedyOraclePolicy(),
     PolicyKind.SOLVER: lambda: SolverPolicy(),
     PolicyKind.REDUNDANT_SEARCHER: lambda submit_width=3, submits_per_search=3: (
-        RedundantSearcherPolicy(int(submit_width), int(submits_per_search))
+        RedundantSearcherPolicy(
+            _integer("submit_width", submit_width),
+            _integer("submits_per_search", submits_per_search),
+        )
     ),
     PolicyKind.EXTERNAL: _external_policy,
 }

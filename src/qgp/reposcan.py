@@ -4,8 +4,11 @@ and opening and smoke-checking a manifest.
 A snapshot is a local directory tree. Reading it once yields its content
 digest and an immutable corpus of artifact records; every read reads and
 hashes every byte. A predicate over those records defines a hidden valid
-set; search is deterministic ranked pagination over the same corpus,
-memoised per corpus.
+set; search is deterministic ranked pagination over the same corpus. One
+memo per corpus, from a lowercase needle to the records whose text and path
+contain it, serves search rankings, predicate sampling, each task's valid
+ids and smoke's recomputation of them; `evaluate_predicate` is the
+per-record definition that the memo must agree with.
 """
 
 from __future__ import annotations
@@ -64,26 +67,34 @@ class ArtifactRecord:
     kind: str
     text: str
     preview: str
-    blob: str = field(repr=False, compare=False, default="")
+    # What search and keywords match: `text.lower()` is its prefix.
+    blob: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.blob:
-            object.__setattr__(self, "blob", (self.text + "\n" + self.relpath).lower())
+        object.__setattr__(self, "blob", (self.text + "\n" + self.relpath).lower())
 
 
 class Corpus(Sequence):
     """An immutable, ordered sequence of artifact records.
 
-    It owns the memo of ranked search results, keyed by the normalised query
-    tokens, so the memo lives exactly as long as the corpus and is shared by
-    every task and worker thread that searches it.
+    It owns the memos that search and predicates read, so they live exactly
+    as long as the corpus and are shared by every task and worker thread
+    that uses it: the positions of the records whose blob contains a needle,
+    the positions that a predicate pattern finds, the ranking of each token
+    set and the ids that each predicate selects. Each value is computed once
+    per key and published with `dict.setdefault`, which is atomic, so
+    threads racing on one key share one value.
     """
 
-    __slots__ = ("_records", "_ranked")
+    __slots__ = ("_records", "_blobs", "_containing", "_found_by", "_ranked", "_matching")
 
     def __init__(self, records: Iterable[ArtifactRecord]) -> None:
         self._records = tuple(records)
+        self._blobs = tuple(r.blob for r in self._records)
+        self._containing: dict[str, tuple[int, ...]] = {}
+        self._found_by: dict[str, tuple[int, ...]] = {}
         self._ranked: dict[tuple[str, ...], tuple[ArtifactRecord, ...]] = {}
+        self._matching: dict[Predicate, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -94,6 +105,24 @@ class Corpus(Sequence):
     def __iter__(self) -> Iterator[ArtifactRecord]:
         return iter(self._records)
 
+    def containing(self, needle: str) -> tuple[int, ...]:
+        """Positions of the records whose blob contains `needle`, ascending."""
+        found = self._containing.get(needle)
+        if found is None:
+            hits = tuple([i for i, blob in enumerate(self._blobs) if needle in blob])
+            found = self._containing.setdefault(needle, hits)
+        return found
+
+    def found_by(self, pattern: str) -> tuple[int, ...]:
+        """Positions of the records whose text a predicate pattern finds,
+        ascending; raises GenerationError if the pattern does not compile."""
+        found = self._found_by.get(pattern)
+        if found is None:
+            search_text = _compiled(pattern).search
+            hits = tuple([i for i, r in enumerate(self._records) if search_text(r.text)])
+            found = self._found_by.setdefault(pattern, hits)
+        return found
+
     def ranked(self, tokens: tuple[str, ...]) -> tuple[ArtifactRecord, ...]:
         """Records matching any token, by descending match count, then id."""
         found = self._ranked.get(tokens)
@@ -101,10 +130,18 @@ class Corpus(Sequence):
             records = self._records
             scores: Counter[int] = Counter()
             for t in tokens:
-                scores.update([i for i, artifact in enumerate(records) if t in artifact.blob])
+                scores.update(self.containing(t))
             order = sorted(scores, key=lambda i: (-scores[i], records[i].artifact_id, i))
-            # setdefault is atomic, so threads racing on one query share one ranking.
             found = self._ranked.setdefault(tokens, tuple(records[i] for i in order))
+        return found
+
+    def matching(self, predicate: Predicate) -> tuple[str, ...]:
+        """Ids of the records that satisfy the predicate, in corpus order."""
+        found = self._matching.get(predicate)
+        if found is None:
+            records = self._records
+            ids = tuple([records[i].artifact_id for i in _selected(self, predicate)])
+            found = self._matching.setdefault(predicate, ids)
         return found
 
 
@@ -280,6 +317,33 @@ def evaluate_predicate(artifact: ArtifactRecord, predicate: Predicate) -> bool:
     raise ConfigurationError(f"unknown predicate: {predicate!r}")
 
 
+def _selected(corpus: Corpus, predicate: Predicate) -> list[int]:
+    """Ascending positions of the records that satisfy the predicate: the
+    `evaluate_predicate` scan of the whole corpus, read from its memos."""
+    if isinstance(predicate, KeywordOrPattern):
+        hits: set[int] = set()
+        for k in predicate.keywords:
+            hits.update(corpus.containing(k.lower()))
+        # The scan tries a pattern only on a record that every earlier test
+        # left out, so a pattern is compiled, and may fail, only then.
+        for p in predicate.patterns:
+            if len(hits) == len(corpus):
+                break
+            hits.update(corpus.found_by(p))
+        return sorted(hits)
+    if isinstance(predicate, PathAndContent):
+        # `text.lower()` is a prefix of `blob`, so the blob positions hold every match.
+        path, content = predicate.path_substring, predicate.content_substring.lower()
+        return [
+            i
+            for i in corpus.containing(content)
+            if path in corpus[i].relpath and content in corpus[i].text.lower()
+        ]
+    if isinstance(predicate, TestOrDocumentation):
+        return [i for i, artifact in enumerate(corpus) if artifact.kind in predicate.kinds]
+    raise ConfigurationError(f"unknown predicate: {predicate!r}")
+
+
 PREDICATES = TaggedCodec(
     "predicate",
     "type",
@@ -372,7 +436,7 @@ class ReposcanManifest:
         failures = []
         for task, env in zip(self.tasks, environments):
             task_id = task.spec.task_id
-            if sorted(_matches(env.corpus, task.predicate)) != sorted(task.valid_ids):
+            if sorted(env.corpus.matching(task.predicate)) != sorted(task.valid_ids):
                 failures.append(f"hidden set mismatch: {task_id}")
             if len(task.valid_ids) < task.spec.target_count:
                 failures.append(f"hidden set smaller than target: {task_id}")
@@ -387,10 +451,6 @@ def build_token_table(corpus: Sequence[ArtifactRecord]) -> Counter:
     for artifact in corpus:
         table.update(set(_TOKEN_RE.findall(artifact.blob)))
     return table
-
-
-def _matches(corpus: Sequence[ArtifactRecord], predicate: Predicate) -> list[str]:
-    return [a.artifact_id for a in corpus if evaluate_predicate(a, predicate)]
 
 
 def _band_tokens(table: Counter, target: int, corpus_size: int) -> list[str]:
@@ -413,7 +473,7 @@ def _sample_keyword_predicate(rng, corpus, table, target):
         predicate = KeywordOrPattern(
             keywords=tuple(keywords), patterns=(re.escape(primary),)
         )
-        if len(_matches(corpus, predicate)) >= target:
+        if len(corpus.matching(predicate)) >= target:
             return predicate
     return None
 
@@ -436,14 +496,14 @@ def _sample_path_content_predicate(rng, corpus, table, target):
         rng.shuffle(dirs)
         for directory in dirs:
             predicate = PathAndContent(path_substring=directory, content_substring=token)
-            if len(_matches(corpus, predicate)) >= target:
+            if len(corpus.matching(predicate)) >= target:
                 return predicate
     return None
 
 
 def _sample_test_doc_predicate(rng, corpus, table, target):
     predicate = TestOrDocumentation()
-    if len(_matches(corpus, predicate)) >= target:
+    if len(corpus.matching(predicate)) >= target:
         return predicate
     return None
 
@@ -521,7 +581,7 @@ def generate_manifest(
                 raise GenerationError(
                     f"no {fam} predicate with >= {target} matches in snapshot {snap_name!r}"
                 )
-            valid_ids = tuple(sorted(_matches(corpus, predicate)))
+            valid_ids = tuple(sorted(corpus.matching(predicate)))
             task_id = f"reposcan-{snap_name}-{fam}-n{target}-i{idx}"
             spec = TaskSpec(
                 task_id=task_id,

@@ -316,6 +316,75 @@ class TestPolicyParams:
         assert capsys.readouterr().err == f"error: cannot load {config_path}: ValueError: {refusal}"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "policy, params, refusal",
+        [
+            ("early_stopper", {"stop_step": 2.7}, "'stop_step' must be an integer, got 2.7"),
+            ("early_stopper", {"stop_step": "3"}, "'stop_step' must be an integer, got '3'"),
+            ("early_stopper", {"stop_step": True}, "'stop_step' must be an integer, got True"),
+            ("false_completer", {"final_step": None}, "'final_step' must be an integer, got None"),
+            ("false_completer", {"claim_count": "4"}, "'claim_count' must be an integer, got '4'"),
+            (
+                "redundant_searcher",
+                {"submit_width": 1.5},
+                "'submit_width' must be an integer, got 1.5",
+            ),
+            (
+                "redundant_searcher",
+                {"submits_per_search": False},
+                "'submits_per_search' must be an integer, got False",
+            ),
+            ("external", {"timeout": True}, "'timeout' must be a number, got True"),
+            ("external", {"timeout": "5"}, "'timeout' must be a number, got '5'"),
+            (
+                "external",
+                {"command": ["python3", 5]},
+                "'command' must be a string or a list of strings, got ['python3', 5]",
+            ),
+            ("no_submit_looper", {"loop_unit": 7}, "'loop_unit' must be a string, got 7"),
+        ],
+    )
+    def test_saved_parameter_of_the_wrong_type_is_refused(
+        self, policy, params, refusal, mini_manifest, tmp_path, capsys
+    ):
+        from qgp.cli import RunConfig
+
+        if policy == "external":
+            params = {"command": "python3 -c pass", **params}
+        out = tmp_path / "refused.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="standard",
+            policy=policy,
+            out=str(out),
+            policy_params=params,
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {config_path}: ValueError: policy parameter {refusal}\n"
+        )
+        assert not out.exists()
+
+    def test_saved_whole_number_parameters_are_kept(self, mini_manifest, tmp_path):
+        from qgp.cli import RunConfig
+        from qgp.policies import build_policy
+
+        out = tmp_path / "records.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="standard",
+            policy="early_stopper",
+            out=str(out),
+            policy_params={"stop_step": 2.0},
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert all(r["steps_used"] == 2 for r in read_record_dicts(out))
+        assert build_policy("external", command="python3 -c pass", timeout=5).timeout == 5.0
+
     def test_flags_the_policy_takes_are_kept(self, mini_manifest, tmp_path):
         out = tmp_path / "records.jsonl"
         argv = ["run", "--manifest", str(mini_manifest), "--out", str(out)]

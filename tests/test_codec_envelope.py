@@ -613,6 +613,25 @@ PINNED_TASK_DIGESTS = {
     "dataops": "0c4bde8083e90521f0473406c5e080efb5f71eb9bf4c773b7aae738f9eab69b2",
 }
 
+# The same digest of the task list that reposcan generation gives over the
+# conftest snapshots at other seeds and target lists. Every one of these
+# manifests rejects some sampled predicates first, so the retries are pinned.
+PINNED_GENERATION_DIGESTS = {
+    (4, (10, 25, 50, 100)): "19a9fcec7fd5cbdb742bc96b1b3cd56885a4b232865c51ca0aed0d1375350be6",
+    (12, (10, 25, 50, 100)): "5db62f39641bf071ef78de19fe88296fd1603ed1a5c49b22106f9bed411c966f",
+    (5, (10, 25)): "d1a4baa24eba0dad29d133399afa881c5479b34e4ef3a2a7cdf809986ec95d2f",
+}
+
+
+@pytest.mark.parametrize("seed, targets", sorted(PINNED_GENERATION_DIGESTS))
+def test_generated_task_digest_is_pinned(seed, targets, snapshot_roots, tmp_path):
+    manifest = reposcan.generate_manifest(snapshot_roots, targets=targets, seed=seed)
+    reposcan.write_manifest(manifest, tmp_path / "manifest.json")
+    tasks = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["tasks"]
+    digest = hashlib.sha256(json.dumps(tasks, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_GENERATION_DIGESTS[seed, targets]
+
+
 FAMILIES = {
     "reposcan": (
         reposcan,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import textwrap
 import threading
@@ -25,6 +26,7 @@ from qgp.controllers import StandardController, StateQgpController, VerifierGate
 from qgp.core import TaskSpec, run_episode
 from qgp.errors import ConfigurationError
 from qgp.policies import (
+    MAX_REPLY_BYTES,
     DuplicatorPolicy,
     ExternalAdapterPolicy,
     FalseCompleterPolicy,
@@ -371,6 +373,41 @@ ADAPTER_FAULTS = {
         "adapter pipe closed: [Errno 32] Broken pipe",
         ["Search"],
     ),
+    # The line cap counts the bytes before the newline: a reply of exactly
+    # MAX_REPLY_BYTES parses, and one byte more is one malformed step whose
+    # bytes are dropped up to its newline, so the reply that follows it in
+    # the same write answers the next step.
+    "reply-of-exactly-the-line-cap": (
+        "for step, line in enumerate(sys.stdin):\n"
+        f"    send(SEARCH[:-1].ljust({MAX_REPLY_BYTES}) + b'\\n' if step == 0 else ASK)\n",
+        10.0,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Search", "AskUser"],
+    ),
+    "over-long-reply-then-valid-reply": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 0:\n"
+        f"        send(SEARCH[:-1].ljust({MAX_REPLY_BYTES + 1}) + b'\\n' + SEARCH)\n"
+        "    else:\n"
+        "        send(ASK)\n",
+        10.0,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Malformed", "Search", "AskUser"],
+    ),
+    # The late reply to step 1 is a 3 MiB line, sent once step 2's request has
+    # arrived: it is dropped as owed, and step 2 gets the reply after it.
+    "late-over-long-reply-after-timeout": (
+        "for step, line in enumerate(sys.stdin):\n"
+        "    if step == 1:\n"
+        f"        send(b'x' * {3 * MAX_REPLY_BYTES} + b'\\n')\n"
+        "        send(ASK)\n",
+        0.5,
+        Outcome.PREMATURE_STOP,
+        None,
+        ["Malformed", "AskUser"],
+    ),
     "child-inherits-stdout": (
         f"subprocess.Popen([sys.executable, '-c', {HOLD_STDOUT!r}], stdin=subprocess.DEVNULL)\n"
         "for step, line in enumerate(sys.stdin):\n"
@@ -521,3 +558,29 @@ class TestExternalAdapter:
         finally:
             policy.close()
         assert second == AskUser(message="reply-to-step-2")
+
+    def test_over_long_reply_is_read_within_the_line_cap(self, tmp_path, monkeypatch):
+        # 5 MiB with no newline, then a valid reply in the same write.
+        body = f"sys.stdin.readline()\nsend(b'x' * {5 * MAX_REPLY_BYTES} + b'\\n' + ASK)\n"
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
+        held = []
+        real_read = os.read
+
+        def read(fd, size):
+            if policy._process is not None and fd == policy._process.stdout.fileno():
+                held.append(len(policy._buffer))
+            return real_read(fd, size)
+
+        monkeypatch.setattr(os, "read", read)
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        try:
+            first = policy.decide(view, [], 0)
+            notice = ControllerNotice(reason="parse_error", valid_count=0, remaining=3)
+            second = policy.decide(view, [(first, notice)], 0)
+        finally:
+            policy.close()
+        assert first == Malformed(raw="", reason="reply_too_long")
+        assert second == AskUser(message="done")
+        # Every read starts with at most the cap held, and the flood was read in full.
+        assert max(held) <= MAX_REPLY_BYTES
+        assert len(held) >= 5 * MAX_REPLY_BYTES // 65536

@@ -9,10 +9,12 @@ result for every (query, page).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import os
 import random
+import re
 import shutil
 import sys
 import threading
@@ -23,14 +25,18 @@ import pytest
 from qgp import cli, reposcan
 from qgp.actions import Candidate, SearchResults
 from qgp.controllers import AblationFlag, ControllerConfig, ControllerKind
-from qgp.errors import ConfigurationError
+from qgp.errors import ConfigurationError, GenerationError
 from qgp.reposcan import (
     PAGE_SIZE,
     TEXT_TRUNCATE_BYTES,
     ArtifactRecord,
     Corpus,
+    KeywordOrPattern,
+    PathAndContent,
+    TestOrDocumentation,
     build_token_table,
     classify_kind,
+    evaluate_predicate,
     index_snapshot,
     read_snapshot,
     search,
@@ -428,6 +434,217 @@ class TestMemoisedSearch:
         assert not errors, errors[0]
         for tokens, ranking in results[0].items():
             assert all(r[tokens] is ranking for r in results)
+
+
+# ---------------------------------------------------------------------------
+# One match memo per corpus: predicates and search against the scan
+# ---------------------------------------------------------------------------
+
+
+def reference_matches(records, predicate) -> tuple[str, ...]:
+    """The record-by-record scan that defines a predicate's hidden set."""
+    return tuple(a.artifact_id for a in records if evaluate_predicate(a, predicate))
+
+
+def _record(relpath: str, text: str) -> ArtifactRecord:
+    kind = classify_kind(relpath)
+    return ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text, text[:200])
+
+
+# Characters whose case mapping is not one character to one character, or
+# which a case-insensitive pattern matches across: the long s, the Kelvin
+# sign, the dotted capital I (which lowers to two characters) and the final
+# sigma (which lowers by context).
+UNICODE_NEEDLES = (
+    "ſ", "s", "S", "\u212a", "k", "K", "İ", "i̇", "i", "Σ", "σ", "ς", "ß", "ss",
+)
+UNICODE_RECORDS = sorted(
+    (
+        _record("src/long_s.py", "claſs Parſer:\n    ſelf.ſeſſion = 1\n"),
+        _record("src/kelvin.py", "temperature = 300  # \u212a\nKELVIN = 'k'\n"),
+        _record("docs/istanbul.md", "İstanbul İNDEX\n"),
+        _record("tests/test_sigma.py", "ΟΔΟΣ"),
+        _record("tests/test_sigma_quote.py", "ΟΔΟΣ'"),
+        _record("ΣΟΦΟΣ/readme.md", "Σ"),
+        _record("Σ.py", "ΑΣ ΣΑ σς Straße STRASSE"),
+        _record("src/empty.py", ""),
+        _record("setup.cfg", "[metadata]\nname = ſ\n"),
+    ),
+    key=lambda r: r.relpath,
+)
+# Valid patterns with regex metacharacters, and invalid ones.
+PATTERNS = (
+    r"def \w+_\d+", r"^\s*#", r"[ſs]e", "k", "s", "İ", "ς$", r"\bσ", "(x|y)z*", ".", "$",
+    "[", "(", "a{2", "*x", "(?P<n>",
+)
+
+
+def _random_predicates(rng: random.Random, records, count: int) -> list:
+    vocabulary = sorted(build_token_table(records)) or ["token"]
+    blobs = [r.blob for r in records] or ["empty"]
+
+    def short() -> str:  # a substring under 3 characters, possibly upper-cased
+        blob = rng.choice(blobs)
+        start = rng.randrange(len(blob))
+        piece = blob[start : start + rng.randint(1, 2)]
+        return piece.upper() if rng.random() < 0.3 else piece
+
+    def needle() -> str:
+        pick = rng.random()
+        if pick < 0.4:
+            return rng.choice(vocabulary)
+        if pick < 0.7:
+            return short()
+        if pick < 0.9:
+            return rng.choice(UNICODE_NEEDLES)
+        return rng.choice(("", "\n", "zzqqxx", ".py", "/"))
+
+    dirs = sorted({r.relpath.split("/", 1)[0] + "/" for r in records if "/" in r.relpath})
+    kinds = ("source", "test", "documentation", "configuration")
+    predicates = []
+    while len(predicates) < count:
+        family = rng.random()
+        if family < 0.55:
+            keywords = tuple(needle() for _ in range(rng.randint(0, 3)))
+            patterns = tuple(
+                re.escape(rng.choice(vocabulary)) if rng.random() < 0.4 else rng.choice(PATTERNS)
+                for _ in range(rng.randint(0, 2))
+            )
+            predicates.append(KeywordOrPattern(keywords=keywords, patterns=patterns))
+        elif family < 0.9:
+            path = rng.choice(dirs + ["", "/", ".py", "tests/", "src/mod_0", "ſ", "Σ"])
+            predicates.append(PathAndContent(path_substring=path, content_substring=needle()))
+        else:
+            chosen = tuple(k for k in kinds if rng.random() < 0.5)
+            default = rng.random() < 0.3
+            predicates.append(TestOrDocumentation() if default else TestOrDocumentation(chosen))
+    return predicates
+
+
+def _assert_memo_equals_scan(corpus: Corpus, predicates) -> None:
+    records = list(corpus)
+    for predicate in predicates:
+        try:
+            expected = reference_matches(records, predicate)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                corpus.matching(predicate)
+        else:
+            assert corpus.matching(predicate) == expected, predicate
+
+
+def _raises(records, predicate) -> bool:
+    try:
+        reference_matches(records, predicate)
+    except GenerationError:
+        return True
+    return False
+
+
+def _memo_corpora(reposcan_loaded, adversarial_tree) -> dict[str, Corpus]:
+    _, corpora = reposcan_loaded
+    return {
+        **{name: Corpus(corpus) for name, corpus in corpora.items()},
+        "adversarial": read_snapshot(adversarial_tree).corpus,
+        "unicode": Corpus(UNICODE_RECORDS),
+        "empty": Corpus(()),
+    }
+
+
+class TestMatchMemo:
+    def test_random_predicates_match_the_scan(self, reposcan_loaded, adversarial_tree):
+        manifest, _ = reposcan_loaded
+        generated = [task.predicate for task in manifest.tasks]
+        for name, corpus in _memo_corpora(reposcan_loaded, adversarial_tree).items():
+            rng = random.Random(f"match-memo-{name}")
+            predicates = _random_predicates(rng, list(corpus), 150) + generated
+            predicates *= 2  # every predicate twice, so each is seen both cold and memoised
+            rng.shuffle(predicates)
+            _assert_memo_equals_scan(corpus, predicates)
+
+    def test_search_matches_the_scan_on_every_corpus(self, reposcan_loaded, adversarial_tree):
+        for name, corpus in _memo_corpora(reposcan_loaded, adversarial_tree).items():
+            records = list(corpus)
+            rng = random.Random(f"search-memo-{name}")
+            queries = _random_queries(rng, records, 80)
+            queries += [" ".join(rng.sample(UNICODE_NEEDLES, 3)) for _ in range(20)]
+            queries += [" ".join(r.blob[:2] for r in rng.sample(records, min(3, len(records))))]
+            for query in queries * 2:
+                for page in (0, 1):
+                    assert search(corpus, query, page) == reference_search(records, query, page)
+
+    def test_text_lower_is_a_prefix_of_the_blob(self, reposcan_loaded, adversarial_tree):
+        # PathAndContent reads the blob positions of its content substring
+        # before it checks `text.lower()`, which is sound only because of this.
+        for corpus in _memo_corpora(reposcan_loaded, adversarial_tree).values():
+            for record in corpus:
+                assert record.blob == (record.text + "\n" + record.relpath).lower()
+                assert record.blob.startswith(record.text.lower())
+        # A text ending in a capital sigma lowers to a final sigma on its own
+        # and inside the blob alike: the newline after it is no cased letter.
+        sigma = _record("Βeta/x.py", "ΟΔΟΣ")
+        assert sigma.text.lower() == "οδος" and sigma.blob.startswith("οδος\n")
+        with pytest.raises(TypeError):
+            ArtifactRecord("a#source", "a", "source", "Text", "Text", blob="other")
+
+    def test_invalid_pattern_raises_exactly_when_the_scan_does(self):
+        corpus = Corpus(UNICODE_RECORDS)
+        cases = {
+            # Every blob holds the newline between text and path, so no record is left.
+            KeywordOrPattern(keywords=("\n",), patterns=("[",)): False,
+            KeywordOrPattern(keywords=("",), patterns=("(",)): False,
+            # A later pattern is tried only on records that the earlier ones left.
+            KeywordOrPattern(keywords=("zzqq",), patterns=("|", "[")): False,
+            KeywordOrPattern(keywords=("zzqq",), patterns=(".", "[")): True,  # the empty text
+            KeywordOrPattern(keywords=("zzqq",), patterns=("[",)): True,
+            KeywordOrPattern(keywords=("straße",), patterns=("zzqq", "a{2")): False,
+            KeywordOrPattern(keywords=(), patterns=("ſ", "(?P<n>")): True,
+        }
+        for predicate, raises in cases.items():
+            with pytest.raises(GenerationError) if raises else contextlib.nullcontext():
+                reference_matches(list(corpus), predicate)
+            with pytest.raises(GenerationError) if raises else contextlib.nullcontext():
+                corpus.matching(predicate)
+        empty = Corpus(())
+        assert empty.matching(KeywordOrPattern(keywords=(), patterns=("[",))) == ()
+
+    def test_threads_share_one_match_list_per_predicate(self, reposcan_loaded):
+        manifest, corpora = reposcan_loaded
+        records = list(corpora["gamma_repo"])
+        predicates = _random_predicates(random.Random(11), records, 60)
+        predicates = [p for p in predicates if not _raises(records, p)]
+        predicates += [t.predicate for t in manifest.tasks if t.snapshot == "gamma_repo"]
+        expected = {p: reference_matches(records, p) for p in predicates}
+        shared = Corpus(records)
+        workers = (os.cpu_count() or 2) + 2  # more threads than cores
+        results: list[dict] = [{} for _ in range(workers)]
+        errors = []
+
+        def work(index: int) -> None:
+            try:
+                order = list(expected)
+                random.Random(index).shuffle(order)
+                for predicate in order:
+                    found = shared.matching(predicate)
+                    assert found == expected[predicate]
+                    results[index][predicate] = found
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        for predicate, ids in results[0].items():
+            assert all(r[predicate] is ids for r in results)
 
 
 # ---------------------------------------------------------------------------
