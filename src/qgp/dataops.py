@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import posixpath
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -546,9 +547,7 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
     corpus = snapshot.corpus
     if not corpus:
         raise GenerationError(f"snapshot {root} has no indexable artifacts")
-    kinds = {}
-    for artifact in corpus:
-        kinds[artifact.kind] = kinds.get(artifact.kind, 0) + 1
+    kinds = Counter(corpus.kinds)
     lines = [
         f"name: {root.name}",
         f"artifacts: {len(corpus)}",
@@ -557,7 +556,9 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
     for kind in sorted(kinds):
         lines.append(f"{kind}_count: {kinds[kind]}")
     artifacts = [
-        (a.relpath.replace("/", "_"), a.text[:2000]) for a in corpus if a.text.strip()
+        (relpath.replace("/", "_"), text[:2000])
+        for relpath, text in zip(corpus.relpaths, corpus.texts)
+        if text.strip()
     ]
     return _SnapshotFixture(name=root.name, metadata_lines=lines, artifacts=artifacts)
 

@@ -3,12 +3,15 @@ and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
 digest and an immutable corpus of artifact records; every read reads and
-hashes every byte. A predicate over those records defines a hidden valid
-set; search is deterministic ranked pagination over the same corpus. One
-memo per corpus, from a lowercase needle to the records whose text and path
-contain it, serves search rankings, predicate sampling, each task's valid
-ids and smoke's recomputation of them; `evaluate_predicate` is the
-per-record definition that the memo must agree with.
+hashes every byte. The corpus is stored by column (ids, relpaths, kinds,
+texts, previews and blobs), so a read builds no record objects: a record is
+built only when one is read by index or iteration. A predicate over those
+records defines a hidden valid set; search is deterministic ranked
+pagination over the same corpus. One memo per corpus, from a lowercase
+needle to the records whose text and path contain it, serves search
+rankings, predicate sampling, each task's valid ids and smoke's
+recomputation of them; `evaluate_predicate` is the per-record definition
+that the memo must agree with.
 """
 
 from __future__ import annotations
@@ -71,11 +74,24 @@ class ArtifactRecord:
     blob: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blob", (self.text + "\n" + self.relpath).lower())
+        object.__setattr__(self, "blob", _blob(self.text, self.relpath))
+
+
+def _blob(text: str, relpath: str) -> str:
+    return (text + "\n" + relpath).lower()
+
+
+# The record field that each column of a Corpus holds, in column order.
+_COLUMN_FIELDS = ("artifact_id", "relpath", "kind", "text", "preview", "blob")
 
 
 class Corpus(Sequence):
-    """An immutable, ordered sequence of artifact records.
+    """An immutable, ordered sequence of artifact records, stored by column.
+
+    Each field of the records is one tuple: `ids`, `relpaths`, `kinds`,
+    `texts`, `previews` and `blobs`, the lowercase text-plus-path that search
+    and keywords match. Search, predicates and generation read the columns;
+    indexing, slicing and iteration build `ArtifactRecord`s only when read.
 
     It owns the memos that search and predicates read, so they live exactly
     as long as the corpus and are shared by every task and worker thread
@@ -86,30 +102,62 @@ class Corpus(Sequence):
     threads racing on one key share one value.
     """
 
-    __slots__ = ("_records", "_blobs", "_containing", "_found_by", "_ranked", "_matching")
+    __slots__ = (
+        "ids", "relpaths", "kinds", "texts", "previews", "blobs",
+        "_containing", "_found_by", "_ranked", "_matching",
+    )
 
     def __init__(self, records: Iterable[ArtifactRecord]) -> None:
-        self._records = tuple(records)
-        self._blobs = tuple(r.blob for r in self._records)
-        self._containing: dict[str, tuple[int, ...]] = {}
-        self._found_by: dict[str, tuple[int, ...]] = {}
-        self._ranked: dict[tuple[str, ...], tuple[ArtifactRecord, ...]] = {}
-        self._matching: dict[Predicate, tuple[str, ...]] = {}
+        records = tuple(records)
+        self._fill(*(tuple([getattr(r, name) for r in records]) for name in _COLUMN_FIELDS))
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: tuple[str, ...],
+        relpaths: tuple[str, ...],
+        kinds: tuple[str, ...],
+        texts: tuple[str, ...],
+        previews: tuple[str, ...],
+    ) -> Corpus:
+        """The corpus whose i-th record has the i-th value of each column."""
+        corpus = cls.__new__(cls)
+        corpus._fill(ids, relpaths, kinds, texts, previews, tuple(map(_blob, texts, relpaths)))
+        return corpus
+
+    def _fill(self, *columns: tuple[str, ...]) -> None:
+        # The six columns, then four empty memos, in slot order.
+        for name, value in zip(Corpus.__slots__, (*columns, {}, {}, {}, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Corpus is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a Corpus is immutable: cannot delete {name!r}")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ids)
 
     def __getitem__(self, index):
-        return self._records[index]
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.ids))[index]))
+        return ArtifactRecord(
+            self.ids[index],
+            self.relpaths[index],
+            self.kinds[index],
+            self.texts[index],
+            self.previews[index],
+        )
 
     def __iter__(self) -> Iterator[ArtifactRecord]:
-        return iter(self._records)
+        return map(ArtifactRecord, self.ids, self.relpaths, self.kinds, self.texts, self.previews)
 
     def containing(self, needle: str) -> tuple[int, ...]:
         """Positions of the records whose blob contains `needle`, ascending."""
         found = self._containing.get(needle)
         if found is None:
-            hits = tuple([i for i, blob in enumerate(self._blobs) if needle in blob])
+            hits = tuple([i for i, blob in enumerate(self.blobs) if needle in blob])
             found = self._containing.setdefault(needle, hits)
         return found
 
@@ -119,29 +167,31 @@ class Corpus(Sequence):
         found = self._found_by.get(pattern)
         if found is None:
             search_text = _compiled(pattern).search
-            hits = tuple([i for i, r in enumerate(self._records) if search_text(r.text)])
+            hits = tuple([i for i, text in enumerate(self.texts) if search_text(text)])
             found = self._found_by.setdefault(pattern, hits)
         return found
 
-    def ranked(self, tokens: tuple[str, ...]) -> tuple[ArtifactRecord, ...]:
-        """Records matching any token, by descending match count, then id."""
+    def ranked(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
+        """Positions of the records matching any token, by descending match
+        count, then id, then position."""
         found = self._ranked.get(tokens)
         if found is None:
-            records = self._records
+            ids = self.ids
             scores: Counter[int] = Counter()
             for t in tokens:
                 scores.update(self.containing(t))
-            order = sorted(scores, key=lambda i: (-scores[i], records[i].artifact_id, i))
-            found = self._ranked.setdefault(tokens, tuple(records[i] for i in order))
+            order = tuple(sorted(scores, key=lambda i: (-scores[i], ids[i], i)))
+            found = self._ranked.setdefault(tokens, order)
         return found
 
     def matching(self, predicate: Predicate) -> tuple[str, ...]:
         """Ids of the records that satisfy the predicate, in corpus order."""
         found = self._matching.get(predicate)
         if found is None:
-            records = self._records
-            ids = tuple([records[i].artifact_id for i in _selected(self, predicate)])
-            found = self._matching.setdefault(predicate, ids)
+            ids = self.ids
+            found = self._matching.setdefault(
+                predicate, tuple([ids[i] for i in _selected(self, predicate)])
+            )
         return found
 
 
@@ -234,7 +284,7 @@ def read_snapshot(root: str | Path) -> Snapshot:
     if not root.is_dir():
         raise ConfigurationError(f"snapshot root not found or not a directory: {root}")
     h = hashlib.sha256()
-    records = []
+    texts: dict[str, str] = {}
     for relpath, path in _walk_files(str(root)):
         try:
             name = relpath.encode("utf-8")
@@ -245,12 +295,18 @@ def read_snapshot(root: str | Path) -> Snapshot:
         h.update(data)
         if data.find(b"\0", 0, 8192) >= 0:
             continue
-        text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
-        kind = classify_kind(relpath)
-        records.append(ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text, text[:200]))
+        texts[relpath] = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
     # Relpaths are unique, so this is the order by relpath then kind.
-    records.sort(key=attrgetter("relpath"))
-    return Snapshot(digest=h.hexdigest(), corpus=Corpus(records))
+    relpaths = tuple(sorted(texts))
+    kinds = tuple(map(classify_kind, relpaths))
+    corpus = Corpus.from_columns(
+        tuple([f"{relpath}#{kind}" for relpath, kind in zip(relpaths, kinds)]),
+        relpaths,
+        kinds,
+        tuple([texts[relpath] for relpath in relpaths]),
+        tuple([texts[relpath][:200] for relpath in relpaths]),
+    )
+    return Snapshot(digest=h.hexdigest(), corpus=corpus)
 
 
 def index_snapshot(root: str | Path) -> list[ArtifactRecord]:
@@ -334,13 +390,14 @@ def _selected(corpus: Corpus, predicate: Predicate) -> list[int]:
     if isinstance(predicate, PathAndContent):
         # `text.lower()` is a prefix of `blob`, so the blob positions hold every match.
         path, content = predicate.path_substring, predicate.content_substring.lower()
+        relpaths, texts = corpus.relpaths, corpus.texts
         return [
             i
             for i in corpus.containing(content)
-            if path in corpus[i].relpath and content in corpus[i].text.lower()
+            if path in relpaths[i] and content in texts[i].lower()
         ]
     if isinstance(predicate, TestOrDocumentation):
-        return [i for i, artifact in enumerate(corpus) if artifact.kind in predicate.kinds]
+        return [i for i, kind in enumerate(corpus.kinds) if kind in predicate.kinds]
     raise ConfigurationError(f"unknown predicate: {predicate!r}")
 
 
@@ -373,9 +430,11 @@ def search(
     """
     if page < 0 or page_size < 1:
         raise ConfigurationError("page must be >= 0 and page_size >= 1")
+    corpus = _as_corpus(corpus)
     tokens = tuple(dict.fromkeys(query.lower().split()))
-    window = _as_corpus(corpus).ranked(tokens)[page * page_size : (page + 1) * page_size]
-    candidates = tuple(Candidate(artifact_id=a.artifact_id, preview=a.preview) for a in window)
+    window = corpus.ranked(tokens)[page * page_size : (page + 1) * page_size]
+    ids, previews = corpus.ids, corpus.previews
+    candidates = tuple(Candidate(artifact_id=ids[i], preview=previews[i]) for i in window)
     return SearchResults(query=query, page=page, candidates=candidates)
 
 
@@ -433,6 +492,8 @@ class ReposcanManifest:
     def smoke_failures(self, environments: Sequence, public_text: str) -> list[str]:
         """Each task's hidden set must be what its predicate selects now, hold
         at least the target, and share no id with the text policies see."""
+        hidden = {hidden_id for task in self.tasks for hidden_id in task.valid_ids}
+        leaked = {hidden_id for hidden_id in hidden if hidden_id in public_text}
         failures = []
         for task, env in zip(self.tasks, environments):
             task_id = task.spec.task_id
@@ -440,7 +501,7 @@ class ReposcanManifest:
                 failures.append(f"hidden set mismatch: {task_id}")
             if len(task.valid_ids) < task.spec.target_count:
                 failures.append(f"hidden set smaller than target: {task_id}")
-            if any(hidden_id in public_text for hidden_id in task.valid_ids):
+            if not leaked.isdisjoint(task.valid_ids):
                 failures.append(f"hidden id leaked: {task_id}")
         return failures
 
@@ -448,8 +509,8 @@ class ReposcanManifest:
 def build_token_table(corpus: Sequence[ArtifactRecord]) -> Counter:
     """Document frequency of word tokens over the corpus."""
     table: Counter = Counter()
-    for artifact in corpus:
-        table.update(set(_TOKEN_RE.findall(artifact.blob)))
+    for blob in _as_corpus(corpus).blobs:
+        table.update(set(_TOKEN_RE.findall(blob)))
     return table
 
 
@@ -479,7 +540,7 @@ def _sample_keyword_predicate(rng, corpus, table, target):
 
 
 def _sample_path_content_predicate(rng, corpus, table, target):
-    top_dirs = sorted({a.relpath.split("/", 1)[0] + "/" for a in corpus if "/" in a.relpath})
+    top_dirs = sorted({p.split("/", 1)[0] + "/" for p in corpus.relpaths if "/" in p})
     if not top_dirs:
         return None
     band = _band_tokens(table, target, len(corpus))

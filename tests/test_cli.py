@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -866,16 +867,26 @@ class TestSmoke:
         assert main(["smoke", "--manifest", str(leaky)]) == 1
         assert "leaked" in capsys.readouterr().out
 
-    def test_hidden_id_in_objective_text_is_a_leak(self, mini_manifest, tmp_path, capsys):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_hidden_id_in_objective_text_is_a_leak(
+        self, shared, mini_manifest, tmp_path, capsys
+    ):
         obj = json.loads(Path(mini_manifest).read_text())
         task = obj["tasks"][0]
-        # An id no other task counts, so only this task reports a leak.
-        others = {i for t in obj["tasks"] if t is not task for i in t["hidden"]["valid_ids"]}
-        task["objective_text"] += " " + min(set(task["hidden"]["valid_ids"]) - others)
+        # An id of this task that no other task counts, or that exactly one
+        # other task counts: each task that counts it reports the leak.
+        counts = Counter(i for t in obj["tasks"] for i in t["hidden"]["valid_ids"])
+        holders = 2 if shared else 1
+        leaked = min(i for i in task["hidden"]["valid_ids"] if counts[i] == holders)
+        task["objective_text"] += " " + leaked
         leaky = tmp_path / "leaky.json"
         leaky.write_text(json.dumps(obj))
         assert main(["smoke", "--manifest", str(leaky)]) == 1
-        assert capsys.readouterr().out == f"FAIL: hidden id leaked: {task['task_id']}\n"
+        flagged = [t["task_id"] for t in obj["tasks"] if leaked in t["hidden"]["valid_ids"]]
+        assert len(flagged) == holders and flagged[0] == task["task_id"]
+        assert capsys.readouterr().out == "".join(
+            f"FAIL: hidden id leaked: {task_id}\n" for task_id in flagged
+        )
 
     def test_target_above_hidden_set_size(self, mini_manifest, tmp_path, capsys):
         obj = json.loads(Path(mini_manifest).read_text())

@@ -130,6 +130,17 @@ def _fields(records) -> list[tuple]:
     return [(r.artifact_id, r.relpath, r.kind, r.text, r.preview, r.blob) for r in records]
 
 
+def _assert_reads_as(corpus: Corpus, expected: list[ArtifactRecord]) -> None:
+    """A corpus read by length, iteration, index and slice gives these records."""
+    assert len(corpus) == len(expected)
+    assert list(corpus) == expected
+    assert _fields(corpus) == _fields(expected)
+    # Every index from -len to len - 1, so corpus[-1] among them.
+    assert _fields(corpus[i] for i in range(-len(corpus), len(corpus))) == _fields(expected * 2)
+    assert _fields(corpus[1:4]) == _fields(expected[1:4])
+    assert _fields(corpus[::-2]) == _fields(expected[::-2])
+
+
 # ---------------------------------------------------------------------------
 # One pass per snapshot
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ class TestReadSnapshot:
     def test_matches_two_walk_reference(self, adversarial_tree):
         snapshot = read_snapshot(adversarial_tree)
         assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
-        assert _fields(snapshot.corpus) == _fields(reference_index_snapshot(adversarial_tree))
+        _assert_reads_as(snapshot.corpus, reference_index_snapshot(adversarial_tree))
 
     def test_adversarial_selection_and_order(self, adversarial_tree):
         relpaths = [r.relpath for r in read_snapshot(adversarial_tree).corpus]
@@ -234,7 +245,32 @@ class TestReadSnapshot:
         for root in snapshot_roots:
             snapshot = read_snapshot(root)
             assert snapshot.digest == reference_snapshot_digest(root)
-            assert _fields(snapshot.corpus) == _fields(reference_index_snapshot(root))
+            _assert_reads_as(snapshot.corpus, reference_index_snapshot(root))
+
+    def test_product_path_builds_no_records(
+        self, snapshot_roots, reposcan_manifest_path, monkeypatch, capsys
+    ):
+        built = []
+        real_post_init = ArtifactRecord.__post_init__
+
+        def counting(record):
+            built.append(record.artifact_id)
+            real_post_init(record)
+
+        monkeypatch.setattr(ArtifactRecord, "__post_init__", counting)
+        read_snapshot(snapshot_roots[0])
+        reposcan.load_manifest(reposcan_manifest_path).open()
+        config = ControllerConfig(kind=ControllerKind("standard"))
+        rows, aborts = cli.run_manifest(
+            str(reposcan_manifest_path), config, "greedy_oracle", {}, seed=5
+        )
+        assert aborts == 0 and len(rows) == 36
+        reposcan.generate_manifest(snapshot_roots, seed=11)
+        assert cli.main(["smoke", "--manifest", str(reposcan_manifest_path)]) == 0
+        assert built == []
+        # Reading a record is what builds one.
+        assert read_snapshot(snapshot_roots[0]).corpus[0].artifact_id == built[0]
+        assert len(built) == 1
 
     def test_missing_or_file_root_is_configuration_error(self, tmp_path):
         (tmp_path / "file.txt").write_text("not a directory\n")
@@ -246,7 +282,11 @@ class TestReadSnapshot:
 
     def test_empty_root_differs_from_missing(self, tmp_path):
         assert read_snapshot(tmp_path).digest == hashlib.sha256().hexdigest()
-        assert len(read_snapshot(tmp_path).corpus) == 0
+        corpus = read_snapshot(tmp_path).corpus
+        _assert_reads_as(corpus, [])
+        for index in (0, -1):
+            with pytest.raises(IndexError):
+                corpus[index]
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +311,22 @@ def _random_queries(rng: random.Random, corpus, count: int) -> list[str]:
     return queries
 
 
+def _matching_or_error(corpus: Corpus, predicate):
+    try:
+        return corpus.matching(predicate)
+    except GenerationError:
+        return GenerationError
+
+
 class TestMemoisedSearch:
-    def test_random_queries_match_reference(self, reposcan_loaded):
-        _, corpora = reposcan_loaded
-        shared = Corpus(corpora["alpha_repo"])
-        records = list(shared)
+    @pytest.mark.parametrize("name", ["alpha_repo", "beta_repo", "gamma_repo", "adversarial"])
+    def test_random_queries_match_reference(self, name, reposcan_loaded, adversarial_tree):
+        # The corpus as read, by column, and the same records passed to Corpus.
+        manifest, _ = reposcan_loaded
+        roots = {info.name: info.root for info in manifest.snapshots}
+        read = read_snapshot(roots.get(name, adversarial_tree)).corpus
+        records = list(read)
+        rebuilt = Corpus(records)
         rng = random.Random(20260418)
         requests = []
         for query in _random_queries(rng, records, 520):
@@ -285,8 +336,15 @@ class TestMemoisedSearch:
         requests *= 2  # every request twice, so each is seen both cold and memoised
         rng.shuffle(requests)
         for query, page in requests:
-            assert search(shared, query, page) == reference_search(records, query, page)
+            expected = reference_search(records, query, page)
+            assert search(read, query, page) == expected
+            assert search(rebuilt, query, page) == expected
         assert len(requests) >= 2 * 520
+        for needle in [*build_token_table(records), *UNICODE_NEEDLES, "", "\n", "/"]:
+            assert rebuilt.containing(needle) == read.containing(needle)
+        predicates = _random_predicates(rng, records, 150) + [t.predicate for t in manifest.tasks]
+        for predicate in predicates:
+            assert _matching_or_error(rebuilt, predicate) == _matching_or_error(read, predicate)
 
     def test_page_sizes_and_invalid_pages(self, reposcan_loaded):
         _, corpora = reposcan_loaded
@@ -327,24 +385,30 @@ class TestMemoisedSearch:
         assert sum(row["steps_used"] for row in rows) >= len(seen) > 0
 
     def test_tie_break_by_id_not_corpus_order(self):
-        # (relpath, kind) order: a, a b, a!x, a#b, a-b, a.b; id order puts
-        # "a#source" after "a#b#source".
+        # Corpus order: a, a b, a!x, a#b, a-b, a.b; id order puts "a#source"
+        # after "a#b#source". Neither ids nor previews derive from the
+        # relpath and text, and search returns them as given.
         records = [
             ArtifactRecord(
                 artifact_id=f"{name}#source",
-                relpath=name,
+                relpath=f"src/m{i}.py",
                 kind="source",
                 text="same token",
-                preview="same token",
+                preview=f"preview {i}",
             )
-            for name in ("a", "a b", "a!x", "a#b", "a-b", "a.b")
+            for i, name in enumerate(("a", "a b", "a!x", "a#b", "a-b", "a.b"))
         ]
         corpus = Corpus(records)
-        ids = [c.artifact_id for c in search(corpus, "token", 0).candidates]
+        candidates = search(corpus, "token", 0).candidates
+        ids = [c.artifact_id for c in candidates]
         assert ids == sorted(r.artifact_id for r in records)
         assert ids != [r.artifact_id for r in records]
-        assert ids == [c.artifact_id for c in reference_search(records, "token", 0).candidates]
+        assert candidates == reference_search(records, "token", 0).candidates
+        assert {c.preview: c.artifact_id for c in candidates} == {
+            r.preview: r.artifact_id for r in records
+        }
         assert [c.artifact_id for c in search(corpus, "token", 1, 4).candidates] == ids[4:]
+        assert list(corpus) == records
 
     def test_equal_score_and_id_keep_corpus_order(self):
         texts = ("beta gamma", "beta", "gamma beta", "beta", "alpha")
@@ -383,6 +447,10 @@ class TestMemoisedSearch:
         assert not hasattr(corpus, "append")
         with pytest.raises(AttributeError):
             corpus.extra = 1
+        with pytest.raises(AttributeError):
+            corpus.texts = ("gamma",) * 3
+        with pytest.raises(AttributeError):
+            del corpus.ids
         with pytest.raises(dataclasses.FrozenInstanceError):
             corpus[0].text = "gamma"
         with pytest.raises(dataclasses.FrozenInstanceError):
