@@ -169,6 +169,53 @@ def empirical_percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[index]
 
 
+# Generator words the bulk resampler draws at a time; besides the means, one
+# block's bytes are all it holds.
+_DRAW_BLOCK = 1 << 13
+_DIFF_SYMBOLS = {-1: b"-", 0: b"0", 1: b"+"}
+_REJECT = b"x"
+
+
+def _resample_means(diffs: Sequence[int], resamples: int, rng: random.Random) -> list[float]:
+    """Means of `resamples` resamples of `diffs`, each of n = len(diffs)
+    draws of `rng.randrange(n)`.
+
+    `randrange(n)` takes one 32-bit generator word per try, keeps its top
+    k = n.bit_length() bits and rejects values >= n. `randbytes` returns the
+    same words in order, little-endian, so for n <= 255 (k <= 8) the top bits
+    of each word are in its last byte. One translate table maps that byte to
+    the drawn task's diff symbol or to a reject marker, and a resample's total
+    is its count of "+" less its count of "-". Larger n draws one at a time.
+    """
+    n = len(diffs)
+    means = []
+    if n > 255:
+        for _ in range(resamples):
+            total = 0
+            for _ in range(n):
+                total += diffs[rng.randrange(n)]
+            means.append(total / n)
+        return means
+    shift = 8 - n.bit_length()
+    symbols = b"".join(_DIFF_SYMBOLS[d] for d in diffs)
+    table = bytes(symbols[b >> shift] if b >> shift < n else _REJECT[0] for b in range(256))
+    pending = b""
+    missing = resamples * n
+    while missing:
+        # One word per try and at most one draw per word: asking for no more
+        # words than missing draws takes exactly the words randrange would.
+        words = rng.randbytes(4 * min(missing, _DRAW_BLOCK))
+        drawn = words[3::4].translate(table).replace(_REJECT, b"")
+        missing -= len(drawn)
+        buf = pending + drawn
+        whole = len(buf) - len(buf) % n
+        for start in range(0, whole, n):
+            stop = start + n
+            means.append((buf.count(b"+", start, stop) - buf.count(b"-", start, stop)) / n)
+        pending = buf[whole:]
+    return means
+
+
 def paired_bootstrap(
     left: Mapping[str, RunMetrics],
     right: Mapping[str, RunMetrics],
@@ -180,25 +227,30 @@ def paired_bootstrap(
 ) -> PairedDelta:
     """Task-matched success-rate difference with a percentile resampling interval.
 
-    Tasks present in both conditions are resampled with replacement; each
-    resample recomputes the success-rate difference over the sampled tasks.
+    Tasks present in both conditions, in task-id order, are resampled with
+    replacement; each resample recomputes the success-rate difference over
+    the sampled tasks. The interval is a pure function of the paired records,
+    `seed`, `resamples` and `confidence`: its draws are exactly those of
+    `random.Random(seed).randrange(n)`, n per resample, so a delta CSV from an
+    earlier version reproduces byte for byte.
     """
     common = sorted(set(left) & set(right))
     if not common:
         raise AnalysisError("no common tasks between the two conditions")
     if not 0 < confidence < 1:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
+    if isinstance(resamples, bool) or not isinstance(resamples, int):
+        raise AnalysisError(f"resamples must be an integer, got {resamples!r}")
+    if resamples < 1:
+        raise AnalysisError(f"resamples must be at least 1, got {resamples}")
     diffs = [left[t].success - right[t].success for t in common]
+    for task, diff in zip(common, diffs):
+        if diff not in _DIFF_SYMBOLS:
+            raise AnalysisError(f"task {task}: success difference {diff} is not -1, 0 or 1")
     point = sum(diffs) / len(diffs)
     valid_deltas = [left[t].valid_count - right[t].valid_count for t in common]
-    rng = random.Random(seed)
     n = len(common)
-    resampled = []
-    for _ in range(resamples):
-        total = 0
-        for _ in range(n):
-            total += diffs[rng.randrange(n)]
-        resampled.append(total / n)
+    resampled = _resample_means(diffs, resamples, random.Random(seed))
     resampled.sort()
     alpha = (1.0 - confidence) / 2.0
     return PairedDelta(

@@ -712,6 +712,18 @@ class TestAnalysis:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("resamples", ["0", "-3"])
+    def test_delta_resamples_below_one_refused(self, record_files, tmp_path, capsys, resamples):
+        out = tmp_path / "delta.csv"
+        records = str(record_files["standard"])
+        code = main(
+            ["delta", "--left", records, "--right", records, "--resamples", resamples,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: resamples must be at least 1, got {resamples}\n"
+        assert not out.exists()
+
     def test_delta_no_common_tasks_nonzero(self, record_files, tmp_path, mini_dataops_manifest):
         other = tmp_path / "other.jsonl"
         code = main(

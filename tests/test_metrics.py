@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +14,9 @@ from qgp.controllers import StandardController
 from qgp.core import TaskSpec, record_to_dict, run_episode
 from qgp.errors import AnalysisError
 from qgp.metrics import (
+    _DRAW_BLOCK,
     AGGREGATE_METRIC_COLUMNS,
+    PairedDelta,
     RunMetrics,
     aggregate,
     aggregate_csv,
@@ -185,6 +189,66 @@ class TestAggregate:
         assert text.splitlines()[1].endswith("0.000000")
 
 
+def replay_draws(n, resamples, seed):
+    """The documented resampling stream, one resample at a time: n draws of
+    `random.Random(seed).randrange(n)` each."""
+    rng = random.Random(seed)
+    for _ in range(resamples):
+        yield [rng.randrange(n) for _ in range(n)]
+
+
+def replay_means(diffs, draws):
+    """Mean success difference of each replayed resample, in draw order."""
+    return [sum(diffs[i] for i in picks) / len(diffs) for picks in draws]
+
+
+def reference_delta(left, right, draws, confidence, left_label, right_label):
+    """The whole `PairedDelta`, its interval taken from the replayed draws."""
+    common = sorted(set(left) & set(right))
+    n = len(common)
+    diffs = [left[t].success - right[t].success for t in common]
+    means = sorted(replay_means(diffs, draws))
+    alpha = (1 - confidence) / 2
+    return PairedDelta(
+        left_label=left_label,
+        right_label=right_label,
+        paired_task_count=n,
+        success_delta=sum(diffs) / n,
+        ci_low=empirical_percentile(means, alpha),
+        ci_high=empirical_percentile(means, 1 - alpha),
+        avg_valid_delta=sum(left[t].valid_count - right[t].valid_count for t in common) / n,
+        left_only=sum(1 for d in diffs if d == 1),
+        right_only=sum(1 for d in diffs if d == -1),
+        resamples=len(means),
+        confidence=confidence,
+    )
+
+
+def _paired(left_bits, right_bits):
+    left = {
+        f"t{i:03d}": _metric(task_id=f"t{i:03d}", success=b, valid=i % 7)
+        for i, b in enumerate(left_bits)
+    }
+    right = {
+        f"t{i:03d}": _metric(task_id=f"t{i:03d}", success=b, valid=i % 5, controller="other")
+        for i, b in enumerate(right_bits)
+    }
+    return left, right
+
+
+def _mixed(n):
+    """Left and right success bits whose differences take all of -1, 0 and 1."""
+    return [int(i % 3 != 2) for i in range(n)], [int(i % 4 == 1) for i in range(n)]
+
+
+DIFF_PATTERNS = {
+    "all_zero": lambda n: ([1] * n, [1] * n),
+    "all_plus": lambda n: ([1] * n, [0] * n),
+    "all_minus": lambda n: ([0] * n, [1] * n),
+    "mixed": _mixed,
+}
+
+
 def percentile_scan_oracle(values, q):
     """Independent percentile: smallest value whose ECDF reaches q."""
     ordered = sorted(values)
@@ -255,14 +319,8 @@ class TestPairedBootstrap:
         left, right = self._vectors([1, 0, 1, 0, 1], [0, 1, 0, 0, 1])
         resamples, seed, confidence = 37, 13, 0.9
         delta = paired_bootstrap(left, right, resamples=resamples, confidence=confidence, seed=seed)
-        common = sorted(left)
-        diffs = [left[t].success - right[t].success for t in common]
-        rng = random.Random(seed)
-        replayed = []
-        for _ in range(resamples):
-            total = sum(diffs[rng.randrange(len(diffs))] for _ in range(len(diffs)))
-            replayed.append(total / len(diffs))
-        replayed.sort()
+        diffs = [left[t].success - right[t].success for t in sorted(left)]
+        replayed = replay_means(diffs, replay_draws(len(diffs), resamples, seed))
         alpha = (1 - confidence) / 2
         assert delta.ci_low == percentile_scan_oracle(replayed, alpha)
         assert delta.ci_high == percentile_scan_oracle(replayed, 1 - alpha)
@@ -327,3 +385,92 @@ class TestPairedBootstrap:
         lines = delta_csv(delta).splitlines()
         assert lines[0].split(",")[:4] == ["left", "right", "paired_tasks", "success_delta"]
         assert lines[1].split(",")[0] == "standard/x"
+
+
+class TestBulkDraws:
+    """The bulk resampler against the per-draw reference loop."""
+
+    # None stands for a count whose draws span more than one draw block.
+    @pytest.mark.parametrize("seed", [0, 99, 2**40 + 3])
+    @pytest.mark.parametrize("resamples", [1, 7, 1000, None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 36, 64, 127, 128, 255, 256, 257])
+    def test_equals_reference_loop(self, n, resamples, seed):
+        if resamples is None:
+            resamples = _DRAW_BLOCK // n + 1
+        # The draws do not depend on the diffs, so every pattern shares one replay.
+        draws = list(replay_draws(n, resamples, seed))
+        for name, bits in DIFF_PATTERNS.items():
+            left, right = _paired(*bits(n))
+            got = paired_bootstrap(
+                left, right, resamples=resamples, confidence=0.9, seed=seed,
+                left_label="L", right_label="R",
+            )
+            assert got == reference_delta(left, right, draws, 0.9, "L", "R"), name
+
+    # sha256 of the delta CSV, taken from the per-draw loop before the draws
+    # were taken in bulk; one changed byte fails.
+    GOLDEN_DELTA_DIGESTS = {
+        "criterion7": "8d866be2137a80e08eec9294c71d9616efa401f33543976d0dfaa5253dca16ea",
+        "criterion7_same": "cf6f8db94a93b4eed79f2d1d5ef71c7ed1204d6c675f00d7c225f209f78ddce5",
+        "mixed36_seed1": "1b1729d9f287f290d170498d47d9be74eecc0e364f00844505d05904966a9199",
+        "mixed36_seed2": "1b1729d9f287f290d170498d47d9be74eecc0e364f00844505d05904966a9199",
+    }
+
+    def test_golden_delta_bytes(self):
+        left = {f"t{i}": _metric(task_id=f"t{i}", success=int(i < 12)) for i in range(24)}
+        right = {f"t{i}": _metric(task_id=f"t{i}", success=0) for i in range(24)}
+        mixed_left, mixed_right = _paired(*_mixed(36))
+        deltas = {
+            "criterion7": paired_bootstrap(left, right, confidence=0.95, seed=99),
+            "criterion7_same": paired_bootstrap(left, dict(left), confidence=0.95, seed=99),
+            "mixed36_seed1": paired_bootstrap(mixed_left, mixed_right, seed=1),
+            "mixed36_seed2": paired_bootstrap(mixed_left, mixed_right, seed=2),
+        }
+        digests = {
+            name: hashlib.sha256(delta_csv(delta).encode()).hexdigest()
+            for name, delta in deltas.items()
+        }
+        assert digests == self.GOLDEN_DELTA_DIGESTS
+
+    def test_no_per_draw_randrange_up_to_255_tasks(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("per-draw randrange")
+
+        monkeypatch.setattr(random.Random, "randrange", refuse)
+        for n in (24, 36, 255):
+            paired_bootstrap(*_paired(*_mixed(n)), resamples=500, seed=3)
+        with pytest.raises(AssertionError, match="per-draw"):
+            paired_bootstrap(*_paired(*_mixed(256)), resamples=1, seed=3)
+
+    def test_peak_memory_near_reference_loop(self):
+        left, right = _paired(*_mixed(36))
+        diffs = [left[t].success - right[t].success for t in sorted(left)]
+        tracemalloc.start()
+        try:
+            replay_means(diffs, replay_draws(36, 10_000, 1))
+            reference_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            paired_bootstrap(left, right, resamples=10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= reference_peak + (1 << 20)
+
+    @pytest.mark.parametrize("n", [3, 256])
+    def test_diff_outside_unit_range_is_error(self, n):
+        left, right = _paired([1] * n, [0] * n)
+        left["t000"] = _metric(task_id="t000", success=2)
+        with pytest.raises(AnalysisError, match="t000: success difference 2"):
+            paired_bootstrap(left, right, resamples=5)
+
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_resamples_below_one_is_error(self, resamples):
+        left, right = _paired([1, 0], [0, 0])
+        with pytest.raises(AnalysisError, match=f"resamples must be at least 1, got {resamples}"):
+            paired_bootstrap(left, right, resamples=resamples)
+
+    @pytest.mark.parametrize("resamples", [True, 2.0])
+    def test_resamples_not_an_integer_is_error(self, resamples):
+        left, right = _paired([1, 0], [0, 0])
+        with pytest.raises(AnalysisError, match="resamples must be an integer"):
+            paired_bootstrap(left, right, resamples=resamples)
