@@ -333,6 +333,13 @@ def cmd_delta(args: argparse.Namespace) -> int:
         f"wrote {args.out} delta={delta.success_delta:.3f} "
         f"ci=[{delta.ci_low:.3f}, {delta.ci_high:.3f}]"
     )
+    if delta.ci_low == delta.ci_high:
+        # Every resample agreed, which at a few paired tasks is weak evidence.
+        print(
+            f"note: the interval has zero width over {delta.paired_task_count} paired "
+            f"tasks; it does not make the difference certain",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -415,6 +415,8 @@ class NoSubmitLooperPolicy:
 MAX_REPLY_BYTES = 1 << 20
 _READ_BYTES = 65536
 _TOO_LONG = object()  # what `_read_line` returns for such a reply
+# How long `close` waits for the adapter to exit after SIGTERM before killing it.
+_EXIT_WAIT_SECONDS = 5.0
 
 
 @dataclass
@@ -526,11 +528,33 @@ class ExternalAdapterPolicy:
         try:
             process.stdin.close()
             process.terminate()
-            process.wait(timeout=5)
+            _wait_for_exit(process, _EXIT_WAIT_SECONDS)
         except Exception:
             process.kill()
             process.wait()
         process.stdout.close()
+
+
+def _wait_for_exit(process: subprocess.Popen, timeout: float) -> None:
+    """`process.wait(timeout=timeout)`, woken by the exit itself.
+
+    `Popen.wait` with a timeout polls with growing sleeps, so it returns
+    some milliseconds after the exit; a pidfd becomes readable at the exit.
+    Without `os.pidfd_open`, or where it fails, `Popen.wait` is used.
+    """
+    try:
+        pidfd = os.pidfd_open(process.pid)
+    except (AttributeError, OSError):  # not on this platform or kernel
+        process.wait(timeout=timeout)
+        return
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(timeout * 1000):
+            raise subprocess.TimeoutExpired(process.args, timeout)
+    finally:
+        os.close(pidfd)
+    process.wait()  # reaps the exited process at once
 
 
 # ---------------------------------------------------------------------------

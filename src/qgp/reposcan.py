@@ -22,6 +22,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Union
@@ -99,12 +100,14 @@ class Corpus(Sequence):
     the positions that a predicate pattern finds, the ranking of each token
     set and the ids that each predicate selects. Each value is computed once
     per key and published with `dict.setdefault`, which is atomic, so
-    threads racing on one key share one value.
+    threads racing on one key share one value. The positions of the
+    non-ASCII texts are built on first use; threads racing on them may each
+    build them, and every build is equal.
     """
 
     __slots__ = (
         "ids", "relpaths", "kinds", "texts", "previews", "blobs",
-        "_containing", "_found_by", "_ranked", "_matching",
+        "_containing", "_found_by", "_ranked", "_matching", "_non_ascii",
     )
 
     def __init__(self, records: Iterable[ArtifactRecord]) -> None:
@@ -126,8 +129,9 @@ class Corpus(Sequence):
         return corpus
 
     def _fill(self, *columns: tuple[str, ...]) -> None:
-        # The six columns, then four empty memos, in slot order.
-        for name, value in zip(Corpus.__slots__, (*columns, {}, {}, {}, {})):
+        # The six columns, four empty memos and the unbuilt non-ASCII
+        # positions, in slot order.
+        for name, value in zip(Corpus.__slots__, (*columns, {}, {}, {}, {}, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -163,12 +167,37 @@ class Corpus(Sequence):
 
     def found_by(self, pattern: str) -> tuple[int, ...]:
         """Positions of the records whose text a predicate pattern finds,
-        ascending; raises GenerationError if the pattern does not compile."""
+        ascending; raises GenerationError if the pattern does not compile.
+
+        A pattern that is `re.escape` of an ASCII literal is tried only on
+        the records whose blob contains the lowered literal and on the
+        non-ASCII texts; any other pattern is tried on every text.
+        """
         found = self._found_by.get(pattern)
         if found is None:
             search_text = _compiled(pattern).search
-            hits = tuple([i for i, text in enumerate(self.texts) if search_text(text)])
+            texts = self.texts
+            literal = _escaped_ascii_literal(pattern)
+            if literal is None:
+                candidates = range(len(texts))
+            else:
+                # On ASCII text a case-insensitive ASCII literal matches exactly
+                # where its lowered form is in `text.lower()`, the blob's
+                # prefix. The folds that `lower()` misses (ſ to s, İ to i)
+                # need a non-ASCII text, and those are always tried.
+                candidates = self.containing(literal.lower())
+                non_ascii = self._non_ascii_positions()
+                if non_ascii:
+                    candidates = sorted(set(candidates).union(non_ascii))
+            hits = tuple([i for i in candidates if search_text(texts[i])])
             found = self._found_by.setdefault(pattern, hits)
+        return found
+
+    def _non_ascii_positions(self) -> tuple[int, ...]:
+        found = self._non_ascii
+        if found is None:
+            found = tuple([i for i, text in enumerate(self.texts) if not text.isascii()])
+            object.__setattr__(self, "_non_ascii", found)
         return found
 
     def ranked(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
@@ -348,6 +377,17 @@ Predicate = Union[KeywordOrPattern, PathAndContent, TestOrDocumentation]
 _COMPILED: dict[str, re.Pattern] = {}
 
 
+_ESCAPED_CHARACTER = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _escaped_ascii_literal(pattern: str) -> str | None:
+    """The ASCII string whose `re.escape` is exactly `pattern`, if any."""
+    if not pattern.isascii():
+        return None
+    literal = _ESCAPED_CHARACTER.sub(r"\1", pattern)
+    return literal if re.escape(literal) == pattern else None
+
+
 def _compiled(pattern: str) -> re.Pattern:
     found = _COMPILED.get(pattern)
     if found is None:
@@ -508,10 +548,8 @@ class ReposcanManifest:
 
 def build_token_table(corpus: Sequence[ArtifactRecord]) -> Counter:
     """Document frequency of word tokens over the corpus."""
-    table: Counter = Counter()
-    for blob in _as_corpus(corpus).blobs:
-        table.update(set(_TOKEN_RE.findall(blob)))
-    return table
+    token_sets = map(set, map(_TOKEN_RE.findall, _as_corpus(corpus).blobs))
+    return Counter(chain.from_iterable(token_sets))
 
 
 def _band_tokens(table: Counter, target: int, corpus_size: int) -> list[str]:
@@ -683,19 +721,23 @@ def write_manifest(manifest: ReposcanManifest, path: str | Path) -> str:
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
     """The snapshots, and each task's snapshot, predicate and valid ids. A
-    task must name one of the snapshots."""
+    task must name one of the snapshots, and its valid ids must be a list
+    of strings."""
     snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
     names = {s.name for s in snapshots}
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         if entry["snapshot"] not in names:
             raise ValueError(f"task {spec.task_id!r} names unknown snapshot {entry['snapshot']!r}")
+        valid_ids = entry["hidden"]["valid_ids"]
+        if not isinstance(valid_ids, list) or not all(isinstance(i, str) for i in valid_ids):
+            raise ValueError(f"task {spec.task_id!r} valid_ids must be a list of strings")
         tasks.append(
             ReposcanTask(
                 spec=spec,
                 snapshot=entry["snapshot"],
                 predicate=PREDICATES.decode(entry["hidden"]["predicate"]),
-                valid_ids=tuple(entry["hidden"]["valid_ids"]),
+                valid_ids=tuple(valid_ids),
             )
         )
     return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)

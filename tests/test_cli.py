@@ -712,6 +712,34 @@ class TestAnalysis:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_delta_notes_a_zero_width_interval(self, record_files, tmp_path, capsys):
+        out = tmp_path / "delta.csv"
+        records = str(record_files["standard"])
+        argv = ["delta", "--left", records, "--right", records, "--resamples", "500"]
+        assert main(argv + ["--seed", "6", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out} delta=0.000 ci=[0.000, 0.000]\n"
+        assert captured.err == (
+            "note: the interval has zero width over 3 paired tasks; "
+            "it does not make the difference certain\n"
+        )
+
+    def test_delta_with_a_wide_interval_has_no_note(self, record_files, tmp_path, capsys):
+        rows = [json.loads(line) for line in record_files["standard"].read_text().splitlines()]
+        sides = {}
+        for side, first_outcome in (("left", "success"), ("right", "budget_exhausted")):
+            outcomes = [first_outcome] + ["success"] * (len(rows) - 1)
+            sides[side] = tmp_path / f"{side}.jsonl"
+            sides[side].write_text(
+                "".join(json.dumps(row | {"outcome": o}) + "\n" for row, o in zip(rows, outcomes))
+            )
+        out = tmp_path / "delta.csv"
+        argv = ["delta", "--left", str(sides["left"]), "--right", str(sides["right"])]
+        assert main(argv + ["--resamples", "1000", "--seed", "7", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[4]) < float(row[5])  # ci_low < ci_high
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("resamples", ["0", "-3"])
     def test_delta_resamples_below_one_refused(self, record_files, tmp_path, capsys, resamples):
         out = tmp_path / "delta.csv"
@@ -1047,6 +1075,16 @@ MALFORMED_INPUTS = {
         snapshots=[_SNAPSHOT],
     ),
     "dataops-task-with-budget-0": _manifest_text("dataops", [_task("dataops", budget=0)]),
+    "reposcan-task-with-valid-ids-a-string": _manifest_text(
+        "reposcan",
+        [_task("reposcan", snapshot="s", hidden=_HIDDEN | {"valid_ids": "abc"})],
+        snapshots=[_SNAPSHOT],
+    ),
+    "reposcan-task-with-a-valid-id-not-a-string": _manifest_text(
+        "reposcan",
+        [_task("reposcan", snapshot="s", hidden=_HIDDEN | {"valid_ids": [7, "x"]})],
+        snapshots=[_SNAPSHOT],
+    ),
     "not-json": "this is not json\n",
     "not-an-object": "[1, 2]\n",
     "config-with-unknown-controller": json.dumps(
@@ -1064,6 +1102,8 @@ TASK_ERRORS = {
     "dataops-task-with-budget-0": "must be >= 1, got 0",
     "dataops-task-without-units": "has no units",
     "dataops-task-with-file-outside-workspace": "file '../x': not a file path inside",
+    "reposcan-task-with-valid-ids-a-string": "valid_ids must be a list of strings",
+    "reposcan-task-with-a-valid-id-not-a-string": "valid_ids must be a list of strings",
 }
 COMMANDS = {
     "run": lambda path, out: ["run", "--manifest", path, "--out", out],

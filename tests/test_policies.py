@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import signal
 import sys
 import textwrap
 import threading
@@ -11,6 +13,7 @@ import time
 
 import pytest
 
+from qgp import policies
 from qgp.actions import (
     AskUser,
     ControllerNotice,
@@ -509,6 +512,44 @@ class TestExternalAdapter:
         assert ended - closing < 1.0
         assert ended - started < FAULT_ROW_SECONDS
         assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("wait", ["pidfd", "no-pidfd-open", "pidfd-open-fails"])
+    @pytest.mark.parametrize("sigterm", ["exits", "ignored"])
+    def test_close_reaps_the_adapter_and_leaks_no_descriptor(
+        self, tmp_path, monkeypatch, wait, sigterm
+    ):
+        ignore = "import signal\nsignal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        body = "sys.stdin.readline()\nsend(ASK)\ntime.sleep(30)\n"
+        if sigterm == "ignored":
+            body = ignore + body
+        opened = []
+        real_pidfd_open = os.pidfd_open
+
+        def pidfd_open(pid, *args):
+            opened.append(pid)
+            if wait == "pidfd-open-fails":
+                raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+            return real_pidfd_open(pid, *args)
+
+        if wait == "no-pidfd-open":
+            monkeypatch.delattr(os, "pidfd_open")
+        else:
+            monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        monkeypatch.setattr(policies, "_EXIT_WAIT_SECONDS", 0.3)
+        descriptors = set(os.listdir("/proc/self/fd"))
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        try:
+            assert policy.decide(view, [], 0) == AskUser(message="done")
+            process = policy._process
+        finally:
+            closing = time.monotonic()
+            policy.close()
+        assert time.monotonic() - closing < 1.0
+        assert set(os.listdir("/proc/self/fd")) == descriptors
+        assert process.returncode == (-signal.SIGTERM if sigterm == "exits" else -signal.SIGKILL)
+        assert opened == ([] if wait == "no-pidfd-open" else [process.pid])
 
     def test_timeout_is_malformed_step(self, tmp_path):
         command = _write_adapter(

@@ -619,7 +619,75 @@ def _memo_corpora(reposcan_loaded, adversarial_tree) -> dict[str, Corpus]:
     }
 
 
+def reference_found_by(texts, pattern: str) -> tuple[int, ...]:
+    """Every text tried: the positions a case-insensitive pattern finds."""
+    return tuple(i for i, text in enumerate(texts) if re.search(pattern, text, re.IGNORECASE))
+
+
+# (pattern, texts) rows for `Corpus.found_by`. The first three are escaped
+# ASCII literals that some text matches only through a Unicode case fold
+# that `lower()` does not make.
+FOUND_BY_ROWS = (
+    (re.escape("class"), ("claſs Parſer:", "class x", "CLASS", "klass", "cla-ss")),
+    (re.escape("index"), ("İNDEX", "index.md", "INDEKS", "i̇ndex")),
+    (re.escape("sigma"), ("ſigma", "SIGMA", "Sigma\n", "sig ma", "ſ")),
+    # A pattern that looks literal but is not: `.` matches any character, and
+    # the escaped form matches only the dot.
+    ("a.b", ("a.b", "aXb", "a\\.b", "ab", "AſB")),
+    (re.escape("a.b"), ("a.b", "aXb", "a\\.b", "A.B", "a.b.ſ")),
+    # Escaped literals with a character outside ASCII.
+    (re.escape("straße"), ("STRASSE", "Straße", "STRAẞE", "strasse", "ſtraße")),
+    (re.escape("ſ"), ("s", "S", "ſ", "x")),
+    (re.escape("\u212a"), ("k", "K", "\u212a", "x")),
+    # Escaped ASCII with capitals, metacharacters, whitespace and a backslash.
+    (re.escape("CamelCase"), ("camelcase", "CAMELCASE x", "Camel Case", "ſ")),
+    (re.escape("a+b (c)\t\\d"), ("A+B (C)\t\\D", "a+b (c) \\d", "aab c\t\\d", "ſ")),
+    ("", ("", "x", "ſ")),
+)
+
+
 class TestMatchMemo:
+    @pytest.mark.parametrize("row", range(len(FOUND_BY_ROWS)))
+    def test_found_by_equals_the_full_scan(self, row):
+        pattern, texts = FOUND_BY_ROWS[row]
+        records = [_record(f"src/m{i}.py", text) for i, text in enumerate(texts)]
+        corpus = Corpus(records + list(UNICODE_RECORDS))
+        assert corpus.found_by(pattern) == reference_found_by(corpus.texts, pattern)
+        predicate = KeywordOrPattern(keywords=(), patterns=(pattern,))
+        assert corpus.matching(predicate) == reference_matches(list(corpus), predicate)
+
+    def test_fold_rows_need_the_non_ascii_texts(self):
+        # Each fold row has a match that the lowered-literal memo cannot see.
+        for pattern, texts in FOUND_BY_ROWS[:3]:
+            corpus = Corpus([_record(f"src/m{i}.py", text) for i, text in enumerate(texts)])
+            literal = re.sub(r"\\(.)", r"\1", pattern).lower()
+            assert set(corpus.found_by(pattern)) - set(corpus.containing(literal))
+
+    def test_escaped_literal_searches_only_its_candidates(self, reposcan_loaded, monkeypatch):
+        searched = []
+
+        class CountingPattern:
+            def __init__(self, compiled: re.Pattern) -> None:
+                self.compiled = compiled
+
+            def search(self, text: str):
+                searched.append(text)
+                return self.compiled.search(text)
+
+        real_compiled = reposcan._compiled
+        monkeypatch.setattr(reposcan, "_compiled", lambda p: CountingPattern(real_compiled(p)))
+        _, corpora = reposcan_loaded
+        for read in corpora.values():
+            corpus = Corpus(read)  # fresh memos
+            non_ascii = sum(not text.isascii() for text in corpus.texts)
+            tokens = sorted(build_token_table(corpus))
+            assert tokens
+            for token in tokens:
+                searched.clear()
+                found = corpus.found_by(re.escape(token))
+                assert len(searched) <= len(corpus.containing(token)) + non_ascii
+                assert found == reference_found_by(corpus.texts, re.escape(token))
+
     def test_random_predicates_match_the_scan(self, reposcan_loaded, adversarial_tree):
         manifest, _ = reposcan_loaded
         generated = [task.predicate for task in manifest.tasks]
