@@ -1,0 +1,6 @@
+"""`python -m qgp`: the `qgp` command."""
+
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

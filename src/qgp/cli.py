@@ -465,3 +465,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:  # console script
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -6,11 +6,11 @@ Each one reproduces a specific behavior: duplicate resubmission, premature
 stopping, unsupported completion claims, no-submit work loops, redundant
 searching, or a straightforward greedy/solver baseline.
 
-The greedy, solver and looper policies memoise what they derive from the
-history in a `HistoryFold`, which folds each new entry once and starts over
-whenever the history is not the one it has folded, so a decision still
-equals one made from the whole history and a run costs O(budget), not
-O(budget²).
+The duplicator, greedy, solver and looper policies memoise what they
+derive from the history in a `HistoryFold`, which folds each new entry once
+and starts over whenever the history is not the one it has folded, so a
+decision still equals one made from the whole history and a run costs
+O(budget), not O(budget²).
 """
 
 from __future__ import annotations
@@ -154,27 +154,49 @@ def _filler_action(view: PublicTaskView) -> Action:
 
 
 @dataclass
+class _DuplicatorState:
+    latest_search: SearchResults | None = None
+    submitted: bool = False
+    # The first id ever accepted, and the top candidate of the first
+    # non-empty result page.
+    first_accepted: str | None = None
+    first_candidate: str | None = None
+
+
+def _fold_duplicator(state: _DuplicatorState, action: object, obs: object) -> None:
+    if isinstance(obs, SearchResults):
+        state.latest_search = obs
+        if state.first_candidate is None and obs.candidates:
+            state.first_candidate = obs.candidates[0].artifact_id
+    elif isinstance(obs, SubmitFeedback) and obs.accepted and state.first_accepted is None:
+        state.first_accepted = obs.accepted[0]
+    if isinstance(action, Submit):
+        state.submitted = True
+
+
+@dataclass
 class DuplicatorPolicy:
     """Submits one full result page, then fixates on resubmitting one id."""
 
     label: str = PolicyKind.DUPLICATOR.value
+    _fold: HistoryFold[_DuplicatorState] = _fold_field(
+        lambda view: _DuplicatorState(), _fold_duplicator
+    )
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
-        searches = [obs for _, obs in history if isinstance(obs, SearchResults)]
-        if not searches:
+        state = self._fold(view, history)
+        latest = state.latest_search
+        if latest is None:
             return Search(query=_first_token(view), page=0)
-        if not any(isinstance(a, Submit) for a, _ in history):
-            latest = searches[-1]
+        if not state.submitted:
             if not latest.candidates:
                 return Search(query=latest.query, page=latest.page + 1)
             return Submit(ids=tuple(c.artifact_id for c in latest.candidates))
-        for _, obs in history:
-            if isinstance(obs, SubmitFeedback) and obs.accepted:
-                return Submit(ids=(obs.accepted[0],))
-        for results in searches:
-            if results.candidates:
-                return Submit(ids=(results.candidates[0].artifact_id,))
-        return Search(query=searches[-1].query, page=searches[-1].page + 1)
+        if state.first_accepted is not None:
+            return Submit(ids=(state.first_accepted,))
+        if state.first_candidate is not None:
+            return Submit(ids=(state.first_candidate,))
+        return Search(query=latest.query, page=latest.page + 1)
 
 
 @dataclass

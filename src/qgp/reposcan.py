@@ -16,6 +16,7 @@ that the memo must agree with.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import re
@@ -23,7 +24,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Union
 
@@ -59,8 +60,22 @@ KIND_TEST = "test"
 KIND_DOCUMENTATION = "documentation"
 KIND_CONFIGURATION = "configuration"
 
-_DOC_SUFFIXES = {".rst", ".md"}
-_CONFIG_SUFFIXES = {".cfg", ".toml", ".ini", ".yaml"}
+_SUFFIX_KINDS = {
+    ".rst": KIND_DOCUMENTATION,
+    ".md": KIND_DOCUMENTATION,
+    ".cfg": KIND_CONFIGURATION,
+    ".toml": KIND_CONFIGURATION,
+    ".ini": KIND_CONFIGURATION,
+    ".yaml": KIND_CONFIGURATION,
+}
+# The root may be a symlink to a directory; below it, `O_NOFOLLOW` refuses
+# a symlink (ELOOP) and `O_DIRECTORY` a file (ENOTDIR) put in a listed
+# directory's place, and the walk skips either, as it skips symlinks.
+_ROOT_FLAGS = os.O_RDONLY | os.O_DIRECTORY
+_SUBDIRECTORY_FLAGS = _ROOT_FLAGS | os.O_NOFOLLOW
+_SKIPPED_DIRECTORY_ERRORS = frozenset({errno.ELOOP, errno.ENOTDIR})
+_BY_NAME = attrgetter("name")
+_BY_RELPATH = itemgetter(0)
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]{3,}")
 
 
@@ -234,67 +249,126 @@ class Snapshot:
     corpus: Corpus
 
 
-def classify_kind(relpath: str) -> str:
-    head, _, name = relpath.rpartition("/")
-    dirs = f"/{head}/"  # each directory component between slashes
-    dot = name.rfind(".")
-    suffix = name[dot:] if dot >= 0 else ""
-    if "/test/" in dirs or "/tests/" in dirs:
+def _directory_kind(outer: str | None, name: str) -> str | None:
+    """The kind that directory `name`, inside a directory of kind `outer`,
+    gives every file below it: test below a `test` or `tests` directory,
+    else documentation below a `docs` directory, else None."""
+    if outer == KIND_TEST or name == "test" or name == "tests":
         return KIND_TEST
-    if suffix in _DOC_SUFFIXES or "/docs/" in dirs:
+    if outer is not None or name == "docs":
         return KIND_DOCUMENTATION
-    if suffix in _CONFIG_SUFFIXES:
-        return KIND_CONFIGURATION
-    return KIND_SOURCE
+    return None
 
 
-def _walk_files(directory: str, prefix: str = "") -> Iterator[tuple[str, str]]:
-    """Yield (relpath, path) for every file below a directory, in the order of
-    sorted path components: pre-order, siblings sorted by name.
+def _file_kind(directory: str | None, name: str) -> str:
+    """The kind of file `name` in a directory of kind `directory`: the
+    directory's kind if it has one, else its suffix's kind."""
+    if directory is not None:
+        return directory
+    # Every suffix in the table starts with ".", so a name without one, whose
+    # slice is then its last character, finds none.
+    return _SUFFIX_KINDS.get(name[name.rfind(".") :], KIND_SOURCE)
 
-    Paths with a `.git` component are skipped, directories reached through a
-    symlink are not entered, symlinked files are followed and broken symlinks
-    skipped. An unreadable subdirectory is skipped, as `Path.rglob` does.
+
+def classify_kind(relpath: str) -> str:
+    *dirs, name = relpath.split("/")
+    kind = None
+    for directory in dirs:
+        kind = _directory_kind(kind, directory)
+    return _file_kind(kind, name)
+
+
+def _directory_error(top: str, relpath: str, exc: OSError) -> ConfigurationError:
+    path = os.path.join(top, relpath) if relpath else top
+    return ConfigurationError(f"cannot read snapshot directory {path}: {exc.strerror or exc}")
+
+
+def _open_directory(
+    name: str, dir_fd: int | None, flags: int, top: str, relpath: str
+) -> int | None:
+    """A descriptor for directory `name`, or None for one that the walk skips:
+    one it may not read, or, opened with `O_NOFOLLOW`, one that a symlink or a
+    file has replaced since it was listed."""
+    try:
+        return os.open(name, flags, dir_fd=dir_fd)
+    except PermissionError:
+        return None
+    except OSError as exc:
+        if exc.errno in _SKIPPED_DIRECTORY_ERRORS:
+            return None
+        raise _directory_error(top, relpath, exc) from exc
+
+
+def _read_directory(
+    fd: int,
+    prefix: str,
+    kind: str | None,
+    top: str,
+    update: Callable[[bytes], None],
+    found: list[tuple[str, str, str]],
+) -> None:
+    """Hash every file below the open directory `fd`, whose relpath is
+    `prefix` and whose kind is `kind`, in walk order, add (relpath, kind,
+    text) for each text file to `found`, and close `fd`.
+
+    The walk is pre-order with siblings sorted by name. Each file and each
+    subdirectory is opened relative to `fd`, so no path string is built
+    outside the error paths. `.git` entries are skipped, symlinked
+    directories are not entered, symlinked files are followed and broken or
+    looping symlinks skipped.
     """
     try:
-        with os.scandir(directory) as it:
-            entries = sorted(it, key=attrgetter("name"))
-    except PermissionError:
-        return
-    for entry in entries:
-        if entry.name == ".git":
-            continue
-        relpath = prefix + entry.name
-        if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(entry.path, relpath + "/")
-        elif _is_file(entry):
-            yield relpath, entry.path
-
-
-def _is_file(entry: os.DirEntry) -> bool:
-    """As `Path.is_file`: a broken or looping symlink is not a file."""
-    try:
-        return entry.is_file()
-    except OSError:
-        return False
-
-
-def _read_file(path: str) -> bytes:
-    """Every byte of a file: read until end of file, since a read may return
-    fewer bytes than asked before the end on some file systems."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
         try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read snapshot file {path}: {exc.strerror or exc}"
-        ) from exc
-    return b"".join(chunks)
+            with os.scandir(fd) as it:
+                entries = sorted(it, key=_BY_NAME)
+        except OSError as exc:
+            raise _directory_error(top, prefix[:-1], exc) from exc
+        for entry in entries:
+            name = entry.name
+            if name == ".git":
+                continue
+            if entry.is_dir(follow_symlinks=False):
+                relpath = prefix + name
+                sub = _open_directory(name, fd, _SUBDIRECTORY_FLAGS, top, relpath)
+                if sub is not None:
+                    _read_directory(
+                        sub, relpath + "/", _directory_kind(kind, name), top, update, found
+                    )
+                continue
+            try:
+                if not entry.is_file():
+                    continue
+            except OSError:  # a looping symlink is not a file
+                continue
+            relpath = prefix + name
+            try:
+                encoded = relpath.encode("utf-8")
+            except UnicodeEncodeError:
+                path = os.fsencode(os.path.join(top, relpath))
+                raise ConfigurationError(f"snapshot file name is not UTF-8: {path!r}") from None
+            # Read until a read returns no bytes: one may return fewer bytes
+            # than asked before the end on some file systems.
+            try:
+                file_fd = os.open(name, os.O_RDONLY, dir_fd=fd)
+                try:
+                    chunks = []
+                    while chunk := os.read(file_fd, _READ_CHUNK):
+                        chunks.append(chunk)
+                finally:
+                    os.close(file_fd)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot read snapshot file {os.path.join(top, relpath)}: "
+                    f"{exc.strerror or exc}"
+                ) from exc
+            data = b"".join(chunks)
+            update(b"%s\0%d\0" % (encoded, len(data)))
+            update(data)
+            if data.find(b"\0", 0, 8192) < 0:
+                text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
+                found.append((relpath, _file_kind(kind, name), text))
+    finally:
+        os.close(fd)
 
 
 def read_snapshot(root: str | Path) -> Snapshot:
@@ -302,38 +376,37 @@ def read_snapshot(root: str | Path) -> Snapshot:
 
     Every call walks the tree and reads and hashes every byte of every file,
     holding one file's bytes at a time; no stat data is trusted, since an
-    edit can keep a file's size and mtime. The digest is a sha256 over
-    (relpath, size, bytes) of every file in walk order. Records are ordered
-    by relpath then kind; binary files are skipped via a null-byte heuristic
-    and text is truncated to the first 64 KiB, so indexing stays bounded and
-    deterministic. A file that cannot be read, or whose name is not UTF-8,
-    raises ConfigurationError naming it.
+    edit can keep a file's size and mtime. Each directory is opened once,
+    relative to its parent and without following a symlink, so a directory
+    swapped for a symlink during the walk is not entered; each file is
+    opened relative to its directory and costs one open, reads until one
+    returns no bytes, and one close. An unreadable directory is skipped.
+    The digest is a sha256 over (relpath, size, bytes) of every file in walk
+    order. Records are ordered by relpath then kind; binary files are
+    skipped via a null-byte heuristic and text is truncated to the first
+    64 KiB, so indexing stays bounded and deterministic. A file that cannot
+    be read, or whose name is not UTF-8, raises ConfigurationError naming
+    it, and so does a directory that cannot be opened for another reason
+    than its permissions, such as one removed during the walk.
     """
     root = Path(root)
     if not root.is_dir():
         raise ConfigurationError(f"snapshot root not found or not a directory: {root}")
+    top = str(root)
     h = hashlib.sha256()
-    texts: dict[str, str] = {}
-    for relpath, path in _walk_files(str(root)):
-        try:
-            name = relpath.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigurationError(f"snapshot file name is not UTF-8: {os.fsencode(path)!r}")
-        data = _read_file(path)
-        h.update(b"%s\0%d\0" % (name, len(data)))
-        h.update(data)
-        if data.find(b"\0", 0, 8192) >= 0:
-            continue
-        texts[relpath] = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
+    found: list[tuple[str, str, str]] = []
+    fd = _open_directory(top, None, _ROOT_FLAGS, top, "")
+    if fd is not None:
+        _read_directory(fd, "", None, top, h.update, found)
     # Relpaths are unique, so this is the order by relpath then kind.
-    relpaths = tuple(sorted(texts))
-    kinds = tuple(map(classify_kind, relpaths))
+    found.sort(key=_BY_RELPATH)
+    relpaths, kinds, texts = zip(*found) if found else ((), (), ())
     corpus = Corpus.from_columns(
         tuple([f"{relpath}#{kind}" for relpath, kind in zip(relpaths, kinds)]),
         relpaths,
         kinds,
-        tuple([texts[relpath] for relpath in relpaths]),
-        tuple([texts[relpath][:200] for relpath in relpaths]),
+        texts,
+        tuple([text[:200] for text in texts]),
     )
     return Snapshot(digest=h.hexdigest(), corpus=corpus)
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,37 @@ def dataops_manifest_path(fixture_sources, tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def dataops_loaded(dataops_manifest_path):
     return dataops.load_manifest(dataops_manifest_path)
+
+
+@dataclass
+class OpenLog:
+    """The full path of every `os.open`, also of one relative to a directory
+    descriptor, in the order opened: directories and other files apart."""
+
+    directories: list[str] = field(default_factory=list)
+    files: list[str] = field(default_factory=list)
+    # The path of each descriptor `os.open` returned, kept until its number
+    # is returned again.
+    paths: dict[int, str] = field(default_factory=dict)
+    # Called with (path, flags) before each open; it may raise or change the tree.
+    before: Callable[[str, int], None] | None = None
+
+
+@pytest.fixture
+def opens(monkeypatch) -> OpenLog:
+    log = OpenLog()
+    real_open = os.open
+
+    def logging_open(path, flags, mode=0o777, *, dir_fd=None):
+        full = os.fspath(path)
+        if dir_fd is not None:
+            full = os.path.join(log.paths[dir_fd], full)
+        if log.before is not None:
+            log.before(full, flags)
+        fd = real_open(path, flags, mode, dir_fd=dir_fd)
+        log.paths[fd] = full
+        (log.directories if flags & os.O_DIRECTORY else log.files).append(full)
+        return fd
+
+    monkeypatch.setattr(os, "open", logging_open)
+    return log

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -67,6 +68,21 @@ def mini_dataops_manifest(csv_sources, snapshot_roots, tmp_path_factory) -> Path
     )
     assert code == 0
     return out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["qgp", "qgp.cli"])
+    def test_help_prints_usage(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: qgp ")
+        assert "gen-reposcan" in done.stdout and done.stderr == ""
 
 
 class TestGeneration:
@@ -148,28 +164,63 @@ class TestMissingSnapshotRoot:
 class TestUnreadableSnapshotFile:
     @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
     def test_one_error_line_naming_the_file(
-        self, command, mini_manifest, snapshot_roots, tmp_path, monkeypatch, capsys
+        self, command, mini_manifest, snapshot_roots, tmp_path, opens, capsys
     ):
-        # Refused by patching os.open: permission bits do not stop root.
-        refused = next(path for _, path in reposcan._walk_files(str(snapshot_roots[0])))
-        real_open = os.open
+        # Refused at os.open: permission bits do not stop root. The first file
+        # of a subdirectory in walk order, opened relative to its directory.
+        root = snapshot_roots[0]
+        refused = str(next(p for p in sorted(root.rglob("*")) if p.is_file() and p.parent != root))
 
-        def denying(path, *args, **kwargs):
-            if os.fspath(path) == refused:
+        def deny(path, flags):
+            if path == refused:
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "open", denying)
+        opens.before = deny
         out = tmp_path / "out.json"
         argv = {
             "run": ["run", "--manifest", str(mini_manifest), "--out", str(out)],
             "smoke": ["smoke", "--manifest", str(mini_manifest)],
-            "gen-reposcan": ["gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--out", str(out)],
+            "gen-reposcan": ["gen-reposcan", "--snapshot", str(root), "--out", str(out)],
         }[command]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: cannot read snapshot file {refused}: {os.strerror(errno.EACCES)}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestVanishedSnapshotDirectory:
+    @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
+    def test_one_error_line_naming_the_directory(
+        self, command, snapshot_roots, tmp_path, opens, capsys
+    ):
+        root = tmp_path / "snap"
+        shutil.copytree(snapshot_roots[0], root)
+        manifest = tmp_path / "manifest.json"
+        args = ["--snapshot", str(root), "--targets", "10", "--instances", "1"]
+        assert main(["gen-reposcan", *args, "--out", str(manifest)]) == 0
+        capsys.readouterr()
+        vanishing = str(root / "src")
+
+        def remove(path, flags):
+            # Listed by its parent, then removed before it is opened.
+            if path == vanishing and flags & os.O_DIRECTORY:
+                opens.before = None  # once, and not for the removal's own opens
+                shutil.rmtree(path)
+
+        opens.before = remove
+        out = tmp_path / "out.json"
+        argv = {
+            "run": ["run", "--manifest", str(manifest), "--out", str(out)],
+            "smoke": ["smoke", "--manifest", str(manifest)],
+            "gen-reposcan": ["gen-reposcan", *args, "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read snapshot directory {vanishing}: {os.strerror(errno.ENOENT)}\n"
         )
         assert captured.out == ""
         assert not out.exists()

@@ -1,10 +1,11 @@
 """Incremental history folds against the from-scratch derivations they replaced.
 
-`_derive_unit_traces` and the greedy oracle's `decide`, which rebuilt their
-state from the whole history on every step, are kept here verbatim as
-references. At every prefix of recorded solver, looper and greedy histories,
-grown in place as `run_episode` grows them, the incremental fold must equal
-the fold from scratch and the policy must decide as the reference does.
+`_derive_unit_traces` and the greedy oracle's and the duplicator's `decide`,
+which rebuilt their state from the whole history on every step, are kept
+here verbatim as references. At every prefix of recorded solver, looper,
+greedy and duplicator histories, grown in place as `run_episode` grows them,
+the incremental fold must equal the fold from scratch and the policy must
+decide as the reference does.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from qgp.controllers import ControllerConfig, ControllerKind, build_controller
 from qgp.core import run_episode
 from qgp.dataops import DataopsEnvironment
 from qgp.policies import (
+    DuplicatorPolicy,
     GreedyOraclePolicy,
     HistoryFold,
     NoSubmitLooperPolicy,
     SolverPolicy,
+    _first_token,
     _fold_unit_trace,
     _objective_tokens,
     _start_unit_traces,
@@ -106,6 +109,24 @@ def reference_greedy_decide(submit_batch, view, history):
     return AskUser(message="all objective queries are exhausted")
 
 
+def reference_duplicator_decide(view, history):
+    searches = [obs for _, obs in history if isinstance(obs, SearchResults)]
+    if not searches:
+        return Search(query=_first_token(view), page=0)
+    if not any(isinstance(a, Submit) for a, _ in history):
+        latest = searches[-1]
+        if not latest.candidates:
+            return Search(query=latest.query, page=latest.page + 1)
+        return Submit(ids=tuple(c.artifact_id for c in latest.candidates))
+    for _, obs in history:
+        if isinstance(obs, SubmitFeedback) and obs.accepted:
+            return Submit(ids=(obs.accepted[0],))
+    for results in searches:
+        if results.candidates:
+            return Submit(ids=(results.candidates[0].artifact_id,))
+    return Search(query=searches[-1].query, page=searches[-1].page + 1)
+
+
 # ---------------------------------------------------------------------------
 # Recorded histories
 # ---------------------------------------------------------------------------
@@ -146,6 +167,18 @@ def greedy_histories(reposcan_loaded):
         for kind in _REPOSCAN_CONTROLLERS:
             env = ReposcanEnvironment(task.spec, corpora[task.snapshot], task.valid_ids)
             record = _record(task, env, kind, GreedyOraclePolicy())
+            runs.append((env.public_view(), record.ledger.history))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def duplicator_histories(reposcan_loaded):
+    manifest, corpora = reposcan_loaded
+    runs = []
+    for task in manifest.tasks:
+        for kind in (*_REPOSCAN_CONTROLLERS, ControllerKind.VERIFIER_GATED):
+            env = ReposcanEnvironment(task.spec, corpora[task.snapshot], task.valid_ids)
+            record = _record(task, env, kind, DuplicatorPolicy())
             runs.append((env.public_view(), record.ledger.history))
     return runs
 
@@ -207,6 +240,48 @@ class TestFoldEquivalence:
             decision = policy.decide(view, grown, 0)
             assert decision == reference_greedy_decide(10, view, grown)
         assert decision == Search(query=token, page=4)
+
+    def test_duplicator_decisions_at_every_prefix(self, duplicator_histories):
+        steps = 0
+        for view, history in duplicator_histories:
+            policy = DuplicatorPolicy()
+            for grown in _grow(history):
+                assert policy.decide(view, grown, 0) == reference_duplicator_decide(view, grown)
+                assert policy._fold(view, grown) == DuplicatorPolicy()._fold(view, grown)
+            steps += len(history)
+        assert steps > 300
+
+    def test_duplicator_without_acceptances(self, duplicator_histories):
+        # Empty pages first, then pages whose submissions are all rejected:
+        # every branch of the reference, prefix by prefix.
+        view, _ = duplicator_histories[0]
+        rejected = SubmitFeedback(
+            accepted=(), rejected=("y", "z"), duplicates=(), valid_count=0, remaining=3
+        )
+        entries = [
+            (Search(query="q", page=0), SearchResults(query="q", page=0, candidates=())),
+            (Search(query="q", page=1), SearchResults(query="q", page=1, candidates=())),
+            (Submit(ids=("x",)), rejected),
+            (Search(query="q", page=2), SearchResults(query="q", page=2, candidates=())),
+            (
+                Search(query="r", page=0),
+                SearchResults(query="r", page=0, candidates=(Candidate("y", ""), Candidate("z", ""))),
+            ),
+            (Submit(ids=("y",)), rejected),
+            (
+                Search(query="r", page=1),
+                SearchResults(query="r", page=1, candidates=(Candidate("w", ""),)),
+            ),
+        ]
+        policy = DuplicatorPolicy()
+        decisions = []
+        for grown in _grow(entries):
+            decisions.append(policy.decide(view, grown, 0))
+            assert decisions[-1] == reference_duplicator_decide(view, grown)
+        assert decisions[:4] == [Search(query=_first_token(view), page=0)] + [
+            Search(query="q", page=p) for p in (1, 2, 2)
+        ]
+        assert decisions[4:] == [Search(query="q", page=3)] + [Submit(ids=("y",))] * 3
 
     def test_each_entry_folded_once(self, dataops_loaded):
         task = max(dataops_loaded.tasks, key=lambda t: t.spec.budget)

@@ -276,12 +276,15 @@ def send(data):
     sys.stdout.flush()
 """
 # Lives while the adapter that started it does, holding the adapter's stdout.
+# The adapter passes its pid: by the time this interpreter is up, the adapter
+# may have exited and this process been re-parented.
 HOLD_STDOUT = (
-    "import os, time\n"
-    "parent = os.getppid()\n"
-    "while os.getppid() == parent:\n"
+    "import os, sys, time\n"
+    "while os.getppid() == int(sys.argv[1]):\n"
     "    time.sleep(0.05)\n"
 )
+# Where the `child-inherits-stdout` adapter writes its child's pid: beside itself.
+HOLDER_PID_FILE = "holder.pid"
 # One misbehaving adapter per row, run for one task of budget 4 under the
 # standard controller: (adapter body after FAULT_PRELUDE, timeout, outcome,
 # abort_reason, the proposal type of each step).
@@ -412,7 +415,10 @@ ADAPTER_FAULTS = {
         ["Malformed", "AskUser"],
     ),
     "child-inherits-stdout": (
-        f"subprocess.Popen([sys.executable, '-c', {HOLD_STDOUT!r}], stdin=subprocess.DEVNULL)\n"
+        f"holder = subprocess.Popen([sys.executable, '-c', {HOLD_STDOUT!r}, str(os.getpid())],\n"
+        "                          stdin=subprocess.DEVNULL)\n"
+        f"with open(os.path.join(os.path.dirname(__file__), {HOLDER_PID_FILE!r}), 'w') as fh:\n"
+        "    fh.write(str(holder.pid))\n"
         "for step, line in enumerate(sys.stdin):\n"
         "    send(SEARCH if step == 0 else ASK)\n",
         10.0,
@@ -422,6 +428,22 @@ ADAPTER_FAULTS = {
     ),
 }
 FAULT_ROW_SECONDS = 3.0
+
+
+def _running(pid: int) -> bool:
+    """Whether a process is running: not gone and, where /proc shows it, not
+    a zombie that its new parent has not reaped."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestExternalAdapter:
@@ -512,6 +534,13 @@ class TestExternalAdapter:
         assert ended - closing < 1.0
         assert ended - started < FAULT_ROW_SECONDS
         assert threading.active_count() == threads
+        if fault == "child-inherits-stdout":
+            # The adapter's child sees its parent gone and exits.
+            pid = int((tmp_path / HOLDER_PID_FILE).read_text())
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(pid)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("wait", ["pidfd", "no-pidfd-open", "pidfd-open-fails"])

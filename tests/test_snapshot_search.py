@@ -1,6 +1,6 @@
 """One-pass snapshot reading and memoised search against their old forms.
 
-The two-walk `_walk_files`/`index_snapshot`/`snapshot_digest`, the split-path
+The two-walk `index_snapshot`/`snapshot_digest` over `Path.rglob`, the split-path
 `classify_kind` and the linear `search` that `read_snapshot` and the
 per-corpus memo replaced are kept here verbatim as references: the new code
 must give the same digest, the same records in the same order, and the same
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import os
 import random
@@ -210,8 +211,11 @@ class TestReadSnapshot:
         assert "src/loop" not in relpaths
         assert not any(".git" in p.split("/") for p in relpaths)
         assert {"a/b", *SIBLINGS} <= set(relpaths)
-        # The walk itself visits a/b before its sibling "a b".
-        walked = [relpath for relpath, _ in reposcan._walk_files(str(adversarial_tree))]
+
+    def test_walk_order_is_path_component_order(self, adversarial_tree, opens):
+        # The walk itself opens a/b before its sibling "a b".
+        read_snapshot(adversarial_tree)
+        walked = [Path(path).relative_to(adversarial_tree).as_posix() for path in opens.files]
         assert walked.index("a/b") < walked.index("a b")
         assert walked == [
             p.relative_to(adversarial_tree).as_posix()
@@ -287,6 +291,87 @@ class TestReadSnapshot:
         for index in (0, -1):
             with pytest.raises(IndexError):
                 corpus[index]
+
+    def test_root_that_is_a_symlink_reads(self, adversarial_tree, tmp_path):
+        link = tmp_path / "link"
+        os.symlink(adversarial_tree, link)
+        through_link, direct = read_snapshot(link), read_snapshot(adversarial_tree)
+        assert through_link.digest == direct.digest
+        assert _fields(through_link.corpus) == _fields(direct.corpus)
+
+    @pytest.mark.parametrize("replacement", ["symlink", "file"])
+    def test_directory_replaced_when_opened_is_not_entered(
+        self, replacement, adversarial_tree, tmp_path, opens
+    ):
+        # Listed as a directory, then swapped for a symlink to a tree outside
+        # the snapshot, or for a file, just before the walk opens it.
+        swapped = adversarial_tree / "src"
+        outside = tmp_path / "outside"
+
+        def swap(path, flags):
+            if path == str(swapped) and flags & os.O_DIRECTORY:
+                opens.before = None  # once, and not for the removal's own opens
+                shutil.rmtree(swapped)
+                if replacement == "symlink":
+                    os.symlink(outside, swapped)
+                else:
+                    swapped.write_text("a file now\n")
+
+        opens.before = swap
+        snapshot = read_snapshot(adversarial_tree)
+        assert opens.before is None
+        assert not any(p.startswith(str(swapped) + "/") for p in opens.files + opens.directories)
+        assert not any(r.relpath.startswith("src") for r in snapshot.corpus)
+        # The snapshot is the tree without the swapped entry.
+        swapped.unlink()
+        assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
+        _assert_reads_as(snapshot.corpus, reference_index_snapshot(adversarial_tree))
+
+    def test_unreadable_directory_is_skipped(self, adversarial_tree, opens):
+        # Refused at os.open: permission bits do not stop root.
+        refused = str(adversarial_tree / "vendor")
+
+        def deny(path, flags):
+            if path == refused:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        opens.before = deny
+        snapshot = read_snapshot(adversarial_tree)
+        opens.before = None
+        shutil.rmtree(refused)
+        assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
+        _assert_reads_as(snapshot.corpus, reference_index_snapshot(adversarial_tree))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("failing", ["open", "read"])
+    def test_failed_read_in_a_nested_directory_closes_every_descriptor(
+        self, failing, adversarial_tree, opens, monkeypatch
+    ):
+        target = str(adversarial_tree / "vendor" / "lib" / "code.py")
+        failure = OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def fail_open(path, flags):
+            if path == target:
+                raise failure
+
+        real_read = os.read
+
+        def fail_read(fd, size):
+            if opens.paths.get(fd) == target:
+                raise failure
+            return real_read(fd, size)
+
+        if failing == "open":
+            opens.before = fail_open
+        else:
+            monkeypatch.setattr(os, "read", fail_read)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(ConfigurationError) as raised:
+            read_snapshot(adversarial_tree)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert str(raised.value) == f"cannot read snapshot file {target}: {os.strerror(errno.EIO)}"
+        # The walk got as far as the file's directory, two below the root.
+        assert opens.directories[-1] == str(adversarial_tree / "vendor" / "lib")
 
 
 # ---------------------------------------------------------------------------
@@ -800,21 +885,26 @@ def _same_size_rewrite(path: Path, token: bytes) -> None:
 
 
 class TestEveryReadSeesTheBytes:
-    def test_every_read_opens_every_file_once(self, adversarial_tree, monkeypatch):
+    def test_every_read_opens_every_file_once(self, adversarial_tree, opens):
+        # Each directory once too, the root by its path and the rest relative
+        # to their parent's descriptor.
         files = sorted(str(p) for p in _reference_walk_files(adversarial_tree))
-        opened: list[str] = []
-        real_open = os.open
-
-        def counting(path, *args, **kwargs):
-            if os.fspath(path).startswith(str(adversarial_tree)):
-                opened.append(os.fspath(path))
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", counting)
+        directories = sorted(
+            [str(adversarial_tree)]
+            + [
+                str(p)
+                for p in adversarial_tree.rglob("*")
+                if p.is_dir() and not p.is_symlink()
+                and ".git" not in p.relative_to(adversarial_tree).parts
+            ]
+        )
+        assert len(directories) > 10
         for _ in range(2):
             read_snapshot(adversarial_tree)
-            assert sorted(opened) == files
-            opened.clear()
+            assert sorted(opens.files) == files
+            assert sorted(opens.directories) == directories
+            opens.files.clear()
+            opens.directories.clear()
 
     def test_same_size_same_mtime_edit_is_seen(self, snapshot_roots, tmp_path, capsys):
         root = tmp_path / "alpha_repo"
