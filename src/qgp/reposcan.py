@@ -2,16 +2,14 @@
 and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
-digest and an immutable corpus of artifact records; every read reads and
-hashes every byte. The corpus is stored by column (ids, relpaths, kinds,
-texts, previews and blobs), so a read builds no record objects: a record is
-built only when one is read by index or iteration. A predicate over those
-records defines a hidden valid set; search is deterministic ranked
+digest and an immutable corpus; every read reads and hashes every byte. A
+corpus is only its columns (ids, relpaths, kinds, texts, previews and the
+blobs derived from them), and every rule here reads them. A predicate over
+the corpus defines a hidden valid set; search is deterministic ranked
 pagination over the same corpus. One memo per corpus, from a lowercase
-needle to the records whose text and path contain it, serves search
+needle to the artifacts whose text and path contain it, serves search
 rankings, predicate sampling, each task's valid ids and smoke's
-recomputation of them; `evaluate_predicate` is the per-record definition
-that the memo must agree with.
+recomputation of them.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import hashlib
 import os
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -79,39 +77,21 @@ _BY_RELPATH = itemgetter(0)
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]{3,}")
 
 
-@dataclass(frozen=True)
-class ArtifactRecord:
-    artifact_id: str
-    relpath: str
-    kind: str
-    text: str
-    preview: str
-    # What search and keywords match: `text.lower()` is its prefix.
-    blob: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blob", _blob(self.text, self.relpath))
-
-
 def _blob(text: str, relpath: str) -> str:
+    # What search and keywords match: `text.lower()` is its prefix.
     return (text + "\n" + relpath).lower()
 
 
-# The record field that each column of a Corpus holds, in column order.
-_COLUMN_FIELDS = ("artifact_id", "relpath", "kind", "text", "preview", "blob")
+class Corpus:
+    """An immutable, ordered corpus of artifacts, stored by column.
 
-
-class Corpus(Sequence):
-    """An immutable, ordered sequence of artifact records, stored by column.
-
-    Each field of the records is one tuple: `ids`, `relpaths`, `kinds`,
-    `texts`, `previews` and `blobs`, the lowercase text-plus-path that search
-    and keywords match. Search, predicates and generation read the columns;
-    indexing, slicing and iteration build `ArtifactRecord`s only when read.
+    The i-th artifact has the i-th value of each tuple: `ids`, `relpaths`,
+    `kinds`, `texts`, `previews` and `blobs`, the lowercase text-plus-path
+    that search and keywords match, which the constructor derives.
 
     It owns the memos that search and predicates read, so they live exactly
     as long as the corpus and are shared by every task and worker thread
-    that uses it: the positions of the records whose blob contains a needle,
+    that uses it: the positions of the artifacts whose blob contains a needle,
     the positions that a predicate pattern finds, the ranking of each token
     set and the ids that each predicate selects. Each value is computed once
     per key and published with `dict.setdefault`, which is atomic, so
@@ -125,28 +105,19 @@ class Corpus(Sequence):
         "_containing", "_found_by", "_ranked", "_matching", "_non_ascii",
     )
 
-    def __init__(self, records: Iterable[ArtifactRecord]) -> None:
-        records = tuple(records)
-        self._fill(*(tuple([getattr(r, name) for r in records]) for name in _COLUMN_FIELDS))
-
-    @classmethod
-    def from_columns(
-        cls,
+    def __init__(
+        self,
         ids: tuple[str, ...],
         relpaths: tuple[str, ...],
         kinds: tuple[str, ...],
         texts: tuple[str, ...],
         previews: tuple[str, ...],
-    ) -> Corpus:
-        """The corpus whose i-th record has the i-th value of each column."""
-        corpus = cls.__new__(cls)
-        corpus._fill(ids, relpaths, kinds, texts, previews, tuple(map(_blob, texts, relpaths)))
-        return corpus
-
-    def _fill(self, *columns: tuple[str, ...]) -> None:
+    ) -> None:
+        blobs = tuple(map(_blob, texts, relpaths))
         # The six columns, four empty memos and the unbuilt non-ASCII
         # positions, in slot order.
-        for name, value in zip(Corpus.__slots__, (*columns, {}, {}, {}, {}, None)):
+        values = (ids, relpaths, kinds, texts, previews, blobs, {}, {}, {}, {}, None)
+        for name, value in zip(Corpus.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -158,22 +129,8 @@ class Corpus(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self.ids))[index]))
-        return ArtifactRecord(
-            self.ids[index],
-            self.relpaths[index],
-            self.kinds[index],
-            self.texts[index],
-            self.previews[index],
-        )
-
-    def __iter__(self) -> Iterator[ArtifactRecord]:
-        return map(ArtifactRecord, self.ids, self.relpaths, self.kinds, self.texts, self.previews)
-
     def containing(self, needle: str) -> tuple[int, ...]:
-        """Positions of the records whose blob contains `needle`, ascending."""
+        """Positions of the artifacts whose blob contains `needle`, ascending."""
         found = self._containing.get(needle)
         if found is None:
             hits = tuple([i for i, blob in enumerate(self.blobs) if needle in blob])
@@ -181,11 +138,11 @@ class Corpus(Sequence):
         return found
 
     def found_by(self, pattern: str) -> tuple[int, ...]:
-        """Positions of the records whose text a predicate pattern finds,
+        """Positions of the artifacts whose text a predicate pattern finds,
         ascending; raises GenerationError if the pattern does not compile.
 
         A pattern that is `re.escape` of an ASCII literal is tried only on
-        the records whose blob contains the lowered literal and on the
+        the artifacts whose blob contains the lowered literal and on the
         non-ASCII texts; any other pattern is tried on every text.
         """
         found = self._found_by.get(pattern)
@@ -216,7 +173,7 @@ class Corpus(Sequence):
         return found
 
     def ranked(self, tokens: tuple[str, ...]) -> tuple[int, ...]:
-        """Positions of the records matching any token, by descending match
+        """Positions of the artifacts matching any token, by descending match
         count, then id, then position."""
         found = self._ranked.get(tokens)
         if found is None:
@@ -229,7 +186,7 @@ class Corpus(Sequence):
         return found
 
     def matching(self, predicate: Predicate) -> tuple[str, ...]:
-        """Ids of the records that satisfy the predicate, in corpus order."""
+        """Ids of the artifacts that satisfy the predicate, in corpus order."""
         found = self._matching.get(predicate)
         if found is None:
             ids = self.ids
@@ -237,10 +194,6 @@ class Corpus(Sequence):
                 predicate, tuple([ids[i] for i in _selected(self, predicate)])
             )
         return found
-
-
-def _as_corpus(records: Sequence[ArtifactRecord]) -> Corpus:
-    return records if isinstance(records, Corpus) else Corpus(records)
 
 
 @dataclass(frozen=True)
@@ -270,27 +223,17 @@ def _file_kind(directory: str | None, name: str) -> str:
     return _SUFFIX_KINDS.get(name[name.rfind(".") :], KIND_SOURCE)
 
 
-def classify_kind(relpath: str) -> str:
-    *dirs, name = relpath.split("/")
-    kind = None
-    for directory in dirs:
-        kind = _directory_kind(kind, directory)
-    return _file_kind(kind, name)
-
-
 def _directory_error(top: str, relpath: str, exc: OSError) -> ConfigurationError:
     path = os.path.join(top, relpath) if relpath else top
     return ConfigurationError(f"cannot read snapshot directory {path}: {exc.strerror or exc}")
 
 
-def _open_directory(
-    name: str, dir_fd: int | None, flags: int, top: str, relpath: str
-) -> int | None:
-    """A descriptor for directory `name`, or None for one that the walk skips:
-    one it may not read, or, opened with `O_NOFOLLOW`, one that a symlink or a
-    file has replaced since it was listed."""
+def _open_directory(name: str, dir_fd: int, top: str, relpath: str) -> int | None:
+    """A descriptor for subdirectory `name` of the open directory `dir_fd`, or
+    None for one that the walk skips: one it may not read, or one that a
+    symlink or a file has replaced since it was listed."""
     try:
-        return os.open(name, flags, dir_fd=dir_fd)
+        return os.open(name, _SUBDIRECTORY_FLAGS, dir_fd=dir_fd)
     except PermissionError:
         return None
     except OSError as exc:
@@ -329,7 +272,7 @@ def _read_directory(
                 continue
             if entry.is_dir(follow_symlinks=False):
                 relpath = prefix + name
-                sub = _open_directory(name, fd, _SUBDIRECTORY_FLAGS, top, relpath)
+                sub = _open_directory(name, fd, top, relpath)
                 if sub is not None:
                     _read_directory(
                         sub, relpath + "/", _directory_kind(kind, name), top, update, found
@@ -380,14 +323,15 @@ def read_snapshot(root: str | Path) -> Snapshot:
     relative to its parent and without following a symlink, so a directory
     swapped for a symlink during the walk is not entered; each file is
     opened relative to its directory and costs one open, reads until one
-    returns no bytes, and one close. An unreadable directory is skipped.
-    The digest is a sha256 over (relpath, size, bytes) of every file in walk
-    order. Records are ordered by relpath then kind; binary files are
-    skipped via a null-byte heuristic and text is truncated to the first
-    64 KiB, so indexing stays bounded and deterministic. A file that cannot
-    be read, or whose name is not UTF-8, raises ConfigurationError naming
-    it, and so does a directory that cannot be opened for another reason
-    than its permissions, such as one removed during the walk.
+    returns no bytes, and one close. An unreadable directory below the root
+    is skipped. The digest is a sha256 over (relpath, size, bytes) of every
+    file in walk order. Artifacts are ordered by relpath then kind; binary
+    files are skipped via a null-byte heuristic and text is truncated to the
+    first 64 KiB, so indexing stays bounded and deterministic. A file that
+    cannot be read, or whose name is not UTF-8, raises ConfigurationError
+    naming it, and so does a root that cannot be opened, or a directory
+    below it that cannot be opened for another reason than its permissions,
+    such as one removed during the walk.
     """
     root = Path(root)
     if not root.is_dir():
@@ -395,13 +339,15 @@ def read_snapshot(root: str | Path) -> Snapshot:
     top = str(root)
     h = hashlib.sha256()
     found: list[tuple[str, str, str]] = []
-    fd = _open_directory(top, None, _ROOT_FLAGS, top, "")
-    if fd is not None:
-        _read_directory(fd, "", None, top, h.update, found)
+    try:
+        fd = os.open(top, _ROOT_FLAGS)
+    except OSError as exc:
+        raise _directory_error(top, "", exc) from exc
+    _read_directory(fd, "", None, top, h.update, found)
     # Relpaths are unique, so this is the order by relpath then kind.
     found.sort(key=_BY_RELPATH)
     relpaths, kinds, texts = zip(*found) if found else ((), (), ())
-    corpus = Corpus.from_columns(
+    corpus = Corpus(
         tuple([f"{relpath}#{kind}" for relpath, kind in zip(relpaths, kinds)]),
         relpaths,
         kinds,
@@ -411,9 +357,10 @@ def read_snapshot(root: str | Path) -> Snapshot:
     return Snapshot(digest=h.hexdigest(), corpus=corpus)
 
 
-def index_snapshot(root: str | Path) -> list[ArtifactRecord]:
-    """The snapshot's records, ordered by relpath then kind."""
-    return list(read_snapshot(root).corpus)
+def index_snapshot(root: str | Path) -> Corpus:
+    """The snapshot's corpus. Kept only because `bench/tracing.py` spans it by
+    name, until ROADMAP item 3 moves the tracer to `read_snapshot`."""
+    return read_snapshot(root).corpus
 
 
 def snapshot_digest(root: str | Path) -> str:
@@ -472,29 +419,22 @@ def _compiled(pattern: str) -> re.Pattern:
     return found
 
 
-def evaluate_predicate(artifact: ArtifactRecord, predicate: Predicate) -> bool:
-    if isinstance(predicate, KeywordOrPattern):
-        if any(k.lower() in artifact.blob for k in predicate.keywords):
-            return True
-        return any(_compiled(p).search(artifact.text) for p in predicate.patterns)
-    if isinstance(predicate, PathAndContent):
-        if predicate.path_substring not in artifact.relpath:
-            return False
-        return predicate.content_substring.lower() in artifact.text.lower()
-    if isinstance(predicate, TestOrDocumentation):
-        return artifact.kind in predicate.kinds
-    raise ConfigurationError(f"unknown predicate: {predicate!r}")
-
-
 def _selected(corpus: Corpus, predicate: Predicate) -> list[int]:
-    """Ascending positions of the records that satisfy the predicate: the
-    `evaluate_predicate` scan of the whole corpus, read from its memos."""
+    """Ascending positions of the artifacts that satisfy the predicate, read
+    from the corpus memos.
+
+    A keyword or pattern predicate selects an artifact whose blob contains a
+    lowered keyword, or whose text a pattern finds; a path and content
+    predicate one whose relpath contains the path substring and whose
+    lowered text the lowered content substring; a test or documentation
+    predicate one of its kinds.
+    """
     if isinstance(predicate, KeywordOrPattern):
         hits: set[int] = set()
         for k in predicate.keywords:
             hits.update(corpus.containing(k.lower()))
-        # The scan tries a pattern only on a record that every earlier test
-        # left out, so a pattern is compiled, and may fail, only then.
+        # A pattern is compiled, and may fail, only when some artifact is left
+        # outside every earlier match, as an artifact-by-artifact scan would.
         for p in predicate.patterns:
             if len(hits) == len(corpus):
                 break
@@ -531,19 +471,15 @@ PREDICATES = TaggedCodec(
 # ---------------------------------------------------------------------------
 
 
-def search(
-    corpus: Sequence[ArtifactRecord], query: str, page: int, page_size: int = PAGE_SIZE
-) -> SearchResults:
+def search(corpus: Corpus, query: str, page: int, page_size: int = PAGE_SIZE) -> SearchResults:
     """Rank by how many query tokens appear in text-plus-path, then paginate.
 
     Zero-score artifacts are excluded; ties break on ascending artifact id, so
     identical (query, page) requests always return identical results. The
-    ranking of each distinct token set is computed once per corpus; a plain
-    sequence is wrapped in a fresh Corpus for the call.
+    ranking of each distinct token set is computed once per corpus.
     """
     if page < 0 or page_size < 1:
         raise ConfigurationError("page must be >= 0 and page_size >= 1")
-    corpus = _as_corpus(corpus)
     tokens = tuple(dict.fromkeys(query.lower().split()))
     window = corpus.ranked(tokens)[page * page_size : (page + 1) * page_size]
     ids, previews = corpus.ids, corpus.previews
@@ -619,9 +555,9 @@ class ReposcanManifest:
         return failures
 
 
-def build_token_table(corpus: Sequence[ArtifactRecord]) -> Counter:
+def build_token_table(corpus: Corpus) -> Counter:
     """Document frequency of word tokens over the corpus."""
-    token_sets = map(set, map(_TOKEN_RE.findall, _as_corpus(corpus).blobs))
+    token_sets = map(set, map(_TOKEN_RE.findall, corpus.blobs))
     return Counter(chain.from_iterable(token_sets))
 
 
@@ -831,11 +767,9 @@ class ReposcanEnvironment:
     family = Family.REPOSCAN
     page_size = PAGE_SIZE
 
-    def __init__(
-        self, task: TaskSpec, corpus: Sequence[ArtifactRecord], valid_ids: Sequence[str]
-    ) -> None:
+    def __init__(self, task: TaskSpec, corpus: Corpus, valid_ids: Sequence[str]) -> None:
         self.task = task
-        self.corpus = _as_corpus(corpus)
+        self.corpus = corpus
         self.members = frozenset(normalize_id(x) for x in valid_ids)
 
     def public_view(self) -> PublicTaskView:

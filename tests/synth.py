@@ -114,21 +114,11 @@ def build_flights_csv(path: Path, rows: int = 50) -> Path:
 
 
 def tiny_corpus(valid: int = 3, total: int = 10, token: str = "zeta"):
-    """A ten-artifact corpus whose first `valid` records contain the token."""
-    from qgp.reposcan import ArtifactRecord
+    """A ten-artifact corpus whose first `valid` artifacts contain the token."""
+    from oracle import build_corpus, record
 
     records = []
     for i in range(total):
         marker = f"{token} feature" if i < valid else "plain code"
-        relpath = f"src/mod_{i}.py"
-        text = f"module number {i} {marker}\n"
-        records.append(
-            ArtifactRecord(
-                artifact_id=f"{relpath}#source",
-                relpath=relpath,
-                kind="source",
-                text=text,
-                preview=text[:200],
-            )
-        )
-    return records
+        records.append(record(f"src/mod_{i}.py", f"module number {i} {marker}\n"))
+    return build_corpus(records)

@@ -28,8 +28,9 @@ from qgp.policies import (
     NoSubmitLooperPolicy,
     RedundantSearcherPolicy,
 )
-from qgp.reposcan import ArtifactRecord, ReposcanEnvironment
+from qgp.reposcan import ReposcanEnvironment
 
+import oracle
 from test_ledger import _random_run, brute_force_valid_count
 from test_metrics import _metric
 
@@ -130,21 +131,12 @@ def test_criterion_5_work_unit_contrast(dataops_loaded):
 
 
 def _ablation_corpus():
-    corpus = []
+    records = []
     for i in range(60):
         marker = "quartz shiny" if i < 40 else "plain dull"
-        relpath = f"src/item_{i:03d}.py"
-        text = f"content {marker} item {i}\n"
-        corpus.append(
-            ArtifactRecord(
-                artifact_id=f"{relpath}#source",
-                relpath=relpath,
-                kind="source",
-                text=text,
-                preview=text[:200],
-            )
-        )
-    return corpus, [a.artifact_id for a in corpus[:40]]
+        records.append(oracle.record(f"src/item_{i:03d}.py", f"content {marker} item {i}\n"))
+    corpus = oracle.build_corpus(records)
+    return corpus, list(corpus.ids[:40])
 
 
 def test_criterion_6_ablation_ordering():

@@ -580,7 +580,7 @@ class TestRun:
         )
         task = TaskSpec("t1", Family.REPOSCAN, "zeta things", 5, 20, 3)
         corpus = tiny_corpus()
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:4]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:4]))
         policy = ExternalAdapterPolicy(command=[sys.executable, str(script)])
         try:
             record = run_episode(task, env, VerifierGatedController(), policy)

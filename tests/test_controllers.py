@@ -73,7 +73,7 @@ class TestStandard:
             budget=10,
             seed=0,
         )
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
         record = run_episode(task, env, StandardController(), FalseCompleterPolicy())
         assert record.outcome == Outcome.FALSE_COMPLETION
 
@@ -348,7 +348,7 @@ class TestInterventionCompleteness:
     )
     def test_forwarded_differs_iff_intervention_logged(self, make_controller, policy):
         corpus = tiny_corpus(valid=6, total=14)
-        valid = [a.artifact_id for a in corpus[:6]]
+        valid = list(corpus.ids[:6])
         task = TaskSpec(
             task_id="iv-complete",
             family=Family.REPOSCAN,
@@ -373,7 +373,7 @@ class TestInterventionCompleteness:
 class TestGatedNeverFalseCompletes:
     def test_reposcan_controllers(self):
         corpus = tiny_corpus(valid=3)
-        valid = [a.artifact_id for a in corpus[:3]]
+        valid = list(corpus.ids[:3])
         task = TaskSpec(
             task_id="gate-fc",
             family=Family.REPOSCAN,

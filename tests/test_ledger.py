@@ -196,7 +196,7 @@ class TestRunEpisode:
         # Hand trace on the ten-artifact corpus: one search finds the three
         # valid candidates, one submission accepts them, the run completes.
         corpus = tiny_corpus(valid=3, total=10, token="zeta")
-        valid = [a.artifact_id for a in corpus[:3]]
+        valid = list(corpus.ids[:3])
         task = self._task()
         env = ReposcanEnvironment(task, corpus, valid)
         record = run_episode(task, env, StandardController(), GreedyOraclePolicy())
@@ -209,7 +209,7 @@ class TestRunEpisode:
     def test_early_stopper_premature(self):
         corpus = tiny_corpus()
         task = self._task(target=10)
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
         record = run_episode(task, env, StandardController(), EarlyStopperPolicy())
         assert record.outcome == Outcome.PREMATURE_STOP
         assert record.ledger.step == 1
@@ -217,7 +217,7 @@ class TestRunEpisode:
     def test_early_stopper_gated_exhausts_budget(self):
         corpus = tiny_corpus()
         task = self._task(target=10, budget=12)
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
         record = run_episode(task, env, VerifierGatedController(), EarlyStopperPolicy())
         assert record.outcome == Outcome.BUDGET_EXHAUSTED
         notices = [o for _, o in record.ledger.history if isinstance(o, ControllerNotice)]
@@ -227,7 +227,7 @@ class TestRunEpisode:
     def test_budget_discipline(self):
         corpus = tiny_corpus()
         task = self._task(target=10, budget=7)
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
         record = run_episode(task, env, StandardController(), GreedyOraclePolicy())
         assert len(record.ledger.history) <= task.budget
         assert record.ledger.step <= task.budget
@@ -250,7 +250,7 @@ class TestRunEpisode:
         # Two steps of budget: search then submit; feedback lands on the last
         # step and still classifies as success.
         corpus = tiny_corpus(valid=3)
-        valid = [a.artifact_id for a in corpus[:3]]
+        valid = list(corpus.ids[:3])
         task = self._task(target=3, budget=2)
         env = ReposcanEnvironment(task, corpus, valid)
         record = run_episode(task, env, StandardController(), GreedyOraclePolicy())
@@ -265,8 +265,8 @@ def _random_run(seed: int):
     total = rng.randrange(5, 31)
     n_valid = rng.randrange(1, total + 1)
     corpus = tiny_corpus(valid=n_valid, total=total, token="zeta")
-    valid_ids = [a.artifact_id for a in corpus[:n_valid]]
-    all_ids = [a.artifact_id for a in corpus]
+    valid_ids = list(corpus.ids[:n_valid])
+    all_ids = list(corpus.ids)
     task = TaskSpec(
         task_id=f"rand-{seed}",
         family=Family.REPOSCAN,

@@ -68,7 +68,7 @@ class TestComputeRunMetrics:
             budget=6,
             seed=0,
         )
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:6]])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids[:6]))
         record = run_episode(task, env, StandardController(), DuplicatorPolicy())
         assert record.ledger.submission_occurrences == 10
         assert record.ledger.duplicate_occurrences == 4
@@ -364,7 +364,7 @@ class TestPairedBootstrap:
                     budget=5,
                     seed=i,
                 )
-                env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:2]])
+                env = ReposcanEnvironment(task, corpus, list(corpus.ids[:2]))
                 record = run_episode(task, env, controller(), EarlyStopperPolicy())
                 table[task.task_id] = metrics_from_record_dict(record_to_dict(record))
             conditions[name] = table

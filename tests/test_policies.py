@@ -60,7 +60,7 @@ def _task(target=3, budget=30, objective="zeta : collect artifacts", task_id="p1
 def _run(policy, controller=None, target=3, budget=30, valid=3, total=10, objective=None):
     corpus = tiny_corpus(valid=valid, total=total)
     task = _task(target=target, budget=budget, objective=objective or "zeta : collect artifacts")
-    env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:valid]])
+    env = ReposcanEnvironment(task, corpus, list(corpus.ids[:valid]))
     return run_episode(task, env, controller or StandardController(), policy)
 
 
@@ -122,7 +122,7 @@ class TestGreedyOracle:
         # valid, so both tokens are needed.
         corpus = tiny_corpus(valid=3, total=10)
         task = _task(target=10, budget=30, objective="zeta plain : collect everything")
-        env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus])
+        env = ReposcanEnvironment(task, corpus, list(corpus.ids))
         record = run_episode(task, env, StandardController(), GreedyOraclePolicy())
         assert record.outcome == Outcome.SUCCESS
         searches = [a for a, _ in record.ledger.history if isinstance(a, Search)]
@@ -452,7 +452,7 @@ class TestExternalAdapter:
         try:
             corpus = tiny_corpus(valid=3)
             task = _task(target=3, budget=10)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
             record = run_episode(task, env, StandardController(), policy)
         finally:
             policy.close()
@@ -466,7 +466,7 @@ class TestExternalAdapter:
         try:
             corpus = tiny_corpus(valid=3)
             task = _task(target=9, budget=6)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
             record = run_episode(task, env, VerifierGatedController(), policy)
         finally:
             policy.close()
@@ -489,7 +489,7 @@ class TestExternalAdapter:
         try:
             corpus = tiny_corpus()
             task = _task(target=3, budget=4)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
             record = run_episode(task, env, StandardController(), policy)
         finally:
             policy.close()
@@ -505,7 +505,7 @@ class TestExternalAdapter:
         try:
             corpus = tiny_corpus()
             task = _task(target=3, budget=4)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
             record = run_episode(task, env, StandardController(), policy)
         finally:
             policy.close()
@@ -593,7 +593,7 @@ class TestExternalAdapter:
         try:
             corpus = tiny_corpus()
             task = _task(target=3, budget=1)
-            env = ReposcanEnvironment(task, corpus, [a.artifact_id for a in corpus[:3]])
+            env = ReposcanEnvironment(task, corpus, list(corpus.ids[:3]))
             record = run_episode(task, env, StandardController(), policy)
         finally:
             policy.close()

@@ -1,0 +1,82 @@
+"""The product holds only the product.
+
+Every top-level function and class in `src/qgp` must be referred to by name
+from the package itself (outside its own definition), from `bench/`, or from
+`qgp.__all__`. A name that only tests keep alive belongs in `tests/`, as the
+per-record corpus oracles in `tests/oracle.py` do.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from collections.abc import Sequence
+from pathlib import Path
+
+import qgp
+from qgp import reposcan
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qgp"
+BENCH = ROOT / "bench"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name `node` refers to: a bare name, an attribute, or a string
+    that equals one, as `bench/tracing.py` patches by name."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found.add(child.value)
+    return found
+
+
+def test_every_top_level_definition_is_used():
+    # The names each top-level statement of each module refers to.
+    statements = {
+        path: [(node, _names(node)) for node in _parse(path).body] for path in SRC.glob("*.py")
+    }
+    outside = set(qgp.__all__).union(*(_names(_parse(path)) for path in BENCH.glob("*.py")))
+    unused = []
+    for path, body in sorted(statements.items()):
+        elsewhere = outside.union(
+            *(names for other, rest in statements.items() if other != path for _, names in rest)
+        )
+        for node, _ in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            here = (names for other, names in body if other is not node)
+            if node.name in elsewhere or any(node.name in names for names in here):
+                continue
+            unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, "referred to by nothing outside tests: " + ", ".join(unused)
+
+
+def test_product_imports_only_itself_and_the_standard_library():
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {top}" for top in tops if top not in sys.stdlib_module_names]
+    assert not foreign
+
+
+def test_corpus_has_no_record_form():
+    for name in ("ArtifactRecord", "evaluate_predicate", "classify_kind", "_as_corpus"):
+        assert not hasattr(reposcan, name), name
+    assert not issubclass(reposcan.Corpus, Sequence)
+    for name in ("__getitem__", "__iter__"):
+        assert not hasattr(reposcan.Corpus, name), name

@@ -9,21 +9,20 @@ import pytest
 
 from qgp.errors import GenerationError
 from qgp.reposcan import (
-    ArtifactRecord,
     KeywordOrPattern,
     PathAndContent,
     TestOrDocumentation,
     build_token_table,
-    classify_kind,
-    evaluate_predicate,
     generate_manifest,
     index_snapshot,
     load_manifest,
+    read_snapshot,
     search,
     snapshot_digest,
     write_manifest,
 )
 
+from oracle import build_corpus, evaluate_predicate, record, records_of
 from synth import tiny_corpus
 
 
@@ -33,12 +32,12 @@ class TestIndexing:
         (tmp_path / "src").mkdir()
         (tmp_path / "docs" / "index.rst").write_text("docs body\n")
         (tmp_path / "src" / "app.py").write_text("print('hi')\n")
-        records = index_snapshot(tmp_path)
-        assert [(r.relpath, r.kind) for r in records] == [
+        corpus = index_snapshot(tmp_path)
+        assert list(zip(corpus.relpaths, corpus.kinds)) == [
             ("docs/index.rst", "documentation"),
             ("src/app.py", "source"),
         ]
-        assert records[0].artifact_id == "docs/index.rst#documentation"
+        assert corpus.ids[0] == "docs/index.rst#documentation"
 
     @pytest.mark.parametrize(
         "relpath,kind",
@@ -52,26 +51,28 @@ class TestIndexing:
             ("tests/data.md", "test"),  # test directory wins over extension
         ],
     )
-    def test_classify_kind(self, relpath, kind):
-        assert classify_kind(relpath) == kind
+    def test_classify_kind(self, relpath, kind, tmp_path):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("body\n")
+        assert read_snapshot(tmp_path).corpus.kinds == (kind,)
 
     def test_empty_directory(self, tmp_path):
-        assert index_snapshot(tmp_path) == []
+        assert records_of(index_snapshot(tmp_path)) == []
 
     def test_reindex_is_identical(self, tmp_path):
         (tmp_path / "a.py").write_text("alpha\n")
         (tmp_path / "b.md").write_text("beta\n")
         first = index_snapshot(tmp_path)
         second = index_snapshot(tmp_path)
-        assert first == second
+        assert records_of(first) == records_of(second)
 
     def test_binary_skipped_and_git_ignored(self, tmp_path):
         (tmp_path / "bin.dat").write_bytes(b"abc\0def")
         (tmp_path / ".git").mkdir()
         (tmp_path / ".git" / "config").write_text("[core]\n")
         (tmp_path / "ok.py").write_text("fine\n")
-        records = index_snapshot(tmp_path)
-        assert [r.relpath for r in records] == ["ok.py"]
+        assert index_snapshot(tmp_path).relpaths == ("ok.py",)
 
     def test_snapshot_digest_tracks_content(self, tmp_path):
         (tmp_path / "a.py").write_text("one\n")
@@ -82,41 +83,40 @@ class TestIndexing:
 
 
 class TestPredicates:
-    def _artifact(self, relpath="src/a.py", text="plain", kind=None):
-        from qgp.reposcan import classify_kind as ck
+    """Each predicate family on one artifact: the corpus and the per-record
+    oracle must give the same verdict."""
 
-        kind = kind or ck(relpath)
-        return ArtifactRecord(
-            artifact_id=f"{relpath}#{kind}",
-            relpath=relpath,
-            kind=kind,
-            text=text,
-            preview=text[:200],
-        )
+    def _selects(self, artifact, predicate) -> bool:
+        verdict = evaluate_predicate(artifact, predicate)
+        expected = (artifact.artifact_id,) if verdict else ()
+        assert build_corpus([artifact]).matching(predicate) == expected
+        return verdict
 
     def test_keyword_match(self):
-        artifact = self._artifact(text="opens a session here")
-        assert evaluate_predicate(artifact, KeywordOrPattern(keywords=("session",)))
+        artifact = record("src/a.py", "opens a session here")
+        assert self._selects(artifact, KeywordOrPattern(keywords=("session",)))
 
     def test_path_mismatch_short_circuits(self):
-        artifact = self._artifact(relpath="src/a.py", text="assert something")
+        artifact = record("src/a.py", "assert something")
         predicate = PathAndContent(path_substring="tests/", content_substring="assert")
-        assert not evaluate_predicate(artifact, predicate)
+        assert not self._selects(artifact, predicate)
 
     def test_test_or_documentation_excludes_configuration(self):
-        artifact = self._artifact(relpath="opts.toml", text="x = 1")
+        artifact = record("opts.toml", "x = 1")
         assert artifact.kind == "configuration"
-        assert not evaluate_predicate(artifact, TestOrDocumentation())
+        assert not self._selects(artifact, TestOrDocumentation())
 
     def test_pattern_route(self):
-        artifact = self._artifact(text="def make_widget():")
+        artifact = record("src/a.py", "def make_widget():")
         predicate = KeywordOrPattern(keywords=("nothere",), patterns=(r"make_\w+",))
-        assert evaluate_predicate(artifact, predicate)
+        assert self._selects(artifact, predicate)
 
     def test_invalid_pattern_is_generation_error(self):
-        artifact = self._artifact()
+        predicate = KeywordOrPattern(keywords=(), patterns=("[",))
         with pytest.raises(GenerationError):
-            evaluate_predicate(artifact, KeywordOrPattern(keywords=(), patterns=("[",)))
+            evaluate_predicate(record("src/a.py", "plain"), predicate)
+        with pytest.raises(GenerationError):
+            build_corpus([record("src/a.py", "plain")]).matching(predicate)
 
 
 class TestSearch:
@@ -145,8 +145,8 @@ class TestSearch:
         # Artifacts containing both tokens outrank token-one-only matches;
         # ties resolve on ascending artifact id.
         ids = [c.artifact_id for c in results.candidates]
-        assert ids[:4] == sorted(a.artifact_id for a in corpus[:4])
-        assert ids[4:] == sorted(a.artifact_id for a in corpus[4:])
+        assert ids[:4] == sorted(corpus.ids[:4])
+        assert ids[4:] == sorted(corpus.ids[4:])
 
     def test_results_carry_only_id_and_preview(self):
         corpus = tiny_corpus(valid=2)
@@ -179,7 +179,7 @@ class TestManifest:
         for task in manifest.tasks:
             corpus = corpora[task.snapshot]
             recomputed = sorted(
-                a.artifact_id for a in corpus if evaluate_predicate(a, task.predicate)
+                a.artifact_id for a in records_of(corpus) if evaluate_predicate(a, task.predicate)
             )
             assert recomputed == sorted(task.valid_ids)
 

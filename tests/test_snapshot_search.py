@@ -1,16 +1,17 @@
-"""One-pass snapshot reading and memoised search against their old forms.
+"""One-pass snapshot reading and the column corpus's memos against references.
 
-The two-walk `index_snapshot`/`snapshot_digest` over `Path.rglob`, the split-path
-`classify_kind` and the linear `search` that `read_snapshot` and the
-per-corpus memo replaced are kept here verbatim as references: the new code
-must give the same digest, the same records in the same order, and the same
-result for every (query, page).
+The two-walk reader over `Path.rglob`, the linear search and the
+record-by-record predicate scan that `read_snapshot` and the per-corpus memos
+replaced are kept here as references. They read records built by
+`tests/oracle.py`, whose blobs, pattern compiling and kind rule share no code
+with `qgp.reposcan`: the column corpus must give the same digest, the same
+artifacts in the same order, the same result for every (query, page) and the
+same ids for every predicate.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import errno
 import hashlib
 import os
@@ -19,6 +20,7 @@ import re
 import shutil
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,18 +32,24 @@ from qgp.errors import ConfigurationError, GenerationError
 from qgp.reposcan import (
     PAGE_SIZE,
     TEXT_TRUNCATE_BYTES,
-    ArtifactRecord,
     Corpus,
     KeywordOrPattern,
     PathAndContent,
     TestOrDocumentation,
     build_token_table,
-    classify_kind,
-    evaluate_predicate,
     index_snapshot,
     read_snapshot,
     search,
     snapshot_digest,
+)
+
+from oracle import (
+    ArtifactRecord,
+    build_corpus,
+    classify_kind,
+    evaluate_predicate,
+    record,
+    records_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -57,20 +65,6 @@ def _reference_walk_files(root: Path) -> list[Path]:
     return files
 
 
-def reference_classify_kind(relpath: str) -> str:
-    parts = relpath.split("/")
-    dirs = parts[:-1]
-    name = parts[-1]
-    suffix = ("." + name.rsplit(".", 1)[1]) if "." in name else ""
-    if any(d in ("test", "tests") for d in dirs):
-        return "test"
-    if suffix in {".rst", ".md"} or "docs" in dirs:
-        return "documentation"
-    if suffix in {".cfg", ".toml", ".ini", ".yaml"}:
-        return "configuration"
-    return "source"
-
-
 def reference_index_snapshot(root) -> list[ArtifactRecord]:
     root = Path(root)
     if not root.is_dir():
@@ -81,17 +75,7 @@ def reference_index_snapshot(root) -> list[ArtifactRecord]:
         if b"\0" in data[:8192]:
             continue
         text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
-        relpath = path.relative_to(root).as_posix()
-        kind = reference_classify_kind(relpath)
-        records.append(
-            ArtifactRecord(
-                artifact_id=f"{relpath}#{kind}",
-                relpath=relpath,
-                kind=kind,
-                text=text,
-                preview=text[:200],
-            )
-        )
+        records.append(record(path.relative_to(root).as_posix(), text))
     records.sort(key=lambda r: (r.relpath, r.kind))
     return records
 
@@ -108,6 +92,11 @@ def reference_snapshot_digest(root) -> str:
         h.update(b"\0")
         h.update(data)
     return h.hexdigest()
+
+
+def reference_token_table(records) -> Counter:
+    """How many records' blobs hold each word token."""
+    return Counter(t for r in records for t in set(re.findall(r"[a-z][a-z0-9_]{3,}", r.blob)))
 
 
 def reference_search(corpus, query: str, page: int, page_size: int = PAGE_SIZE) -> SearchResults:
@@ -131,15 +120,27 @@ def _fields(records) -> list[tuple]:
     return [(r.artifact_id, r.relpath, r.kind, r.text, r.preview, r.blob) for r in records]
 
 
+def _columns(corpus: Corpus) -> list[tuple]:
+    """The corpus row by row, in the order of `_fields`, blobs as stored."""
+    return list(
+        zip(corpus.ids, corpus.relpaths, corpus.kinds, corpus.texts, corpus.previews, corpus.blobs)
+    )
+
+
 def _assert_reads_as(corpus: Corpus, expected: list[ArtifactRecord]) -> None:
-    """A corpus read by length, iteration, index and slice gives these records."""
+    """A corpus holds these records, column by column, blobs included."""
     assert len(corpus) == len(expected)
-    assert list(corpus) == expected
-    assert _fields(corpus) == _fields(expected)
-    # Every index from -len to len - 1, so corpus[-1] among them.
-    assert _fields(corpus[i] for i in range(-len(corpus), len(corpus))) == _fields(expected * 2)
-    assert _fields(corpus[1:4]) == _fields(expected[1:4])
-    assert _fields(corpus[::-2]) == _fields(expected[::-2])
+    assert _columns(corpus) == _fields(expected)
+
+
+def _refusing(denied: str):
+    """An `opens.before` hook that refuses to open `denied` for permissions."""
+
+    def refuse(path, flags):
+        if path == denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    return refuse
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ class TestReadSnapshot:
         _assert_reads_as(snapshot.corpus, reference_index_snapshot(adversarial_tree))
 
     def test_adversarial_selection_and_order(self, adversarial_tree):
-        relpaths = [r.relpath for r in read_snapshot(adversarial_tree).corpus]
+        relpaths = list(read_snapshot(adversarial_tree).corpus.relpaths)
         assert relpaths == sorted(relpaths)  # records stay in string order
         assert "src/linked_file.py" in relpaths
         assert "bin/late_nul.txt" in relpaths
@@ -230,18 +231,23 @@ class TestReadSnapshot:
             "a.md", ".md", "x.", "a.b.toml", "a/b.rst/c", "a.tar.gz", "b/c.yaml.bak",
         ],
     )
-    def test_kind_matches_reference(self, relpath):
-        assert classify_kind(relpath) == reference_classify_kind(relpath)
+    def test_kind_matches_reference(self, relpath, tmp_path):
+        # The walk of a tree holding only this file reads its kind.
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("body\n")
+        assert read_snapshot(tmp_path).corpus.kinds == (classify_kind(relpath),)
 
     def test_truncation_and_binary_heuristic(self, adversarial_tree):
-        by_path = {r.relpath: r for r in read_snapshot(adversarial_tree).corpus}
-        assert len(by_path["big/large.txt"].text.encode("utf-8")) <= TEXT_TRUNCATE_BYTES + 3
-        assert by_path["big/large.txt"].text.endswith("�")
-        assert "\0" in by_path["bin/late_nul.txt"].text
+        corpus = read_snapshot(adversarial_tree).corpus
+        texts = dict(zip(corpus.relpaths, corpus.texts))
+        assert len(texts["big/large.txt"].encode("utf-8")) <= TEXT_TRUNCATE_BYTES + 3
+        assert texts["big/large.txt"].endswith("�")
+        assert "\0" in texts["bin/late_nul.txt"]
 
     def test_wrappers_match_reference(self, adversarial_tree):
         assert snapshot_digest(adversarial_tree) == reference_snapshot_digest(adversarial_tree)
-        assert _fields(index_snapshot(adversarial_tree)) == _fields(
+        assert _columns(index_snapshot(adversarial_tree)) == _fields(
             reference_index_snapshot(adversarial_tree)
         )
 
@@ -250,31 +256,6 @@ class TestReadSnapshot:
             snapshot = read_snapshot(root)
             assert snapshot.digest == reference_snapshot_digest(root)
             _assert_reads_as(snapshot.corpus, reference_index_snapshot(root))
-
-    def test_product_path_builds_no_records(
-        self, snapshot_roots, reposcan_manifest_path, monkeypatch, capsys
-    ):
-        built = []
-        real_post_init = ArtifactRecord.__post_init__
-
-        def counting(record):
-            built.append(record.artifact_id)
-            real_post_init(record)
-
-        monkeypatch.setattr(ArtifactRecord, "__post_init__", counting)
-        read_snapshot(snapshot_roots[0])
-        reposcan.load_manifest(reposcan_manifest_path).open()
-        config = ControllerConfig(kind=ControllerKind("standard"))
-        rows, aborts = cli.run_manifest(
-            str(reposcan_manifest_path), config, "greedy_oracle", {}, seed=5
-        )
-        assert aborts == 0 and len(rows) == 36
-        reposcan.generate_manifest(snapshot_roots, seed=11)
-        assert cli.main(["smoke", "--manifest", str(reposcan_manifest_path)]) == 0
-        assert built == []
-        # Reading a record is what builds one.
-        assert read_snapshot(snapshot_roots[0]).corpus[0].artifact_id == built[0]
-        assert len(built) == 1
 
     def test_missing_or_file_root_is_configuration_error(self, tmp_path):
         (tmp_path / "file.txt").write_text("not a directory\n")
@@ -286,18 +267,46 @@ class TestReadSnapshot:
 
     def test_empty_root_differs_from_missing(self, tmp_path):
         assert read_snapshot(tmp_path).digest == hashlib.sha256().hexdigest()
-        corpus = read_snapshot(tmp_path).corpus
-        _assert_reads_as(corpus, [])
-        for index in (0, -1):
-            with pytest.raises(IndexError):
-                corpus[index]
+        _assert_reads_as(read_snapshot(tmp_path).corpus, [])
+
+    def test_unlistable_root_is_an_error(self, adversarial_tree, opens):
+        # Not an empty snapshot: that would read as a snapshot with no files.
+        opens.before = _refusing(str(adversarial_tree))
+        with pytest.raises(ConfigurationError) as raised:
+            read_snapshot(adversarial_tree)
+        assert str(raised.value) == (
+            f"cannot read snapshot directory {adversarial_tree}: {os.strerror(errno.EACCES)}"
+        )
+
+    @pytest.mark.parametrize("command", ["gen-reposcan", "run", "smoke"])
+    def test_unlistable_root_stops_each_command(
+        self, command, reposcan_loaded, reposcan_manifest_path, tmp_path, opens, capsys
+    ):
+        manifest, _ = reposcan_loaded
+        root = manifest.snapshots[0].root
+        argv = {
+            "gen-reposcan": [
+                "--snapshot", root, "--targets", "10", "--instances", "1",
+                "--out", str(tmp_path / "manifest.json"),
+            ],
+            "run": ["--manifest", str(reposcan_manifest_path), "--out", str(tmp_path / "out")],
+            "smoke": ["--manifest", str(reposcan_manifest_path)],
+        }[command]
+        capsys.readouterr()
+        opens.before = _refusing(root)
+        assert cli.main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read snapshot directory {root}: {os.strerror(errno.EACCES)}\n"
+        )
+        assert not any(tmp_path.iterdir())
 
     def test_root_that_is_a_symlink_reads(self, adversarial_tree, tmp_path):
         link = tmp_path / "link"
         os.symlink(adversarial_tree, link)
         through_link, direct = read_snapshot(link), read_snapshot(adversarial_tree)
         assert through_link.digest == direct.digest
-        assert _fields(through_link.corpus) == _fields(direct.corpus)
+        assert _columns(through_link.corpus) == _columns(direct.corpus)
 
     @pytest.mark.parametrize("replacement", ["symlink", "file"])
     def test_directory_replaced_when_opened_is_not_entered(
@@ -321,7 +330,7 @@ class TestReadSnapshot:
         snapshot = read_snapshot(adversarial_tree)
         assert opens.before is None
         assert not any(p.startswith(str(swapped) + "/") for p in opens.files + opens.directories)
-        assert not any(r.relpath.startswith("src") for r in snapshot.corpus)
+        assert not any(relpath.startswith("src") for relpath in snapshot.corpus.relpaths)
         # The snapshot is the tree without the swapped entry.
         swapped.unlink()
         assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
@@ -379,8 +388,8 @@ class TestReadSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def _random_queries(rng: random.Random, corpus, count: int) -> list[str]:
-    vocabulary = sorted(build_token_table(corpus))
+def _random_queries(rng: random.Random, records, count: int) -> list[str]:
+    vocabulary = sorted(reference_token_table(records))
     vocabulary += ["src/", "mod_0", "def", "test_", ".md", "_"]
     absent = ["zzqqxx", "nonexistenttoken", "ééé"]
     queries = ["", "   ", "\t"]
@@ -406,12 +415,12 @@ def _matching_or_error(corpus: Corpus, predicate):
 class TestMemoisedSearch:
     @pytest.mark.parametrize("name", ["alpha_repo", "beta_repo", "gamma_repo", "adversarial"])
     def test_random_queries_match_reference(self, name, reposcan_loaded, adversarial_tree):
-        # The corpus as read, by column, and the same records passed to Corpus.
+        # The corpus as read, and one built from the oracle's records of it.
         manifest, _ = reposcan_loaded
         roots = {info.name: info.root for info in manifest.snapshots}
         read = read_snapshot(roots.get(name, adversarial_tree)).corpus
-        records = list(read)
-        rebuilt = Corpus(records)
+        records = records_of(read)
+        rebuilt = build_corpus(records)
         rng = random.Random(20260418)
         requests = []
         for query in _random_queries(rng, records, 520):
@@ -425,7 +434,8 @@ class TestMemoisedSearch:
             assert search(read, query, page) == expected
             assert search(rebuilt, query, page) == expected
         assert len(requests) >= 2 * 520
-        for needle in [*build_token_table(records), *UNICODE_NEEDLES, "", "\n", "/"]:
+        assert build_token_table(read) == reference_token_table(records)
+        for needle in [*reference_token_table(records), *UNICODE_NEEDLES, "", "\n", "/"]:
             assert rebuilt.containing(needle) == read.containing(needle)
         predicates = _random_predicates(rng, records, 150) + [t.predicate for t in manifest.tasks]
         for predicate in predicates:
@@ -433,11 +443,12 @@ class TestMemoisedSearch:
 
     def test_page_sizes_and_invalid_pages(self, reposcan_loaded):
         _, corpora = reposcan_loaded
-        shared = Corpus(corpora["beta_repo"])
+        records = records_of(corpora["beta_repo"])
+        shared = build_corpus(records)
         for page_size in (1, 3, 10, 25):
             for page in range(6):
                 assert search(shared, "treacle saffron", page, page_size) == reference_search(
-                    list(shared), "treacle saffron", page, page_size
+                    records, "treacle saffron", page, page_size
                 )
         for page, page_size in ((-1, 10), (0, 0)):
             with pytest.raises(ConfigurationError):
@@ -454,7 +465,7 @@ class TestMemoisedSearch:
         def checked(corpus, query, page, page_size=PAGE_SIZE):
             result = original(corpus, query, page, page_size)
             assert isinstance(corpus, Corpus)
-            assert result == reference_search(list(corpus), query, page, page_size)
+            assert result == reference_search(records_of(corpus), query, page, page_size)
             seen.append((query, page))
             return result
 
@@ -483,7 +494,7 @@ class TestMemoisedSearch:
             )
             for i, name in enumerate(("a", "a b", "a!x", "a#b", "a-b", "a.b"))
         ]
-        corpus = Corpus(records)
+        corpus = build_corpus(records)
         candidates = search(corpus, "token", 0).candidates
         ids = [c.artifact_id for c in candidates]
         assert ids == sorted(r.artifact_id for r in records)
@@ -493,7 +504,7 @@ class TestMemoisedSearch:
             r.preview: r.artifact_id for r in records
         }
         assert [c.artifact_id for c in search(corpus, "token", 1, 4).candidates] == ids[4:]
-        assert list(corpus) == records
+        assert records_of(corpus) == records
 
     def test_equal_score_and_id_keep_corpus_order(self):
         texts = ("beta gamma", "beta", "gamma beta", "beta", "alpha")
@@ -501,13 +512,13 @@ class TestMemoisedSearch:
             ArtifactRecord("dup#source", "dup", "source", text, f"#{i}")
             for i, text in enumerate(texts)
         ]
-        corpus = Corpus(records)
+        corpus = build_corpus(records)
         for query in ("beta", "gamma beta", "alpha beta gamma"):
             ranking = [c.preview for c in search(corpus, query, 0).candidates]
             assert ranking == [c.preview for c in reference_search(records, query, 0).candidates]
 
     def test_ranking_computed_once_per_token_set(self):
-        corpus = Corpus(
+        corpus = build_corpus(
             ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"alpha {i}", "") for i in range(5)
         )
         first = corpus.ranked(("alpha",))
@@ -521,7 +532,7 @@ class TestMemoisedSearch:
             ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"beta {i}", f"beta {i}")
             for i in range(3)
         ]
-        corpus = Corpus(records)
+        corpus = build_corpus(records)
         before = search(corpus, "beta", 0)
         records.append(ArtifactRecord("g#source", "g", "source", "beta", "beta"))
         assert len(corpus) == 3
@@ -536,10 +547,10 @@ class TestMemoisedSearch:
             corpus.texts = ("gamma",) * 3
         with pytest.raises(AttributeError):
             del corpus.ids
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            corpus[0].text = "gamma"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            corpus[0].blob = "gamma"
+        with pytest.raises(TypeError):
+            corpus.texts[0] = "gamma"
+        with pytest.raises(AttributeError):
+            corpus.blobs = ("gamma",) * 3
         assert search(corpus, "beta", 0) == before
 
     def test_environment_shares_the_corpus(self, reposcan_loaded):
@@ -549,15 +560,13 @@ class TestMemoisedSearch:
         first = reposcan.ReposcanEnvironment(task.spec, corpus, task.valid_ids)
         second = reposcan.ReposcanEnvironment(task.spec, corpus, task.valid_ids)
         assert first.corpus is corpus and second.corpus is corpus
-        plain = reposcan.ReposcanEnvironment(task.spec, list(corpus), task.valid_ids)
-        assert isinstance(plain.corpus, Corpus) and tuple(plain.corpus) == tuple(corpus)
 
     def test_threads_share_one_ranking_per_query(self, reposcan_loaded):
         _, corpora = reposcan_loaded
-        records = list(corpora["gamma_repo"])
+        records = records_of(corpora["gamma_repo"])
         queries = _random_queries(random.Random(7), records, 60)
         expected = {q: reference_search(records, q, 0) for q in queries}
-        shared = Corpus(records)
+        shared = build_corpus(records)
         workers = (os.cpu_count() or 2) + 2  # more threads than cores
         results: list[dict] = [{} for _ in range(workers)]
         errors = []
@@ -599,11 +608,6 @@ def reference_matches(records, predicate) -> tuple[str, ...]:
     return tuple(a.artifact_id for a in records if evaluate_predicate(a, predicate))
 
 
-def _record(relpath: str, text: str) -> ArtifactRecord:
-    kind = classify_kind(relpath)
-    return ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text, text[:200])
-
-
 # Characters whose case mapping is not one character to one character, or
 # which a case-insensitive pattern matches across: the long s, the Kelvin
 # sign, the dotted capital I (which lowers to two characters) and the final
@@ -613,15 +617,15 @@ UNICODE_NEEDLES = (
 )
 UNICODE_RECORDS = sorted(
     (
-        _record("src/long_s.py", "claſs Parſer:\n    ſelf.ſeſſion = 1\n"),
-        _record("src/kelvin.py", "temperature = 300  # \u212a\nKELVIN = 'k'\n"),
-        _record("docs/istanbul.md", "İstanbul İNDEX\n"),
-        _record("tests/test_sigma.py", "ΟΔΟΣ"),
-        _record("tests/test_sigma_quote.py", "ΟΔΟΣ'"),
-        _record("ΣΟΦΟΣ/readme.md", "Σ"),
-        _record("Σ.py", "ΑΣ ΣΑ σς Straße STRASSE"),
-        _record("src/empty.py", ""),
-        _record("setup.cfg", "[metadata]\nname = ſ\n"),
+        record("src/long_s.py", "claſs Parſer:\n    ſelf.ſeſſion = 1\n"),
+        record("src/kelvin.py", "temperature = 300  # \u212a\nKELVIN = 'k'\n"),
+        record("docs/istanbul.md", "İstanbul İNDEX\n"),
+        record("tests/test_sigma.py", "ΟΔΟΣ"),
+        record("tests/test_sigma_quote.py", "ΟΔΟΣ'"),
+        record("ΣΟΦΟΣ/readme.md", "Σ"),
+        record("Σ.py", "ΑΣ ΣΑ σς Straße STRASSE"),
+        record("src/empty.py", ""),
+        record("setup.cfg", "[metadata]\nname = ſ\n"),
     ),
     key=lambda r: r.relpath,
 )
@@ -633,7 +637,7 @@ PATTERNS = (
 
 
 def _random_predicates(rng: random.Random, records, count: int) -> list:
-    vocabulary = sorted(build_token_table(records)) or ["token"]
+    vocabulary = sorted(reference_token_table(records)) or ["token"]
     blobs = [r.blob for r in records] or ["empty"]
 
     def short() -> str:  # a substring under 3 characters, possibly upper-cased
@@ -675,7 +679,7 @@ def _random_predicates(rng: random.Random, records, count: int) -> list:
 
 
 def _assert_memo_equals_scan(corpus: Corpus, predicates) -> None:
-    records = list(corpus)
+    records = records_of(corpus)
     for predicate in predicates:
         try:
             expected = reference_matches(records, predicate)
@@ -697,10 +701,10 @@ def _raises(records, predicate) -> bool:
 def _memo_corpora(reposcan_loaded, adversarial_tree) -> dict[str, Corpus]:
     _, corpora = reposcan_loaded
     return {
-        **{name: Corpus(corpus) for name, corpus in corpora.items()},
+        **{name: build_corpus(records_of(corpus)) for name, corpus in corpora.items()},
         "adversarial": read_snapshot(adversarial_tree).corpus,
-        "unicode": Corpus(UNICODE_RECORDS),
-        "empty": Corpus(()),
+        "unicode": build_corpus(UNICODE_RECORDS),
+        "empty": build_corpus(()),
     }
 
 
@@ -735,16 +739,16 @@ class TestMatchMemo:
     @pytest.mark.parametrize("row", range(len(FOUND_BY_ROWS)))
     def test_found_by_equals_the_full_scan(self, row):
         pattern, texts = FOUND_BY_ROWS[row]
-        records = [_record(f"src/m{i}.py", text) for i, text in enumerate(texts)]
-        corpus = Corpus(records + list(UNICODE_RECORDS))
+        records = [record(f"src/m{i}.py", text) for i, text in enumerate(texts)]
+        corpus = build_corpus(records + list(UNICODE_RECORDS))
         assert corpus.found_by(pattern) == reference_found_by(corpus.texts, pattern)
         predicate = KeywordOrPattern(keywords=(), patterns=(pattern,))
-        assert corpus.matching(predicate) == reference_matches(list(corpus), predicate)
+        assert corpus.matching(predicate) == reference_matches(records_of(corpus), predicate)
 
     def test_fold_rows_need_the_non_ascii_texts(self):
         # Each fold row has a match that the lowered-literal memo cannot see.
         for pattern, texts in FOUND_BY_ROWS[:3]:
-            corpus = Corpus([_record(f"src/m{i}.py", text) for i, text in enumerate(texts)])
+            corpus = build_corpus([record(f"src/m{i}.py", text) for i, text in enumerate(texts)])
             literal = re.sub(r"\\(.)", r"\1", pattern).lower()
             assert set(corpus.found_by(pattern)) - set(corpus.containing(literal))
 
@@ -763,7 +767,7 @@ class TestMatchMemo:
         monkeypatch.setattr(reposcan, "_compiled", lambda p: CountingPattern(real_compiled(p)))
         _, corpora = reposcan_loaded
         for read in corpora.values():
-            corpus = Corpus(read)  # fresh memos
+            corpus = build_corpus(records_of(read))  # fresh memos
             non_ascii = sum(not text.isascii() for text in corpus.texts)
             tokens = sorted(build_token_table(corpus))
             assert tokens
@@ -778,14 +782,14 @@ class TestMatchMemo:
         generated = [task.predicate for task in manifest.tasks]
         for name, corpus in _memo_corpora(reposcan_loaded, adversarial_tree).items():
             rng = random.Random(f"match-memo-{name}")
-            predicates = _random_predicates(rng, list(corpus), 150) + generated
+            predicates = _random_predicates(rng, records_of(corpus), 150) + generated
             predicates *= 2  # every predicate twice, so each is seen both cold and memoised
             rng.shuffle(predicates)
             _assert_memo_equals_scan(corpus, predicates)
 
     def test_search_matches_the_scan_on_every_corpus(self, reposcan_loaded, adversarial_tree):
         for name, corpus in _memo_corpora(reposcan_loaded, adversarial_tree).items():
-            records = list(corpus)
+            records = records_of(corpus)
             rng = random.Random(f"search-memo-{name}")
             queries = _random_queries(rng, records, 80)
             queries += [" ".join(rng.sample(UNICODE_NEEDLES, 3)) for _ in range(20)]
@@ -798,18 +802,19 @@ class TestMatchMemo:
         # PathAndContent reads the blob positions of its content substring
         # before it checks `text.lower()`, which is sound only because of this.
         for corpus in _memo_corpora(reposcan_loaded, adversarial_tree).values():
-            for record in corpus:
-                assert record.blob == (record.text + "\n" + record.relpath).lower()
-                assert record.blob.startswith(record.text.lower())
+            for text, relpath, blob in zip(corpus.texts, corpus.relpaths, corpus.blobs):
+                assert blob == (text + "\n" + relpath).lower()
+                assert blob.startswith(text.lower())
         # A text ending in a capital sigma lowers to a final sigma on its own
         # and inside the blob alike: the newline after it is no cased letter.
-        sigma = _record("Βeta/x.py", "ΟΔΟΣ")
-        assert sigma.text.lower() == "οδος" and sigma.blob.startswith("οδος\n")
+        sigma = build_corpus([record("Βeta/x.py", "ΟΔΟΣ")])
+        assert sigma.texts[0].lower() == "οδος" and sigma.blobs[0].startswith("οδος\n")
+        # The blobs are derived, never given.
         with pytest.raises(TypeError):
-            ArtifactRecord("a#source", "a", "source", "Text", "Text", blob="other")
+            Corpus(("a#source",), ("a",), ("source",), ("Text",), ("Text",), blobs=("other",))
 
     def test_invalid_pattern_raises_exactly_when_the_scan_does(self):
-        corpus = Corpus(UNICODE_RECORDS)
+        corpus = build_corpus(UNICODE_RECORDS)
         cases = {
             # Every blob holds the newline between text and path, so no record is left.
             KeywordOrPattern(keywords=("\n",), patterns=("[",)): False,
@@ -823,20 +828,20 @@ class TestMatchMemo:
         }
         for predicate, raises in cases.items():
             with pytest.raises(GenerationError) if raises else contextlib.nullcontext():
-                reference_matches(list(corpus), predicate)
+                reference_matches(records_of(corpus), predicate)
             with pytest.raises(GenerationError) if raises else contextlib.nullcontext():
                 corpus.matching(predicate)
-        empty = Corpus(())
+        empty = build_corpus(())
         assert empty.matching(KeywordOrPattern(keywords=(), patterns=("[",))) == ()
 
     def test_threads_share_one_match_list_per_predicate(self, reposcan_loaded):
         manifest, corpora = reposcan_loaded
-        records = list(corpora["gamma_repo"])
+        records = records_of(corpora["gamma_repo"])
         predicates = _random_predicates(random.Random(11), records, 60)
         predicates = [p for p in predicates if not _raises(records, p)]
         predicates += [t.predicate for t in manifest.tasks if t.snapshot == "gamma_repo"]
         expected = {p: reference_matches(records, p) for p in predicates}
-        shared = Corpus(records)
+        shared = build_corpus(records)
         workers = (os.cpu_count() or 2) + 2  # more threads than cores
         results: list[dict] = [{} for _ in range(workers)]
         errors = []
@@ -920,7 +925,7 @@ class TestEveryReadSeesTheBytes:
         after = read_snapshot(root)
         assert after.digest != before.digest
         assert after.digest == reference_snapshot_digest(root)
-        assert _fields(after.corpus) == _fields(reference_index_snapshot(root))
+        assert _columns(after.corpus) == _fields(reference_index_snapshot(root))
         relpath = edited.relative_to(root).as_posix()
         found = [c.artifact_id for c in search(after.corpus, "qqzzedited", 0).candidates]
         assert found == [f"{relpath}#{classify_kind(relpath)}"]

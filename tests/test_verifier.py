@@ -97,8 +97,8 @@ class TestLedgerCoupling:
     def test_accepted_size_tracks_ledger_valid_count(self):
         rng = random.Random(11)
         corpus = tiny_corpus(valid=4, total=12)
-        valid_ids = [a.artifact_id for a in corpus[:4]]
-        all_ids = [a.artifact_id for a in corpus]
+        valid_ids = list(corpus.ids[:4])
+        all_ids = list(corpus.ids)
         task = TaskSpec(
             task_id="couple",
             family=Family.REPOSCAN,
@@ -129,7 +129,7 @@ class TestLedgerCoupling:
 
     def test_full_episode_coupling(self):
         corpus = tiny_corpus(valid=3)
-        valid_ids = [a.artifact_id for a in corpus[:3]]
+        valid_ids = list(corpus.ids[:3])
         task = TaskSpec(
             task_id="couple2",
             family=Family.REPOSCAN,
