@@ -3,16 +3,16 @@
 Actions are the policy-facing vocabulary; observations are everything the
 engine sends back. Both serialize to single-line JSON objects tagged with a
 ``kind`` field so external adapters can speak the same wire format. One
-table-driven codec, `TaggedCodec`, encodes and decodes them, and also the
-predicates and checkers that manifests tag with a ``type`` field.
+annotation-driven codec, `Schema`, reads every typed record the engine
+loads, tagged by `TaggedCodec` or untagged, and writes them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, Field, dataclass, fields
 from enum import Enum
-from typing import Callable, Union, get_args, get_origin, get_type_hints
+from typing import Callable, NewType, Union, get_args, get_origin, get_type_hints
 
 from .errors import ActionParseError
 
@@ -162,21 +162,21 @@ Observation = Union[SearchResults, SubmitFeedback, UnitFeedback, ControllerNotic
 
 
 # ---------------------------------------------------------------------------
-# Wire format: one codec for every tagged record
+# Field codec: one reader for every typed record, on the wire and in files
 # ---------------------------------------------------------------------------
 
 _BAD = object()  # what a field check returns for a value its annotation does not admit
 
+Seed = NewType("Seed", int)  # any integer, where a record's other integers are counts
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-# Integers on the wire are counts and page numbers, so they are never negative.
+# (admits, expected) per scalar annotation: a bool or a float, even a whole
+# one, is not an integer. `T.__instancecheck__` is `isinstance(v, T)`.
 _SCALARS = {
-    str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-    int: (_is_count, "a non-negative integer"),
+    str: (str.__instancecheck__, "a string"),
+    bool: (bool.__instancecheck__, "a boolean"),
+    int: (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    Seed: (lambda v: type(v) is int, "an integer"),
+    dict: (dict.__instancecheck__, "an object"),
 }
 
 
@@ -195,16 +195,27 @@ def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callabl
     if type(None) in args:
         encode, check, expected = _field_codec(args[0], error)
         return encode, lambda v: None if v is None else check(v), f"{expected} or null"
-    if get_origin(hint) is tuple:
+    if get_origin(hint) is tuple:  # of scalars or of records
         encode_item, check_item, expected = _field_codec(args[0], error)
+        admits = _SCALARS.get(args[0], (None,))[0]
 
         def check_list(value: object) -> object:
-            items = tuple(map(check_item, value)) if isinstance(value, list) else (_BAD,)
-            return _BAD if any(item is _BAD for item in items) else items
+            if type(value) is not list:
+                return _BAD
+            if admits is None:  # a record's check raises on a bad item
+                return tuple(map(check_item, value))
+            return tuple(value) if all(map(admits, value)) else _BAD
 
         encode = list if encode_item is None else lambda v: [encode_item(x) for x in v]
         many = "strings" if args[0] is str else f"items each {expected}"
         return encode, check_list, f"a list of {many}"
+    if get_origin(hint) is dict:  # JSON keys are strings; the values are scalars
+        admits, expected = _SCALARS[args[1]]
+
+        def check_map(value: object) -> object:
+            return value if type(value) is dict and all(map(admits, value.values())) else _BAD
+
+        return None, check_map, f"an object whose values are each {expected}"
     if issubclass(hint, Enum):
         members = {member.value: member for member in hint}
         return (
@@ -212,48 +223,58 @@ def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callabl
             lambda v: members.get(v, _BAD) if isinstance(v, str) else _BAD,
             "one of " + ", ".join(members),
         )
-    plan = _plan(hint, error)  # a nested dataclass: an untagged object
+    schema = Schema(hint, error)  # a nested dataclass: an untagged object
     name = hint.__name__
-    decode = lambda v: _decode(hint, plan, v, name, error)  # noqa: E731
-    return lambda v: _encode(v, plan, {}), decode, f"a {name}"
+    return schema.encode, lambda v: schema.decode(v, f"{name}."), f"a {name}"
 
 
-def _plan(cls: type, error: type[Exception]) -> list[tuple]:
-    """(name, encode, check, expected, default) per field, in declaration order."""
-    hints = get_type_hints(cls)
-    return [(f.name, *_field_codec(hints[f.name], error), f.default) for f in fields(cls)]
+def _has_default(f: Field) -> bool:
+    return f.default is not MISSING or f.default_factory is not MISSING
 
 
-def _encode(record: object, plan: list[tuple], out: dict) -> dict:
-    for name, encode, _, _, _ in plan:
-        value = getattr(record, name)
-        out[name] = value if encode is None else encode(value)
-    return out
+class Schema:
+    """A dataclass as a JSON object, written in field order and read by
+    checking each field against its annotation. Other keys are ignored, a
+    missing field takes its default where there is one, and a field that
+    does not fit, or is missing with no default, raises `error` naming it."""
 
+    def __init__(self, cls: type, error: type[Exception] = ValueError) -> None:
+        self.cls, self.error, hints = cls, error, get_type_hints(cls)
+        # (name, encode, check, expected, has a default) per field.
+        self.plan = [
+            (f.name, *_field_codec(hints[f.name], error), _has_default(f)) for f in fields(cls)
+        ]
 
-def _decode(cls: type, plan: list[tuple], obj: object, label: str, error: type) -> object:
-    """The `cls` record that `obj` holds; raises `error` naming a field that does not fit."""
-    if not isinstance(obj, dict):
-        raise error(f"{label} must be an object")
-    values = {}
-    for name, _, check, expected, default in plan:
-        if name not in obj and default is not MISSING:
-            continue
-        values[name] = check(obj.get(name))
-        if values[name] is _BAD:
-            raise error(f"{label}.{name} must be {expected}")
-    return cls(**values)
+    def encode(self, record: object) -> dict:
+        out = {}
+        for name, encode, _, _, _ in self.plan:
+            value = getattr(record, name)
+            out[name] = value if encode is None else encode(value)
+        return out
+
+    def decode(self, obj: object, prefix: str = ""):
+        """The record `obj` holds. An error names a field as `prefix`, such as
+        "search." or "task 't1': ", then its name, and `obj` itself as `prefix`
+        without its separator."""
+        if not isinstance(obj, dict):
+            raise self.error(f"{prefix.rstrip('.: ') or 'the file'} must be an object")
+        values = {}
+        for name, _, check, expected, has_default in self.plan:
+            value = obj.get(name, _BAD)
+            if value is not _BAD:
+                value = check(value)
+            elif has_default:
+                continue
+            if value is _BAD:
+                raise self.error(f"{prefix}{name} must be {expected}")
+            values[name] = value
+        return self.cls(**values)
 
 
 class TaggedCodec:
-    """Frozen dataclasses as JSON objects tagged by one key, from one table.
-
-    Encoding writes the tag, then each field in declaration order: tuples
-    become lists, enums their values and nested dataclasses objects.
-    Decoding checks each field against its annotation and ignores other
-    keys; a missing field takes its dataclass default where there is one.
-    Every failure raises `error`, naming the tag and the field.
-    """
+    """Frozen dataclasses as JSON objects tagged by one key, from one table:
+    each is its class's `Schema` with the tag first. Every failure raises
+    `error`, naming the tag and the field."""
 
     def __init__(
         self, noun: str, tag_key: str, table: dict[str, type], error: type[Exception]
@@ -261,23 +282,25 @@ class TaggedCodec:
         self.noun = noun
         self.tag_key = tag_key
         self.error = error
-        plans = {cls: _plan(cls, error) for cls in table.values()}
-        self._decoders = {tag: (cls, plans[cls]) for tag, cls in table.items()}
-        self._encoders = {cls: (tag, plans[cls]) for tag, cls in table.items()}
+        schemas = {cls: Schema(cls, error) for cls in table.values()}
+        self._decoders = {tag: (schemas[cls], f"{tag}.") for tag, cls in table.items()}
+        self._encoders = {cls: (tag, schemas[cls]) for tag, cls in table.items()}
 
     def encode(self, record: object) -> dict:
         if type(record) not in self._encoders:
             raise self.error(f"unknown {self.noun}: {record!r}")
-        tag, plan = self._encoders[type(record)]
-        return _encode(record, plan, {self.tag_key: tag})
+        tag, schema = self._encoders[type(record)]
+        return {self.tag_key: tag} | schema.encode(record)
 
-    def decode(self, obj: object):
+    def decode(self, obj: object, prefix: str = ""):
+        """The record `obj` holds; `prefix` leads each error, as in `Schema.decode`."""
         if not isinstance(obj, dict):
-            raise self.error(f"{self.noun} record must be an object")
+            raise self.error(f"{prefix}{self.noun} record must be an object")
         tag = obj.get(self.tag_key)
         if not isinstance(tag, str) or tag not in self._decoders:
-            raise self.error(f"unknown {self.noun} {self.tag_key}: {tag!r}")
-        return _decode(*self._decoders[tag], obj, tag, self.error)
+            raise self.error(f"{prefix}unknown {self.noun} {self.tag_key}: {tag!r}")
+        schema, field_prefix = self._decoders[tag]
+        return schema.decode(obj, prefix + field_prefix)
 
 
 ACTIONS = TaggedCodec(

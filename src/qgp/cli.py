@@ -23,10 +23,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from . import dataops, reposcan
-from .actions import Family, Outcome
+from .actions import Family, Outcome, Schema, Seed
 from .controllers import (
     AblationFlag,
     ControllerConfig,
@@ -69,7 +68,7 @@ class RunConfig:
     ablation: str | None = None
     policy_params: dict = field(default_factory=dict)
     no_progress_limit: int = 6
-    seed: int = 0
+    seed: Seed = 0
     jobs: int = 1
     workspace_root: str | None = None
 
@@ -80,17 +79,15 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        """Read a saved run; a field whose value is not of its annotated type,
-        and a controller, ablation flag or policy parameter that `run` would
-        refuse, are refused here, naming the file."""
+        """Read a saved run; a field it does not have, a field whose value is
+        not of its annotated type, and a controller, ablation flag or policy
+        parameter that `run` would refuse, are refused here, naming the file."""
         with loading(path):
-            config = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
-            for name, hint in get_type_hints(cls).items():
-                value, kinds = getattr(config, name), get_args(hint) or (hint,)
-                # isinstance counts a bool as an int; a saved run does not.
-                if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-                    names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
-                    raise ValueError(f"field {name!r} must be {names}, got {value!r}")
+            saved = json.loads(Path(path).read_text(encoding="utf-8"))
+            config = _RUN_CONFIGS.decode(saved)
+            unknown = sorted(saved.keys() - asdict(config).keys())
+            if unknown:
+                raise ValueError(f"unknown field {unknown[0]!r}")
             try:
                 config.controller_config()
                 build_policy(config.policy, **config.policy_params)
@@ -105,6 +102,9 @@ class RunConfig:
             ablation_flags=flag,
             no_progress_limit=self.no_progress_limit,
         )
+
+
+_RUN_CONFIGS = Schema(RunConfig)
 
 
 def _parse_targets(text: str) -> list[int]:
@@ -288,12 +288,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _record_metrics(path: str) -> list:
     """Metric vectors of a record file's runs; aborted runs carry none."""
-    with loading(path):
-        return [
-            metrics_from_record_dict(record)
-            for record in read_record_dicts(path)
-            if record.get("outcome") != Outcome.ABORTED.value
-        ]
+    return [
+        metrics_from_record_dict(record)
+        for record in read_record_dicts(path)
+        if record["outcome"] != Outcome.ABORTED.value
+    ]
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from .actions import (
     UnitFeedback,
     UnitStatus,
 )
-from .core import RunContext, StepDecision
+from .core import RunContext, StepDecision, objective_queries
 from .errors import ConfigurationError
 from .verifier import normalize_id
 
@@ -184,8 +184,7 @@ class StateQgpController:
     def _fallback_query(self, ctx: RunContext) -> str:
         if self.state.last_query:
             return self.state.last_query
-        tokens = [t for t in ctx.objective_text.lower().split() if len(t) >= 2]
-        return tokens[0] if tokens else ctx.objective_text.strip() or "artifact"
+        return objective_queries(ctx.objective_text)[0]
 
     def _repair_to_search(self, ctx: RunContext, ivs: list[Intervention]) -> StepDecision:
         query = self._fallback_query(ctx)

@@ -27,6 +27,8 @@ from .actions import (
     Malformed,
     Observation,
     Outcome,
+    Schema,
+    Seed,
     SubmitFeedback,
     Terminal,
     is_legal_for_family,
@@ -42,7 +44,7 @@ class TaskSpec:
     objective_text: str
     target_count: int
     budget: int
-    seed: int
+    seed: Seed
 
     def __post_init__(self) -> None:
         if self.target_count < 1:
@@ -61,8 +63,13 @@ class UnitPublicView:
     artifact_path: str
 
 
-PUBLIC_TASK_FIELDS = ("task_id", "family", "objective_text", "target_count", "budget", "seed")
-PUBLIC_UNIT_FIELDS = tuple(f.name for f in fields(UnitPublicView))
+_TASK_SPECS = Schema(TaskSpec)
+
+
+def objective_queries(objective_text: str) -> list[str]:
+    """What policies and controllers search for an objective, in order: its
+    lowered words of two or more characters, else "artifact"."""
+    return [t for t in objective_text.lower().split() if len(t) >= 2] or ["artifact"]
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class PublicTaskView:
         """What a policy sees of a task and, for a backlog, of its units."""
         if units is not None:
             units = tuple(
-                UnitPublicView(**{k: getattr(u, k) for k in PUBLIC_UNIT_FIELDS}) for u in units
+                UnitPublicView(u.unit_id, u.kind, u.prompt, u.artifact_path) for u in units
             )
         return cls(
             task_id=task.task_id,
@@ -326,21 +333,27 @@ def run_episode(
 # Run record serialization (one object per line)
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = (
-    "task_id",
-    "family",
-    "target_count",
-    "budget",
-    "controller",
-    "policy",
-    "outcome",
-    "valid_count",
-    "steps_used",
-    "duplicate_occurrences",
-    "submission_occurrences",
-    "reported_count",
-    "intervention_count",
-)
+@dataclass  # not frozen: a row is built only to check a line, which is cheaper
+class RecordRow:
+    """The typed fields that lead every record line, in line order."""
+
+    task_id: str
+    family: Family
+    target_count: int
+    budget: int
+    controller: str
+    policy: str
+    outcome: Outcome
+    valid_count: int
+    steps_used: int
+    duplicate_occurrences: int
+    submission_occurrences: int
+    reported_count: int | None
+    intervention_count: int
+
+
+_RECORD_ROWS = Schema(RecordRow)
+RECORD_FIELDS = tuple(f.name for f in fields(RecordRow))
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -371,15 +384,21 @@ def record_to_dict(record: RunRecord) -> dict:
     return row
 
 
+def _task_label(entry: object, fallback: str) -> str:
+    """How an error names a file's task or record `entry`: by its task id, else `fallback`."""
+    task_id = entry.get("task_id") if isinstance(entry, dict) else None
+    return f"task {task_id!r}" if isinstance(task_id, str) else fallback
+
+
 def read_record_dicts(path: str | Path) -> list[dict]:
+    """The record lines of a file as parsed, each checked to hold a RecordRow."""
     rows = []
     with loading(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 row = json.loads(line)
-                if not isinstance(row, dict) or not set(RECORD_FIELDS) <= row.keys():
-                    raise ConfigurationError(f"{path}:{lineno}: not a run record")
+                _RECORD_ROWS.decode(row, f"{_task_label(row, 'record')} on line {lineno}: ")
                 rows.append(row)
     return rows
 
@@ -391,6 +410,17 @@ def read_record_dicts(path: str | Path) -> list[dict]:
 MANIFEST_FORMAT = "qgp-manifest"
 MANIFEST_VERSION = 1
 
+
+@dataclass(frozen=True)
+class _Envelope:  # the typed fields every manifest file shares, but its format
+    family: Family
+    version: int
+    metadata: dict
+    tasks: tuple[dict, ...]
+
+
+_ENVELOPES = Schema(_Envelope)
+
 M = TypeVar("M")
 
 
@@ -400,8 +430,8 @@ def read_manifest_file(
     """Parse a manifest file once, check its envelope and read its payload.
 
     The format must be `qgp-manifest`, the family one of `payloads`, the
-    version MANIFEST_VERSION and each task's family the envelope's; task ids
-    must be distinct. Returns what the family's payload reader builds from
+    version MANIFEST_VERSION, each task a TaskSpec of the envelope's family
+    and task ids distinct. Returns what the family's payload reader builds from
     the parsed file and the task specs. What a policy sees of a task is its
     environment's `public_view()`, not anything read here. Malformed input
     raises a ConfigurationError naming the file.
@@ -410,21 +440,22 @@ def read_manifest_file(
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(obj, dict) or obj.get("format") != MANIFEST_FORMAT:
             raise ValueError(f"not a {MANIFEST_FORMAT} file")
-        family = Family(obj.get("family"))
+        envelope = _ENVELOPES.decode(obj)
+        family = envelope.family
         if family not in payloads:
             raise ValueError(f"not a {' or '.join(payloads)} manifest: {family.value}")
-        version = obj.get("version")
-        if type(version) is not int or version != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {version!r}")
+        if envelope.version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {envelope.version!r}")
         specs = []
-        for entry in obj["tasks"]:
-            if entry["family"] != family.value:
-                raise ValueError(f"task {entry['task_id']!r} is not a {family.value} task")
-            public = {k: entry[k] for k in PUBLIC_TASK_FIELDS}
+        for i, entry in enumerate(envelope.tasks):
+            where = _task_label(entry, f"tasks[{i}]")
             try:
-                specs.append(TaskSpec(**public | {"family": family}))
+                spec = _TASK_SPECS.decode(entry, f"{where}: ")
             except ConfigurationError as exc:
-                raise ValueError(f"task {entry['task_id']!r}: {exc}") from exc
+                raise ValueError(f"{where}: {exc}") from exc
+            if spec.family != family:
+                raise ValueError(f"{where} is not a {family.value} task")
+            specs.append(spec)
         if len({spec.task_id for spec in specs}) != len(specs):
             raise ValueError("duplicate task ids")
         return payloads[family](obj, specs)
@@ -448,10 +479,7 @@ def write_manifest_file(
         "version": MANIFEST_VERSION,
         "metadata": metadata,
         **payload,
-        "tasks": [
-            {k: getattr(spec, k) for k in PUBLIC_TASK_FIELDS} | {"family": family.value} | extra
-            for spec, extra in tasks
-        ],
+        "tasks": [_TASK_SPECS.encode(spec) | extra for spec, extra in tasks],
     }
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -29,6 +29,7 @@ from .actions import (
     Inspect,
     Observation,
     RunCheck,
+    Schema,
     SubmitFeedback,
     SubmitUnit,
     UnitFeedback,
@@ -37,10 +38,10 @@ from .actions import (
     Verdict,
 )
 from .core import (
-    PUBLIC_UNIT_FIELDS,
     PublicTaskView,
     RunLedger,
     TaskSpec,
+    UnitPublicView,
     read_manifest_file,
     record_submission,
     write_manifest_file,
@@ -754,41 +755,54 @@ def _assert_solvable(env: DataopsEnvironment) -> None:
 # Manifest file format
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Hidden:  # a backlog's hidden section as the manifest file holds it
+    checkers: dict
+    files: dict[str, str]
+
+
+_HIDDEN = Schema(_Hidden)
+_UNIT_VIEWS = Schema(UnitPublicView)
+
+
 def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
     """Write the manifest; returns the sha256 of the file."""
     tasks = []
     for t in manifest.tasks:
-        units = [{k: getattr(u, k) for k in PUBLIC_UNIT_FIELDS} for u in t.units]
+        units = [_UNIT_VIEWS.encode(u) for u in t.units]
         checkers = {u.unit_id: CHECKERS.encode(u.checker) for u in t.units}
         tasks.append((t.spec, {"units": units, "hidden": {"checkers": checkers, "files": t.files}}))
     return write_manifest_file(path, Family.DATAOPS, manifest.metadata, tasks)
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
-    """Each task's units, checkers and files. A task has at least one unit,
-    unit ids are unique within it, every artifact path and checker file must
-    be a file path inside the workspace, and a workspace must take every
-    file."""
+    """Each task's units, each read as a UnitPublicView, and its hidden
+    checkers and files. A task has at least one unit, unit ids are unique
+    within it, every artifact path and checker file must be a file path
+    inside the workspace, and a workspace must take every file."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
+        task = f"task {spec.task_id!r}"
+        hidden = _HIDDEN.decode(entry["hidden"], f"{task}: hidden.")
         units = []
-        for u in entry["units"]:
-            checker = CHECKERS.decode(entry["hidden"]["checkers"][u["unit_id"]])
-            for relpath in (u["artifact_path"], checker.file):
+        for i, u in enumerate(entry["units"]):
+            view = _UNIT_VIEWS.decode(u, f"{task}: units[{i}].")
+            where = f"{task} unit {view.unit_id!r}"
+            checker = CHECKERS.decode(hidden.checkers[view.unit_id], f"{where}: ")
+            for relpath in (view.artifact_path, checker.file):
                 try:
                     Workspace._key(relpath)
                 except ConfigurationError as exc:
-                    where = f"task {spec.task_id!r} unit {u['unit_id']!r}"
                     raise ValueError(f"{where}: {exc}") from None
-            units.append(BacklogUnit(**{k: u[k] for k in PUBLIC_UNIT_FIELDS}, checker=checker))
+            units.append(BacklogUnit(**vars(view), checker=checker))
         if not units:
-            raise ValueError(f"task {spec.task_id!r} has no units")
+            raise ValueError(f"{task} has no units")
         if len({u.unit_id for u in units}) < len(units):
-            raise ValueError(f"task {spec.task_id!r} repeats a unit id")
+            raise ValueError(f"{task} repeats a unit id")
         try:
-            tasks.append(DataopsTask(spec, units, dict(entry["hidden"]["files"])))
+            tasks.append(DataopsTask(spec, units, hidden.files))
         except ConfigurationError as exc:
-            raise ValueError(f"task {spec.task_id!r} {exc}") from None
+            raise ValueError(f"{task} {exc}") from None
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
 

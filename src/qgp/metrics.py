@@ -33,25 +33,25 @@ class RunMetrics:
 
 
 def metrics_from_record_dict(row: Mapping) -> RunMetrics:
-    """Rebuild the metric vector from a serialized run record line; an
-    aborted run has none."""
-    outcome = Outcome(row["outcome"])
+    """Rebuild the metric vector from a record line as `read_record_dicts`
+    returns it, or as `record_to_dict` builds it; an aborted run has none."""
+    outcome = row["outcome"]
     if outcome == Outcome.ABORTED:
         raise AnalysisError(f"run {row['task_id']} was aborted and has no metrics")
-    occurrences = int(row["submission_occurrences"])
-    duplicates = int(row["duplicate_occurrences"])
-    steps = int(row["steps_used"])
-    valid = int(row["valid_count"])
-    reported = row.get("reported_count")
+    occurrences = row["submission_occurrences"]
+    duplicates = row["duplicate_occurrences"]
+    steps = row["steps_used"]
+    valid = row["valid_count"]
+    reported = row["reported_count"]
     error = None
     if reported is not None:
-        error = reported_count_error(int(reported), valid, int(row["target_count"]))
+        error = reported_count_error(reported, valid, row["target_count"])
     return RunMetrics(
         task_id=row["task_id"],
         family=row["family"],
         controller=row["controller"],
         policy=row["policy"],
-        target_count=int(row["target_count"]),
+        target_count=row["target_count"],
         success=int(outcome == Outcome.SUCCESS),
         valid_count=valid,
         duplicate_submit_rate=(duplicates / occurrences) if occurrences else 0.0,
@@ -60,7 +60,7 @@ def metrics_from_record_dict(row: Mapping) -> RunMetrics:
         false_completion=int(outcome == Outcome.FALSE_COMPLETION),
         budget_exhausted=int(outcome == Outcome.BUDGET_EXHAUSTED),
         reported_count_error=error,
-        intervention_count=int(row.get("intervention_count", 0)),
+        intervention_count=row["intervention_count"],
     )
 
 

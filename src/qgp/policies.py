@@ -49,7 +49,7 @@ from .actions import (
     action_from_dict,
     observation_to_dict,
 )
-from .core import PublicTaskView, UnitPublicView
+from .core import PublicTaskView, UnitPublicView, objective_queries
 from .errors import AdapterError, ConfigurationError
 
 History = Sequence[tuple[object, object]]
@@ -69,15 +69,6 @@ class PolicyKind(str, Enum):
 # ---------------------------------------------------------------------------
 # History derivation helpers
 # ---------------------------------------------------------------------------
-
-
-def _objective_tokens(view: PublicTaskView) -> list[str]:
-    return [t for t in view.objective_text.lower().split() if len(t) >= 2]
-
-
-def _first_token(view: PublicTaskView) -> str:
-    tokens = _objective_tokens(view)
-    return tokens[0] if tokens else "artifact"
 
 
 def _latest_search(history: History) -> SearchResults | None:
@@ -143,7 +134,7 @@ def _fold_field(start, step):
 
 def _filler_action(view: PublicTaskView) -> Action:
     if Family(view.family) == Family.REPOSCAN:
-        return Search(query=_first_token(view), page=0)
+        return Search(query=objective_queries(view.objective_text)[0], page=0)
     assert view.units
     return Inspect(unit_id=view.units[0].unit_id)
 
@@ -187,7 +178,7 @@ class DuplicatorPolicy:
         state = self._fold(view, history)
         latest = state.latest_search
         if latest is None:
-            return Search(query=_first_token(view), page=0)
+            return Search(query=objective_queries(view.objective_text)[0], page=0)
         if not state.submitted:
             if not latest.candidates:
                 return Search(query=latest.query, page=latest.page + 1)
@@ -274,7 +265,7 @@ class GreedyOraclePolicy:
             return Final(completion_claim=True, reported_count=last_feedback.valid_count)
         if state.pending:
             return Submit(ids=tuple(islice(state.pending, self.submit_batch)))
-        for token in _objective_tokens(view):
+        for token in objective_queries(view.objective_text):
             if token in state.exhausted:
                 continue
             top = state.last_page.get(token)
@@ -292,7 +283,7 @@ class RedundantSearcherPolicy:
     label: str = PolicyKind.REDUNDANT_SEARCHER.value
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
-        token = _first_token(view)
+        token = objective_queries(view.objective_text)[0]
         cycle = 1 + self.submits_per_search
         if len(history) % cycle == 0:
             return Search(query=token, page=0)
@@ -586,7 +577,9 @@ def _wait_for_exit(process: subprocess.Popen, timeout: float) -> None:
 
 def _integer(name: str, value: object) -> int:
     """An integer policy parameter as given, or as a float with no fraction,
-    which is how JSON may write it; anything else is refused, not coerced."""
+    which is how JSON may write it; anything else is refused, not coerced.
+    Only policy parameters take a whole float: every other integer a file
+    holds is read by the field codec, which refuses any float."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):

@@ -20,17 +20,18 @@ import os
 import re
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .actions import (
     Action,
     Candidate,
     Family,
     Observation,
+    Schema,
     Search,
     SearchResults,
     Submit,
@@ -513,6 +514,18 @@ class SnapshotInfo:
     artifact_count: int
 
 
+_SNAPSHOT_INFOS = Schema(SnapshotInfo)
+
+
+@dataclass(frozen=True)
+class _Hidden:  # a task's hidden section as the manifest file holds it
+    predicate: dict
+    valid_ids: tuple[str, ...]
+
+
+_HIDDEN = Schema(_Hidden)
+
+
 @dataclass
 class ReposcanManifest:
     metadata: dict
@@ -561,15 +574,23 @@ def build_token_table(corpus: Corpus) -> Counter:
     return Counter(chain.from_iterable(token_sets))
 
 
-def _band_tokens(table: Counter, target: int, corpus_size: int) -> list[str]:
-    low = target
-    high = max(4 * target, target + 20)
-    cap = max(int(corpus_size * _MAX_DF_FRACTION), target + 1)
-    return sorted(t for t, df in table.items() if low <= df <= min(high, cap))
+class _Vocabulary(NamedTuple):
+    """What predicate sampling draws from in one snapshot for one target."""
+
+    band: list[str]  # tokens in at least `target` artifacts and not too many
+    wide: list[str]  # tokens a little more common, which a path filter narrows
+    top_dirs: list[str]
 
 
-def _sample_keyword_predicate(rng, corpus, table, target):
-    candidates = _band_tokens(table, target, len(corpus))
+def _vocabulary(table: Counter, target: int, corpus_size: int, top_dirs: list[str]) -> _Vocabulary:
+    high = min(max(4 * target, target + 20), max(int(corpus_size * _MAX_DF_FRACTION), target + 1))
+    band = sorted(t for t, df in table.items() if target <= df <= high)
+    wide = sorted(t for t, df in table.items() if target <= df <= max(6 * target, target + 40))
+    return _Vocabulary(band, wide, top_dirs)
+
+
+def _sample_keyword_predicate(rng, corpus, vocabulary, target):
+    candidates = vocabulary.band
     if not candidates:
         return None
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
@@ -586,16 +607,11 @@ def _sample_keyword_predicate(rng, corpus, table, target):
     return None
 
 
-def _sample_path_content_predicate(rng, corpus, table, target):
-    top_dirs = sorted({p.split("/", 1)[0] + "/" for p in corpus.relpaths if "/" in p})
+def _sample_path_content_predicate(rng, corpus, vocabulary, target):
+    top_dirs, wide = vocabulary.top_dirs, vocabulary.wide
     if not top_dirs:
         return None
-    band = _band_tokens(table, target, len(corpus))
-    # Also consider moderately more common tokens; the path filter narrows them.
-    wide = sorted(
-        t for t, df in table.items() if target <= df <= max(6 * target, target + 40)
-    )
-    pool = band or wide
+    pool = vocabulary.band or wide
     if not pool:
         return None
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
@@ -609,7 +625,7 @@ def _sample_path_content_predicate(rng, corpus, table, target):
     return None
 
 
-def _sample_test_doc_predicate(rng, corpus, table, target):
+def _sample_test_doc_predicate(rng, corpus, vocabulary, target):
     predicate = TestOrDocumentation()
     if len(corpus.matching(predicate)) >= target:
         return predicate
@@ -655,7 +671,7 @@ def generate_manifest(
         raise GenerationError("at least one snapshot is required")
     infos: list[SnapshotInfo] = []
     corpora: dict[str, Corpus] = {}
-    tables: dict[str, Counter] = {}
+    vocabularies: dict[tuple[str, int], _Vocabulary] = {}
     used_names: set[str] = set()
     for root in roots:
         snapshot = read_snapshot(root)
@@ -665,7 +681,10 @@ def generate_manifest(
             name += "_"
         used_names.add(name)
         corpora[name] = corpus
-        tables[name] = build_token_table(corpus)
+        table = build_token_table(corpus)
+        top_dirs = sorted({p.split("/", 1)[0] + "/" for p in corpus.relpaths if "/" in p})
+        for target in targets:
+            vocabularies[name, target] = _vocabulary(table, target, len(corpus), top_dirs)
         infos.append(
             SnapshotInfo(
                 name=name,
@@ -684,7 +703,7 @@ def generate_manifest(
             snap_name, fam = combos[idx % len(combos)]
             rng = stream(seed, "reposcan", snap_name, fam, target, idx)
             corpus = corpora[snap_name]
-            predicate = _SAMPLERS[fam](rng, corpus, tables[snap_name], target)
+            predicate = _SAMPLERS[fam](rng, corpus, vocabularies[snap_name, target], target)
             if predicate is None:
                 raise GenerationError(
                     f"no {fam} predicate with >= {target} matches in snapshot {snap_name!r}"
@@ -724,31 +743,26 @@ def write_manifest(manifest: ReposcanManifest, path: str | Path) -> str:
     for t in manifest.tasks:
         hidden = {"predicate": PREDICATES.encode(t.predicate), "valid_ids": list(t.valid_ids)}
         tasks.append((t.spec, {"snapshot": t.snapshot, "hidden": hidden}))
-    snapshots = [asdict(s) for s in manifest.snapshots]
+    snapshots = [_SNAPSHOT_INFOS.encode(s) for s in manifest.snapshots]
     return write_manifest_file(path, Family.REPOSCAN, manifest.metadata, tasks, snapshots=snapshots)
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
-    """The snapshots, and each task's snapshot, predicate and valid ids. A
-    task must name one of the snapshots, and its valid ids must be a list
-    of strings."""
-    snapshots = [SnapshotInfo(**s) for s in obj["snapshots"]]
-    names = {s.name for s in snapshots}
+    """The snapshots, each read as a SnapshotInfo, and each task's snapshot,
+    which must be one of them, and hidden predicate and valid ids."""
+    snapshots = [
+        _SNAPSHOT_INFOS.decode(s, f"snapshots[{i}].") for i, s in enumerate(obj["snapshots"])
+    ]
+    # A list, not a set: a name that is not a string is unknown, not unhashable.
+    names = [s.name for s in snapshots]
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
+        task = f"task {spec.task_id!r}"
         if entry["snapshot"] not in names:
-            raise ValueError(f"task {spec.task_id!r} names unknown snapshot {entry['snapshot']!r}")
-        valid_ids = entry["hidden"]["valid_ids"]
-        if not isinstance(valid_ids, list) or not all(isinstance(i, str) for i in valid_ids):
-            raise ValueError(f"task {spec.task_id!r} valid_ids must be a list of strings")
-        tasks.append(
-            ReposcanTask(
-                spec=spec,
-                snapshot=entry["snapshot"],
-                predicate=PREDICATES.decode(entry["hidden"]["predicate"]),
-                valid_ids=tuple(valid_ids),
-            )
-        )
+            raise ValueError(f"{task} names unknown snapshot {entry['snapshot']!r}")
+        hidden = _HIDDEN.decode(entry["hidden"], f"{task}: hidden.")
+        predicate = PREDICATES.decode(hidden.predicate, f"{task}: ")
+        tasks.append(ReposcanTask(spec, entry["snapshot"], predicate, hidden.valid_ids))
     return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)
 
 

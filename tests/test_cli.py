@@ -903,10 +903,10 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value, expected",
         [
-            ("jobs", "2", "int, got '2'"),
-            ("seed", True, "int, got True"),
-            ("ablation", 3, "str or null, got 3"),
-            ("policy_params", [], "dict, got []"),
+            ("jobs", "2", "a non-negative integer"),
+            ("seed", True, "an integer"),
+            ("ablation", 3, "a string or null"),
+            ("policy_params", [], "an object"),
         ],
     )
     def test_wrongly_typed_field_is_refused(
@@ -919,9 +919,20 @@ class TestRunConfig:
         config_path.write_text(json.dumps(saved), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: cannot load {config_path}: ValueError: field {field!r} must be {expected}\n"
+            f"error: cannot load {config_path}: ValueError: {field} must be {expected}\n"
         )
         assert not out.exists()
+
+    def test_unknown_field_is_refused(self, mini_manifest, tmp_path, capsys):
+        saved = {"manifest": str(mini_manifest), "controller": "standard"}
+        saved |= {"policy": "duplicator", "out": str(tmp_path / "r.jsonl"), "job": 2}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(saved), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {config_path}: ValueError: unknown field 'job'\n"
+        )
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_run_without_manifest_errors(self, capsys):
         assert main(["run", "--policy", "duplicator"]) == 2
@@ -1146,6 +1157,52 @@ MALFORMED_INPUTS = {
         {field: 1 for field in RECORD_FIELDS} | {"outcome": "won"}
     )
     + "\n",
+    # Mistyped fields; FIELD_ERRORS holds what loading says of each.
+    "reposcan-task-with-objective-text-7": _manifest_text(
+        "reposcan",
+        [_task("reposcan", objective_text=7, snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "reposcan-snapshot-with-root-5": _manifest_text(
+        "reposcan",
+        [_task("reposcan", snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT | {"root": 5}],
+    ),
+    "reposcan-task-with-target-count-true": _manifest_text(
+        "reposcan",
+        [_task("reposcan", target_count=True, snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "reposcan-task-with-target-count-1.5": _manifest_text(
+        "reposcan",
+        [_task("reposcan", target_count=1.5, snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "dataops-task-with-budget-30.5": _manifest_text("dataops", [_task("dataops", budget=30.5)]),
+    "reposcan-task-with-task-id-7": _manifest_text(
+        "reposcan",
+        [_task("reposcan", task_id=7, snapshot="s", hidden=_HIDDEN)],
+        snapshots=[_SNAPSHOT],
+    ),
+    "dataops-with-tasks-an-object": _manifest_text("dataops", {}),
+}
+# The whole error line that loading gives for each mistyped manifest field,
+# after "error: cannot load PATH: ".
+FIELD_ERRORS = {
+    "reposcan-task-with-objective-text-7": "task 't1': objective_text must be a string",
+    "reposcan-snapshot-with-root-5": "snapshots[0].root must be a string",
+    "reposcan-task-with-target-count-true": (
+        "task 't1': target_count must be a non-negative integer"
+    ),
+    "reposcan-task-with-target-count-1.5": (
+        "task 't1': target_count must be a non-negative integer"
+    ),
+    "dataops-task-with-budget-30.5": "task 't1': budget must be a non-negative integer",
+    "reposcan-task-with-task-id-7": "tasks[0]: task_id must be a string",
+    "dataops-with-tasks-an-object": "tasks must be a list of items each an object",
+    "reposcan-task-with-valid-ids-a-string": (
+        "task 't1': hidden.valid_ids must be a list of strings"
+    ),
 }
 # What loading says of the one task of each malformed manifest.
 TASK_ERRORS = {
@@ -1164,7 +1221,93 @@ COMMANDS = {
 }
 
 
+def _record_row(task_id: str) -> dict:
+    return {
+        "task_id": task_id,
+        "family": "reposcan",
+        "target_count": 10,
+        "budget": 30,
+        "controller": "standard",
+        "policy": "greedy_oracle",
+        "outcome": "success",
+        "valid_count": 10,
+        "steps_used": 4,
+        "duplicate_occurrences": 0,
+        "submission_occurrences": 10,
+        "reported_count": None,
+        "intervention_count": 0,
+        "intervention_log": [],
+    }
+
+
+# One mistyped field of the second row of a two-row records file, and the
+# whole error line that loading gives for it, after "error: cannot load PATH: ".
+RECORD_FIELD_ERRORS = {
+    "controller-a-list": (
+        {"controller": ["x"]},
+        "task 't2' on line 2: controller must be a string",
+    ),
+    "valid-count-a-string": (
+        {"valid_count": "3"},
+        "task 't2' on line 2: valid_count must be a non-negative integer",
+    ),
+    "steps-used-true": (
+        {"steps_used": True},
+        "task 't2' on line 2: steps_used must be a non-negative integer",
+    ),
+    "reported-count-a-float": (
+        {"reported_count": 4.0},
+        "task 't2' on line 2: reported_count must be a non-negative integer or null",
+    ),
+    "task-id-missing": ({"task_id": None}, "record on line 2: task_id must be a string"),
+}
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("content", sorted(FIELD_ERRORS))
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_mistyped_field_is_one_error_line(self, command, content, tmp_path, capsys):
+        path = tmp_path / f"{content}.json"
+        path.write_text(MALFORMED_INPUTS[content], encoding="utf-8")
+        assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load ") and err.count("\n") == 1
+        assert err.endswith(f"{path.name}: ValueError: {FIELD_ERRORS[content]}\n")
+
+    @pytest.mark.parametrize("case", sorted(RECORD_FIELD_ERRORS))
+    @pytest.mark.parametrize("command", ["aggregate", "delta"])
+    def test_mistyped_record_field_is_one_error_line(self, command, case, tmp_path, capsys):
+        mutation, message = RECORD_FIELD_ERRORS[case]
+        path = tmp_path / "records.jsonl"
+        rows = [_record_row("t1"), _record_row("t2") | mutation]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = {
+            "aggregate": ["aggregate", "--records", str(path)],
+            "delta": ["delta", "--left", str(path), "--right", str(path), "--resamples", "10"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load {path}: ValueError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", RECORD_FIELDS)
+    def test_record_without_a_field_is_refused(self, field, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        rows = [_record_row("t1"), _record_row("t2")]
+        del rows[1][field]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert main(["aggregate", "--records", str(path), "--out", str(tmp_path / "a.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}: ValueError: ")
+        assert f" on line 2: {field} must be " in err and err.count("\n") == 1
+
+    def test_well_typed_records_file_is_read(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        rows = [_record_row("t1"), _record_row("t2") | {"reported_count": 7}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert read_record_dicts(path) == rows
+        assert main(["aggregate", "--records", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+
     @pytest.mark.parametrize("content", sorted(MALFORMED_INPUTS))
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_error_exit_not_traceback(self, command, content, tmp_path, capsys):

@@ -31,7 +31,7 @@ from qgp.actions import (
     Verdict,
 )
 from qgp.controllers import ControllerConfig, ControllerKind, build_controller
-from qgp.core import run_episode
+from qgp.core import objective_queries, run_episode
 from qgp.dataops import DataopsEnvironment
 from qgp.policies import (
     DuplicatorPolicy,
@@ -39,9 +39,7 @@ from qgp.policies import (
     HistoryFold,
     NoSubmitLooperPolicy,
     SolverPolicy,
-    _first_token,
     _fold_unit_trace,
-    _objective_tokens,
     _start_unit_traces,
     _UnitTrace,
 )
@@ -100,7 +98,7 @@ def reference_greedy_decide(submit_batch, view, history):
     pending = [cid for cid in seen if cid not in submitted]
     if pending:
         return Submit(ids=tuple(pending[:submit_batch]))
-    for token in _objective_tokens(view):
+    for token in objective_queries(view.objective_text):
         if token in exhausted:
             continue
         searched = pages.get(token)
@@ -112,7 +110,7 @@ def reference_greedy_decide(submit_batch, view, history):
 def reference_duplicator_decide(view, history):
     searches = [obs for _, obs in history if isinstance(obs, SearchResults)]
     if not searches:
-        return Search(query=_first_token(view), page=0)
+        return Search(query=objective_queries(view.objective_text)[0], page=0)
     if not any(isinstance(a, Submit) for a, _ in history):
         latest = searches[-1]
         if not latest.candidates:
@@ -228,7 +226,7 @@ class TestFoldEquivalence:
         # Pages arrive out of order and below zero, with a candidate already
         # submitted; the next page is still one past the highest searched.
         view, _ = greedy_histories[0]
-        token = _objective_tokens(view)[0]
+        token = objective_queries(view.objective_text)[0]
         policy = GreedyOraclePolicy()
         feedback = SubmitFeedback(
             accepted=(), rejected=("z",), duplicates=(), valid_count=0, remaining=3
@@ -278,7 +276,7 @@ class TestFoldEquivalence:
         for grown in _grow(entries):
             decisions.append(policy.decide(view, grown, 0))
             assert decisions[-1] == reference_duplicator_decide(view, grown)
-        assert decisions[:4] == [Search(query=_first_token(view), page=0)] + [
+        assert decisions[:4] == [Search(query=objective_queries(view.objective_text)[0], page=0)] + [
             Search(query="q", page=p) for p in (1, 2, 2)
         ]
         assert decisions[4:] == [Search(query="q", page=3)] + [Submit(ids=("y",))] * 3

@@ -80,3 +80,22 @@ def test_corpus_has_no_record_form():
     assert not issubclass(reposcan.Corpus, Sequence)
     for name in ("__getitem__", "__iter__"):
         assert not hasattr(reposcan.Corpus, name), name
+
+
+# Names that read a class's annotations. Only the field codec in `actions.py`
+# may use them, so that one checker decides what a loaded field may hold.
+ANNOTATION_WALKS = {
+    "get_type_hints", "get_annotations", "__annotations__", "get_args", "get_origin"
+}
+
+
+def test_only_the_field_codec_reads_annotations():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "actions.py":
+            continue
+        tree = _parse(path)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        names = _names(tree).union(alias.name for node in imports for alias in node.names)
+        found += [f"{path.name}: {name}" for name in sorted(names & ANNOTATION_WALKS)]
+    assert not found, "annotations read outside the field codec: " + ", ".join(found)
