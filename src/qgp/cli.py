@@ -9,8 +9,11 @@ names. `run --out` writes a temporary file beside its records file and
 renames it over the old one, so a run that fails leaves the previous file
 intact; it refuses an output directory that does not exist before its first
 task. An output that cannot be written ends any command with one `error:`
-line and exit code 2. All pipelines are deterministic under a fixed seed,
-including across different worker counts.
+line and exit code 2. `run --jobs` overlaps the runs of the `external`
+policy only, whose time goes to adapter I/O; a scripted policy holds the
+interpreter lock, so its runs go in task order on the calling thread. All
+pipelines are deterministic under a fixed seed, and records are identical
+for every worker count.
 """
 
 from __future__ import annotations
@@ -207,8 +210,12 @@ def run_manifest(
 ) -> tuple[list[dict], int]:
     """Execute every manifest task; returns (record rows in task order, abort count).
 
-    `workspace_root` is accepted and ignored: dataops workspaces are held in
-    memory.
+    Up to `jobs` runs of the `external` policy overlap on threads, since
+    they wait on adapter I/O. Every other policy is Python code that holds
+    the interpreter lock, so its runs go in task order on the calling
+    thread, whatever `jobs` is. The rows do not depend on `jobs`.
+    `workspace_root` is accepted and ignored: dataops workspaces are held
+    in memory.
     """
     manifest = read_manifest_file(manifest_path, _PAYLOADS)
     environment, changed = manifest.open()
@@ -238,11 +245,11 @@ def run_manifest(
             if hasattr(env, "close"):
                 env.close()
 
-    if jobs <= 1:
-        rows = [run_one(task) for task in manifest.tasks]
-    else:
+    if jobs > 1 and policy_kind == PolicyKind.EXTERNAL:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_one, manifest.tasks))
+    else:
+        rows = [run_one(task) for task in manifest.tasks]
     aborts = sum(1 for row in rows if row["outcome"] == Outcome.ABORTED.value)
     return rows, aborts
 
@@ -422,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--submits-per-search", type=int, default=None)
     r.add_argument("--no-progress-limit", type=int, default=6)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument(
+        "--jobs", type=int, default=1, help="external adapter runs at once; others run serially"
+    )
     r.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)

@@ -18,7 +18,7 @@ import io
 import json
 import posixpath
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -170,10 +170,17 @@ class Workspace:
             raise ConfigurationError(f"not a file path inside the workspace: {relpath!r}")
         return key
 
+    # A stored key is a `normpath` output that passed `_key`'s checks, and
+    # `normpath` is idempotent, so `exists` and `read` look a stored key up as
+    # it is and send every other path through `_key`.
+
     def exists(self, relpath: str) -> bool:
-        return self._key(relpath) in self._files
+        return relpath in self._files or self._key(relpath) in self._files
 
     def read(self, relpath: str) -> str:
+        text = self._files.get(relpath)
+        if text is not None:
+            return text
         try:
             return self._files[self._key(relpath)]
         except KeyError:
@@ -188,12 +195,13 @@ class Workspace:
             parent = posixpath.dirname(parent)
         if key in self._dirs or any(p in self._files for p in parents):
             raise ConfigurationError(f"path conflicts with a file or directory: {relpath}")
-        try:
-            content.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ConfigurationError(
-                f"text is not encodable as UTF-8: {exc.reason} at position {exc.start}"
-            ) from None
+        if not content.isascii():
+            try:
+                content.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigurationError(
+                    f"text is not encodable as UTF-8: {exc.reason} at position {exc.start}"
+                ) from None
         if "\r" in content:
             content = content.replace("\r\n", "\n").replace("\r", "\n")
         self._files[key] = content
@@ -314,26 +322,63 @@ def inspect_unit(
     )
 
 
-def _apply_csv_edit(workspace: Workspace, relpath: str, payload: dict) -> str | None:
+@dataclass(frozen=True)
+class CsvEdit:
+    """The edit payload of a CSV unit: set one cell."""
+
+    row_key: str
+    column: str
+    value: str
+
+
+@dataclass(frozen=True)
+class MetadataEdit:
+    """The edit payload of a metadata unit: set one `key: value` line."""
+
+    key: str
+    value: str
+
+
+_CSV_EDITS = Schema(CsvEdit, ConfigurationError)
+_METADATA_EDITS = Schema(MetadataEdit, ConfigurationError)
+
+
+def _apply_csv_edit(workspace: Workspace, relpath: str, edit: CsvEdit) -> str | None:
     header, rows = _read_rows(workspace, relpath)
-    column = payload["column"]
-    if column not in header:
-        return f'edit failed: column "{column}" missing'
-    col = header.index(column)
+    if edit.column not in header:
+        return f'edit failed: column "{edit.column}" missing'
+    col = header.index(edit.column)
     for row in rows:
-        if row and row[0].strip() == payload["row_key"]:
+        if row and row[0].strip() == edit.row_key:
             while len(row) <= col:
                 row.append("")
-            row[col] = payload["value"]
+            row[col] = edit.value
             workspace.write(relpath, _csv_text(header, rows))
             return None
-    return f'edit failed: no row keyed "{payload["row_key"]}"'
+    return f'edit failed: no row keyed "{edit.row_key}"'
+
+
+def _apply_metadata_edit(workspace: Workspace, relpath: str, edit: MetadataEdit) -> None:
+    lines = workspace.read(relpath).splitlines()
+    replaced = False
+    for i, line in enumerate(lines):
+        if line.split(":", 1)[0].strip() == edit.key:
+            lines[i] = f"{edit.key}: {edit.value}"
+            replaced = True
+    if not replaced:
+        lines.append(f"{edit.key}: {edit.value}")
+    workspace.write(relpath, "\n".join(lines) + "\n")
 
 
 def apply_edit(
     units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str, payload: str
 ) -> UnitFeedback:
-    """Interpret the payload per unit kind; the checker is never run here."""
+    """Interpret the payload per unit kind; the checker is never run here.
+
+    A CSV or metadata payload is a JSON object read as a `CsvEdit` or a
+    `MetadataEdit`, with string fields; one that does not fit fails the step
+    as a malformed edit payload, naming the field.
+    """
     unit = units.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
@@ -348,32 +393,17 @@ def apply_edit(
     error: str | None = None
     try:
         if unit.kind in _CSV_KINDS:
-            decoded = json.loads(payload)
-            if not isinstance(decoded, dict) or not {"row_key", "column", "value"} <= set(
-                decoded
-            ):
-                error = "malformed edit payload: need row_key, column, value"
-            elif not workspace.exists(unit.artifact_path):
+            edit = _CSV_EDITS.decode(json.loads(payload), "payload.")
+            if not workspace.exists(unit.artifact_path):
                 error = f"artifact file missing: {unit.artifact_path}"
             else:
-                error = _apply_csv_edit(workspace, unit.artifact_path, decoded)
+                error = _apply_csv_edit(workspace, unit.artifact_path, edit)
         elif unit.kind == "metadata_repair":
-            decoded = json.loads(payload)
-            if not isinstance(decoded, dict) or not {"key", "value"} <= set(decoded):
-                error = "malformed edit payload: need key, value"
-            elif not workspace.exists(unit.artifact_path):
+            edit = _METADATA_EDITS.decode(json.loads(payload), "payload.")
+            if not workspace.exists(unit.artifact_path):
                 error = f"artifact file missing: {unit.artifact_path}"
             else:
-                lines = workspace.read(unit.artifact_path).splitlines()
-                key = str(decoded["key"])
-                replaced = False
-                for i, line in enumerate(lines):
-                    if line.split(":", 1)[0].strip() == key:
-                        lines[i] = f"{key}: {decoded['value']}"
-                        replaced = True
-                if not replaced:
-                    lines.append(f"{key}: {decoded['value']}")
-                workspace.write(unit.artifact_path, "\n".join(lines) + "\n")
+                _apply_metadata_edit(workspace, unit.artifact_path, edit)
         else:
             workspace.write(unit.artifact_path, payload)
     except (json.JSONDecodeError, ConfigurationError) as exc:
@@ -827,7 +857,10 @@ class DataopsEnvironment:
         self.task = task
         # Fresh unit state, keyed by unit id, and fresh files per run; manifests
         # are immutable.
-        self.units = {u.unit_id: replace(u, status=UnitStatus.PENDING) for u in units}
+        self.units = {
+            u.unit_id: BacklogUnit(u.unit_id, u.kind, u.prompt, u.artifact_path, u.checker)
+            for u in units
+        }
         self.workspace = workspace.copy()
 
     def public_view(self) -> PublicTaskView:

@@ -635,12 +635,16 @@ POLICY_BUILDERS: dict[PolicyKind, Callable[..., object]] = {
     ),
     PolicyKind.EXTERNAL: _external_policy,
 }
+# Read once: `run` builds one policy per task.
+_BUILDER_PARAMS = {
+    kind: frozenset(inspect.signature(builder).parameters)
+    for kind, builder in POLICY_BUILDERS.items()
+}
 
 
 def build_policy(kind: PolicyKind | str, **params):
     kind = PolicyKind(kind)
-    builder = POLICY_BUILDERS[kind]
-    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
+    unknown = sorted(params.keys() - _BUILDER_PARAMS[kind])
     if unknown:
         raise ConfigurationError(f"policy {kind.value} does not take {', '.join(unknown)}")
-    return builder(**params)
+    return POLICY_BUILDERS[kind](**params)

@@ -784,7 +784,7 @@ class ReposcanEnvironment:
     def __init__(self, task: TaskSpec, corpus: Corpus, valid_ids: Sequence[str]) -> None:
         self.task = task
         self.corpus = corpus
-        self.members = frozenset(normalize_id(x) for x in valid_ids)
+        self.members = frozenset(map(normalize_id, valid_ids))
 
     def public_view(self) -> PublicTaskView:
         return PublicTaskView.of(self.task)

@@ -13,15 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from qgp import cli, reposcan
+from qgp import cli, policies, reposcan
 from qgp.actions import Family
 from qgp.cli import _write_records, main
-from qgp.controllers import VerifierGatedController
+from qgp.controllers import ControllerConfig, ControllerKind, VerifierGatedController
 from qgp.core import RECORD_FIELDS, TaskSpec, read_record_dicts, record_to_dict, run_episode
 from qgp.policies import ExternalAdapterPolicy
 from qgp.reposcan import ReposcanEnvironment
 
 from synth import tiny_corpus
+from test_policies import ECHO_ADAPTER, _running, _write_adapter
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +495,55 @@ class TestRun:
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "manifest, controller, policy",
+        [
+            ("mini_manifest", "state_qgp", "greedy_oracle"),
+            ("mini_dataops_manifest", "unit_qgp", "solver"),
+        ],
+    )
+    def test_scripted_runs_take_no_thread_pool(
+        self, request, monkeypatch, manifest, controller, policy
+    ):
+        # Scripted episodes hold the interpreter lock, so worker threads
+        # would only take turns: every task runs on the calling thread.
+        path = str(request.getfixturevalue(manifest))
+        config = ControllerConfig(kind=ControllerKind(controller))
+        serial, _ = cli.run_manifest(path, config, policy, {}, seed=4, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scripted run built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        wide, _ = cli.run_manifest(path, config, policy, {}, seed=4, jobs=4)
+        assert wide == serial
+
+    def test_external_runs_overlap_and_leave_no_adapter(
+        self, mini_manifest, tmp_path, monkeypatch
+    ):
+        started = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(policies.subprocess, "Popen", RecordingPopen)
+        params = {"command": _write_adapter(tmp_path, ECHO_ADAPTER), "timeout": 10.0}
+        config = ControllerConfig(kind=ControllerKind.STATE_QGP)
+        lines = {}
+        for jobs in (1, 3):
+            rows, aborts = cli.run_manifest(
+                str(mini_manifest), config, "external", params, seed=2, jobs=jobs
+            )
+            assert aborts == 0
+            lines[jobs] = [json.dumps(row, separators=(",", ":")) for row in rows]
+        assert lines[1] == lines[3]
+        assert len(started) == 2 * len(lines[1])
+        for process in started:
+            assert process.returncode is not None
+            assert not _running(process.pid)
 
     def test_solver_standard_full_success(self, mini_dataops_manifest, tmp_path):
         out = tmp_path / "solver.jsonl"

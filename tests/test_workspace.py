@@ -14,6 +14,7 @@ import random
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,37 @@ class TestEquivalence:
         ws.write(spelling, "two\n")
         assert ws.read("a/b.txt") == "two\n"
 
+    @pytest.mark.parametrize(
+        "path",
+        ["a/b.txt", "./a/b.txt", "a//b.txt", "x/../a/b.txt", "a/b.txt/", "a", "..", "/a/b.txt"]
+        + ["a/b\0.txt", "a/missing.txt"],
+    )
+    def test_stored_key_lookup_answers_as_the_key_does(self, path):
+        # `exists` and `read` look a stored key up as it is; every answer,
+        # value or error text, must be what normalising the path first gives.
+        ws = Workspace()
+        ws.write("a/b.txt", "one\n")
+
+        def by_key(op):
+            try:
+                key = Workspace._key(path)
+            except ConfigurationError as exc:
+                return ("refused", str(exc))
+            if op == "exists":
+                return ("ok", key in ws._files)
+            if key in ws._files:
+                return ("ok", ws._files[key])
+            return ("refused", f"no such workspace file: {path}")
+
+        def answer(op):
+            try:
+                return ("ok", getattr(ws, op)(path))
+            except ConfigurationError as exc:
+                return ("refused", str(exc))
+
+        for op in ("exists", "read"):
+            assert answer(op) == by_key(op), op
+
     def test_text_reads_back_as_read_text_returns_it(self, tmp_path):
         reference = ReferenceWorkspace(tmp_path / "ws")
         memory = Workspace()
@@ -207,14 +239,28 @@ class TestUnencodableText:
         assert not ws.exists("new.txt")
 
     @pytest.mark.parametrize(
-        "unit_id, payload",
+        "unit_id, payload, reason",
         [
-            ("u4", "\ud800"),
-            ("u1", json.dumps({"row_key": "r1", "column": "score", "value": "\ud800"})),
-            ("u3", json.dumps({"key": "license_tag", "value": "\udc80"})),
+            ("u4", "\ud800", "not encodable as UTF-8"),
+            (
+                "u1",
+                json.dumps({"row_key": "r1", "column": "score", "value": "\ud800"}),
+                "not encodable as UTF-8",
+            ),
+            ("u3", json.dumps({"key": "license_tag", "value": "\udc80"}), "not encodable as UTF-8"),
+            # Payload fields of another type are refused, never coerced.
+            ("u3", json.dumps({"key": 5, "value": [1, 2]}), "payload.key must be a string"),
+            ("u3", json.dumps({"key": "license_tag", "value": 7}), "payload.value must be a string"),
+            (
+                "u1",
+                json.dumps({"row_key": "r1", "column": "score", "value": None}),
+                "payload.value must be a string",
+            ),
+            ("u1", json.dumps({"row_key": "r1", "value": "6"}), "payload.column must be a string"),
+            ("u1", json.dumps(["r1", "score", "6"]), "payload must be an object"),
         ],
     )
-    def test_edit_fails_as_malformed_payload(self, unit_id, payload):
+    def test_edit_fails_as_malformed_payload(self, unit_id, payload, reason):
         backlog, ws = small_backlog()
 
         def files():
@@ -225,6 +271,7 @@ class TestUnencodableText:
         fb = apply_edit(backlog, ws, unit_id, payload)
         assert fb.verdict == Verdict.FAIL
         assert fb.detail.startswith("malformed edit payload: ")
+        assert reason in fb.detail
         assert fb.status_after == UnitStatus.ATTEMPTED
         assert files() == before
         assert run_check(backlog, ws, unit_id).verdict == Verdict.FAIL
@@ -242,13 +289,18 @@ class TestUnencodableText:
         task = dataops_loaded.tasks[0]
         expected = {path: task.workspace.read(path) for path in task.files}
         relpath = sorted(task.files)[0]
+        fresh = [replace(unit, status=UnitStatus.PENDING) for unit in task.units]
         first = DataopsEnvironment(task.spec, task.units, task.workspace)
         first.workspace.write(relpath, "changed")
         first.workspace.write("new/file.txt", "x")
+        for unit in first.units.values():
+            unit.status = UnitStatus.PASSED
         second = DataopsEnvironment(task.spec, task.units, task.workspace)
         for ws in (task.workspace, second.workspace):
             assert {path: ws.read(path) for path in task.files} == expected
             assert not ws.exists("new/file.txt")
+        assert list(second.units.values()) == fresh
+        assert list(task.units) == fresh
         second.workspace.write("new", "a file where the first run made a directory")
 
     def test_adapter_edit_consumes_a_step_without_abort(
