@@ -14,6 +14,9 @@ policy only, whose time goes to adapter I/O; a scripted policy holds the
 interpreter lock, so its runs go in task order on the calling thread. All
 pipelines are deterministic under a fixed seed, and records are identical
 for every worker count.
+
+Each `run` flag of a policy parameter stores under the parameter's name in
+`policies.POLICY_TYPES`. Only `smoke` takes a workspace root, and ignores it.
 """
 
 from __future__ import annotations
@@ -48,21 +51,13 @@ from .metrics import (
     metrics_from_record_dict,
     paired_bootstrap,
 )
-from .policies import PolicyKind, build_policy
+from .policies import POLICY_TYPES, PolicyKind, build_policy
 from .seeding import derive_seed
-
-# Dataops workspaces are held in memory. The flag, the variable and the
-# `RunConfig` field are still accepted, so older scripts and saved configs
-# keep working, and have no effect.
-WORKSPACE_ENV = "QGP_WORKSPACE_ROOT"
-WORKSPACE_HELP = "ignored: dataops workspaces are held in memory"
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """One run invocation, with all paths resolved; round-trips losslessly
-    through its JSON file form. `workspace_root` is kept for that round trip
-    and has no effect."""
+    through its JSON file form."""
 
     manifest: str
     controller: str
@@ -73,7 +68,6 @@ class RunConfig:
     no_progress_limit: int = 6
     seed: Seed = 0
     jobs: int = 1
-    workspace_root: str | None = None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -165,18 +159,10 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
 
 
 def _policy_params(args: argparse.Namespace) -> dict:
-    """The policy parameters set on the command line."""
-    params = {
-        "stop_step": args.stop_step,
-        "claim_count": args.claim_count,
-        "final_step": args.final_step,
-        "loop_unit": args.loop_unit,
-        "command": args.policy_cmd,
-        "timeout": args.adapter_timeout,
-        "submit_width": args.submit_width,
-        "submits_per_search": args.submits_per_search,
-    }
-    return {name: value for name, value in params.items() if value is not None}
+    """The policy parameters set on the command line: each `run` flag of a
+    policy parameter stores under the parameter's name."""
+    names = dict.fromkeys(name for _, checks in POLICY_TYPES.values() for name in checks)
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -184,7 +170,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         return RunConfig.load(args.config)
     if not args.manifest or not args.out:
         raise QgpError("run requires --manifest and --out (or --config)")
-    workspace_root = args.workspace_root or os.environ.get(WORKSPACE_ENV)
     return RunConfig(
         manifest=str(Path(args.manifest).resolve()),
         controller=args.controller,
@@ -195,7 +180,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         no_progress_limit=args.no_progress_limit,
         seed=args.seed,
         jobs=args.jobs,
-        workspace_root=workspace_root,
     )
 
 
@@ -214,8 +198,8 @@ def run_manifest(
     they wait on adapter I/O. Every other policy is Python code that holds
     the interpreter lock, so its runs go in task order on the calling
     thread, whatever `jobs` is. The rows do not depend on `jobs`.
-    `workspace_root` is accepted and ignored: dataops workspaces are held
-    in memory.
+    `workspace_root` is ignored: dataops workspaces are held in memory. It
+    stays until ROADMAP item 3a moves the benchmark off it.
     """
     manifest = read_manifest_file(manifest_path, _PAYLOADS)
     environment, changed = manifest.open()
@@ -383,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgp", description="Count-goal persistence evaluation engine"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Not "command": `run --policy-cmd` stores there.
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("gen-reposcan", help="generate a repository-scan manifest")
     g.add_argument("--snapshot", action="append", required=True, help="snapshot directory")
@@ -399,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--targets", type=_parse_targets, default="3,5,10,20")
     d.add_argument("--instances", type=int, default=6, help="backlogs per target")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_gen_dataops)
 
@@ -419,8 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=PolicyKind.GREEDY_ORACLE.value,
         choices=[k.value for k in PolicyKind],
     )
-    r.add_argument("--policy-cmd", default=None, help="external adapter command line")
-    r.add_argument("--adapter-timeout", type=float, default=None, help="seconds (default 30)")
+    r.add_argument(
+        "--policy-cmd", dest="command", default=None, help="external adapter command line"
+    )
+    r.add_argument(
+        "--adapter-timeout", dest="timeout", type=float, default=None, help="seconds (default 30)"
+    )
     r.add_argument("--stop-step", type=int, default=None)
     r.add_argument("--claim-count", type=int, default=None)
     r.add_argument("--final-step", type=int, default=None)
@@ -432,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument(
         "--jobs", type=int, default=1, help="external adapter runs at once; others run serially"
     )
-    r.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)
 
@@ -455,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("smoke", help="verify manifest consistency and leak-freedom")
     s.add_argument("--manifest", required=True)
-    s.add_argument("--workspace-root", default=None, help=WORKSPACE_HELP)
+    s.add_argument(
+        "--workspace-root", default=None, help="ignored: dataops workspaces are held in memory"
+    )
     s.set_defaults(func=cmd_smoke)
 
     return parser

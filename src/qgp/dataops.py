@@ -735,7 +735,8 @@ def generate_dataops_manifest(
 ) -> DataopsManifest:
     """Generate and solve every backlog; each source is read once per call.
 
-    `workspace_root` is accepted and ignored: workspaces are held in memory.
+    `workspace_root` is ignored: workspaces are held in memory. It stays
+    until ROADMAP item 3a moves the benchmark off it.
     """
     tables, fixtures = _load_sources(sources)
     tasks: list[DataopsTask] = []

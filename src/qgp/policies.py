@@ -15,7 +15,6 @@ O(budget), not O(budget²).
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import re
@@ -593,58 +592,59 @@ def _string(name: str, value: object) -> str:
     return value
 
 
-def _external_policy(command=None, timeout=30.0) -> ExternalAdapterPolicy:
-    if not command:
-        raise ConfigurationError("external policy requires a command")
-    if isinstance(command, str):
-        command = shlex.split(command)
-    if not isinstance(command, (list, tuple)) or not all(isinstance(a, str) for a in command):
+def _optional(check: Callable[[str, object], object]) -> Callable[[str, object], object]:
+    """`check`, letting None through: a parameter whose default is None."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def _command(name: str, value: object) -> list[str]:
+    if isinstance(value, str):
+        value = shlex.split(value)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(a, str) for a in value):
         expected = "a string or a list of strings"
-        raise ConfigurationError(f"policy parameter 'command' must be {expected}, got {command!r}")
-    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-        raise ConfigurationError(f"policy parameter 'timeout' must be a number, got {timeout!r}")
+        raise ConfigurationError(f"policy parameter {name!r} must be {expected}, got {value!r}")
+    return list(value)
+
+
+def _timeout(name: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"policy parameter {name!r} must be a number, got {value!r}")
     # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
-    if not 0 < timeout <= 86400:
-        shown = f"{timeout:g}" if isinstance(timeout, float) else timeout
+    if not 0 < value <= 86400:
+        shown = f"{value:g}" if isinstance(value, float) else value
         message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {shown}"
         raise ConfigurationError(message)
-    return ExternalAdapterPolicy(command=list(command), timeout=float(timeout))
+    return float(value)
 
 
-# Each policy's builder. Its keyword parameters are the ones the policy
-# takes, and `build_policy` refuses any other.
-POLICY_BUILDERS: dict[PolicyKind, Callable[..., object]] = {
-    PolicyKind.DUPLICATOR: lambda: DuplicatorPolicy(),
-    PolicyKind.EARLY_STOPPER: lambda stop_step=1: EarlyStopperPolicy(
-        _integer("stop_step", stop_step)
+# Each policy's class and the parameters `build_policy` passes it, each with
+# the check its value must pass. A parameter left out takes the class default.
+POLICY_TYPES: dict[PolicyKind, tuple[type, dict[str, Callable[[str, object], object]]]] = {
+    PolicyKind.DUPLICATOR: (DuplicatorPolicy, {}),
+    PolicyKind.EARLY_STOPPER: (EarlyStopperPolicy, {"stop_step": _integer}),
+    PolicyKind.FALSE_COMPLETER: (
+        FalseCompleterPolicy,
+        {"final_step": _integer, "claim_count": _optional(_integer)},
     ),
-    PolicyKind.FALSE_COMPLETER: lambda final_step=3, claim_count=None: FalseCompleterPolicy(
-        _integer("final_step", final_step),
-        None if claim_count is None else _integer("claim_count", claim_count),
+    PolicyKind.NO_SUBMIT_LOOPER: (NoSubmitLooperPolicy, {"loop_unit": _optional(_string)}),
+    PolicyKind.GREEDY_ORACLE: (GreedyOraclePolicy, {}),
+    PolicyKind.SOLVER: (SolverPolicy, {}),
+    PolicyKind.REDUNDANT_SEARCHER: (
+        RedundantSearcherPolicy,
+        {"submit_width": _integer, "submits_per_search": _integer},
     ),
-    PolicyKind.NO_SUBMIT_LOOPER: lambda loop_unit=None: NoSubmitLooperPolicy(
-        None if loop_unit is None else _string("loop_unit", loop_unit)
-    ),
-    PolicyKind.GREEDY_ORACLE: lambda: GreedyOraclePolicy(),
-    PolicyKind.SOLVER: lambda: SolverPolicy(),
-    PolicyKind.REDUNDANT_SEARCHER: lambda submit_width=3, submits_per_search=3: (
-        RedundantSearcherPolicy(
-            _integer("submit_width", submit_width),
-            _integer("submits_per_search", submits_per_search),
-        )
-    ),
-    PolicyKind.EXTERNAL: _external_policy,
-}
-# Read once: `run` builds one policy per task.
-_BUILDER_PARAMS = {
-    kind: frozenset(inspect.signature(builder).parameters)
-    for kind, builder in POLICY_BUILDERS.items()
+    PolicyKind.EXTERNAL: (ExternalAdapterPolicy, {"command": _command, "timeout": _timeout}),
 }
 
 
 def build_policy(kind: PolicyKind | str, **params):
     kind = PolicyKind(kind)
-    unknown = sorted(params.keys() - _BUILDER_PARAMS[kind])
+    cls, checks = POLICY_TYPES[kind]
+    unknown = sorted(params.keys() - checks.keys())
     if unknown:
         raise ConfigurationError(f"policy {kind.value} does not take {', '.join(unknown)}")
-    return POLICY_BUILDERS[kind](**params)
+    if kind == PolicyKind.EXTERNAL and not params.get("command"):
+        raise ConfigurationError("external policy requires a command")
+    return cls(
+        **{name: check(name, params[name]) for name, check in checks.items() if name in params}
+    )

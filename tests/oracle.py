@@ -1,4 +1,4 @@
-"""Per-artifact definitions that the column corpus is checked against.
+"""Restated rules that the product is checked against.
 
 `reposcan.Corpus` answers predicates and search from its columns and memos.
 The oracles here restate each rule one artifact at a time, with no private
@@ -6,6 +6,9 @@ The oracles here restate each rule one artifact at a time, with no private
 lowered, made here; a pattern is compiled case-insensitively here; the kind
 of a relpath is worked out here from its parts. A bug in a helper that the
 memos share therefore shows as a disagreement with these.
+
+`gate_termination` restates the completion gate of the gated controllers,
+so the reference controllers do not call the rule they are checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from qgp.actions import AskUser, ControllerNotice, Final
 from qgp.errors import ConfigurationError, GenerationError
 from qgp.reposcan import Corpus, KeywordOrPattern, PathAndContent, TestOrDocumentation
 
@@ -94,3 +98,14 @@ def evaluate_predicate(artifact: ArtifactRecord, predicate) -> bool:
     if isinstance(predicate, TestOrDocumentation):
         return artifact.kind in predicate.kinds
     raise ConfigurationError(f"unknown predicate: {predicate!r}")
+
+
+def gate_termination(action, valid_count: int, target_count: int):
+    """A `Final` or `AskUser` proposed while fewer than `target_count` ids are
+    verified becomes a notice of how many are still required; any other
+    action, or one at or past the target, goes through as proposed."""
+    if not isinstance(action, (Final, AskUser)) or valid_count >= target_count:
+        return action
+    remaining = target_count - valid_count
+    reason = f"termination blocked: target not met, {remaining} of {target_count} still required"
+    return ControllerNotice(reason=reason, valid_count=valid_count, remaining=remaining)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import os
@@ -69,6 +70,30 @@ def mini_dataops_manifest(csv_sources, snapshot_roots, tmp_path_factory) -> Path
     )
     assert code == 0
     return out
+
+
+class TestDeterminismAcrossInterpreters:
+    def test_hash_seed_changes_no_output_byte(self, snapshot_roots, tmp_path):
+        # String hashing, and so set order, differs between these interpreters.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            manifest, records = tmp_path / f"m{hash_seed}.json", tmp_path / f"r{hash_seed}.jsonl"
+            gen = ["gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--targets", "10"]
+            gen += ["--instances", "2", "--seed", "3", "--out", str(manifest)]
+            run = ["run", "--manifest", str(manifest), "--controller", "state_qgp"]
+            run += ["--policy", "duplicator", "--seed", "4", "--out", str(records)]
+            for argv in (gen, run):
+                done = subprocess.run(
+                    [sys.executable, "-m", "qgp", *argv],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+            outputs.append((manifest.read_bytes(), records.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 2
 
 
 class TestModuleEntryPoints:
@@ -437,6 +462,29 @@ class TestPolicyParams:
         assert main(["run", "--config", str(config_path)]) == 0
         assert all(r["steps_used"] == 2 for r in read_record_dicts(out))
         assert build_policy("external", command="python3 -c pass", timeout=5).timeout == 5.0
+
+    def test_each_policy_flag_reaches_its_parameter(self):
+        parser = cli.build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        run = subcommands.choices["run"]
+        # Every `run` flag but these sets a policy parameter.
+        others = {"help", "config", "manifest", "controller", "ablation", "policy"}
+        others |= {"no_progress_limit", "seed", "jobs", "out"}
+        flags = {a.dest: a.option_strings[0] for a in run._actions if a.dest not in others}
+        names = {name for _, checks in policies.POLICY_TYPES.values() for name in checks}
+        assert flags.keys() == names
+        for name, flag in flags.items():
+            params = cli._policy_params(parser.parse_args(["run", flag, "7"]))
+            assert params in ({name: 7}, {name: "7"}), flag
+
+    @pytest.mark.parametrize("command", ["run", "gen-dataops"])
+    def test_workspace_root_flag_is_a_usage_error(self, command, tmp_path, capsys):
+        argv = [command, "--workspace-root", str(tmp_path / "ws"), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workspace-root" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_the_policy_takes_are_kept(self, mini_manifest, tmp_path):
         out = tmp_path / "records.jsonl"
@@ -894,7 +942,6 @@ class TestRunConfig:
             no_progress_limit=4,
             seed=17,
             jobs=3,
-            workspace_root="/abs/ws",
         )
         path = tmp_path / "run.json"
         config.save(path)
@@ -973,14 +1020,16 @@ class TestRunConfig:
         )
         assert not out.exists()
 
-    def test_unknown_field_is_refused(self, mini_manifest, tmp_path, capsys):
+    # `workspace_root` is what a config saved by an older version holds.
+    @pytest.mark.parametrize("field, value", [("job", 2), ("workspace_root", "/abs/ws")])
+    def test_unknown_field_is_refused(self, field, value, mini_manifest, tmp_path, capsys):
         saved = {"manifest": str(mini_manifest), "controller": "standard"}
-        saved |= {"policy": "duplicator", "out": str(tmp_path / "r.jsonl"), "job": 2}
+        saved |= {"policy": "duplicator", "out": str(tmp_path / "r.jsonl"), field: value}
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(saved), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: cannot load {config_path}: ValueError: unknown field 'job'\n"
+            f"error: cannot load {config_path}: ValueError: unknown field {field!r}\n"
         )
         assert not (tmp_path / "r.jsonl").exists()
 

@@ -2,7 +2,7 @@
 
 The earlier `StandardController`, `VerifierGatedController`,
 `StateQgpController` and `ablation_controller` are kept here verbatim as
-references. For every row of `CONTROLLER_FEATURES`, on every task of both
+references, gating through `oracle.gate_termination`, not the product's. For every row of `CONTROLLER_FEATURES`, on every task of both
 families under every scripted policy that applies, the table controller and
 its reference run in lockstep: at each step they must forward the same action,
 notice and interventions and hold the same state, and independent runs must
@@ -33,13 +33,14 @@ from qgp.controllers import (
     InterventionKind,
     StateQgpState,
     build_controller,
-    gate_termination,
 )
 from qgp.core import RunContext, StepDecision, record_to_dict, run_episode
 from qgp.dataops import DataopsEnvironment
 from qgp.errors import ConfigurationError
 from qgp.policies import PolicyKind, build_policy
 from qgp.reposcan import ReposcanEnvironment
+
+from oracle import gate_termination
 
 # ---------------------------------------------------------------------------
 # References: the hand-written controllers

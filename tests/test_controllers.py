@@ -22,6 +22,7 @@ from qgp.actions import (
     Verdict,
 )
 from qgp.controllers import (
+    CONTROLLER_FEATURES,
     AblationFlag,
     ControllerConfig,
     ControllerKind,
@@ -97,6 +98,18 @@ class TestGateTermination:
     def test_ask_user_blocked(self):
         assert isinstance(gate_termination(AskUser(message="?"), 0, 3), ControllerNotice)
 
+    @pytest.mark.parametrize(
+        "action", [Final(completion_claim=True, reported_count=10), AskUser(message="?")]
+    )
+    @pytest.mark.parametrize("kind", ["verifier_gated", "state_qgp", "unit_qgp"])
+    def test_one_short_of_target_is_blocked_and_at_target_forwarded(self, kind, action):
+        config = ControllerConfig(kind=ControllerKind(kind))
+        short = build_controller(config).transform(action, make_ctx(valid=9, units=("u1",)))
+        assert short.action is None and short.notice.remaining == 1
+        assert [iv.kind for iv in short.interventions] == [InterventionKind.BLOCKED_TERMINATION]
+        met = build_controller(config).transform(action, make_ctx(valid=10, units=("u1",)))
+        assert met.action == action and met.notice is None and not met.interventions
+
 
 class TestStateQgp:
     def test_dedupe_filters_submitted_and_batch_repeats(self):
@@ -104,6 +117,12 @@ class TestStateQgp:
         controller.state.submitted_ids.add("a")
         decision = controller.transform(Submit(ids=("a", "a", "b")), make_ctx())
         assert decision.action == Submit(ids=("b",))
+        assert [iv.kind for iv in decision.interventions] == [InterventionKind.DEDUP_FILTERED]
+
+    @pytest.mark.parametrize("label", [k for k, row in CONTROLLER_FEATURES.items() if row.dedupe])
+    def test_fresh_id_repeated_in_one_batch_is_forwarded_once(self, label):
+        decision = StateQgpController(label).transform(Submit(ids=("a", "b", "a")), make_ctx())
+        assert decision.action == Submit(ids=("a", "b"))
         assert [iv.kind for iv in decision.interventions] == [InterventionKind.DEDUP_FILTERED]
 
     def test_fully_filtered_empty_buffer_repairs_to_search(self):

@@ -27,6 +27,7 @@ from qgp.dataops import (
     Workspace,
     _load_sources,
     apply_edit,
+    evaluate_checker,
     generate_dataops_manifest,
     inspect_unit,
     load_manifest,
@@ -171,6 +172,55 @@ class TestEditAndCheck:
         fb = run_check(backlog, ws, "u6")
         assert fb.verdict == Verdict.FAIL
         assert "expected 32, found 31" in fb.detail
+
+    CSV = "id,name,score\nr1,alpha,6\nr2,beta,7\n"
+    # (checker, its file's text, the verdict and diagnostic it must give): the
+    # boundaries of each rule, and the diagnostics no scripted run reaches.
+    CHECKER_CASES = {
+        "column-missing": (
+            FieldEquals(file="t.csv", row_key="r1", column="grade", expected="6"),
+            CSV,
+            (False, 'field check failed: column "grade" missing'),
+        ),
+        "no-row-keyed": (
+            FieldEquals(file="t.csv", row_key="r9", column="score", expected="6"),
+            CSV,
+            (False, 'field check failed: no row keyed "r9"'),
+        ),
+        # A cell is compared with its padding stripped.
+        "padded-cell": (
+            FieldEquals(file="t.csv", row_key="r1", column="score", expected="6"),
+            "id,name,score\nr1,alpha, 6 \n",
+            (True, "check passed"),
+        ),
+        "one-row-too-many": (
+            RowCount(file="t.csv", expected=1),
+            CSV,
+            (False, "row count check failed: expected 1, found 2"),
+        ),
+        "metadata-value-case-changed": (
+            KeyPresent(file="m.txt", key="license_tag", expected_value="mit"),
+            "license_tag: MIT\n",
+            (False, 'metadata check failed: key "license_tag" expected "mit", actual "MIT"'),
+        ),
+        "metadata-key-case-changed": (
+            KeyPresent(file="m.txt", key="license_tag", expected_value="mit"),
+            "LICENSE_TAG: mit\n",
+            (False, 'metadata check failed: key "license_tag" expected "mit", actual "<missing>"'),
+        ),
+        "answer-case-changed": (
+            AnswerEquals(file="a.txt", expected_normalized="tag-12ab"),
+            "TAG-12AB\n",
+            (False, "stored answer does not match the required value"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHECKER_CASES))
+    def test_checker_verdict(self, case):
+        checker, text, expected = self.CHECKER_CASES[case]
+        ws = Workspace()
+        ws.seed({checker.file: text})
+        assert evaluate_checker(checker, ws) == expected
 
     def test_answer_whitespace_normalization(self):
         backlog, ws = small_backlog()

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -30,6 +31,7 @@ from qgp.core import TaskSpec, run_episode
 from qgp.errors import ConfigurationError
 from qgp.policies import (
     MAX_REPLY_BYTES,
+    POLICY_TYPES,
     DuplicatorPolicy,
     ExternalAdapterPolicy,
     FalseCompleterPolicy,
@@ -233,6 +235,34 @@ class TestFactory:
     def test_external_requires_command(self):
         with pytest.raises(ConfigurationError):
             build_policy("external")
+
+    @pytest.mark.parametrize("kind", [k for k in PolicyKind if k != PolicyKind.EXTERNAL])
+    def test_a_parameter_left_out_takes_the_class_default(self, kind):
+        cls, _ = POLICY_TYPES[kind]
+        assert build_policy(kind) == cls()
+
+    # A valid value for each table parameter, other than its class default.
+    VALID_PARAMS = {
+        "stop_step": 4,
+        "final_step": 5,
+        "claim_count": 9,
+        "loop_unit": "u001",
+        "submit_width": 5,
+        "submits_per_search": 2,
+        "command": ["python3", "-c", "pass"],
+        "timeout": 5.0,
+    }
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for kind, (_, checks) in POLICY_TYPES.items() for name in checks],
+    )
+    def test_each_table_parameter_sets_its_field(self, kind, name):
+        cls, _ = POLICY_TYPES[kind]
+        value = self.VALID_PARAMS[name]
+        assert {f.name: f.default for f in fields(cls)}[name] != value
+        params = {"command": "python3"} if kind == PolicyKind.EXTERNAL else {}
+        assert getattr(build_policy(kind, **params | {name: value}), name) == value
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +504,45 @@ class TestExternalAdapter:
         proposals = [a for a, _ in record.ledger.history]
         assert any(isinstance(a, Final) for a in proposals)
         assert any(isinstance(a, AskUser) for a in proposals)
+
+    def test_request_bytes_are_pinned(self, tmp_path):
+        # The adapter logs each request line as it arrives and asks the user,
+        # which the gate turns into a notice, so the run reaches its last step.
+        command = _write_adapter(
+            tmp_path,
+            """
+            import os, sys
+            log = os.path.join(os.path.dirname(__file__), "requests.jsonl")
+            for line in sys.stdin.buffer:
+                with open(log, "ab") as fh:
+                    fh.write(line)
+                sys.stdout.write('{"kind": "ask_user", "message": "?"}\\n')
+                sys.stdout.flush()
+            """,
+        )
+        policy = ExternalAdapterPolicy(command=command)
+        try:
+            record = _run(policy, controller=VerifierGatedController(), target=3, budget=4)
+        finally:
+            policy.close()
+        assert record.outcome == Outcome.BUDGET_EXHAUSTED
+        notice = (
+            '{"kind": "controller_notice", "reason": "termination blocked: target not met, '
+            '3 of 3 still required", "valid_count": 0, "remaining": 3}'
+        )
+        head = '{"task_id": "p1", "family": "reposcan", "objective": "zeta : collect artifacts", '
+        head += '"target_count": 3, '
+        requests = (tmp_path / "requests.jsonl").read_bytes().decode().splitlines()
+        assert len(requests) == 4
+        assert requests[0] == head + '"budget_remaining": 4, "step": 1, "last_observation": null}'
+        assert requests[1] == (
+            head
+            + f'"budget_remaining": 3, "step": 2, "last_observation": {notice}}}'
+        )
+        assert requests[3] == (
+            head
+            + f'"budget_remaining": 1, "step": 4, "last_observation": {notice}}}'
+        )
 
     def test_malformed_lines_consume_budget(self, tmp_path):
         command = _write_adapter(

@@ -30,7 +30,7 @@ SWAPS = (None, True, 0, 7, -1, 2.0, 1.5, "x", [], ["x"], {})
 # Integers that may be negative; every other integer in these files is a count.
 SIGNED = {"seed"}
 # A null that stands for a value of the type of this one.
-NULLABLE = {"reported_count": 0, "ablation": "", "workspace_root": ""}
+NULLABLE = {"reported_count": 0, "ablation": ""}
 # Objects whose contents have no declared type: what they hold is free, or
 # checked by something other than a type (policy parameters by their policy).
 FREE_CONTENTS = {"metadata", "policy_params"}

@@ -373,23 +373,22 @@ class TestNoFiles:
         temp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(temp))
         root = tmp_path / "workspaces"
-        monkeypatch.setenv(cli.WORKSPACE_ENV, str(root))
         manifest = tmp_path / "dataops.json"
-        flag = ["--workspace-root", str(root)]
         sources = ["--csv", str(csv_sources[0]), "--snapshot", str(snapshot_roots[0])]
         records = str(tmp_path / "solver.jsonl")
+        # `smoke` still accepts and ignores a workspace root, as does `run_manifest`.
         commands = [
             ["gen-dataops", *sources, "--targets", "3,5", "--instances", "1"]
             + ["--out", str(manifest)],
             ["smoke", "--manifest", str(manifest)],
+            ["smoke", "--manifest", str(manifest), "--workspace-root", str(root)],
             ["run", "--manifest", str(manifest), "--policy", "solver", "--jobs", "2"]
             + ["--out", records],
         ]
         for command in commands:
-            for extra in ([], flag):
-                assert cli.main(command + extra) == 0, command + extra
-                assert not root.exists()
-                assert list(temp.iterdir()) == []
+            assert cli.main(command) == 0, command
+            assert not root.exists()
+            assert list(temp.iterdir()) == []
         config = ControllerConfig(kind=ControllerKind.UNIT_QGP)
         rows, _ = cli.run_manifest(
             str(manifest), config, "no_submit_looper", {}, seed=0, workspace_root=str(root)
