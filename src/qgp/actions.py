@@ -101,14 +101,11 @@ class Malformed:
     reason: str = "parse_error"
 
 
-_FAMILY_ACTIONS: dict[Family, tuple[type, ...]] = {
+# The action types legal in each family; any other proposal is unsupported.
+FAMILY_ACTIONS: dict[Family, tuple[type, ...]] = {
     Family.REPOSCAN: (Search, Submit, Final, AskUser),
     Family.DATAOPS: (Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser),
 }
-
-
-def is_legal_for_family(action: Action, family: Family) -> bool:
-    return isinstance(action, _FAMILY_ACTIONS[Family(family)])
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,6 @@ class StateQgpController:
                 filtered.append(raw)
             if filtered:
                 forwarded = Submit(ids=tuple(filtered))
-                self.state.submitted_ids.update(normalize_id(i) for i in filtered)
-                for key in batch_keys:
-                    self.state.candidate_buffer.pop(key, None)
                 if forwarded.ids != action.ids:
                     dropped = len(action.ids) - len(filtered)
                     ivs.append(
@@ -249,9 +246,6 @@ class StateQgpController:
             # Everything was filtered out: substitute buffered candidates, else search.
             if self.buffered_submit and self.state.candidate_buffer:
                 batch = list(self.state.candidate_buffer)[: ctx.page_size]
-                for key in batch:
-                    self.state.candidate_buffer.pop(key, None)
-                self.state.submitted_ids.update(batch)
                 ivs.append(
                     Intervention(
                         step=ctx.step,
@@ -285,7 +279,7 @@ class StateQgpController:
                 if key not in self.state.submitted_ids:
                     self.state.candidate_buffer.setdefault(key, None)
         elif isinstance(observation, SubmitFeedback) and isinstance(action, Submit):
-            # Track forwarded ids even in rows with dedupe off.
+            # The one place the state learns what was submitted, in every row.
             self.state.submitted_ids.update(normalize_id(i) for i in action.ids)
             for raw in action.ids:
                 self.state.candidate_buffer.pop(normalize_id(raw), None)
@@ -339,6 +333,8 @@ class UnitQgpController:
         return None
 
     def _due_submit(self, ctx: RunContext) -> str | None:
+        if not self.awaiting_submit:
+            return None
         for unit_id in ctx.unit_order:
             observed = self.awaiting_submit.get(unit_id)
             if observed is not None and ctx.step - observed >= 2:

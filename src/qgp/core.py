@@ -16,9 +16,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
 from .actions import (
+    FAMILY_ACTIONS,
     Action,
     AskUser,
     ControllerNotice,
@@ -31,7 +32,6 @@ from .actions import (
     Seed,
     SubmitFeedback,
     Terminal,
-    is_legal_for_family,
 )
 from .errors import AdapterError, ConfigurationError, TerminatedRunError, loading
 from .verifier import IdVerdict
@@ -139,7 +139,9 @@ def record_submission(
     """
     if ledger.outcome is not None:
         raise TerminatedRunError("run already terminated")
-    split: dict[IdVerdict, list[str]] = {verdict: [] for verdict in IdVerdict}
+    split: dict[IdVerdict, list[str]] = {
+        IdVerdict.ACCEPT_NEW: [], IdVerdict.REJECT: [], IdVerdict.DUPLICATE: []
+    }
     for key, verdict in verdicts:
         ledger.submissions[key] += 1
         split[verdict].append(key)
@@ -180,9 +182,13 @@ def classify_termination(ledger: RunLedger, terminating: object = None) -> Outco
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunContext:
-    """Step-scoped facts a controller may consult; never the hidden valid set."""
+class RunContext(NamedTuple):
+    """Step-scoped facts a controller may consult; never the hidden valid set.
+
+    `run_episode` builds one per step, after the policy decides, and passes
+    the same one to `transform` and `observe`; `valid_count` is the count
+    before the step's action runs. A tuple, so a controller cannot change it.
+    """
 
     step: int
     valid_count: int
@@ -192,13 +198,14 @@ class RunContext:
     unit_order: tuple[str, ...] = ()
 
 
-@dataclass
-class StepDecision:
-    """What a controller did with one proposed action."""
+class StepDecision(NamedTuple):
+    """What a controller did with one proposed action: the action to execute,
+    or the notice that answers the proposal instead, and the interventions
+    it made, in order. `run_episode` unpacks it in this field order."""
 
     action: Action | None = None
     notice: ControllerNotice | None = None
-    interventions: list = field(default_factory=list)
+    interventions: Sequence = ()
 
 
 class Controller(Protocol):
@@ -263,10 +270,12 @@ def run_episode(
     before its decision arrives aborts the run: that step is not counted, and
     the record keeps the ledger as the verifier left it and the reason.
     """
-    if Family(environment.family) != Family(task.family):
+    family = Family(task.family)
+    if Family(environment.family) != family:
         raise ConfigurationError(
             f"environment family {environment.family} does not match task {task.family}"
         )
+    legal = FAMILY_ACTIONS[family]
     seed = task.seed if run_seed is None else run_seed
     view = environment.public_view()
     page_size = environment.page_size
@@ -274,34 +283,30 @@ def run_episode(
     interventions: list = []
     abort_reason = None
     unit_order = tuple(u.unit_id for u in view.units) if view.units else ()
+    budget, target_count, objective_text = task.budget, task.target_count, task.objective_text
+    history, valid_ids = ledger.history, ledger.valid_ids
 
-    while ledger.step < task.budget:
+    while ledger.step < budget:
         try:
-            proposal = policy.decide(view, ledger.history, seed)
+            proposal = policy.decide(view, history, seed)
         except AdapterError as exc:
             ledger.outcome, abort_reason = Outcome.ABORTED, str(exc)
             break
         ledger.step += 1
         ctx = RunContext(
-            step=ledger.step,
-            valid_count=ledger.valid_count,
-            target_count=task.target_count,
-            objective_text=task.objective_text,
-            page_size=page_size,
-            unit_order=unit_order,
+            ledger.step, len(valid_ids), target_count, objective_text, page_size, unit_order
         )
         # The controller transforms only well-formed, legal proposals; every
         # other proposal, and every one it blocks, is answered with a notice.
-        if isinstance(proposal, Malformed):
+        if isinstance(proposal, legal):
+            action, notice, made = controller.transform(proposal, ctx)
+            interventions.extend(made)
+        elif isinstance(proposal, Malformed):
             action, notice = None, _notice("parse_error", ledger)
-        elif not is_legal_for_family(proposal, task.family):
-            action, notice = None, _notice("unsupported_action", ledger)
         else:
-            decision = controller.transform(proposal, ctx)
-            interventions.extend(decision.interventions)
-            action, notice = decision.action, decision.notice
+            action, notice = None, _notice("unsupported_action", ledger)
         if notice is not None:
-            ledger.history.append((proposal, notice))
+            history.append((proposal, notice))
             controller.observe(proposal, notice, ctx)
             continue
         assert action is not None
@@ -309,12 +314,12 @@ def run_episode(
             if isinstance(action, Final) and action.reported_count is not None:
                 ledger.reported_count = action.reported_count
             ledger.outcome = classify_termination(ledger, action)
-            ledger.history.append((action, Terminal(outcome=ledger.outcome)))
+            history.append((action, Terminal(outcome=ledger.outcome)))
             break
         observation = environment.execute(action, ledger)
-        ledger.history.append((action, observation))
+        history.append((action, observation))
         controller.observe(action, observation, ctx)
-        if ledger.remaining == 0:
+        if len(valid_ids) >= target_count:
             break
 
     if ledger.outcome is None:

@@ -9,8 +9,15 @@ searching, or a straightforward greedy/solver baseline.
 The duplicator, greedy, solver and looper policies memoise what they
 derive from the history in a `HistoryFold`, which folds each new entry once
 and starts over whenever the history is not the one it has folded, so a
-decision still equals one made from the whole history and a run costs
-O(budget), not O(budget²).
+decision still equals one made from the whole history.
+
+The solver and the looper also keep a cursor over the backlog's units: the
+index of the first unit that may still need work. A folded entry that
+changes a unit's trace moves the cursor back to that unit, and `decide`
+starts at the cursor and moves it past each unit that needs nothing. A
+unit's need depends on its own trace alone, so this decides as a scan from
+the first unit does, and a backlog decision costs O(1) in the number of
+units, amortised, instead of O(units).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .actions import (
@@ -89,7 +96,9 @@ class HistoryFold(Generic[S]):
     history is another object, when the history is shorter than what was
     folded, or when the last folded entry is no longer the same object, so
     the state always equals a fold of the whole history from scratch.
-    Callers read the state and do not change it.
+    Callers read the state and do not change it, except that a backlog
+    policy's `decide` moves the cursor of its `_Backlog` forward past units
+    that need nothing.
     """
 
     def __init__(
@@ -307,31 +316,83 @@ class _UnitTrace:
     accepted: bool = False
 
 
-def _start_unit_traces(label: str, view: PublicTaskView) -> dict[str, _UnitTrace]:
+class _Backlog(dict):
+    """Unit traces by unit id, with a cursor over the view's units.
+
+    `cursor` is the index of the first unit that may still need work: every
+    unit before it needed nothing when `next_action` last passed it, and no
+    folded entry has changed its trace since. `accepted` counts the units
+    whose trace is accepted.
+    """
+
+    __slots__ = ("positions", "cursor", "accepted")
+
+    def __init__(self, units: Sequence[UnitPublicView]) -> None:
+        super().__init__((u.unit_id, _UnitTrace()) for u in units)
+        # Unit ids are unique within a backlog; loading refuses a repeat.
+        self.positions = {u.unit_id: i for i, u in enumerate(units)}
+        self.cursor = 0
+        self.accepted = 0
+
+    def reopen(self, unit_id: str) -> None:
+        """Move the cursor back to a unit whose trace changed."""
+        position = self.positions[unit_id]
+        if position < self.cursor:
+            self.cursor = position
+
+    def next_action(
+        self,
+        units: Sequence[UnitPublicView],
+        need: Callable[[UnitPublicView, _UnitTrace], Action | None],
+    ) -> Action | None:
+        """The first action `need` answers for a unit from the cursor on,
+        moving the cursor past each unit it answers None for; None when no
+        unit needs anything."""
+        while self.cursor < len(units):
+            unit = units[self.cursor]
+            action = need(unit, self[unit.unit_id])
+            if action is not None:
+                return action
+            self.cursor += 1
+        return None
+
+
+def _start_unit_traces(label: str, view: PublicTaskView) -> _Backlog:
     if view.units is None:
         raise ConfigurationError(
             f"policy {label} works through backlog units; {view.family.value} tasks have none"
         )
-    return {u.unit_id: _UnitTrace() for u in view.units}
+    return _Backlog(view.units)
 
 
-def _fold_unit_trace(traces: dict[str, _UnitTrace], action: object, obs: object) -> None:
-    if isinstance(obs, UnitFeedback) and obs.unit_id in traces:
-        trace = traces[obs.unit_id]
+def _fold_unit_trace(backlog: _Backlog, action: object, obs: object) -> None:
+    if isinstance(obs, UnitFeedback):
+        trace = backlog.get(obs.unit_id)
+        if trace is None:
+            return
+        changed = trace.status != obs.status_after
         trace.status = obs.status_after
         if isinstance(action, Inspect):
+            changed = changed or not trace.inspected
             trace.inspected = True
         elif isinstance(action, Edit):
+            changed = True
             trace.edits += 1
             trace.checks_since_change = 0
         elif isinstance(action, RunCheck):
+            changed = True
             trace.checks_since_change += 1
             if obs.verdict == Verdict.FAIL:
                 trace.last_fail_detail = obs.detail
+        if changed:
+            backlog.reopen(obs.unit_id)
     elif isinstance(obs, SubmitFeedback):
-        for unit_id in list(obs.accepted) + list(obs.duplicates):
-            if unit_id in traces:
-                traces[unit_id].accepted = True
+        for unit_id in chain(obs.accepted, obs.duplicates):
+            trace = backlog.get(unit_id)
+            if trace is not None and not trace.accepted:
+                trace.accepted = True
+                backlog.accepted += 1
+                backlog.reopen(unit_id)
 
 
 _QUOTED = re.compile(r'"([^"]*)"')
@@ -370,26 +431,27 @@ def _next_work_action(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
     return None
 
 
+def _solver_need(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
+    if trace.status == UnitStatus.PASSED and not trace.accepted:
+        return SubmitUnit(unit_id=unit.unit_id)
+    return _next_work_action(unit, trace)
+
+
 @dataclass
 class SolverPolicy:
     """Inspect, check, repair if needed, recheck, submit; unit by unit."""
 
     label: str = PolicyKind.SOLVER.value
-    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(
+    _fold: HistoryFold[_Backlog] = _fold_field(
         partial(_start_unit_traces, PolicyKind.SOLVER.value), _fold_unit_trace
     )
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
-        traces = self._fold(view, history)
-        for unit in view.units:
-            trace = traces[unit.unit_id]
-            if trace.status == UnitStatus.PASSED and not trace.accepted:
-                return SubmitUnit(unit_id=unit.unit_id)
-            action = _next_work_action(unit, trace)
-            if action is not None:
-                return action
-        done = sum(1 for t in traces.values() if t.accepted)
-        return Final(completion_claim=True, reported_count=done)
+        backlog = self._fold(view, history)
+        action = backlog.next_action(view.units, _solver_need)
+        if action is not None:
+            return action
+        return Final(completion_claim=True, reported_count=backlog.accepted)
 
 
 @dataclass
@@ -402,18 +464,16 @@ class NoSubmitLooperPolicy:
 
     loop_unit: str | None = None
     label: str = PolicyKind.NO_SUBMIT_LOOPER.value
-    _fold: HistoryFold[dict[str, _UnitTrace]] = _fold_field(
+    _fold: HistoryFold[_Backlog] = _fold_field(
         partial(_start_unit_traces, PolicyKind.NO_SUBMIT_LOOPER.value), _fold_unit_trace
     )
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         if self.loop_unit is not None:
             return Inspect(unit_id=self.loop_unit)
-        traces = self._fold(view, history)
-        for unit in view.units:
-            action = _next_work_action(unit, traces[unit.unit_id])
-            if action is not None:
-                return action
+        action = self._fold(view, history).next_action(view.units, _next_work_action)
+        if action is not None:
+            return action
         return Inspect(unit_id=view.units[0].unit_id)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from qgp.actions import (
+    FAMILY_ACTIONS,
     AskUser,
     Candidate,
     ControllerNotice,
@@ -25,7 +26,6 @@ from qgp.actions import (
     Verdict,
     action_from_dict,
     action_to_dict,
-    is_legal_for_family,
     observation_to_dict,
 )
 from qgp.errors import ActionParseError
@@ -77,12 +77,12 @@ class TestFamilyLegality:
     def test_reposcan_vocabulary(self):
         legal = {Search, Submit, Final, AskUser}
         for action in ALL_ACTIONS:
-            assert is_legal_for_family(action, Family.REPOSCAN) == (type(action) in legal)
+            assert isinstance(action, FAMILY_ACTIONS[Family.REPOSCAN]) == (type(action) in legal)
 
     def test_dataops_vocabulary(self):
         legal = {Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser}
         for action in ALL_ACTIONS:
-            assert is_legal_for_family(action, Family.DATAOPS) == (type(action) in legal)
+            assert isinstance(action, FAMILY_ACTIONS[Family.DATAOPS]) == (type(action) in legal)
 
 
 class TestObservationSerialization:

@@ -73,27 +73,50 @@ def mini_dataops_manifest(csv_sources, snapshot_roots, tmp_path_factory) -> Path
 
 
 class TestDeterminismAcrossInterpreters:
-    def test_hash_seed_changes_no_output_byte(self, snapshot_roots, tmp_path):
-        # String hashing, and so set order, differs between these interpreters.
+    # String hashing, and so set and dict-of-set order, differs between these
+    # interpreters.
+    def _outputs_per_hash_seed(self, tmp_path, gen, run):
+        """(manifest bytes, records bytes) of `gen` then `run` under each hash seed."""
         src = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             manifest, records = tmp_path / f"m{hash_seed}.json", tmp_path / f"r{hash_seed}.jsonl"
-            gen = ["gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--targets", "10"]
-            gen += ["--instances", "2", "--seed", "3", "--out", str(manifest)]
-            run = ["run", "--manifest", str(manifest), "--controller", "state_qgp"]
-            run += ["--policy", "duplicator", "--seed", "4", "--out", str(records)]
-            for argv in (gen, run):
+            for argv in (gen + ["--out", str(manifest)], run(manifest, records)):
                 done = subprocess.run(
                     [sys.executable, "-m", "qgp", *argv],
                     capture_output=True, text=True, env=env, timeout=120,
                 )
                 assert done.returncode == 0, done.stderr
             outputs.append((manifest.read_bytes(), records.read_bytes()))
+        return outputs
+
+    def test_hash_seed_changes_no_output_byte(self, snapshot_roots, tmp_path):
+        gen = ["gen-reposcan", "--snapshot", str(snapshot_roots[0]), "--targets", "10"]
+        gen += ["--instances", "2", "--seed", "3"]
+
+        def run(manifest, records):
+            argv = ["run", "--manifest", str(manifest), "--controller", "state_qgp"]
+            return argv + ["--policy", "duplicator", "--seed", "4", "--out", str(records)]
+
+        outputs = self._outputs_per_hash_seed(tmp_path, gen, run)
         assert outputs[0] == outputs[1]
         assert outputs[0][1].count(b"\n") == 2
+
+    def test_hash_seed_changes_no_dataops_byte(self, csv_sources, snapshot_roots, tmp_path):
+        # The backlog policies key their unit traces, and their cursor's
+        # positions, by unit id.
+        gen = ["gen-dataops", "--csv", str(csv_sources[0]), "--snapshot", str(snapshot_roots[0])]
+        gen += ["--targets", "3,5", "--instances", "2", "--seed", "5"]
+
+        def run(manifest, records):
+            argv = ["run", "--manifest", str(manifest), "--controller", "unit_qgp"]
+            return argv + ["--policy", "solver", "--seed", "4", "--out", str(records)]
+
+        outputs = self._outputs_per_hash_seed(tmp_path, gen, run)
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 4
 
 
 class TestModuleEntryPoints:

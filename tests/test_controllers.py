@@ -149,8 +149,15 @@ class TestStateQgp:
         for i in range(15):
             controller.state.candidate_buffer[f"c{i}"] = None
         decision = controller.transform(Submit(ids=("x",)), make_ctx())
-        assert decision.action == Submit(ids=tuple(f"c{i}" for i in range(10)))
-        assert controller.state.submitted_ids >= {f"c{i}" for i in range(10)}
+        batch = tuple(f"c{i}" for i in range(10))
+        assert decision.action == Submit(ids=batch)
+        # The state learns of the batch from its feedback, not from transform.
+        feedback = SubmitFeedback(
+            accepted=(), rejected=batch, duplicates=(), valid_count=0, remaining=10
+        )
+        controller.observe(decision.action, feedback, make_ctx())
+        assert controller.state.submitted_ids == {"x", *batch}
+        assert list(controller.state.candidate_buffer) == [f"c{i}" for i in range(10, 15)]
 
     def test_blocks_termination_below_target(self):
         controller = StateQgpController()

@@ -2,10 +2,11 @@
 
 `_derive_unit_traces` and the greedy oracle's and the duplicator's `decide`,
 which rebuilt their state from the whole history on every step, are kept
-here verbatim as references. At every prefix of recorded solver, looper,
-greedy and duplicator histories, grown in place as `run_episode` grows them,
-the incremental fold must equal the fold from scratch and the policy must
-decide as the reference does.
+here verbatim as references, and so are the solver's and the looper's
+`decide`, which scanned the backlog from its first unit. At every prefix of
+recorded solver, looper, greedy and duplicator histories, grown in place as
+`run_episode` grows them, the incremental fold must equal the fold from
+scratch and the policy must decide as the reference does.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import partial
 
 import pytest
 
+from qgp import policies
 from qgp.actions import (
     AskUser,
     Candidate,
@@ -26,6 +28,7 @@ from qgp.actions import (
     SearchResults,
     Submit,
     SubmitFeedback,
+    SubmitUnit,
     UnitFeedback,
     UnitStatus,
     Verdict,
@@ -40,6 +43,7 @@ from qgp.policies import (
     NoSubmitLooperPolicy,
     SolverPolicy,
     _fold_unit_trace,
+    _next_work_action,
     _start_unit_traces,
     _UnitTrace,
 )
@@ -71,6 +75,23 @@ def reference_derive_unit_traces(view, history):
                 if unit_id in traces:
                     traces[unit_id].accepted = True
     return traces
+
+
+def reference_backlog_decide(submits, view, history):
+    """The solver's decision when `submits`, else the looper's: the first
+    unit's need, scanning the backlog from its first unit."""
+    traces = reference_derive_unit_traces(view, history)
+    for unit in view.units:
+        trace = traces[unit.unit_id]
+        if submits and trace.status == UnitStatus.PASSED and not trace.accepted:
+            return SubmitUnit(unit_id=unit.unit_id)
+        action = _next_work_action(unit, trace)
+        if action is not None:
+            return action
+    if submits:
+        done = sum(1 for t in traces.values() if t.accepted)
+        return Final(completion_claim=True, reported_count=done)
+    return Inspect(unit_id=view.units[0].unit_id)
 
 
 def reference_greedy_decide(submit_batch, view, history):
@@ -202,14 +223,62 @@ class TestFoldEquivalence:
             solver, looper = SolverPolicy(), NoSubmitLooperPolicy()
             for grown in _grow(history):
                 expected = reference_derive_unit_traces(view, grown)
-                assert solver._fold(view, grown) == expected
-                assert looper._fold(view, grown) == expected
-                # The policies decide on the folded state as they would on a
-                # fresh policy, which folds from scratch.
-                for policy, fresh in ((solver, SolverPolicy()), (looper, NoSubmitLooperPolicy())):
-                    assert policy.decide(view, grown, 0) == fresh.decide(view, grown, 0)
+                accepted = sum(1 for t in expected.values() if t.accepted)
+                for policy in (solver, looper):
+                    # The accepted count is what the solver's Final reports.
+                    assert policy._fold(view, grown) == expected
+                    assert policy._fold(view, grown).accepted == accepted
+                # The policies decide on the folded state, from their cursors,
+                # as a scan from the first unit on a fresh fold does.
+                for policy, submits in ((solver, True), (looper, False)):
+                    decision = policy.decide(view, grown, 0)
+                    assert decision == reference_backlog_decide(submits, view, grown)
             longest = max(longest, len(history))
         assert longest == 160
+
+    def test_cursor_moves_back_to_a_unit_that_passes(self, backlog_histories):
+        # On two units: unit 0 is abandoned after its one repair, so the
+        # solver moves on to unit 1; then a check that unit_qgp routed to
+        # unit 0 passes it. The solver submits it, abandons unit 1 and
+        # reports the one accepted unit.
+        view, _ = backlog_histories[0]
+        view = dataclasses.replace(view, units=view.units[:2])
+        first, second = (u.unit_id for u in view.units)
+
+        def feedback(unit_id, verdict=Verdict.FAIL, status=UnitStatus.ATTEMPTED):
+            return UnitFeedback(unit_id=unit_id, verdict=verdict, detail="d", status_after=status)
+
+        accepted = SubmitFeedback(
+            accepted=(first,), rejected=(), duplicates=(), valid_count=1, remaining=1
+        )
+        entries = [
+            (Inspect(unit_id=first), feedback(first, Verdict.PASS, UnitStatus.PENDING)),
+            (RunCheck(unit_id=first), feedback(first)),
+            (Edit(unit_id=first, payload="{}"), feedback(first)),
+            (RunCheck(unit_id=first), feedback(first)),
+            (Inspect(unit_id=second), feedback(second, Verdict.PASS, UnitStatus.PENDING)),
+            (RunCheck(unit_id=first), feedback(first, Verdict.PASS, UnitStatus.PASSED)),
+            (SubmitUnit(unit_id=first), accepted),
+            (RunCheck(unit_id=second), feedback(second)),
+            (Edit(unit_id=second, payload="{}"), feedback(second)),
+            (RunCheck(unit_id=second), feedback(second)),
+        ]
+        policy = SolverPolicy()
+        decisions, cursors = [], []
+        for grown in _grow(entries):
+            decisions.append(policy.decide(view, grown, 0))
+            assert decisions[-1] == reference_backlog_decide(True, view, grown)
+            cursors.append(policy._fold(view, grown).cursor)
+        assert decisions[4:] == [
+            Inspect(unit_id=second),
+            RunCheck(unit_id=second),
+            SubmitUnit(unit_id=first),
+            RunCheck(unit_id=second),
+            Edit(unit_id=second, payload=decisions[8].payload),
+            RunCheck(unit_id=second),
+            Final(completion_claim=True, reported_count=1),
+        ]
+        assert cursors == [0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 2]
 
     def test_greedy_decisions_at_every_prefix(self, greedy_histories):
         steps = 0
@@ -296,6 +365,30 @@ class TestFoldEquivalence:
         assert record.ledger.step == task.spec.budget == 160
         # The last decision saw 159 entries; each was folded exactly once.
         assert len(folded) == len(record.ledger.history) - 1 == 159
+
+    def test_a_finished_backlog_is_not_scanned_again(self, dataops_loaded, monkeypatch):
+        # The looper finishes its backlog early, then inspects the first
+        # unit until the budget runs out. That inspection changes no trace,
+        # so no unit's need is asked again: each ask either gives the step's
+        # action or moves the cursor past a unit, at most once per unit here.
+        task = max(dataops_loaded.tasks, key=lambda t: t.spec.budget)
+        asked = []
+
+        def counting_need(unit, trace):
+            asked.append(unit.unit_id)
+            return _next_work_action(unit, trace)
+
+        monkeypatch.setattr(policies, "_next_work_action", counting_need)
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
+        record = _record(task, env, ControllerKind.STANDARD, NoSubmitLooperPolicy())
+        units = len(task.units)
+        assert record.ledger.step == task.spec.budget == 160
+        idle = Inspect(unit_id=task.units[0].unit_id)
+        idle_steps = sum(1 for action, _ in record.ledger.history if action == idle)
+        # A scan from the first unit on every idle step would ask
+        # idle_steps × units times.
+        assert idle_steps * units > 5 * (record.ledger.step + units)
+        assert len(asked) <= record.ledger.step + units
 
 
 # ---------------------------------------------------------------------------
