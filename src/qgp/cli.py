@@ -65,7 +65,7 @@ class RunConfig:
     out: str
     ablation: str | None = None
     policy_params: dict = field(default_factory=dict)
-    no_progress_limit: int = 6
+    no_progress_limit: int = ControllerConfig.no_progress_limit
     seed: Seed = 0
     jobs: int = 1
 
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--loop-unit", default=None)
     r.add_argument("--submit-width", type=int, default=None)
     r.add_argument("--submits-per-search", type=int, default=None)
-    r.add_argument("--no-progress-limit", type=int, default=6)
+    r.add_argument("--no-progress-limit", type=int, default=ControllerConfig.no_progress_limit)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument(
         "--jobs", type=int, default=1, help="external adapter runs at once; others run serially"

@@ -2,12 +2,15 @@
 
 Controllers never see hidden valid sets or checker expectations; they work
 from proposed actions and the feedback already returned to the policy. Every
-modification they make is logged as an intervention, so assistance stays
-visible in the run record.
+modification they make is logged as an intervention, stamped with its step by
+`_intervention` alone, so assistance stays visible in the run record. Each
+controller's docstring lists its rules in the order they apply; a rule whose
+routed action equals the proposal changes nothing, and the next rule runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -70,6 +73,8 @@ class Intervention:
 class ControllerConfig:
     kind: ControllerKind
     ablation_flags: AblationFlag | None = None
+    # k: the backlog controller steers after k steps without progress and
+    # stops routing after 2k. The one declaration of its default.
     no_progress_limit: int = 6
 
     def __post_init__(self) -> None:
@@ -112,15 +117,18 @@ def gate_termination(
     return action
 
 
+def _intervention(ctx: RunContext, kind: InterventionKind, detail: str) -> list[Intervention]:
+    """A decision's interventions when one rule changed this step's proposal."""
+    return [Intervention(step=ctx.step, kind=kind, detail=detail)]
+
+
 def _blocked_termination(action: Action, ctx: RunContext) -> StepDecision | None:
     """The notice and its intervention for a blocked Final/AskUser, else None."""
     gated = gate_termination(action, ctx.valid_count, ctx.target_count)
     if not isinstance(gated, ControllerNotice):
         return None
-    iv = Intervention(
-        step=ctx.step, kind=InterventionKind.BLOCKED_TERMINATION, detail=gated.reason
-    )
-    return StepDecision(notice=gated, interventions=[iv])
+    blocked = InterventionKind.BLOCKED_TERMINATION
+    return StepDecision(notice=gated, interventions=_intervention(ctx, blocked, gated.reason))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +171,15 @@ class StateQgpState:
 
 
 class StateQgpController:
-    """Retrieval persistence state: dedupe, page memory, buffered repair, gating.
+    """Retrieval persistence, in rule order: gate termination; advance a seen
+    search page; drop already-submitted and repeated ids from a submission
+    and, when none is left, submit buffered candidates, else repair to a
+    search, else forward the empty submission.
 
     Every retrieval controller is this class with its row of
     CONTROLLER_FEATURES switched on. The state is kept whatever the row, so
-    rows differ only in what they forward.
+    rows differ only in what they forward; `observe` is the one place it
+    learns which pages were seen and which ids were submitted.
     """
 
     kind_label = ControllerKind.STATE_QGP.value
@@ -179,97 +191,51 @@ class StateQgpController:
         ]
         self.state = StateQgpState()
 
-    # -- helpers ----------------------------------------------------------
-
-    def _fallback_query(self, ctx: RunContext) -> str:
-        if self.state.last_query:
-            return self.state.last_query
-        return objective_queries(ctx.objective_text)[0]
-
-    def _repair_to_search(self, ctx: RunContext, ivs: list[Intervention]) -> StepDecision:
-        query = self._fallback_query(ctx)
-        page = self.state.next_page(query)
-        ivs.append(
-            Intervention(
-                step=ctx.step,
-                kind=InterventionKind.REPAIRED_TO_SEARCH,
-                detail=f"empty submission repaired to search {query!r} page {page}",
-            )
-        )
-        self.state.last_query = query
-        return StepDecision(action=Search(query=query, page=page), interventions=ivs)
-
-    # -- contract ----------------------------------------------------------
-
     def transform(self, action: Action, ctx: RunContext) -> StepDecision:
         if self.gate and (blocked := _blocked_termination(action, ctx)) is not None:
             return blocked
-        ivs: list[Intervention] = []
-
+        state = self.state
         if isinstance(action, Search):
-            self.state.last_query = action.query
-            if self.page_memory and (action.query, action.page) in self.state.seen_pages:
-                page = self.state.next_page(action.query)
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.PAGE_ADVANCED,
-                        detail=(
-                            f"seen page {action.page} of {action.query!r} advanced to {page}"
-                        ),
-                    )
-                )
-                return StepDecision(action=Search(action.query, page), interventions=ivs)
-            return StepDecision(action=action)
+            state.last_query = action.query
+            if not (self.page_memory and (action.query, action.page) in state.seen_pages):
+                return StepDecision(action)
+            page = state.next_page(action.query)
+            detail = f"seen page {action.page} of {action.query!r} advanced to {page}"
+            advanced = _intervention(ctx, InterventionKind.PAGE_ADVANCED, detail)
+            return StepDecision(Search(action.query, page), interventions=advanced)
+        if not (self.dedupe and isinstance(action, Submit)):
+            return StepDecision(action)
 
-        if isinstance(action, Submit) and self.dedupe:
-            filtered: list[str] = []
-            batch_keys: set[str] = set()
-            for raw in action.ids:
-                key = normalize_id(raw)
-                if key in self.state.submitted_ids or key in batch_keys:
-                    continue
-                batch_keys.add(key)
-                filtered.append(raw)
-            if filtered:
-                forwarded = Submit(ids=tuple(filtered))
-                if forwarded.ids != action.ids:
-                    dropped = len(action.ids) - len(filtered)
-                    ivs.append(
-                        Intervention(
-                            step=ctx.step,
-                            kind=InterventionKind.DEDUP_FILTERED,
-                            detail=f"filtered {dropped} already-submitted or repeated ids",
-                        )
-                    )
-                return StepDecision(action=forwarded, interventions=ivs)
-            # Everything was filtered out: substitute buffered candidates, else search.
-            if self.buffered_submit and self.state.candidate_buffer:
-                batch = list(self.state.candidate_buffer)[: ctx.page_size]
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.DEDUP_FILTERED,
-                        detail=(
-                            f"fully duplicate submission replaced with {len(batch)} "
-                            f"buffered candidates"
-                        ),
-                    )
-                )
-                return StepDecision(action=Submit(ids=tuple(batch)), interventions=ivs)
-            if self.page_memory:
-                return self._repair_to_search(ctx, ivs)
-            if tuple(filtered) != action.ids:
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.DEDUP_FILTERED,
-                        detail="all ids were duplicates; forwarding empty submission",
-                    )
-                )
-            return StepDecision(action=Submit(ids=()), interventions=ivs)
-
-        return StepDecision(action=action)
+        filtered: list[str] = []
+        batch_keys: set[str] = set()
+        for raw in action.ids:
+            key = normalize_id(raw)
+            if key in state.submitted_ids or key in batch_keys:
+                continue
+            batch_keys.add(key)
+            filtered.append(raw)
+        deduped = InterventionKind.DEDUP_FILTERED
+        # Nothing is left: substitute buffered candidates, else search.
+        if not filtered and self.buffered_submit and state.candidate_buffer:
+            batch = tuple(state.candidate_buffer)[: ctx.page_size]
+            detail = f"fully duplicate submission replaced with {len(batch)} buffered candidates"
+            substituted = _intervention(ctx, deduped, detail)
+            return StepDecision(Submit(ids=batch), interventions=substituted)
+        if not filtered and self.page_memory:
+            query = state.last_query or objective_queries(ctx.objective_text)[0]
+            state.last_query = query
+            page = state.next_page(query)
+            detail = f"empty submission repaired to search {query!r} page {page}"
+            repaired = _intervention(ctx, InterventionKind.REPAIRED_TO_SEARCH, detail)
+            return StepDecision(Search(query=query, page=page), interventions=repaired)
+        dropped = len(action.ids) - len(filtered)
+        detail = (
+            f"filtered {dropped} already-submitted or repeated ids"
+            if filtered
+            else "all ids were duplicates; forwarding empty submission"
+        )
+        logged = _intervention(ctx, deduped, detail) if dropped else []
+        return StepDecision(Submit(ids=tuple(filtered)), interventions=logged)
 
     def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
         if isinstance(observation, SearchResults):
@@ -279,7 +245,6 @@ class StateQgpController:
                 if key not in self.state.submitted_ids:
                     self.state.candidate_buffer.setdefault(key, None)
         elif isinstance(observation, SubmitFeedback) and isinstance(action, Submit):
-            # The one place the state learns what was submitted, in every row.
             self.state.submitted_ids.update(normalize_id(i) for i in action.ids)
             for raw in action.ids:
                 self.state.candidate_buffer.pop(normalize_id(raw), None)
@@ -304,141 +269,93 @@ class VerifierGatedController(StateQgpController):
 
 @dataclass
 class UnitQgpState:
+    """Everything the backlog controller has learnt of one run."""
+
     unit_status_view: dict[str, UnitStatus] = field(default_factory=dict)
     steps_without_progress: int = 0
+    # The unit just edited and not passed: the next action must check it.
+    pending_check: str | None = None
+    # unit -> step of its first observed pass, until submitted or duplicate.
+    awaiting_submit: dict[str, int] = field(default_factory=dict)
+    last_proposal: Action | None = None
+    stopped: bool = False  # routing is off for good
 
 
 class UnitQgpController:
-    """Backlog persistence: route edits to checks, passes to submits, stalls to
-    pending units; give up routing (but never gating) after a long stall."""
+    """Backlog persistence, in rule order: gate termination, always; after 2k
+    steps without progress, stop routing for good; else replace the proposal
+    by the first routing rule (`_routes`) whose action differs from it: check
+    the unit just edited, submit a unit that passed two or more steps ago,
+    and after k steps without progress steer a stale proposal (an `Inspect`
+    or a repeat) to the first open unit.
+    """
 
-    def __init__(self, no_progress_limit: int = 6) -> None:
-        self.kind_label = ControllerKind.UNIT_QGP.value
+    kind_label = ControllerKind.UNIT_QGP.value
+
+    def __init__(self, no_progress_limit: int = ControllerConfig.no_progress_limit) -> None:
         self.k = no_progress_limit
         self.state = UnitQgpState()
-        self.pending_check: str | None = None
-        # unit -> step at which a pass was observed without a submit yet
-        self.awaiting_submit: dict[str, int] = {}
-        self.accepted_units: set[str] = set()
-        self.last_proposal: Action | None = None
-        self.stopped = False
-
-    def _status(self, unit_id: str) -> UnitStatus:
-        return self.state.unit_status_view.get(unit_id, UnitStatus.PENDING)
-
-    def _first_open_unit(self, ctx: RunContext) -> str | None:
-        for unit_id in ctx.unit_order:
-            if self._status(unit_id) != UnitStatus.PASSED:
-                return unit_id
-        return None
-
-    def _due_submit(self, ctx: RunContext) -> str | None:
-        if not self.awaiting_submit:
-            return None
-        for unit_id in ctx.unit_order:
-            observed = self.awaiting_submit.get(unit_id)
-            if observed is not None and ctx.step - observed >= 2:
-                return unit_id
-        return None
 
     def transform(self, action: Action, ctx: RunContext) -> StepDecision:
-        proposal = action
+        state = self.state
+        previous, state.last_proposal = state.last_proposal, action
         # Gating is unconditional while the target is unmet, even after the
         # controller has stopped repairing a stalled run.
-        blocked = _blocked_termination(action, ctx)
-        if blocked is not None:
-            self.last_proposal = proposal
+        if (blocked := _blocked_termination(action, ctx)) is not None:
             return blocked
-        ivs: list[Intervention] = []
+        if state.stopped:
+            return StepDecision(action)
+        if state.steps_without_progress >= 2 * self.k:
+            state.stopped = True
+            stop = InterventionKind.NO_PROGRESS_STOP
+            detail = f"no progress for {2 * self.k} steps; routing disabled, budget will exhaust"
+            return StepDecision(action, interventions=_intervention(ctx, stop, detail))
+        for routed, kind, detail in self._routes(action, previous, ctx):
+            if routed != action:
+                return StepDecision(routed, interventions=_intervention(ctx, kind, detail))
+        return StepDecision(action)
 
-        if not self.stopped and self.state.steps_without_progress >= 2 * self.k:
-            self.stopped = True
-            ivs.append(
-                Intervention(
-                    step=ctx.step,
-                    kind=InterventionKind.NO_PROGRESS_STOP,
-                    detail=(
-                        f"no progress for {2 * self.k} steps; "
-                        f"routing disabled, budget will exhaust"
-                    ),
-                )
-            )
-        if self.stopped:
-            self.last_proposal = proposal
-            return StepDecision(action=action, interventions=ivs)
-
-        rewritten: Action | None = None
-        if self.pending_check is not None:
-            unit = self.pending_check
-            self.pending_check = None
-            if not (isinstance(action, RunCheck) and action.unit_id == unit):
-                rewritten = RunCheck(unit_id=unit)
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.ROUTED_TO_CHECK,
-                        detail=f"post-edit action routed to checker for {unit}",
-                    )
-                )
-        if rewritten is None:
-            due = self._due_submit(ctx)
-            if due is not None and not (
-                isinstance(action, SubmitUnit) and action.unit_id == due
-            ):
-                rewritten = SubmitUnit(unit_id=due)
-                ivs.append(
-                    Intervention(
-                        step=ctx.step,
-                        kind=InterventionKind.ROUTED_TO_SUBMIT,
-                        detail=f"passed unit {due} routed to submission",
-                    )
-                )
-        if rewritten is None and self.state.steps_without_progress >= self.k:
-            stale = isinstance(action, Inspect) or action == self.last_proposal
-            target = self._first_open_unit(ctx)
-            if stale and target is not None:
-                candidate = Inspect(unit_id=target)
-                if candidate != action:
-                    rewritten = candidate
-                    ivs.append(
-                        Intervention(
-                            step=ctx.step,
-                            kind=InterventionKind.STEERED_TO_UNIT,
-                            detail=f"stalled policy steered to first open unit {target}",
-                        )
-                    )
-        self.last_proposal = proposal
-        return StepDecision(action=rewritten or action, interventions=ivs)
+    def _routes(
+        self, action: Action, previous: Action | None, ctx: RunContext
+    ) -> Iterator[tuple[Action, InterventionKind, str]]:
+        """The routing rules that apply, in order, as (action, kind, detail)."""
+        state = self.state
+        check, state.pending_check = state.pending_check, None
+        if check is not None:
+            detail = f"post-edit action routed to checker for {check}"
+            yield RunCheck(unit_id=check), InterventionKind.ROUTED_TO_CHECK, detail
+        awaiting = state.awaiting_submit
+        for unit_id in ctx.unit_order if awaiting else ():
+            if unit_id in awaiting and ctx.step - awaiting[unit_id] >= 2:
+                detail = f"passed unit {unit_id} routed to submission"
+                yield SubmitUnit(unit_id=unit_id), InterventionKind.ROUTED_TO_SUBMIT, detail
+                break
+        stalled = state.steps_without_progress >= self.k
+        if stalled and (isinstance(action, Inspect) or action == previous):
+            for unit_id in ctx.unit_order:
+                if state.unit_status_view.get(unit_id) != UnitStatus.PASSED:
+                    detail = f"stalled policy steered to first open unit {unit_id}"
+                    yield Inspect(unit_id=unit_id), InterventionKind.STEERED_TO_UNIT, detail
+                    break
 
     def observe(self, action: object, observation: Observation, ctx: RunContext) -> None:
+        state = self.state
         progressed = False
         if isinstance(observation, UnitFeedback):
-            unit_id = observation.unit_id
-            previous = self._status(unit_id)
-            self.state.unit_status_view[unit_id] = observation.status_after
-            if isinstance(action, Edit) and observation.status_after != UnitStatus.PASSED:
-                # The next policy action must run this unit's checker.
-                self.pending_check = unit_id
-            if (
-                isinstance(action, RunCheck)
-                and observation.status_after == UnitStatus.PASSED
-                and previous != UnitStatus.PASSED
-            ):
+            unit_id, status = observation.unit_id, observation.status_after
+            passed = status == UnitStatus.PASSED
+            first_pass = passed and state.unit_status_view.get(unit_id) != UnitStatus.PASSED
+            state.unit_status_view[unit_id] = status
+            if isinstance(action, Edit) and not passed:
+                state.pending_check = unit_id
+            if isinstance(action, RunCheck) and first_pass:
                 progressed = True
-                if unit_id not in self.accepted_units:
-                    self.awaiting_submit.setdefault(unit_id, ctx.step)
+                state.awaiting_submit[unit_id] = ctx.step
         elif isinstance(observation, SubmitFeedback):
-            if observation.accepted:
-                progressed = True
-                for unit_id in observation.accepted:
-                    self.accepted_units.add(unit_id)
-                    self.awaiting_submit.pop(unit_id, None)
-            for unit_id in observation.duplicates:
-                self.awaiting_submit.pop(unit_id, None)
-        if progressed:
-            self.state.steps_without_progress = 0
-        else:
-            self.state.steps_without_progress += 1
+            progressed = bool(observation.accepted)
+            for unit_id in observation.accepted + observation.duplicates:
+                state.awaiting_submit.pop(unit_id, None)
+        state.steps_without_progress = 0 if progressed else state.steps_without_progress + 1
 
 
 # ---------------------------------------------------------------------------

@@ -767,12 +767,12 @@ def generate_dataops_manifest(
 
 def _assert_solvable(env: DataopsEnvironment) -> None:
     # The scripted solver must clear every generated backlog within budget.
-    from .controllers import StandardController
+    from .controllers import StateQgpController
     from .core import run_episode
     from .policies import SolverPolicy
 
     try:
-        record = run_episode(env.task, env, StandardController(), SolverPolicy())
+        record = run_episode(env.task, env, StateQgpController("standard"), SolverPolicy())
     finally:
         env.close()
     if record.outcome.value != "success":
@@ -809,8 +809,9 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
     """Each task's units, each read as a UnitPublicView, and its hidden
     checkers and files. A task has at least one unit, unit ids are unique
-    within it, every artifact path and checker file must be a file path
-    inside the workspace, and a workspace must take every file."""
+    within it and neither start nor end with whitespace (feedback echoes
+    submitted ids trimmed), every artifact path and checker file must be a
+    file path inside the workspace, and a workspace must take every file."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         task = f"task {spec.task_id!r}"
@@ -818,6 +819,10 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
         units = []
         for i, u in enumerate(entry["units"]):
             view = _UNIT_VIEWS.decode(u, f"{task}: units[{i}].")
+            if view.unit_id != view.unit_id.strip():
+                raise ValueError(
+                    f"{task}: units[{i}].unit_id must not start or end with whitespace"
+                )
             where = f"{task} unit {view.unit_id!r}"
             checker = CHECKERS.decode(hidden.checkers[view.unit_id], f"{where}: ")
             for relpath in (view.artifact_path, checker.file):

@@ -1219,6 +1219,18 @@ _REPEATED_UNIT = {
     },
 }
 
+_PADDED_UNIT = {
+    "units": [
+        {"unit_id": " u0", "kind": "consistency_answer", "prompt": "p", "artifact_path": "a.txt"}
+    ],
+    "hidden": {
+        "checkers": {
+            " u0": {"type": "answer_equals", "file": "a.txt", "expected_normalized": "x"}
+        },
+        "files": {},
+    },
+}
+
 _NO_UNITS = {"units": [], "hidden": {"checkers": {}, "files": {}}}
 
 _ESCAPING_FILE = {
@@ -1249,6 +1261,9 @@ MALFORMED_INPUTS = {
         "dataops", [_task("dataops", **_REPEATED_UNIT)]
     ),
     "dataops-task-without-units": _manifest_text("dataops", [_task("dataops", **_NO_UNITS)]),
+    "dataops-unit-id-with-surrounding-whitespace": _manifest_text(
+        "dataops", [_task("dataops", **_PADDED_UNIT)]
+    ),
     "dataops-task-with-file-outside-workspace": _manifest_text(
         "dataops", [_task("dataops", **_ESCAPING_FILE)]
     ),
@@ -1331,6 +1346,9 @@ TASK_ERRORS = {
     "reposcan-task-with-target-count-0": "must be >= 1, got 0",
     "dataops-task-with-budget-0": "must be >= 1, got 0",
     "dataops-task-without-units": "has no units",
+    "dataops-unit-id-with-surrounding-whitespace": (
+        "units[0].unit_id must not start or end with whitespace"
+    ),
     "dataops-task-with-file-outside-workspace": "file '../x': not a file path inside",
     "reposcan-task-with-valid-ids-a-string": "valid_ids must be a list of strings",
     "reposcan-task-with-a-valid-id-not-a-string": "valid_ids must be a list of strings",

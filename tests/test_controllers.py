@@ -170,6 +170,20 @@ class TestStateQgp:
         decision = controller.transform(Submit(ids=()), make_ctx(objective="widget : find"))
         assert decision.action == Search(query="widget", page=0)
 
+    def test_repair_search_reuses_the_last_query(self):
+        controller = StateQgpController()
+        controller.state.submitted_ids.add("a")
+        controller.state.last_query = "q"
+        controller.state.seen_pages.add(("q", 0))
+        decision = controller.transform(Submit(ids=("a",)), make_ctx(objective="widget : find"))
+        assert decision.action == Search(query="q", page=1)
+        assert controller.state.last_query == "q"
+
+    def test_repair_search_records_its_query_as_the_last(self):
+        controller = StateQgpController()
+        controller.transform(Submit(ids=()), make_ctx(objective="widget : find"))
+        assert controller.state.last_query == "widget"
+
     def test_observe_fills_buffer_and_pages(self):
         from qgp.actions import Candidate, SearchResults
 
@@ -192,6 +206,12 @@ class TestAblations:
         decision = controller.transform(Submit(ids=("a", "b")), make_ctx())
         assert decision.action == Submit(ids=())
         assert [iv.kind for iv in decision.interventions] == [InterventionKind.DEDUP_FILTERED]
+
+    def test_dedupe_only_forwards_an_empty_submission_without_intervention(self):
+        controller = StateQgpController("ablation:dedupe_only")
+        controller.state.submitted_ids.add("a")
+        decision = controller.transform(Submit(ids=()), make_ctx())
+        assert decision.action == Submit(ids=()) and not decision.interventions
 
     def test_page_memory_only_leaves_duplicates_alone(self):
         controller = StateQgpController("ablation:page_memory_only")
@@ -223,6 +243,10 @@ class TestUnitQgp:
     def _feedback(self, unit_id, status, verdict=Verdict.PASS):
         return UnitFeedback(unit_id=unit_id, verdict=verdict, detail="", status_after=status)
 
+    def _check_passes(self, controller, unit_id, ctx):
+        feedback = self._feedback(unit_id, UnitStatus.PASSED)
+        controller.observe(RunCheck(unit_id=unit_id), feedback, ctx)
+
     def test_inspect_loop_steered_at_k(self):
         controller = UnitQgpController(no_progress_limit=4)
         units = ("u1", "u2", "u3")
@@ -240,7 +264,7 @@ class TestUnitQgp:
         # u1 is itself the first open unit, so the rewrite would be identity;
         # mark it passed in the controller's view to expose the steering.
         controller.state.unit_status_view["u1"] = UnitStatus.PASSED
-        controller.awaiting_submit.clear()
+        controller.state.awaiting_submit.clear()
         decision = controller.transform(Inspect(unit_id="u1"), ctx)
         assert decision.action == Inspect(unit_id="u2")
         assert [iv.kind for iv in decision.interventions] == [InterventionKind.STEERED_TO_UNIT]
@@ -300,7 +324,7 @@ class TestUnitQgp:
                 ctx,
             )
         assert InterventionKind.NO_PROGRESS_STOP in kinds
-        assert controller.stopped
+        assert controller.state.stopped
         # Routing is off, the proposal passes through untouched...
         ctx = make_ctx(step=step + 1, units=units)
         assert controller.transform(Inspect(unit_id="u1"), ctx).action == Inspect(unit_id="u1")
@@ -327,6 +351,74 @@ class TestUnitQgp:
         assert record.outcome == Outcome.BUDGET_EXHAUSTED
         assert record.interventions
         assert record.interventions[-1].kind == InterventionKind.NO_PROGRESS_STOP
+
+    def test_proposal_equal_to_the_pending_check_still_gets_the_due_submit(self):
+        controller = UnitQgpController()
+        units = ("u1", "u2")
+        self._check_passes(controller, "u1", make_ctx(1, units=units))
+        edit = Edit(unit_id="u2", payload="{}")
+        assert controller.transform(edit, make_ctx(2, units=units)).action == edit
+        ctx = make_ctx(2, units=units)
+        controller.observe(edit, self._feedback("u2", UnitStatus.ATTEMPTED), ctx)
+        decision = controller.transform(RunCheck(unit_id="u2"), make_ctx(3, units=units))
+        assert decision.action == SubmitUnit(unit_id="u1")
+        assert [iv.kind for iv in decision.interventions] == [InterventionKind.ROUTED_TO_SUBMIT]
+
+    def test_proposal_equal_to_the_due_submit_still_gets_the_stall_steer(self):
+        controller = UnitQgpController(no_progress_limit=2)
+        units = ("u1", "u2")
+        self._check_passes(controller, "u1", make_ctx(1, units=units))
+        submit = SubmitUnit(unit_id="u1")
+        rejected = SubmitFeedback((), ("u1",), (), valid_count=0, remaining=2)
+        for step in (2, 3):
+            # Due from step 3 on, and the proposal is that submit: forwarded.
+            decision = controller.transform(submit, make_ctx(step, units=units))
+            assert decision.action == submit and not decision.interventions
+            controller.observe(submit, rejected, make_ctx(step, units=units))
+        # The same submit again after k steps without progress is stale.
+        decision = controller.transform(submit, make_ctx(4, units=units))
+        assert decision.action == Inspect(unit_id="u2")
+        assert [iv.kind for iv in decision.interventions] == [InterventionKind.STEERED_TO_UNIT]
+
+    @pytest.mark.parametrize(
+        "proposal, steered", [(RunCheck(unit_id="u1"), True), (RunCheck(unit_id="u2"), False)]
+    )
+    def test_a_repeated_non_inspect_proposal_is_stale(self, proposal, steered):
+        controller = UnitQgpController(no_progress_limit=2)
+        units = ("u1", "u2")
+        check = RunCheck(unit_id="u1")
+        failed = self._feedback("u1", UnitStatus.ATTEMPTED, Verdict.FAIL)
+        for step in (1, 2):
+            assert controller.transform(check, make_ctx(step, units=units)).action == check
+            controller.observe(check, failed, make_ctx(step, units=units))
+        decision = controller.transform(proposal, make_ctx(3, units=units))
+        if steered:
+            assert decision.action == Inspect(unit_id="u1")
+            assert [iv.kind for iv in decision.interventions] == [InterventionKind.STEERED_TO_UNIT]
+        else:
+            assert decision.action == proposal and not decision.interventions
+
+    def test_stop_fires_at_exactly_twice_the_limit(self):
+        controller = UnitQgpController(no_progress_limit=2)
+        units = ("u1",)
+        inspect = Inspect(unit_id="u1")
+        for step in (1, 2, 3):
+            controller.observe(inspect, self._feedback("u1", UnitStatus.PENDING), make_ctx(step))
+        decision = controller.transform(inspect, make_ctx(4, units=units))
+        assert decision.action == inspect and not decision.interventions
+        controller.observe(inspect, self._feedback("u1", UnitStatus.PENDING), make_ctx(4))
+        decision = controller.transform(inspect, make_ctx(5, units=units))
+        assert decision.action == inspect
+        assert [iv.kind for iv in decision.interventions] == [InterventionKind.NO_PROGRESS_STOP]
+
+    def test_a_duplicate_in_the_feedback_clears_the_pending_submit(self):
+        controller = UnitQgpController()
+        units = ("u1", "u2")
+        self._check_passes(controller, "u1", make_ctx(1, units=units))
+        duplicate = SubmitFeedback((), (), ("u1",), valid_count=1, remaining=1)
+        controller.observe(SubmitUnit(unit_id="u1"), duplicate, make_ctx(2, units=units))
+        decision = controller.transform(Inspect(unit_id="u2"), make_ctx(3, units=units))
+        assert decision.action == Inspect(unit_id="u2") and not decision.interventions
 
     def test_progress_resets_counter(self):
         controller = UnitQgpController(no_progress_limit=3)
