@@ -172,8 +172,9 @@ def empirical_percentile(sorted_values: Sequence[float], q: float) -> float:
 # Generator words the bulk resampler draws at a time; besides the means, one
 # block's bytes are all it holds.
 _DRAW_BLOCK = 1 << 13
-_DIFF_SYMBOLS = {-1: b"-", 0: b"0", 1: b"+"}
-_REJECT = b"x"
+# Most tasks a resample may have for one integer product to sum its draws:
+# a product byte sums at most n draw values of at most 2, and 2n <= 254.
+_PRODUCT_MAX_TASKS = 127
 
 
 def _resample_means(diffs: Sequence[int], resamples: int, rng: random.Random) -> list[float]:
@@ -183,9 +184,16 @@ def _resample_means(diffs: Sequence[int], resamples: int, rng: random.Random) ->
     `randrange(n)` takes one 32-bit generator word per try, keeps its top
     k = n.bit_length() bits and rejects values >= n. `randbytes` returns the
     same words in order, little-endian, so for n <= 255 (k <= 8) the top bits
-    of each word are in its last byte. One translate table maps that byte to
-    the drawn task's diff symbol or to a reject marker, and a resample's total
-    is its count of "+" less its count of "-". Larger n draws one at a time.
+    of each word are in its last byte. One translate call drops the rejected
+    bytes and maps each kept one to its task's diff plus one: 0, 1 or 2.
+
+    For n <= 127 one integer product sums a whole block of resamples. Read
+    the drawn bytes as a little-endian integer and multiply it by n one-bytes
+    (1 + 256 + ... + 256**(n - 1)): byte j of the product is the sum of the
+    n drawn values ending at byte j, so bytes n - 1, 2n - 1, ... are the
+    resample totals. Each byte is at most 2n <= 254, so no byte carries into
+    the next. For 128 <= n <= 255 a sum can reach 256, and each resample
+    counts its 2s less its 0s instead. Larger n draws one at a time.
     """
     n = len(diffs)
     means = []
@@ -197,21 +205,29 @@ def _resample_means(diffs: Sequence[int], resamples: int, rng: random.Random) ->
             means.append(total / n)
         return means
     shift = 8 - n.bit_length()
-    symbols = b"".join(_DIFF_SYMBOLS[d] for d in diffs)
-    table = bytes(symbols[b >> shift] if b >> shift < n else _REJECT[0] for b in range(256))
+    values = bytes(d + 1 for d in diffs).ljust(256, b"\0")
+    table = bytes(values[b >> shift] for b in range(256))
+    rejects = bytes(b for b in range(256) if b >> shift >= n)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    # A total of draw values is the diffs' total plus n.
+    mean_of = [(total - n) / n for total in range(256)]
     pending = b""
     missing = resamples * n
     while missing:
         # One word per try and at most one draw per word: asking for no more
         # words than missing draws takes exactly the words randrange would.
         words = rng.randbytes(4 * min(missing, _DRAW_BLOCK))
-        drawn = words[3::4].translate(table).replace(_REJECT, b"")
+        drawn = words[3::4].translate(table, rejects)
         missing -= len(drawn)
         buf = pending + drawn
         whole = len(buf) - len(buf) % n
-        for start in range(0, whole, n):
-            stop = start + n
-            means.append((buf.count(b"+", start, stop) - buf.count(b"-", start, stop)) / n)
+        if n <= _PRODUCT_MAX_TASKS:
+            sums = (int.from_bytes(buf[:whole], "little") * ones).to_bytes(whole + n, "little")
+            means.extend(map(mean_of.__getitem__, sums[n - 1 : whole : n]))
+        else:
+            for start in range(0, whole, n):
+                stop = start + n
+                means.append((buf.count(2, start, stop) - buf.count(0, start, stop)) / n)
         pending = buf[whole:]
     return means
 
@@ -245,7 +261,7 @@ def paired_bootstrap(
         raise AnalysisError(f"resamples must be at least 1, got {resamples}")
     diffs = [left[t].success - right[t].success for t in common]
     for task, diff in zip(common, diffs):
-        if diff not in _DIFF_SYMBOLS:
+        if diff not in (-1, 0, 1):
             raise AnalysisError(f"task {task}: success difference {diff} is not -1, 0 or 1")
     point = sum(diffs) / len(diffs)
     valid_deltas = [left[t].valid_count - right[t].valid_count for t in common]

@@ -291,13 +291,17 @@ def _read_directory(
                 path = os.fsencode(os.path.join(top, relpath))
                 raise ConfigurationError(f"snapshot file name is not UTF-8: {path!r}") from None
             # Read until a read returns no bytes: one may return fewer bytes
-            # than asked before the end on some file systems.
+            # than asked before the end on some file systems. A file that
+            # ends within its first read keeps no list of chunks.
             try:
                 file_fd = os.open(name, os.O_RDONLY, dir_fd=fd)
                 try:
-                    chunks = []
-                    while chunk := os.read(file_fd, _READ_CHUNK):
-                        chunks.append(chunk)
+                    head = os.read(file_fd, _READ_CHUNK)
+                    rest = ()
+                    if head and (chunk := os.read(file_fd, _READ_CHUNK)):
+                        rest = [chunk]
+                        while chunk := os.read(file_fd, _READ_CHUNK):
+                            rest.append(chunk)
                 finally:
                     os.close(file_fd)
             except OSError as exc:
@@ -305,11 +309,20 @@ def _read_directory(
                     f"cannot read snapshot file {os.path.join(top, relpath)}: "
                     f"{exc.strerror or exc}"
                 ) from exc
-            data = b"".join(chunks)
-            update(b"%s\0%d\0" % (encoded, len(data)))
-            update(data)
-            if data.find(b"\0", 0, 8192) < 0:
-                text = data[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
+            if rest:
+                # The size is hashed before the bytes, so the whole file is
+                # held once, but never joined into a second copy.
+                update(b"%s\0%d\0" % (encoded, len(head) + sum(map(len, rest))))
+                update(head)
+                for chunk in rest:
+                    if len(head) < TEXT_TRUNCATE_BYTES:  # a short first read
+                        head += chunk[: TEXT_TRUNCATE_BYTES - len(head)]
+                    update(chunk)
+            else:
+                update(b"%s\0%d\0" % (encoded, len(head)))
+                update(head)
+            if head.find(b"\0", 0, 8192) < 0:
+                text = head[:TEXT_TRUNCATE_BYTES].decode("utf-8", errors="replace")
                 found.append((relpath, _file_kind(kind, name), text))
     finally:
         os.close(fd)

@@ -8,8 +8,14 @@ unbent, then applies each row alone and runs its tests. A row whose tests
 still pass survives, and the runner exits 1; so does a row whose tests cannot
 run at all once it is applied.
 
-    python tests/mutants.py                # every row
-    python tests/mutants.py stop-one-late  # the named rows only
+    python tests/mutants.py                      # every row
+    python tests/mutants.py stop-one-late        # the named rows only
+    python tests/mutants.py --all stop-one-late  # the whole suite per row
+
+`--all` finds killers for a new row: it runs the whole suite against each
+named row alone, except `tests/test_mutant_table.py` (whose check of that
+row's fragment fails once it is applied), and prints the id of every test
+that fails.
 
 It runs outside the tier-1 suite; `tests/test_mutant_table.py` keeps the
 table in step with the code (each fragment occurs once, each test id is
@@ -18,6 +24,7 @@ collected) without running it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -39,8 +46,13 @@ class Mutant(NamedTuple):
 
 
 CONTROLLERS = "src/qgp/controllers.py"
+DATAOPS = "src/qgp/dataops.py"
+METRICS = "src/qgp/metrics.py"
 UNIT = "tests/test_controllers.py::TestUnitQgp::"
 STATE = "tests/test_controllers.py::TestStateQgp::"
+CHECKER = "tests/test_dataops.py::TestEditAndCheck::test_checker_verdict"
+BULK = "tests/test_metrics.py::TestBulkDraws::test_equals_reference_loop"
+MEANS = "tests/test_metrics.py::TestBulkDraws::test_means_equal_reference_in_draw_order"
 
 MUTANTS = (
     # Termination gating and retrieval (StateQgpController).
@@ -152,37 +164,111 @@ MUTANTS = (
         "observation.accepted",
         (UNIT + "test_a_duplicate_in_the_feedback_clears_the_pending_submit",),
     ),
+    # Dataops checkers.
+    Mutant(
+        "row-count-at-least",
+        DATAOPS,
+        "if len(rows) == checker.expected:",
+        "if len(rows) >= checker.expected:",
+        (CHECKER + "[one-row-too-many]",),
+    ),
+    Mutant(
+        "field-cell-unstripped",
+        DATAOPS,
+        "actual = row[col].strip() if col < len(row)",
+        "actual = row[col] if col < len(row)",
+        (CHECKER + "[padded-cell]",),
+    ),
+    Mutant(
+        "metadata-value-casefolded",
+        DATAOPS,
+        "if actual == checker.expected_value:",
+        "if actual.casefold() == checker.expected_value.casefold():",
+        (CHECKER + "[metadata-value-case-changed]",),
+    ),
+    Mutant(
+        "answer-casefolded",
+        DATAOPS,
+        "if stored == checker.expected_normalized:",
+        "if stored.casefold() == checker.expected_normalized.casefold():",
+        (CHECKER + "[answer-case-changed]",),
+    ),
+    # The adapter request.
+    Mutant(
+        "budget-remaining-whole-budget",
+        "src/qgp/policies.py",
+        '"budget_remaining": view.budget - len(history),',
+        '"budget_remaining": view.budget,',
+        ("tests/test_policies.py::TestExternalAdapter::test_request_bytes_are_pinned",),
+    ),
+    # The bulk bootstrap: ids are [n-resamples-seed], and None is a count
+    # whose draws span more than one draw block.
+    Mutant(
+        "bootstrap-keeps-draw-n",
+        METRICS,
+        "b >> shift >= n)",
+        "b >> shift > n)",
+        (BULK + "[36-None-0]", BULK + "[127-None-99]", MEANS + "[36-None]"),
+    ),
+    Mutant(
+        "bootstrap-window-one-late",
+        METRICS,
+        "sums[n - 1 : whole : n]",
+        "sums[n : whole : n]",
+        (BULK + "[36-7-0]", BULK + "[127-None-99]", MEANS + "[36-None]"),
+    ),
+    Mutant(
+        "bootstrap-product-at-128",
+        METRICS,
+        "_PRODUCT_MAX_TASKS = 127",
+        "_PRODUCT_MAX_TASKS = 128",
+        (BULK + "[128-1-0]", BULK + "[128-None-99]"),
+    ),
 )
 
 
-def _pytest(work: Path, tests: tuple[str, ...]) -> int:
+def _pytest(work: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=work, env=env, capture_output=True).returncode
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+    return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
 
 
-def check(mutants, root: Path = ROOT) -> list[str]:
-    """Apply each mutant alone in a copy of `root`; return the names of those
-    that no named test fails on."""
-    survivors = []
+@contextlib.contextmanager
+def _copy(root: Path):
     with tempfile.TemporaryDirectory(prefix="qgp-mutants-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
         for tree in ("src", "tests", "bench"):
             shutil.copytree(root / tree, work / tree, ignore=ignore)
         shutil.copy(root / "pyproject.toml", work)
+        yield work
+
+
+@contextlib.contextmanager
+def _applied(work: Path, mutant: Mutant):
+    target = work / mutant.path
+    original = target.read_text(encoding="utf-8")
+    if original.count(mutant.fragment) != 1:
+        raise SystemExit(f"{mutant.name}: fragment does not occur exactly once")
+    target.write_text(original.replace(mutant.fragment, mutant.replacement), "utf-8")
+    try:
+        yield
+    finally:
+        target.write_text(original, encoding="utf-8")
+
+
+def check(mutants, root: Path = ROOT) -> list[str]:
+    """Apply each mutant alone in a copy of `root`; return the names of those
+    that no named test fails on."""
+    survivors = []
+    with _copy(root) as work:
         named = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-        if _pytest(work, named) != 0:
+        if _pytest(work, *named).returncode != 0:
             raise SystemExit("the named tests fail on the unbent code")
         for mutant in mutants:
-            target = work / mutant.path
-            original = target.read_text(encoding="utf-8")
-            if original.count(mutant.fragment) != 1:
-                raise SystemExit(f"{mutant.name}: fragment does not occur exactly once")
-            target.write_text(original.replace(mutant.fragment, mutant.replacement), "utf-8")
             started = time.perf_counter()
-            code = _pytest(work, mutant.tests)
-            target.write_text(original, encoding="utf-8")
+            with _applied(work, mutant):
+                code = _pytest(work, "-x", *mutant.tests).returncode
             # Exit 1 is a failed test; any other code (a collection error,
             # say) means the mutant broke the program instead of bending it.
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN (pytest exit {code})")
@@ -192,8 +278,35 @@ def check(mutants, root: Path = ROOT) -> list[str]:
     return survivors
 
 
+def killers(mutants, root: Path = ROOT) -> None:
+    """Run the whole suite against each mutant alone in a copy of `root` and
+    print the ids of the tests that fail."""
+    with _copy(root) as work:
+        for mutant in mutants:
+            started = time.perf_counter()
+            with _applied(work, mutant):
+                done = _pytest(work, "-rfE", "--ignore=tests/test_mutant_table.py")
+            # Summary lines read "FAILED <id> - <message>" or "ERROR <id> ...".
+            failed = [
+                line.split(" ", 1)[1].split(" - ", 1)[0]
+                for line in done.stdout.splitlines()
+                if line.startswith(("FAILED ", "ERROR "))
+            ]
+            print(f"{mutant.name}: {len(failed)} failing in {time.perf_counter() - started:.1f} s")
+            for test in failed:
+                print(f"    {test}")
+
+
 def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    whole_suite = "--all" in argv
+    names = [a for a in argv if a != "--all"]
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        raise SystemExit(f"no such rows: {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if whole_suite:
+        killers(chosen)
+        return 0
     started = time.perf_counter()
     survivors = check(chosen)
     wall = time.perf_counter() - started

@@ -18,6 +18,7 @@ from qgp.metrics import (
     AGGREGATE_METRIC_COLUMNS,
     PairedDelta,
     RunMetrics,
+    _resample_means,
     aggregate,
     aggregate_csv,
     delta_csv,
@@ -406,6 +407,17 @@ class TestBulkDraws:
                 left_label="L", right_label="R",
             )
             assert got == reference_delta(left, right, draws, 0.9, "L", "R"), name
+
+    # The interval reads two order statistics of the means, so a bend that
+    # moves a few means can leave it as it was; the means in draw order cannot.
+    @pytest.mark.parametrize("resamples", [7, None])
+    @pytest.mark.parametrize("n", [1, 36, 127, 128, 255])
+    def test_means_equal_reference_in_draw_order(self, n, resamples):
+        if resamples is None:
+            resamples = _DRAW_BLOCK // n + 1
+        diffs = [a - b for a, b in zip(*_mixed(n))]
+        means = _resample_means(diffs, resamples, random.Random(5))
+        assert means == replay_means(diffs, replay_draws(n, resamples, 5))
 
     # sha256 of the delta CSV, taken from the per-draw loop before the draws
     # were taken in bulk; one changed byte fails.

@@ -20,6 +20,7 @@ import re
 import shutil
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -244,6 +245,29 @@ class TestReadSnapshot:
         assert len(texts["big/large.txt"].encode("utf-8")) <= TEXT_TRUNCATE_BYTES + 3
         assert texts["big/large.txt"].endswith("�")
         assert "\0" in texts["bin/late_nul.txt"]
+
+    def test_short_reads_match_reference(self, adversarial_tree, monkeypatch):
+        # A read may return fewer bytes than asked before a file ends, which
+        # leaves the 8 KiB binary probe and the 64 KiB prefix split over reads.
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: real_read(fd, min(size, 1000)))
+        snapshot = read_snapshot(adversarial_tree)
+        monkeypatch.undo()
+        assert snapshot.digest == reference_snapshot_digest(adversarial_tree)
+        _assert_reads_as(snapshot.corpus, reference_index_snapshot(adversarial_tree))
+
+    def test_large_file_is_held_once(self, tmp_path):
+        size = 8 << 20
+        (tmp_path / "large.txt").write_bytes(b"x" * size)
+        tracemalloc.start()
+        try:
+            digest = read_snapshot(tmp_path).digest
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The size is hashed before the bytes, so one copy must be held.
+        assert peak <= size * 5 // 4
+        assert digest == reference_snapshot_digest(tmp_path)
 
     def test_wrappers_match_reference(self, adversarial_tree):
         assert snapshot_digest(adversarial_tree) == reference_snapshot_digest(adversarial_tree)
