@@ -2,7 +2,8 @@
 
 Actions are the policy-facing vocabulary; observations are everything the
 engine sends back. Both serialize to single-line JSON objects tagged with a
-``kind`` field so external adapters can speak the same wire format. One
+``kind`` field so external adapters can speak the same wire format; before
+each step the engine writes an adapter one untagged `AdapterRequest`. One
 annotation-driven codec, `Schema`, reads every typed record the engine
 loads, tagged by `TaggedCodec` or untagged, and writes them.
 """
@@ -156,6 +157,21 @@ class Terminal:
 
 
 Observation = Union[SearchResults, SubmitFeedback, UnitFeedback, ControllerNotice, Terminal]
+
+
+@dataclass(frozen=True)
+class AdapterRequest:
+    """The line the engine writes to an external adapter before each step;
+    `last_observation` is the previous step's observation as
+    `observation_to_dict` writes it, or None at the first step."""
+
+    task_id: str
+    family: Family
+    objective: str
+    target_count: int
+    budget_remaining: int
+    step: int
+    last_observation: dict | None
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +343,7 @@ OBSERVATIONS = TaggedCodec(
     },
     ActionParseError,
 )
+ADAPTER_REQUESTS = Schema(AdapterRequest, ActionParseError)
 
 action_to_dict = ACTIONS.encode
 action_from_dict = ACTIONS.decode

@@ -278,12 +278,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _record_metrics(path: str) -> list:
-    """Metric vectors of a record file's runs; aborted runs carry none."""
-    return [
-        metrics_from_record_dict(record)
-        for record in read_record_dicts(path)
-        if record["outcome"] != Outcome.ABORTED.value
-    ]
+    """Metric vectors of every run of a record file, aborted ones included."""
+    return [metrics_from_record_dict(record) for record in read_record_dicts(path)]
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -305,9 +301,34 @@ def _metrics_by_task(path: str) -> dict:
     return table
 
 
+def _task_list(tasks: list[str], noun: str) -> str:
+    """The count of `tasks` with `noun`, naming the first three, as in
+    "5 tasks (t1, t2, t3 and 2 more)"."""
+    named = ", ".join(tasks[:3]) + (f" and {len(tasks) - 3} more" if len(tasks) > 3 else "")
+    return f"{len(tasks)} {noun}{'' if len(tasks) == 1 else 's'} ({named})"
+
+
+def _pairing_notes(left: dict, right: dict) -> list[str]:
+    """Per side, the paired tasks that aborted, each scored as a failure, and
+    the tasks with no partner on the other side, which the delta leaves out."""
+    notes = []
+    for side, mine, other in (("left", left, right), ("right", right, left)):
+        aborted = sorted(t for t, m in mine.items() if m.provider_error and t in other)
+        unpaired = sorted(mine.keys() - other.keys())
+        for tasks, noun, fate in (
+            (aborted, "aborted task", "each scored as a failure"),
+            (unpaired, "unpaired task", "not in the delta"),
+        ):
+            if tasks:
+                notes.append(f"note: {side} has {_task_list(tasks, noun)}, {fate}")
+    return notes
+
+
 def cmd_delta(args: argparse.Namespace) -> int:
     left = _metrics_by_task(args.left)
     right = _metrics_by_task(args.right)
+    for note in _pairing_notes(left, right):
+        print(note, file=sys.stderr)
     delta = paired_bootstrap(
         left,
         right,

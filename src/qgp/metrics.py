@@ -28,16 +28,16 @@ class RunMetrics:
     premature_stop: int
     false_completion: int
     budget_exhausted: int
+    provider_error: int
     reported_count_error: float | None
     intervention_count: int
 
 
 def metrics_from_record_dict(row: Mapping) -> RunMetrics:
     """Rebuild the metric vector from a record line as `read_record_dicts`
-    returns it, or as `record_to_dict` builds it; an aborted run has none."""
+    returns it, or as `record_to_dict` builds it. An aborted run is one more
+    outcome, `provider_error`, with the counts the verifier had at the abort."""
     outcome = row["outcome"]
-    if outcome == Outcome.ABORTED:
-        raise AnalysisError(f"run {row['task_id']} was aborted and has no metrics")
     occurrences = row["submission_occurrences"]
     duplicates = row["duplicate_occurrences"]
     steps = row["steps_used"]
@@ -59,6 +59,7 @@ def metrics_from_record_dict(row: Mapping) -> RunMetrics:
         premature_stop=int(outcome == Outcome.PREMATURE_STOP),
         false_completion=int(outcome == Outcome.FALSE_COMPLETION),
         budget_exhausted=int(outcome == Outcome.BUDGET_EXHAUSTED),
+        provider_error=int(outcome == Outcome.ABORTED),
         reported_count_error=error,
         intervention_count=row["intervention_count"],
     )
@@ -79,15 +80,15 @@ class AggregateRow:
     budget_exhausted_rate: float
     premature_stop_rate: float
     false_completion_rate: float
-    # No provider is modelled; emitted as a constant for column parity.
-    provider_error_rate: float = 0.0
+    provider_error_rate: float
 
 
 AGGREGATE_METRIC_COLUMNS = tuple(
     f.name for f in fields(AggregateRow) if f.name not in ("group", "runs")
 )
 
-# The RunMetrics attribute each aggregate column is the mean of.
+# The RunMetrics attribute each aggregate column is the mean of, over every
+# run of the group. The five outcome rates sum to 1.
 _COLUMN_MEANS = {
     "success_rate": "success",
     "avg_valid_count": "valid_count",
@@ -96,6 +97,7 @@ _COLUMN_MEANS = {
     "budget_exhausted_rate": "budget_exhausted",
     "premature_stop_rate": "premature_stop",
     "false_completion_rate": "false_completion",
+    "provider_error_rate": "provider_error",
 }
 
 
@@ -245,7 +247,8 @@ def paired_bootstrap(
 
     Tasks present in both conditions, in task-id order, are resampled with
     replacement; each resample recomputes the success-rate difference over
-    the sampled tasks. The interval is a pure function of the paired records,
+    the sampled tasks. An aborted run is not a success, so it counts as a
+    failure on its side. The interval is a pure function of the paired records,
     `seed`, `resamples` and `confidence`: its draws are exactly those of
     `random.Random(seed).randrange(n)`, n per resample, so a delta CSV from an
     earlier version reproduces byte for byte.

@@ -36,7 +36,9 @@ from itertools import chain, islice
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .actions import (
+    ADAPTER_REQUESTS,
     Action,
+    AdapterRequest,
     AskUser,
     Edit,
     Family,
@@ -563,17 +565,17 @@ class ExternalAdapterPolicy:
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action | Malformed:
         self._ensure_started()
-        request = {
-            "task_id": view.task_id,
-            "family": Family(view.family).value,
-            "objective": view.objective_text,
-            "target_count": view.target_count,
-            "budget_remaining": view.budget - len(history),
-            "step": len(history) + 1,
-            "last_observation": observation_to_dict(history[-1][1]) if history else None,
-        }
+        request = AdapterRequest(
+            task_id=view.task_id,
+            family=Family(view.family),
+            objective=view.objective_text,
+            target_count=view.target_count,
+            budget_remaining=view.budget - len(history),
+            step=len(history) + 1,
+            last_observation=observation_to_dict(history[-1][1]) if history else None,
+        )
         try:
-            self._process.stdin.write(json.dumps(request).encode() + b"\n")
+            self._process.stdin.write(json.dumps(ADAPTER_REQUESTS.encode(request)).encode() + b"\n")
             self._process.stdin.flush()
         except OSError as exc:
             raise AdapterError(f"adapter pipe closed: {exc}") from exc

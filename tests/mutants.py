@@ -2,11 +2,11 @@
 
 Each row names a file under the repository root, a fragment that occurs in it
 exactly once, what the fragment becomes, and the test ids that must fail once
-it is applied. The runner copies `src/`, `tests/` and `bench/` (which some
-tests read) to a temporary directory, checks that the named tests pass there
-unbent, then applies each row alone and runs its tests. A row whose tests
-still pass survives, and the runner exits 1; so does a row whose tests cannot
-run at all once it is applied.
+it is applied. The runner copies `src/`, `tests/` and, since some tests read
+them, `bench/` and the README to a temporary directory, checks that the named
+tests pass there unbent, then applies each row alone and runs its tests. A
+row whose tests still pass survives, and the runner exits 1; so does a row
+whose tests cannot run at all once it is applied.
 
     python tests/mutants.py                      # every row
     python tests/mutants.py stop-one-late        # the named rows only
@@ -193,12 +193,51 @@ MUTANTS = (
         "if stored.casefold() == checker.expected_normalized.casefold():",
         (CHECKER + "[answer-case-changed]",),
     ),
+    Mutant(
+        "digest-of-stripped-text",
+        DATAOPS,
+        'workspace.read(checker.file).encode("utf-8")',
+        'workspace.read(checker.file).strip().encode("utf-8")',
+        (CHECKER + "[digest-trailing-newline]",),
+    ),
+    # The workspace boundary.
+    Mutant(
+        "workspace-parent-path-allowed",
+        DATAOPS,
+        'key.startswith(("/", "../"))',
+        'key.startswith("/")',
+        (
+            "tests/test_workspace.py::TestEquivalence::test_refused_paths[../x]",
+            "tests/test_cli.py::TestMalformedInputs::test_error_exit_not_traceback"
+            "[run-dataops-task-with-file-outside-workspace]",
+        ),
+    ),
+    # Outcome rules and the ledger.
+    Mutant(
+        "claimless-final-false-completion",
+        "src/qgp/core.py",
+        "isinstance(terminating, Final) and terminating.completion_claim:",
+        "isinstance(terminating, Final):",
+        (
+            "tests/test_ledger.py::TestClassifyTermination::"
+            "test_final_without_claim_short_of_target_is_premature",
+            "tests/test_policies.py::TestExternalAdapter::"
+            "test_final_without_claim_short_of_target_is_premature_stop",
+        ),
+    ),
+    Mutant(
+        "remaining-unclamped",
+        "src/qgp/core.py",
+        "return max(0, self.target_count - self.valid_count)",
+        "return self.target_count - self.valid_count",
+        ("tests/test_verifier.py::TestSnapshot::test_clamped_at_zero",),
+    ),
     # The adapter request.
     Mutant(
         "budget-remaining-whole-budget",
         "src/qgp/policies.py",
-        '"budget_remaining": view.budget - len(history),',
-        '"budget_remaining": view.budget,',
+        "budget_remaining=view.budget - len(history),",
+        "budget_remaining=view.budget,",
         ("tests/test_policies.py::TestExternalAdapter::test_request_bytes_are_pinned",),
     ),
     # The bulk bootstrap: ids are [n-resamples-seed], and None is a count
@@ -240,7 +279,8 @@ def _copy(root: Path):
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
         for tree in ("src", "tests", "bench"):
             shutil.copytree(root / tree, work / tree, ignore=ignore)
-        shutil.copy(root / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(root / name, work)
         yield work
 
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from qgp.actions import (
+    ADAPTER_REQUESTS,
     FAMILY_ACTIONS,
     AskUser,
     Candidate,
@@ -116,3 +121,32 @@ class TestObservationSerialization:
         )
         assert payload["verdict"] == "pass"
         assert payload["status_after"] == "passed"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _adapter_examples() -> tuple[str, str]:
+    """The README's adapter request example and its reply examples: the
+    first two JSON blocks of its "External policy adapter" section."""
+    section = README.read_text(encoding="utf-8").split("## External policy adapter", 1)[1]
+    request, replies = re.findall(r"```json\n(.*?)```", section, re.DOTALL)[:2]
+    return request, replies
+
+
+def test_readme_request_example_is_an_adapter_request():
+    text, _ = _adapter_examples()
+    example = json.loads(text)
+    request = ADAPTER_REQUESTS.decode(example)
+    assert request.family == Family.REPOSCAN and request.last_observation is None
+    # Written back, it has the same keys in the same order.
+    assert list(ADAPTER_REQUESTS.encode(request).items()) == list(example.items())
+
+
+def test_readme_reply_examples_are_actions():
+    _, text = _adapter_examples()
+    lines = text.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        example = json.loads(line)
+        assert action_to_dict(action_from_dict(example)) == example, line

@@ -19,6 +19,7 @@ from qgp.actions import Family
 from qgp.cli import _write_records, main
 from qgp.controllers import ControllerConfig, ControllerKind, VerifierGatedController
 from qgp.core import RECORD_FIELDS, TaskSpec, read_record_dicts, record_to_dict, run_episode
+from qgp.metrics import aggregate, metrics_from_record_dict
 from qgp.policies import ExternalAdapterPolicy
 from qgp.reposcan import ReposcanEnvironment
 
@@ -950,6 +951,124 @@ class TestAnalysis:
             ]
         )
         assert code == 2
+
+
+def _external_row(task_id: str, outcome: str, valid: int = 0) -> dict:
+    """A record line of a target-3 run that took two steps and submitted its
+    valid ids once each; an aborted one has its `abort_reason` last."""
+    row = {
+        "task_id": task_id, "family": "reposcan", "target_count": 3, "budget": 10,
+        "controller": "standard", "policy": "external", "outcome": outcome,
+        "valid_count": valid, "steps_used": 2, "duplicate_occurrences": 0,
+        "submission_occurrences": valid, "reported_count": None, "intervention_count": 0,
+        "intervention_log": [],
+    }
+    if outcome == "aborted":
+        row["abort_reason"] = "adapter closed its output stream"
+    return row
+
+
+def _write_rows(path: Path, rows: list[dict]) -> str:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return str(path)
+
+
+# Reposcan runs whose adapter exits on reading a request for a task id of
+# even CRC, and otherwise ends the run with a claim (a false completion) or
+# without one (a premature stop), so groups mix aborted and other rows.
+SOMETIMES_ABORTING_ADAPTER = """
+    import json, sys, zlib
+    for line in sys.stdin:
+        crc = zlib.crc32(json.loads(line)["task_id"].encode())
+        if crc % 2 == 0:
+            sys.exit(0)
+        claim = "true" if crc % 4 == 1 else "false"
+        sys.stdout.write('{"kind": "final", "completion_claim": %s}\\n' % claim)
+        sys.stdout.flush()
+"""
+
+
+class TestEveryRowCounts:
+    """`aggregate` and `delta` count every record row: an aborted run is a
+    provider error and a failure, and `delta` names what it could not pair."""
+
+    def test_aggregate_counts_aborted_rows(self, tmp_path):
+        rows = [_external_row("t0", "success", valid=3)]
+        rows += [_external_row(f"t{i}", "aborted", valid=1) for i in (1, 2, 3)]
+        records = _write_rows(tmp_path / "r.jsonl", rows)
+        out = tmp_path / "agg.csv"
+        assert main(["aggregate", "--records", records, "--out", str(out)]) == 0
+        # valid_per_step: (3/2 + 3 * 1/2) / 4; the counts average over all four.
+        assert out.read_text().splitlines()[1] == (
+            "standard,external,4,0.250000,1.500000,0.000000,0.750000,"
+            "0.000000,0.000000,0.000000,0.750000"
+        )
+
+    def test_delta_scores_an_aborted_task_as_a_failure(self, tmp_path, capsys):
+        left = [_external_row(f"t{i}", "success", valid=3) for i in range(3)]
+        left += [_external_row(f"t{i}", "aborted") for i in range(3, 9)]
+        right = [_external_row(f"t{i}", "budget_exhausted", valid=1) for i in range(9)]
+        out = tmp_path / "delta.csv"
+        argv = ["delta", "--left", _write_rows(tmp_path / "l.jsonl", left)]
+        argv += ["--right", _write_rows(tmp_path / "r.jsonl", right)]
+        assert main(argv + ["--resamples", "1000", "--out", str(out)]) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert (row["paired_tasks"], row["success_delta"]) == ("9", "0.333333")
+        assert capsys.readouterr().err == (
+            "note: left has 6 aborted tasks (t3, t4, t5 and 3 more), "
+            "each scored as a failure\n"
+        )
+
+    def test_delta_names_unpaired_tasks(self, tmp_path, capsys):
+        left = [_external_row(f"t{i}", "success", valid=3) for i in range(3)]
+        right = [_external_row(f"t{i}", "aborted") for i in range(1, 4)]
+        out = tmp_path / "delta.csv"
+        argv = ["delta", "--left", _write_rows(tmp_path / "l.jsonl", left)]
+        argv += ["--right", _write_rows(tmp_path / "r.jsonl", right)]
+        assert main(argv + ["--resamples", "1000", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[2:4] == ["2", "1.000000"]
+        assert capsys.readouterr().err.splitlines() == [
+            "note: left has 1 unpaired task (t0), not in the delta",
+            "note: right has 2 aborted tasks (t1, t2), each scored as a failure",
+            "note: right has 1 unpaired task (t3), not in the delta",
+            "note: the interval has zero width over 2 paired tasks; "
+            "it does not make the difference certain",
+        ]
+
+    def test_outcome_rates_sum_to_one_on_the_reference_pipelines(
+        self, reposcan_manifest_path, dataops_manifest_path, tmp_path
+    ):
+        adapter = {"command": _write_adapter(tmp_path, SOMETIMES_ABORTING_ADAPTER)}
+        cells = {
+            reposcan_manifest_path: [
+                ("standard", "duplicator", {}),
+                ("verifier_gated", "false_completer", {}),
+                ("state_qgp", "early_stopper", {}),
+                ("state_qgp", "greedy_oracle", {}),
+                ("standard", "external", adapter),
+            ],
+            dataops_manifest_path: [
+                ("unit_qgp", "solver", {}),
+                ("standard", "no_submit_looper", {}),
+                ("standard", "false_completer", {}),
+                ("standard", "early_stopper", {}),
+            ],
+        }
+        rates = ("success_rate", "budget_exhausted_rate", "premature_stop_rate",
+                 "false_completion_rate", "provider_error_rate")
+        aborts = 0
+        for path, runs in cells.items():
+            rows = []
+            for controller, policy, params in runs:
+                config = ControllerConfig(kind=ControllerKind(controller))
+                records, aborted = cli.run_manifest(str(path), config, policy, params, 0, jobs=2)
+                rows += [metrics_from_record_dict(record) for record in records]
+                aborts += aborted
+            table = aggregate(rows, ["controller", "policy", "target_count"])
+            assert sum(group.runs for group in table) == len(rows)
+            for group in table:
+                assert sum(getattr(group, rate) for rate in rates) == pytest.approx(1, abs=1e-9)
+        assert 0 < aborts < 36
 
 
 class TestRunConfig:

@@ -174,6 +174,7 @@ class TestEditAndCheck:
         assert "expected 32, found 31" in fb.detail
 
     CSV = "id,name,score\nr1,alpha,6\nr2,beta,7\n"
+    DIGEST = hashlib.sha256(b"r1,alpha,6").hexdigest()
     # (checker, its file's text, the verdict and diagnostic it must give): the
     # boundaries of each rule, and the diagnostics no scripted run reaches.
     CHECKER_CASES = {
@@ -212,6 +213,12 @@ class TestEditAndCheck:
             AnswerEquals(file="a.txt", expected_normalized="tag-12ab"),
             "TAG-12AB\n",
             (False, "stored answer does not match the required value"),
+        ),
+        # A digest covers every byte: a trailing newline changes it.
+        "digest-trailing-newline": (
+            FileDigest(file="f.txt", expected_digest=DIGEST),
+            "r1,alpha,6\n",
+            (False, "digest check failed: expected 0213f0ff80f7, actual 5624f3510249"),
         ),
     }
 

@@ -144,6 +144,10 @@ class TestClassifyTermination:
         )
         assert outcome == Outcome.FALSE_COMPLETION
 
+    def test_final_without_claim_short_of_target_is_premature(self):
+        outcome = classify_termination(self._with_valid(6), Final(completion_claim=False))
+        assert outcome == Outcome.PREMATURE_STOP
+
     def test_ask_user_premature(self):
         assert (
             classify_termination(self._with_valid(3), AskUser(message="?"))

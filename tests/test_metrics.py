@@ -46,6 +46,7 @@ def _metric(task_id="t", success=1, valid=5, **kw) -> RunMetrics:
         premature_stop=0,
         false_completion=1 - success if success in (0, 1) else 0,
         budget_exhausted=0,
+        provider_error=0,
         reported_count_error=None,
         intervention_count=0,
     )
@@ -114,8 +115,6 @@ class TestComputeRunMetrics:
 
     def test_exactly_one_outcome_indicator(self):
         for outcome in Outcome:
-            if outcome == Outcome.ABORTED:
-                continue
             row = {
                 "task_id": "t",
                 "family": "reposcan",
@@ -137,13 +136,32 @@ class TestComputeRunMetrics:
                 metrics.false_completion,
                 metrics.premature_stop,
                 metrics.budget_exhausted,
+                metrics.provider_error,
             )
             assert sum(indicators) == 1
 
-    def test_aborted_run_has_no_metrics(self):
-        row = {"task_id": "t", "outcome": "aborted", "abort_reason": "adapter wrote a line"}
-        with pytest.raises(AnalysisError, match="aborted"):
-            metrics_from_record_dict(row)
+    def test_aborted_run_is_a_provider_error_with_its_counts(self):
+        row = {
+            "task_id": "t",
+            "family": "reposcan",
+            "target_count": 5,
+            "budget": 20,
+            "controller": "verifier_gated",
+            "policy": "external",
+            "outcome": "aborted",
+            "valid_count": 4,
+            "steps_used": 3,
+            "duplicate_occurrences": 1,
+            "submission_occurrences": 5,
+            "reported_count": None,
+            "intervention_count": 1,
+            "abort_reason": "adapter closed its output stream",
+        }
+        metrics = metrics_from_record_dict(row)
+        assert (metrics.provider_error, metrics.success) == (1, 0)
+        assert metrics.valid_count == 4
+        assert metrics.duplicate_submit_rate == pytest.approx(0.2)
+        assert metrics.valid_per_step == pytest.approx(4 / 3)
 
 
 class TestAggregate:

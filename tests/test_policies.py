@@ -505,6 +505,24 @@ class TestExternalAdapter:
         assert any(isinstance(a, Final) for a in proposals)
         assert any(isinstance(a, AskUser) for a in proposals)
 
+    def test_final_without_claim_short_of_target_is_premature_stop(self, tmp_path):
+        command = _write_adapter(
+            tmp_path,
+            """
+            import sys
+            for line in sys.stdin:
+                sys.stdout.write('{"kind": "final", "completion_claim": false}\\n')
+                sys.stdout.flush()
+            """,
+        )
+        policy = ExternalAdapterPolicy(command=command)
+        try:
+            record = _run(policy, target=3, budget=4)
+        finally:
+            policy.close()
+        assert record.outcome == Outcome.PREMATURE_STOP
+        assert record.ledger.step == 1 and record.ledger.valid_count == 0
+
     def test_request_bytes_are_pinned(self, tmp_path):
         # The adapter logs each request line as it arrives and asks the user,
         # which the gate turns into a notice, so the run reaches its last step.

@@ -205,9 +205,16 @@ class TestEquivalence:
     )
     def test_refused_paths(self, path):
         ws = Workspace()
-        for call in (lambda: ws.write(path, "x"), lambda: ws.read(path), lambda: ws.exists(path)):
+        calls = (
+            lambda: ws.write(path, "x"),
+            lambda: ws.read(path),
+            lambda: ws.exists(path),
+            lambda: ws.seed({path: "x"}),
+        )
+        for call in calls:
             with pytest.raises(ConfigurationError):
                 call()
+        assert not ws._files
 
     def test_file_and_directory_conflicts_are_refused(self):
         ws = Workspace()
