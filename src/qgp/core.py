@@ -338,7 +338,7 @@ def run_episode(
 # Run record serialization (one object per line)
 # ---------------------------------------------------------------------------
 
-@dataclass  # not frozen: a row is built only to check a line, which is cheaper
+@dataclass  # not frozen: one is built per record line written or read, and builds faster
 class RecordRow:
     """The typed fields that lead every record line, in line order."""
 
@@ -365,25 +365,26 @@ def record_to_dict(record: RunRecord) -> dict:
     """The record line of a run: RECORD_FIELDS, the intervention log and, for
     an aborted run only, its `abort_reason` last."""
     task, ledger = record.task, record.ledger
-    row = {
-        "task_id": task.task_id,
-        "family": Family(task.family).value,
-        "target_count": task.target_count,
-        "budget": task.budget,
-        "controller": record.controller,
-        "policy": record.policy,
-        "outcome": record.outcome.value,
-        "valid_count": ledger.valid_count,
-        "steps_used": ledger.step,
-        "duplicate_occurrences": ledger.duplicate_occurrences,
-        "submission_occurrences": ledger.submission_occurrences,
-        "reported_count": ledger.reported_count,
-        "intervention_count": len(record.interventions),
-        "intervention_log": [
-            {"step": iv.step, "kind": iv.kind.value, "detail": iv.detail}
-            for iv in record.interventions
-        ],
-    }
+    row = _RECORD_ROWS.encode(
+        RecordRow(
+            task_id=task.task_id,
+            family=Family(task.family),
+            target_count=task.target_count,
+            budget=task.budget,
+            controller=record.controller,
+            policy=record.policy,
+            outcome=record.outcome,
+            valid_count=ledger.valid_count,
+            steps_used=ledger.step,
+            duplicate_occurrences=ledger.duplicate_occurrences,
+            submission_occurrences=ledger.submission_occurrences,
+            reported_count=ledger.reported_count,
+            intervention_count=len(record.interventions),
+        )
+    )
+    row["intervention_log"] = [
+        {"step": iv.step, "kind": iv.kind.value, "detail": iv.detail} for iv in record.interventions
+    ]
     if record.outcome == Outcome.ABORTED:
         row["abort_reason"] = record.abort_reason
     return row

@@ -52,8 +52,6 @@ from .verifier import IdVerdict, normalize_id
 
 DATAOPS_BUDGETS = {3: 30, 5: 50, 10: 90, 20: 160}
 
-_CSV_KINDS = {"csv_field_check", "csv_count_check"}
-
 
 # ---------------------------------------------------------------------------
 # Checkers
@@ -107,6 +105,15 @@ CHECKERS = TaggedCodec(
     },
     ValueError,
 )
+
+# The checker type each unit kind names; a manifest unit's checker must be of that type.
+KIND_CHECKERS = {
+    "csv_field_check": "field_equals",
+    "csv_count_check": "row_count",
+    "metadata_repair": "key_present",
+    "consistency_answer": "answer_equals",
+    "artifact_validation": "file_digest",
+}
 
 
 def normalize_answer(text: str) -> str:
@@ -373,7 +380,7 @@ def _apply_metadata_edit(workspace: Workspace, relpath: str, edit: MetadataEdit)
 def apply_edit(
     units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str, payload: str
 ) -> UnitFeedback:
-    """Interpret the payload per unit kind; the checker is never run here.
+    """Interpret the payload per the unit's checker type; the checker is never run here.
 
     A CSV or metadata payload is a JSON object read as a `CsvEdit` or a
     `MetadataEdit`, with string fields; one that does not fit fails the step
@@ -392,13 +399,13 @@ def apply_edit(
     unit.mark_attempted()
     error: str | None = None
     try:
-        if unit.kind in _CSV_KINDS:
+        if isinstance(unit.checker, (FieldEquals, RowCount)):
             edit = _CSV_EDITS.decode(json.loads(payload), "payload.")
             if not workspace.exists(unit.artifact_path):
                 error = f"artifact file missing: {unit.artifact_path}"
             else:
                 error = _apply_csv_edit(workspace, unit.artifact_path, edit)
-        elif unit.kind == "metadata_repair":
+        elif isinstance(unit.checker, KeyPresent):
             edit = _METADATA_EDITS.decode(json.loads(payload), "payload.")
             if not workspace.exists(unit.artifact_path):
                 error = f"artifact file missing: {unit.artifact_path}"
@@ -614,7 +621,7 @@ def _build_unit(
     files: dict[str, str],
 ) -> BacklogUnit:
     unit_id = f"u{unit_idx:03d}"
-    if kind in _CSV_KINDS:
+    if kind in ("csv_field_check", "csv_count_check"):
         stem, header, data = tables[rng.randrange(len(tables))]
         rows = _fixture_rows(rng, data)
         relpath = f"data/{stem}_{unit_idx:03d}.csv"
@@ -670,7 +677,7 @@ def _build_unit(
             f'Record the consistency answer for this backlog: reply with the reference '
             f'token "{token}" exactly.'
         )
-    elif kind == "artifact_validation":
+    else:  # artifact_validation
         fixture = fixtures[rng.randrange(len(fixtures))]
         basename, text = fixture.artifacts[rng.randrange(len(fixture.artifacts))]
         relpath = f"artifacts/{unit_idx:03d}_{basename}"
@@ -678,8 +685,6 @@ def _build_unit(
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         checker = FileDigest(file=relpath, expected_digest=digest)
         prompt = f"Run the integrity check for {relpath} and submit the unit once the digest verifies."
-    else:
-        raise GenerationError(f"unknown unit kind: {kind}")
     return BacklogUnit(
         unit_id=unit_id, kind=kind, prompt=prompt, artifact_path=relpath, checker=checker
     )
@@ -792,7 +797,14 @@ class _Hidden:  # a backlog's hidden section as the manifest file holds it
     files: dict[str, str]
 
 
+@dataclass(frozen=True)
+class _TaskFields:  # what a dataops manifest file adds to each task's spec
+    units: tuple[dict, ...]
+    hidden: dict
+
+
 _HIDDEN = Schema(_Hidden)
+_TASK_FIELDS = Schema(_TaskFields)
 _UNIT_VIEWS = Schema(UnitPublicView)
 
 
@@ -808,23 +820,30 @@ def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
     """Each task's units, each read as a UnitPublicView, and its hidden
-    checkers and files. A task has at least one unit, unit ids are unique
+    checkers and files. Each unit has a checker of the type its kind names
+    in KIND_CHECKERS. A task has at least one unit, unit ids are unique
     within it and neither start nor end with whitespace (feedback echoes
     submitted ids trimmed), every artifact path and checker file must be a
     file path inside the workspace, and a workspace must take every file."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         task = f"task {spec.task_id!r}"
-        hidden = _HIDDEN.decode(entry["hidden"], f"{task}: hidden.")
+        entry = _TASK_FIELDS.decode(entry, f"{task}: ")
+        hidden = _HIDDEN.decode(entry.hidden, f"{task}: hidden.")
         units = []
-        for i, u in enumerate(entry["units"]):
+        for i, u in enumerate(entry.units):
             view = _UNIT_VIEWS.decode(u, f"{task}: units[{i}].")
             if view.unit_id != view.unit_id.strip():
                 raise ValueError(
                     f"{task}: units[{i}].unit_id must not start or end with whitespace"
                 )
             where = f"{task} unit {view.unit_id!r}"
-            checker = CHECKERS.decode(hidden.checkers[view.unit_id], f"{where}: ")
+            raw = hidden.checkers.get(view.unit_id)
+            if raw is None:
+                raise ValueError(f"{where} has no checker")
+            checker = CHECKERS.decode(raw, f"{where}: ")
+            if KIND_CHECKERS.get(view.kind) != raw["type"]:
+                raise ValueError(f"{where}: kind {view.kind!r} is not checked by {raw['type']}")
             for relpath in (view.artifact_path, checker.file):
                 try:
                     Workspace._key(relpath)

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .actions import Outcome
@@ -69,36 +69,31 @@ def metrics_from_record_dict(row: Mapping) -> RunMetrics:
 # Aggregation
 # ---------------------------------------------------------------------------
 
+def _mean_of(attribute: str):
+    """An aggregate column: the mean of a `RunMetrics` attribute over every run of the group."""
+    return field(metadata={"mean_of": attribute})
+
+
 @dataclass(frozen=True)
 class AggregateRow:
+    """One group's row; each column after `runs` is declared with the
+    `RunMetrics` attribute it averages. The five outcome rates sum to 1."""
+
     group: tuple
     runs: int
-    success_rate: float
-    avg_valid_count: float
-    duplicate_submit_rate: float
-    valid_per_step: float
-    budget_exhausted_rate: float
-    premature_stop_rate: float
-    false_completion_rate: float
-    provider_error_rate: float
+    success_rate: float = _mean_of("success")
+    avg_valid_count: float = _mean_of("valid_count")
+    duplicate_submit_rate: float = _mean_of("duplicate_submit_rate")
+    valid_per_step: float = _mean_of("valid_per_step")
+    budget_exhausted_rate: float = _mean_of("budget_exhausted")
+    premature_stop_rate: float = _mean_of("premature_stop")
+    false_completion_rate: float = _mean_of("false_completion")
+    provider_error_rate: float = _mean_of("provider_error")
 
 
-AGGREGATE_METRIC_COLUMNS = tuple(
-    f.name for f in fields(AggregateRow) if f.name not in ("group", "runs")
-)
-
-# The RunMetrics attribute each aggregate column is the mean of, over every
-# run of the group. The five outcome rates sum to 1.
-_COLUMN_MEANS = {
-    "success_rate": "success",
-    "avg_valid_count": "valid_count",
-    "duplicate_submit_rate": "duplicate_submit_rate",
-    "valid_per_step": "valid_per_step",
-    "budget_exhausted_rate": "budget_exhausted",
-    "premature_stop_rate": "premature_stop",
-    "false_completion_rate": "false_completion",
-    "provider_error_rate": "provider_error",
-}
+# (column, RunMetrics attribute) for each mean column, in CSV order.
+_COLUMN_MEANS = tuple((f.name, f.metadata["mean_of"]) for f in fields(AggregateRow) if f.metadata)
+AGGREGATE_METRIC_COLUMNS = tuple(column for column, _ in _COLUMN_MEANS)
 
 
 RUN_METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
@@ -121,7 +116,7 @@ def aggregate(rows: Sequence[RunMetrics], group_keys: Sequence[str]) -> list[Agg
         members = groups[key]
         means = {
             column: sum(getattr(m, attr) for m in members) / len(members)
-            for column, attr in _COLUMN_MEANS.items()
+            for column, attr in _COLUMN_MEANS
         }
         out.append(AggregateRow(group=key, runs=len(members), **means))
     return out
@@ -145,19 +140,30 @@ def aggregate_csv(rows: Sequence[RunMetrics], group_keys: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _column(header: str, spec: str = ""):
+    """A delta CSV column: its header, and the format spec its value is written with."""
+    return field(metadata={"header": header, "spec": spec})
+
+
 @dataclass(frozen=True)
 class PairedDelta:
-    left_label: str
-    right_label: str
-    paired_task_count: int
-    success_delta: float
-    ci_low: float
-    ci_high: float
-    avg_valid_delta: float
-    left_only: int
-    right_only: int
-    resamples: int
-    confidence: float
+    """A delta, one CSV row: each field is declared with its column's header
+    and number format, in column order."""
+
+    left_label: str = _column("left")
+    right_label: str = _column("right")
+    paired_task_count: int = _column("paired_tasks")
+    success_delta: float = _column("success_delta", ".6f")
+    ci_low: float = _column("ci_low", ".6f")
+    ci_high: float = _column("ci_high", ".6f")
+    avg_valid_delta: float = _column("avg_valid_delta", ".6f")
+    left_only: int = _column("left_only")
+    right_only: int = _column("right_only")
+    resamples: int = _column("resamples")
+    confidence: float = _column("confidence", ".4f")
+
+
+DELTA_COLUMNS = tuple(f.metadata["header"] for f in fields(PairedDelta))
 
 
 def empirical_percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -295,38 +301,9 @@ def _condition_label(rows) -> str:
     return "mixed"
 
 
-DELTA_COLUMNS = (
-    "left",
-    "right",
-    "paired_tasks",
-    "success_delta",
-    "ci_low",
-    "ci_high",
-    "avg_valid_delta",
-    "left_only",
-    "right_only",
-    "resamples",
-    "confidence",
-)
-
-
 def delta_csv(delta: PairedDelta) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(DELTA_COLUMNS))
-    writer.writerow(
-        [
-            delta.left_label,
-            delta.right_label,
-            delta.paired_task_count,
-            f"{delta.success_delta:.6f}",
-            f"{delta.ci_low:.6f}",
-            f"{delta.ci_high:.6f}",
-            f"{delta.avg_valid_delta:.6f}",
-            delta.left_only,
-            delta.right_only,
-            delta.resamples,
-            f"{delta.confidence:.4f}",
-        ]
-    )
+    writer.writerow(DELTA_COLUMNS)
+    writer.writerow(format(getattr(delta, f.name), f.metadata["spec"]) for f in fields(PairedDelta))
     return out.getvalue()

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, ClassVar, Generic, Sequence, TypeVar
 
 from .actions import (
     ADAPTER_REQUESTS,
@@ -179,7 +179,7 @@ def _fold_duplicator(state: _DuplicatorState, action: object, obs: object) -> No
 class DuplicatorPolicy:
     """Submits one full result page, then fixates on resubmitting one id."""
 
-    label: str = PolicyKind.DUPLICATOR.value
+    label: ClassVar[str] = PolicyKind.DUPLICATOR.value
     _fold: HistoryFold[_DuplicatorState] = _fold_field(
         lambda view: _DuplicatorState(), _fold_duplicator
     )
@@ -205,7 +205,7 @@ class EarlyStopperPolicy:
     """Asks the user long before the target could be met."""
 
     stop_step: int = 1
-    label: str = PolicyKind.EARLY_STOPPER.value
+    label: ClassVar[str] = PolicyKind.EARLY_STOPPER.value
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         if len(history) + 1 >= self.stop_step:
@@ -219,7 +219,7 @@ class FalseCompleterPolicy:
 
     final_step: int = 3
     claim_count: int | None = None
-    label: str = PolicyKind.FALSE_COMPLETER.value
+    label: ClassVar[str] = PolicyKind.FALSE_COMPLETER.value
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         if len(history) + 1 >= self.final_step:
@@ -264,8 +264,8 @@ class GreedyOraclePolicy:
     every unseen candidate; finals only once the verifier reports zero
     remaining."""
 
-    submit_batch: int = 10
-    label: str = PolicyKind.GREEDY_ORACLE.value
+    label: ClassVar[str] = PolicyKind.GREEDY_ORACLE.value
+    submit_batch: ClassVar[int] = 10
     _fold: HistoryFold[_SearchState] = _fold_field(lambda view: _SearchState(), _fold_search)
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
@@ -290,7 +290,7 @@ class RedundantSearcherPolicy:
 
     submit_width: int = 3
     submits_per_search: int = 3
-    label: str = PolicyKind.REDUNDANT_SEARCHER.value
+    label: ClassVar[str] = PolicyKind.REDUNDANT_SEARCHER.value
 
     def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
         token = objective_queries(view.objective_text)[0]
@@ -443,7 +443,7 @@ def _solver_need(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
 class SolverPolicy:
     """Inspect, check, repair if needed, recheck, submit; unit by unit."""
 
-    label: str = PolicyKind.SOLVER.value
+    label: ClassVar[str] = PolicyKind.SOLVER.value
     _fold: HistoryFold[_Backlog] = _fold_field(
         partial(_start_unit_traces, PolicyKind.SOLVER.value), _fold_unit_trace
     )
@@ -465,7 +465,7 @@ class NoSubmitLooperPolicy:
     """
 
     loop_unit: str | None = None
-    label: str = PolicyKind.NO_SUBMIT_LOOPER.value
+    label: ClassVar[str] = PolicyKind.NO_SUBMIT_LOOPER.value
     _fold: HistoryFold[_Backlog] = _fold_field(
         partial(_start_unit_traces, PolicyKind.NO_SUBMIT_LOOPER.value), _fold_unit_trace
     )
@@ -505,8 +505,8 @@ class ExternalAdapterPolicy:
 
     command: list[str]
     timeout: float = 30.0
-    label: str = PolicyKind.EXTERNAL.value
-    _process: subprocess.Popen | None = field(default=None, repr=False)
+    label: ClassVar[str] = PolicyKind.EXTERNAL.value
+    _process: subprocess.Popen | None = field(default=None, init=False, repr=False)
     _poll: select.poll | None = field(default=None, init=False, repr=False)
     _buffer: bytearray = field(default_factory=bytearray, init=False, repr=False)
     _dropping: bool = field(default=False, init=False, repr=False)

@@ -539,6 +539,21 @@ class _Hidden:  # a task's hidden section as the manifest file holds it
 _HIDDEN = Schema(_Hidden)
 
 
+@dataclass(frozen=True)
+class _Snapshots:  # what a reposcan manifest file adds to the envelope
+    snapshots: tuple[dict, ...]
+
+
+@dataclass(frozen=True)
+class _TaskFields:  # what a reposcan manifest file adds to each task's spec
+    snapshot: str
+    hidden: dict
+
+
+_SNAPSHOT_LISTS = Schema(_Snapshots)
+_TASK_FIELDS = Schema(_TaskFields)
+
+
 @dataclass
 class ReposcanManifest:
     metadata: dict
@@ -763,19 +778,18 @@ def write_manifest(manifest: ReposcanManifest, path: str | Path) -> str:
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
     """The snapshots, each read as a SnapshotInfo, and each task's snapshot,
     which must be one of them, and hidden predicate and valid ids."""
-    snapshots = [
-        _SNAPSHOT_INFOS.decode(s, f"snapshots[{i}].") for i, s in enumerate(obj["snapshots"])
-    ]
-    # A list, not a set: a name that is not a string is unknown, not unhashable.
-    names = [s.name for s in snapshots]
+    listed = _SNAPSHOT_LISTS.decode(obj).snapshots
+    snapshots = [_SNAPSHOT_INFOS.decode(s, f"snapshots[{i}].") for i, s in enumerate(listed)]
+    names = {s.name for s in snapshots}
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         task = f"task {spec.task_id!r}"
-        if entry["snapshot"] not in names:
-            raise ValueError(f"{task} names unknown snapshot {entry['snapshot']!r}")
-        hidden = _HIDDEN.decode(entry["hidden"], f"{task}: hidden.")
+        entry = _TASK_FIELDS.decode(entry, f"{task}: ")
+        if entry.snapshot not in names:
+            raise ValueError(f"{task} names unknown snapshot {entry.snapshot!r}")
+        hidden = _HIDDEN.decode(entry.hidden, f"{task}: hidden.")
         predicate = PREDICATES.decode(hidden.predicate, f"{task}: ")
-        tasks.append(ReposcanTask(spec, entry["snapshot"], predicate, hidden.valid_ids))
+        tasks.append(ReposcanTask(spec, entry.snapshot, predicate, hidden.valid_ids))
     return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)
 
 

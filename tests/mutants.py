@@ -263,6 +263,28 @@ MUTANTS = (
         "_PRODUCT_MAX_TASKS = 128",
         (BULK + "[128-1-0]", BULK + "[128-None-99]"),
     ),
+    # The output tables: each column is declared once, on its row type's field.
+    Mutant(
+        "aggregate-mean-of-wrong-field",
+        METRICS,
+        'premature_stop_rate: float = _mean_of("premature_stop")',
+        'premature_stop_rate: float = _mean_of("budget_exhausted")',
+        ("tests/test_record_digest.py::test_aggregate_bytes_are_pinned",),
+    ),
+    Mutant(
+        "delta-confidence-six-decimals",
+        METRICS,
+        '_column("confidence", ".4f")',
+        '_column("confidence", ".6f")',
+        ("tests/test_metrics.py::TestBulkDraws::test_golden_delta_bytes",),
+    ),
+    Mutant(
+        "record-duplicates-wrong-count",
+        "src/qgp/core.py",
+        "duplicate_occurrences=ledger.duplicate_occurrences,",
+        "duplicate_occurrences=ledger.submission_occurrences,",
+        ("tests/test_record_digest.py::test_record_bytes_are_pinned",),
+    ),
 )
 
 

@@ -1362,6 +1362,15 @@ _ESCAPING_FILE = {
     },
 }
 
+_UNIT = {"unit_id": "u0", "kind": "consistency_answer", "prompt": "p", "artifact_path": "a.txt"}
+_ONE_UNIT = {
+    "units": [_UNIT],
+    "hidden": {
+        "checkers": {"u0": {"type": "answer_equals", "file": "a.txt", "expected_normalized": "x"}},
+        "files": {},
+    },
+}
+
 MALFORMED_INPUTS = {
     "reposcan-without-snapshots": '{"format": "qgp-manifest", "family": "reposcan"}\n',
     "reposcan-task-naming-unknown-snapshot": _manifest_text(
@@ -1441,6 +1450,36 @@ MALFORMED_INPUTS = {
         snapshots=[_SNAPSHOT],
     ),
     "dataops-with-tasks-an-object": _manifest_text("dataops", {}),
+    "reposcan-task-without-snapshot": _manifest_text(
+        "reposcan", [_task("reposcan", hidden=_HIDDEN)], snapshots=[_SNAPSHOT]
+    ),
+    "reposcan-task-without-hidden": _manifest_text(
+        "reposcan", [_task("reposcan", snapshot="s")], snapshots=[_SNAPSHOT]
+    ),
+    "reposcan-with-snapshots-5": _manifest_text(
+        "reposcan", [_task("reposcan", snapshot="s", hidden=_HIDDEN)], snapshots=5
+    ),
+    "dataops-task-without-units-field": _manifest_text(
+        "dataops", [_task("dataops", hidden=_ONE_UNIT["hidden"])]
+    ),
+    "dataops-task-with-units-3": _manifest_text(
+        "dataops", [_task("dataops", **_ONE_UNIT | {"units": 3})]
+    ),
+    "dataops-task-without-hidden": _manifest_text(
+        "dataops", [_task("dataops", units=_ONE_UNIT["units"])]
+    ),
+    # A unit whose checker is missing, or whose kind is unknown or names
+    # another checker type; TASK_ERRORS holds what loading says of each.
+    "dataops-unit-without-checker": _manifest_text(
+        "dataops", [_task("dataops", **_ONE_UNIT | {"hidden": {"checkers": {}, "files": {}}})]
+    ),
+    "dataops-unit-of-unknown-kind": _manifest_text(
+        "dataops", [_task("dataops", **_ONE_UNIT | {"units": [_UNIT | {"kind": "no_such_kind"}]})]
+    ),
+    "dataops-unit-kind-naming-another-checker": _manifest_text(
+        "dataops",
+        [_task("dataops", **_ONE_UNIT | {"units": [_UNIT | {"kind": "csv_count_check"}]})],
+    ),
 }
 # The whole error line that loading gives for each mistyped manifest field,
 # after "error: cannot load PATH: ".
@@ -1459,6 +1498,12 @@ FIELD_ERRORS = {
     "reposcan-task-with-valid-ids-a-string": (
         "task 't1': hidden.valid_ids must be a list of strings"
     ),
+    "reposcan-task-without-snapshot": "task 't1': snapshot must be a string",
+    "reposcan-task-without-hidden": "task 't1': hidden must be an object",
+    "reposcan-with-snapshots-5": "snapshots must be a list of items each an object",
+    "dataops-task-without-units-field": "task 't1': units must be a list of items each an object",
+    "dataops-task-with-units-3": "task 't1': units must be a list of items each an object",
+    "dataops-task-without-hidden": "task 't1': hidden must be an object",
 }
 # What loading says of the one task of each malformed manifest.
 TASK_ERRORS = {
@@ -1471,6 +1516,13 @@ TASK_ERRORS = {
     "dataops-task-with-file-outside-workspace": "file '../x': not a file path inside",
     "reposcan-task-with-valid-ids-a-string": "valid_ids must be a list of strings",
     "reposcan-task-with-a-valid-id-not-a-string": "valid_ids must be a list of strings",
+    "dataops-unit-without-checker": "task 't1' unit 'u0' has no checker",
+    "dataops-unit-of-unknown-kind": (
+        "task 't1' unit 'u0': kind 'no_such_kind' is not checked by answer_equals"
+    ),
+    "dataops-unit-kind-naming-another-checker": (
+        "task 't1' unit 'u0': kind 'csv_count_check' is not checked by answer_equals"
+    ),
 }
 COMMANDS = {
     "run": lambda path, out: ["run", "--manifest", path, "--out", out],
