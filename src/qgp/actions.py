@@ -197,26 +197,26 @@ def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callabl
     """(encode, check, expected) for one field annotation.
 
     `encode` maps a value to its JSON form, or is None where JSON takes the
-    value as it is. `check` maps a JSON value to the field's value, or to
-    _BAD when the value is not `expected`; a nested record that does not fit
-    raises `error` naming its own field.
+    value as it is. `check(value, prefix, name)` maps field `name`'s JSON value
+    to the field's value, or to _BAD when it is not `expected`; a nested record
+    that does not fit raises `error` naming its field by path, `prefix` first.
     """
     args = get_args(hint)
     if hint in _SCALARS:
         admits, expected = _SCALARS[hint]
-        return None, lambda v: v if admits(v) else _BAD, expected
+        return None, lambda v, prefix, name: v if admits(v) else _BAD, expected
     if type(None) in args:
         encode, check, expected = _field_codec(args[0], error)
-        return encode, lambda v: None if v is None else check(v), f"{expected} or null"
+        return encode, lambda v, *at: None if v is None else check(v, *at), f"{expected} or null"
     if get_origin(hint) is tuple:  # of scalars or of records
         encode_item, check_item, expected = _field_codec(args[0], error)
         admits = _SCALARS.get(args[0], (None,))[0]
 
-        def check_list(value: object) -> object:
+        def check_list(value: object, prefix: str, name: str) -> object:
             if type(value) is not list:
                 return _BAD
             if admits is None:  # a record's check raises on a bad item
-                return tuple(map(check_item, value))
+                return tuple(check_item(x, prefix, f"{name}[{i}]") for i, x in enumerate(value))
             return tuple(value) if all(map(admits, value)) else _BAD
 
         encode = list if encode_item is None else lambda v: [encode_item(x) for x in v]
@@ -225,7 +225,7 @@ def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callabl
     if get_origin(hint) is dict:  # JSON keys are strings; the values are scalars
         admits, expected = _SCALARS[args[1]]
 
-        def check_map(value: object) -> object:
+        def check_map(value: object, prefix: str, name: str) -> object:
             return value if type(value) is dict and all(map(admits, value.values())) else _BAD
 
         return None, check_map, f"an object whose values are each {expected}"
@@ -233,12 +233,11 @@ def _field_codec(hint, error: type[Exception]) -> tuple[Callable | None, Callabl
         members = {member.value: member for member in hint}
         return (
             operator.attrgetter("value"),
-            lambda v: members.get(v, _BAD) if isinstance(v, str) else _BAD,
+            lambda v, prefix, name: members.get(v, _BAD) if isinstance(v, str) else _BAD,
             "one of " + ", ".join(members),
         )
     schema = Schema(hint, error)  # a nested dataclass: an untagged object
-    name = hint.__name__
-    return schema.encode, lambda v: schema.decode(v, f"{name}."), f"a {name}"
+    return schema.encode, lambda v, prefix, name: schema.decode(v, f"{prefix}{name}."), "an object"
 
 
 def _has_default(f: Field) -> bool:
@@ -275,7 +274,7 @@ class Schema:
         for name, _, check, expected, has_default in self.plan:
             value = obj.get(name, _BAD)
             if value is not _BAD:
-                value = check(value)
+                value = check(value, prefix, name)
             elif has_default:
                 continue
             if value is _BAD:

@@ -20,7 +20,7 @@ import posixpath
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from .actions import (
     Action,
@@ -54,8 +54,56 @@ DATAOPS_BUDGETS = {3: 30, 5: 50, 10: 90, 20: 160}
 
 
 # ---------------------------------------------------------------------------
-# Checkers
+# Checkers: each class is the one declaration of its unit kind
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CsvEdit:
+    """The edit payload of a CSV unit: set one cell."""
+
+    row_key: str
+    column: str
+    value: str
+
+    def apply(self, workspace: Workspace, relpath: str) -> str | None:
+        """Set the cell; returns why it could not, or None."""
+        header, rows = _read_rows(workspace, relpath)
+        if self.column not in header:
+            return f'edit failed: column "{self.column}" missing'
+        col = header.index(self.column)
+        for row in rows:
+            if row and row[0].strip() == self.row_key:
+                while len(row) <= col:
+                    row.append("")
+                row[col] = self.value
+                workspace.write(relpath, _csv_text(header, rows))
+                return None
+        return f'edit failed: no row keyed "{self.row_key}"'
+
+
+@dataclass(frozen=True)
+class MetadataEdit:
+    """The edit payload of a metadata unit: set one `key: value` line."""
+
+    key: str
+    value: str
+
+    def apply(self, workspace: Workspace, relpath: str) -> None:
+        lines = workspace.read(relpath).splitlines()
+        replaced = False
+        for i, line in enumerate(lines):
+            if line.split(":", 1)[0].strip() == self.key:
+                lines[i] = f"{self.key}: {self.value}"
+                replaced = True
+        if not replaced:
+            lines.append(f"{self.key}: {self.value}")
+        workspace.write(relpath, "\n".join(lines) + "\n")
+
+
+# Each checker class declares the unit `kind` it checks, the record its
+# unit's edit payload is read as (None: the payload is the file's new text)
+# and its rule, `verdict`, on a workspace that holds its file.
 
 
 @dataclass(frozen=True)
@@ -65,11 +113,36 @@ class FieldEquals:
     column: str
     expected: str
 
+    kind: ClassVar[str] = "csv_field_check"
+    edit: ClassVar[type | None] = CsvEdit
+
+    def verdict(self, workspace: Workspace) -> tuple[bool, str]:
+        header, rows = _read_rows(workspace, self.file)
+        if self.column not in header:
+            return False, f'field check failed: column "{self.column}" missing'
+        col = header.index(self.column)
+        for row in rows:
+            if row and row[0].strip() == self.row_key:
+                actual = row[col].strip() if col < len(row) else "<missing>"
+                if actual == self.expected:
+                    return True, "check passed"
+                return False, f'field check failed: expected "{self.expected}", actual "{actual}"'
+        return False, f'field check failed: no row keyed "{self.row_key}"'
+
 
 @dataclass(frozen=True)
 class RowCount:
     file: str
     expected: int
+
+    kind: ClassVar[str] = "csv_count_check"
+    edit: ClassVar[type | None] = CsvEdit
+
+    def verdict(self, workspace: Workspace) -> tuple[bool, str]:
+        _, rows = _read_rows(workspace, self.file)
+        if len(rows) == self.expected:
+            return True, "check passed"
+        return False, f"row count check failed: expected {self.expected}, found {len(rows)}"
 
 
 @dataclass(frozen=True)
@@ -78,11 +151,33 @@ class KeyPresent:
     key: str
     expected_value: str
 
+    kind: ClassVar[str] = "metadata_repair"
+    edit: ClassVar[type | None] = MetadataEdit
+
+    def verdict(self, workspace: Workspace) -> tuple[bool, str]:
+        actual = _read_metadata(workspace, self.file).get(self.key, "<missing>")
+        if actual == self.expected_value:
+            return True, "check passed"
+        return False, (
+            f'metadata check failed: key "{self.key}" expected '
+            f'"{self.expected_value}", actual "{actual}"'
+        )
+
 
 @dataclass(frozen=True)
 class AnswerEquals:
     file: str
     expected_normalized: str
+
+    kind: ClassVar[str] = "consistency_answer"
+    edit: ClassVar[type | None] = None
+
+    def verdict(self, workspace: Workspace) -> tuple[bool, str]:
+        # The diagnostic never echoes the expected answer.
+        stored = normalize_answer(workspace.read(self.file))
+        if stored == self.expected_normalized:
+            return True, "check passed"
+        return False, "stored answer does not match the required value"
 
 
 @dataclass(frozen=True)
@@ -90,30 +185,33 @@ class FileDigest:
     file: str
     expected_digest: str
 
+    kind: ClassVar[str] = "artifact_validation"
+    edit: ClassVar[type | None] = None
+
+    def verdict(self, workspace: Workspace) -> tuple[bool, str]:
+        actual = hashlib.sha256(workspace.read(self.file).encode("utf-8")).hexdigest()
+        if actual == self.expected_digest:
+            return True, "check passed"
+        return False, (
+            f"digest check failed: expected {self.expected_digest[:12]}, "
+            f"actual {actual[:12]}"
+        )
+
 
 CheckerSpec = Union[FieldEquals, RowCount, KeyPresent, AnswerEquals, FileDigest]
 
-CHECKERS = TaggedCodec(
-    "checker",
-    "type",
-    {
-        "field_equals": FieldEquals,
-        "row_count": RowCount,
-        "key_present": KeyPresent,
-        "answer_equals": AnswerEquals,
-        "file_digest": FileDigest,
-    },
-    ValueError,
-)
-
-# The checker type each unit kind names; a manifest unit's checker must be of that type.
-KIND_CHECKERS = {
-    "csv_field_check": "field_equals",
-    "csv_count_check": "row_count",
-    "metadata_repair": "key_present",
-    "consistency_answer": "answer_equals",
-    "artifact_validation": "file_digest",
+_CHECKER_TYPES = {
+    "field_equals": FieldEquals,
+    "row_count": RowCount,
+    "key_present": KeyPresent,
+    "answer_equals": AnswerEquals,
+    "file_digest": FileDigest,
 }
+CHECKERS = TaggedCodec("checker", "type", _CHECKER_TYPES, ValueError)
+
+# The record each unit kind's edit payload is read as, from its checker class.
+UNIT_EDITS = {cls.kind: cls.edit for cls in _CHECKER_TYPES.values()}
+_EDIT_READERS = {edit: Schema(edit, ConfigurationError) for edit in (CsvEdit, MetadataEdit)}
 
 
 def normalize_answer(text: str) -> str:
@@ -138,6 +236,11 @@ class BacklogUnit:
     def mark_attempted(self) -> None:
         if self.status == UnitStatus.PENDING:
             self.status = UnitStatus.ATTEMPTED
+
+    def feedback(self, passed: bool, detail: str) -> UnitFeedback:
+        """An operation's answer, with the unit's status as the operation left it."""
+        verdict = Verdict.PASS if passed else Verdict.FAIL
+        return UnitFeedback(self.unit_id, verdict, detail, self.status)
 
 
 class Workspace:
@@ -246,57 +349,17 @@ def _read_metadata(workspace: Workspace, relpath: str) -> dict[str, str]:
 
 
 def evaluate_checker(checker: CheckerSpec, workspace: Workspace) -> tuple[bool, str]:
-    """Deterministic verdict plus a bounded diagnostic.
+    """Deterministic verdict plus a bounded diagnostic: the checker's rule,
+    once its file exists.
 
     Diagnostics may describe expected-versus-actual shape, but never echo the
     expected value of an answer-style unit.
     """
-    if not workspace.exists(checker.file):
-        if isinstance(checker, AnswerEquals):
-            return False, "no answer recorded yet"
-        return False, f"artifact file missing: {checker.file}"
-    if isinstance(checker, FieldEquals):
-        header, rows = _read_rows(workspace, checker.file)
-        if checker.column not in header:
-            return False, f'field check failed: column "{checker.column}" missing'
-        col = header.index(checker.column)
-        for row in rows:
-            if row and row[0].strip() == checker.row_key:
-                actual = row[col].strip() if col < len(row) else "<missing>"
-                if actual == checker.expected:
-                    return True, "check passed"
-                return False, (
-                    f'field check failed: expected "{checker.expected}", actual "{actual}"'
-                )
-        return False, f'field check failed: no row keyed "{checker.row_key}"'
-    if isinstance(checker, RowCount):
-        _, rows = _read_rows(workspace, checker.file)
-        if len(rows) == checker.expected:
-            return True, "check passed"
-        return False, f"row count check failed: expected {checker.expected}, found {len(rows)}"
-    if isinstance(checker, KeyPresent):
-        table = _read_metadata(workspace, checker.file)
-        actual = table.get(checker.key, "<missing>")
-        if actual == checker.expected_value:
-            return True, "check passed"
-        return False, (
-            f'metadata check failed: key "{checker.key}" expected '
-            f'"{checker.expected_value}", actual "{actual}"'
-        )
+    if workspace.exists(checker.file):
+        return checker.verdict(workspace)
     if isinstance(checker, AnswerEquals):
-        stored = normalize_answer(workspace.read(checker.file))
-        if stored == checker.expected_normalized:
-            return True, "check passed"
-        return False, "stored answer does not match the required value"
-    if isinstance(checker, FileDigest):
-        actual = hashlib.sha256(workspace.read(checker.file).encode("utf-8")).hexdigest()
-        if actual == checker.expected_digest:
-            return True, "check passed"
-        return False, (
-            f"digest check failed: expected {checker.expected_digest[:12]}, "
-            f"actual {actual[:12]}"
-        )
-    raise ConfigurationError(f"unknown checker: {checker!r}")
+        return False, "no answer recorded yet"
+    return False, f"artifact file missing: {checker.file}"
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +368,7 @@ def evaluate_checker(checker: CheckerSpec, workspace: Workspace) -> tuple[bool, 
 
 
 def _unknown_unit(unit_id: str) -> UnitFeedback:
-    return UnitFeedback(
-        unit_id=unit_id,
-        verdict=Verdict.FAIL,
-        detail=f"unknown unit id: {unit_id}",
-        status_after=UnitStatus.PENDING,
-    )
+    return UnitFeedback(unit_id, Verdict.FAIL, f"unknown unit id: {unit_id}", UnitStatus.PENDING)
 
 
 def inspect_unit(
@@ -323,108 +381,39 @@ def inspect_unit(
         excerpt = workspace.read(unit.artifact_path)[:200]
     else:
         excerpt = "<no artifact file>"
-    detail = f"{unit.prompt}\n---\n{excerpt}"
-    return UnitFeedback(
-        unit_id=unit_id, verdict=Verdict.PASS, detail=detail, status_after=unit.status
-    )
-
-
-@dataclass(frozen=True)
-class CsvEdit:
-    """The edit payload of a CSV unit: set one cell."""
-
-    row_key: str
-    column: str
-    value: str
-
-
-@dataclass(frozen=True)
-class MetadataEdit:
-    """The edit payload of a metadata unit: set one `key: value` line."""
-
-    key: str
-    value: str
-
-
-_CSV_EDITS = Schema(CsvEdit, ConfigurationError)
-_METADATA_EDITS = Schema(MetadataEdit, ConfigurationError)
-
-
-def _apply_csv_edit(workspace: Workspace, relpath: str, edit: CsvEdit) -> str | None:
-    header, rows = _read_rows(workspace, relpath)
-    if edit.column not in header:
-        return f'edit failed: column "{edit.column}" missing'
-    col = header.index(edit.column)
-    for row in rows:
-        if row and row[0].strip() == edit.row_key:
-            while len(row) <= col:
-                row.append("")
-            row[col] = edit.value
-            workspace.write(relpath, _csv_text(header, rows))
-            return None
-    return f'edit failed: no row keyed "{edit.row_key}"'
-
-
-def _apply_metadata_edit(workspace: Workspace, relpath: str, edit: MetadataEdit) -> None:
-    lines = workspace.read(relpath).splitlines()
-    replaced = False
-    for i, line in enumerate(lines):
-        if line.split(":", 1)[0].strip() == edit.key:
-            lines[i] = f"{edit.key}: {edit.value}"
-            replaced = True
-    if not replaced:
-        lines.append(f"{edit.key}: {edit.value}")
-    workspace.write(relpath, "\n".join(lines) + "\n")
+    return unit.feedback(True, f"{unit.prompt}\n---\n{excerpt}")
 
 
 def apply_edit(
     units: dict[str, BacklogUnit], workspace: Workspace, unit_id: str, payload: str
 ) -> UnitFeedback:
-    """Interpret the payload per the unit's checker type; the checker is never run here.
+    """Read the payload as the unit's checker class says; the checker is never run here.
 
     A CSV or metadata payload is a JSON object read as a `CsvEdit` or a
     `MetadataEdit`, with string fields; one that does not fit fails the step
-    as a malformed edit payload, naming the field.
+    as a malformed edit payload, naming the field. Any other payload is the
+    file's new text.
     """
     unit = units.get(unit_id)
     if unit is None:
         return _unknown_unit(unit_id)
     if unit.status == UnitStatus.PASSED:
-        return UnitFeedback(
-            unit_id=unit_id,
-            verdict=Verdict.PASS,
-            detail="unit already passed; edit ignored",
-            status_after=UnitStatus.PASSED,
-        )
+        return unit.feedback(True, "unit already passed; edit ignored")
     unit.mark_attempted()
     error: str | None = None
+    edit = unit.checker.edit
     try:
-        if isinstance(unit.checker, (FieldEquals, RowCount)):
-            edit = _CSV_EDITS.decode(json.loads(payload), "payload.")
-            if not workspace.exists(unit.artifact_path):
-                error = f"artifact file missing: {unit.artifact_path}"
-            else:
-                error = _apply_csv_edit(workspace, unit.artifact_path, edit)
-        elif isinstance(unit.checker, KeyPresent):
-            edit = _METADATA_EDITS.decode(json.loads(payload), "payload.")
-            if not workspace.exists(unit.artifact_path):
-                error = f"artifact file missing: {unit.artifact_path}"
-            else:
-                _apply_metadata_edit(workspace, unit.artifact_path, edit)
-        else:
+        if edit is None:
             workspace.write(unit.artifact_path, payload)
+        else:
+            record = _EDIT_READERS[edit].decode(json.loads(payload), "payload.")
+            if not workspace.exists(unit.artifact_path):
+                error = f"artifact file missing: {unit.artifact_path}"
+            else:
+                error = record.apply(workspace, unit.artifact_path)
     except (json.JSONDecodeError, ConfigurationError) as exc:
         error = f"malformed edit payload: {exc}"
-    if error is not None:
-        return UnitFeedback(
-            unit_id=unit_id, verdict=Verdict.FAIL, detail=error, status_after=unit.status
-        )
-    return UnitFeedback(
-        unit_id=unit_id,
-        verdict=Verdict.PASS,
-        detail=f"edit applied to {unit.artifact_path}",
-        status_after=unit.status,
-    )
+    return unit.feedback(error is None, error or f"edit applied to {unit.artifact_path}")
 
 
 def run_check(
@@ -434,22 +423,13 @@ def run_check(
     if unit is None:
         return _unknown_unit(unit_id)
     if unit.status == UnitStatus.PASSED:
-        return UnitFeedback(
-            unit_id=unit_id,
-            verdict=Verdict.PASS,
-            detail="unit already passed",
-            status_after=UnitStatus.PASSED,
-        )
-    ok, detail = evaluate_checker(unit.checker, workspace)
-    if ok:
+        return unit.feedback(True, "unit already passed")
+    passed, detail = evaluate_checker(unit.checker, workspace)
+    if passed:
         unit.status = UnitStatus.PASSED
-        return UnitFeedback(
-            unit_id=unit_id, verdict=Verdict.PASS, detail=detail, status_after=UnitStatus.PASSED
-        )
-    unit.mark_attempted()
-    return UnitFeedback(
-        unit_id=unit_id, verdict=Verdict.FAIL, detail=detail, status_after=unit.status
-    )
+    else:
+        unit.mark_attempted()
+    return unit.feedback(passed, detail)
 
 
 def submit_unit(units: dict[str, BacklogUnit], ledger: RunLedger, unit_id: str) -> SubmitFeedback:
@@ -614,18 +594,18 @@ def _load_sources(sources: FixtureSources) -> tuple[list[CsvTable], list[_Snapsh
 
 def _build_unit(
     rng,
-    kind: str,
+    checker_type: type,
     unit_idx: int,
     tables: Sequence[CsvTable],
     fixtures: Sequence[_SnapshotFixture],
     files: dict[str, str],
 ) -> BacklogUnit:
     unit_id = f"u{unit_idx:03d}"
-    if kind in ("csv_field_check", "csv_count_check"):
+    if checker_type.edit is CsvEdit:
         stem, header, data = tables[rng.randrange(len(tables))]
         rows = _fixture_rows(rng, data)
         relpath = f"data/{stem}_{unit_idx:03d}.csv"
-        if kind == "csv_count_check":
+        if checker_type is RowCount:
             files[relpath] = _csv_text(header, rows)
             checker: CheckerSpec = RowCount(file=relpath, expected=len(rows))
             prompt = f"Run the row-count check for {relpath} and submit the unit once it passes."
@@ -652,7 +632,7 @@ def _build_unit(
                 f"{relpath} matches the verified source value; run the check and repair "
                 f"the cell if it fails."
             )
-    elif kind == "metadata_repair":
+    elif checker_type is KeyPresent:
         fixture = fixtures[rng.randrange(len(fixtures))]
         relpath = f"meta/{fixture.name}_{unit_idx:03d}.txt"
         lines = list(fixture.metadata_lines)
@@ -669,7 +649,7 @@ def _build_unit(
             f'Ensure metadata key "{key}" in {relpath} carries the verified value; '
             f"repair it if the check fails."
         )
-    elif kind == "consistency_answer":
+    elif checker_type is AnswerEquals:
         token = f"tag-{rng.randrange(16 ** 8):08x}"
         relpath = f"answers/{unit_id}.txt"
         checker = AnswerEquals(file=relpath, expected_normalized=normalize_answer(token))
@@ -677,7 +657,7 @@ def _build_unit(
             f'Record the consistency answer for this backlog: reply with the reference '
             f'token "{token}" exactly.'
         )
-    else:  # artifact_validation
+    else:  # FileDigest
         fixture = fixtures[rng.randrange(len(fixtures))]
         basename, text = fixture.artifacts[rng.randrange(len(fixture.artifacts))]
         relpath = f"artifacts/{unit_idx:03d}_{basename}"
@@ -686,7 +666,7 @@ def _build_unit(
         checker = FileDigest(file=relpath, expected_digest=digest)
         prompt = f"Run the integrity check for {relpath} and submit the unit once the digest verifies."
     return BacklogUnit(
-        unit_id=unit_id, kind=kind, prompt=prompt, artifact_path=relpath, checker=checker
+        unit_id=unit_id, kind=checker.kind, prompt=prompt, artifact_path=relpath, checker=checker
     )
 
 
@@ -707,17 +687,17 @@ def generate_backlog(
     if not tables and not fixtures:
         raise GenerationError("dataops generation needs at least one CSV or snapshot source")
     rng = stream(seed, "dataops-backlog")
-    kinds = []
+    checker_types: list[type] = []
     if tables:
-        kinds += ["csv_field_check", "csv_count_check"]
+        checker_types += [FieldEquals, RowCount]
     if fixtures:
-        kinds += ["metadata_repair", "artifact_validation"]
-    kinds.append("consistency_answer")
-    rng.shuffle(kinds)
+        checker_types += [KeyPresent, FileDigest]
+    checker_types.append(AnswerEquals)
+    rng.shuffle(checker_types)
 
     files: dict[str, str] = {}
     units = [
-        _build_unit(rng, kinds[i % len(kinds)], i, tables, fixtures, files)
+        _build_unit(rng, checker_types[i % len(checker_types)], i, tables, fixtures, files)
         for i in range(target_count + 2)
     ]
     spec = TaskSpec(
@@ -799,50 +779,46 @@ class _Hidden:  # a backlog's hidden section as the manifest file holds it
 
 @dataclass(frozen=True)
 class _TaskFields:  # what a dataops manifest file adds to each task's spec
-    units: tuple[dict, ...]
-    hidden: dict
+    units: tuple[UnitPublicView, ...]
+    hidden: _Hidden
 
 
-_HIDDEN = Schema(_Hidden)
 _TASK_FIELDS = Schema(_TaskFields)
-_UNIT_VIEWS = Schema(UnitPublicView)
 
 
 def write_manifest(manifest: DataopsManifest, path: str | Path) -> str:
     """Write the manifest; returns the sha256 of the file."""
     tasks = []
     for t in manifest.tasks:
-        units = [_UNIT_VIEWS.encode(u) for u in t.units]
         checkers = {u.unit_id: CHECKERS.encode(u.checker) for u in t.units}
-        tasks.append((t.spec, {"units": units, "hidden": {"checkers": checkers, "files": t.files}}))
+        fields = _TaskFields(PublicTaskView.of(t.spec, t.units).units, _Hidden(checkers, t.files))
+        tasks.append((t.spec, _TASK_FIELDS.encode(fields)))
     return write_manifest_file(path, Family.DATAOPS, manifest.metadata, tasks)
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
     """Each task's units, each read as a UnitPublicView, and its hidden
-    checkers and files. Each unit has a checker of the type its kind names
-    in KIND_CHECKERS. A task has at least one unit, unit ids are unique
-    within it and neither start nor end with whitespace (feedback echoes
-    submitted ids trimmed), every artifact path and checker file must be a
-    file path inside the workspace, and a workspace must take every file."""
+    checkers and files. Each unit has a checker of the class that declares
+    its kind. A task has at least one unit, unit ids are unique within it
+    and neither start nor end with whitespace (feedback echoes submitted ids
+    trimmed), every artifact path and checker file must be a file path
+    inside the workspace, and a workspace must take every file."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         task = f"task {spec.task_id!r}"
         entry = _TASK_FIELDS.decode(entry, f"{task}: ")
-        hidden = _HIDDEN.decode(entry.hidden, f"{task}: hidden.")
         units = []
-        for i, u in enumerate(entry.units):
-            view = _UNIT_VIEWS.decode(u, f"{task}: units[{i}].")
+        for i, view in enumerate(entry.units):
             if view.unit_id != view.unit_id.strip():
                 raise ValueError(
                     f"{task}: units[{i}].unit_id must not start or end with whitespace"
                 )
             where = f"{task} unit {view.unit_id!r}"
-            raw = hidden.checkers.get(view.unit_id)
+            raw = entry.hidden.checkers.get(view.unit_id)
             if raw is None:
                 raise ValueError(f"{where} has no checker")
             checker = CHECKERS.decode(raw, f"{where}: ")
-            if KIND_CHECKERS.get(view.kind) != raw["type"]:
+            if type(checker).kind != view.kind:
                 raise ValueError(f"{where}: kind {view.kind!r} is not checked by {raw['type']}")
             for relpath in (view.artifact_path, checker.file):
                 try:
@@ -855,7 +831,7 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
         if len({u.unit_id for u in units}) < len(units):
             raise ValueError(f"{task} repeats a unit id")
         try:
-            tasks.append(DataopsTask(spec, units, hidden.files))
+            tasks.append(DataopsTask(spec, units, entry.hidden.files))
         except ConfigurationError as exc:
             raise ValueError(f"{task} {exc}") from None
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)

@@ -58,6 +58,7 @@ from .actions import (
     observation_to_dict,
 )
 from .core import PublicTaskView, UnitPublicView, objective_queries
+from .dataops import UNIT_EDITS, AnswerEquals, CsvEdit, MetadataEdit
 from .errors import AdapterError, ConfigurationError
 
 History = Sequence[tuple[object, object]]
@@ -404,16 +405,17 @@ def derive_edit_payload(unit: UnitPublicView, fail_detail: str) -> str:
     """Build a repair payload from the public prompt plus the last diagnostic."""
     prompt_quotes = _QUOTED.findall(unit.prompt)
     detail_quotes = _QUOTED.findall(fail_detail)
-    if unit.kind in ("csv_field_check", "csv_count_check"):
+    edit = UNIT_EDITS.get(unit.kind)
+    if edit is CsvEdit:
         column = prompt_quotes[0] if prompt_quotes else ""
         row_key = prompt_quotes[1] if len(prompt_quotes) > 1 else ""
         value = detail_quotes[0] if detail_quotes else ""
         return json.dumps({"row_key": row_key, "column": column, "value": value})
-    if unit.kind == "metadata_repair":
+    if edit is MetadataEdit:
         key = prompt_quotes[0] if prompt_quotes else ""
         value = detail_quotes[1] if len(detail_quotes) > 1 else ""
         return json.dumps({"key": key, "value": value})
-    if unit.kind == "consistency_answer":
+    if unit.kind == AnswerEquals.kind:
         return prompt_quotes[-1] if prompt_quotes else ""
     return ""
 

@@ -527,27 +527,21 @@ class SnapshotInfo:
     artifact_count: int
 
 
-_SNAPSHOT_INFOS = Schema(SnapshotInfo)
-
-
 @dataclass(frozen=True)
 class _Hidden:  # a task's hidden section as the manifest file holds it
     predicate: dict
     valid_ids: tuple[str, ...]
 
 
-_HIDDEN = Schema(_Hidden)
-
-
 @dataclass(frozen=True)
 class _Snapshots:  # what a reposcan manifest file adds to the envelope
-    snapshots: tuple[dict, ...]
+    snapshots: tuple[SnapshotInfo, ...]
 
 
 @dataclass(frozen=True)
 class _TaskFields:  # what a reposcan manifest file adds to each task's spec
     snapshot: str
-    hidden: dict
+    hidden: _Hidden
 
 
 _SNAPSHOT_LISTS = Schema(_Snapshots)
@@ -769,17 +763,16 @@ def write_manifest(manifest: ReposcanManifest, path: str | Path) -> str:
     """Write the manifest; returns the sha256 of the file."""
     tasks = []
     for t in manifest.tasks:
-        hidden = {"predicate": PREDICATES.encode(t.predicate), "valid_ids": list(t.valid_ids)}
-        tasks.append((t.spec, {"snapshot": t.snapshot, "hidden": hidden}))
-    snapshots = [_SNAPSHOT_INFOS.encode(s) for s in manifest.snapshots]
-    return write_manifest_file(path, Family.REPOSCAN, manifest.metadata, tasks, snapshots=snapshots)
+        hidden = _Hidden(PREDICATES.encode(t.predicate), t.valid_ids)
+        tasks.append((t.spec, _TASK_FIELDS.encode(_TaskFields(t.snapshot, hidden))))
+    snapshots = _SNAPSHOT_LISTS.encode(_Snapshots(tuple(manifest.snapshots)))
+    return write_manifest_file(path, Family.REPOSCAN, manifest.metadata, tasks, **snapshots)
 
 
 def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
     """The snapshots, each read as a SnapshotInfo, and each task's snapshot,
     which must be one of them, and hidden predicate and valid ids."""
-    listed = _SNAPSHOT_LISTS.decode(obj).snapshots
-    snapshots = [_SNAPSHOT_INFOS.decode(s, f"snapshots[{i}].") for i, s in enumerate(listed)]
+    snapshots = list(_SNAPSHOT_LISTS.decode(obj).snapshots)
     names = {s.name for s in snapshots}
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
@@ -787,9 +780,8 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> ReposcanManifest:
         entry = _TASK_FIELDS.decode(entry, f"{task}: ")
         if entry.snapshot not in names:
             raise ValueError(f"{task} names unknown snapshot {entry.snapshot!r}")
-        hidden = _HIDDEN.decode(entry.hidden, f"{task}: hidden.")
-        predicate = PREDICATES.decode(hidden.predicate, f"{task}: ")
-        tasks.append(ReposcanTask(spec, entry.snapshot, predicate, hidden.valid_ids))
+        predicate = PREDICATES.decode(entry.hidden.predicate, f"{task}: ")
+        tasks.append(ReposcanTask(spec, entry.snapshot, predicate, entry.hidden.valid_ids))
     return ReposcanManifest(metadata=obj["metadata"], snapshots=snapshots, tasks=tasks)
 
 

@@ -168,8 +168,8 @@ MUTANTS = (
     Mutant(
         "row-count-at-least",
         DATAOPS,
-        "if len(rows) == checker.expected:",
-        "if len(rows) >= checker.expected:",
+        "if len(rows) == self.expected:",
+        "if len(rows) >= self.expected:",
         (CHECKER + "[one-row-too-many]",),
     ),
     Mutant(
@@ -182,23 +182,46 @@ MUTANTS = (
     Mutant(
         "metadata-value-casefolded",
         DATAOPS,
-        "if actual == checker.expected_value:",
-        "if actual.casefold() == checker.expected_value.casefold():",
+        "if actual == self.expected_value:",
+        "if actual.casefold() == self.expected_value.casefold():",
         (CHECKER + "[metadata-value-case-changed]",),
     ),
     Mutant(
         "answer-casefolded",
         DATAOPS,
-        "if stored == checker.expected_normalized:",
-        "if stored.casefold() == checker.expected_normalized.casefold():",
+        "if stored == self.expected_normalized:",
+        "if stored.casefold() == self.expected_normalized.casefold():",
         (CHECKER + "[answer-case-changed]",),
     ),
     Mutant(
         "digest-of-stripped-text",
         DATAOPS,
-        'workspace.read(checker.file).encode("utf-8")',
-        'workspace.read(checker.file).strip().encode("utf-8")',
+        'workspace.read(self.file).encode("utf-8")',
+        'workspace.read(self.file).strip().encode("utf-8")',
         (CHECKER + "[digest-trailing-newline]",),
+    ),
+    # Each unit kind's one declaration: its edit record and its feedback.
+    Mutant(
+        "field-edit-read-as-text",
+        DATAOPS,
+        'kind: ClassVar[str] = "csv_field_check"\n    edit: ClassVar[type | None] = CsvEdit',
+        'kind: ClassVar[str] = "csv_field_check"\n    edit: ClassVar[type | None] = None',
+        (
+            "tests/test_dataops.py::TestEditAndCheck::test_csv_cell_replacement",
+            "tests/test_policies.py::TestPayloadDerivation::"
+            "test_csv_payload_from_prompt_and_diagnostic",
+        ),
+    ),
+    Mutant(
+        "feedback-always-pending",
+        DATAOPS,
+        "verdict, detail, self.status)",
+        "verdict, detail, UnitStatus.PENDING)",
+        (
+            "tests/test_dataops.py::TestInspect::test_passed_unit",
+            "tests/test_dataops.py::TestEditAndCheck::test_metadata_repair_flow",
+            "tests/test_dataops.py::TestEditAndCheck::test_edit_on_passed_unit_is_noop",
+        ),
     ),
     # The workspace boundary.
     Mutant(

@@ -11,6 +11,7 @@ import pytest
 from qgp.actions import (
     ADAPTER_REQUESTS,
     FAMILY_ACTIONS,
+    OBSERVATIONS,
     AskUser,
     Candidate,
     ControllerNotice,
@@ -114,6 +115,24 @@ class TestObservationSerialization:
     def test_kind_tags(self, obs, kind):
         payload = observation_to_dict(obs)
         assert payload["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "candidates,message",
+        [
+            (
+                [{"artifact_id": "a", "preview": "p"}, {"artifact_id": 5, "preview": "p"}],
+                "search_results.candidates[1].artifact_id must be a string",
+            ),
+            ([5], "search_results.candidates[0] must be an object"),
+            ("abc", "search_results.candidates must be a list of items each an object"),
+        ],
+        ids=["field-of-second-item", "item-not-an-object", "not-a-list"],
+    )
+    def test_nested_record_error_names_its_whole_path(self, candidates, message):
+        obj = {"kind": "search_results", "query": "q", "page": 0, "candidates": candidates}
+        with pytest.raises(ActionParseError) as info:
+            OBSERVATIONS.decode(obj)
+        assert str(info.value) == message
 
     def test_enums_serialize_as_values(self):
         payload = observation_to_dict(

@@ -1468,6 +1468,16 @@ MALFORMED_INPUTS = {
     "dataops-task-without-hidden": _manifest_text(
         "dataops", [_task("dataops", units=_ONE_UNIT["units"])]
     ),
+    # A nested record is named by its whole path.
+    "reposcan-snapshot-not-an-object": _manifest_text(
+        "reposcan", [_task("reposcan", snapshot="s", hidden=_HIDDEN)], snapshots=[5]
+    ),
+    "dataops-unit-not-an-object": _manifest_text(
+        "dataops", [_task("dataops", **_ONE_UNIT | {"units": [5]})]
+    ),
+    "dataops-unit-with-prompt-7": _manifest_text(
+        "dataops", [_task("dataops", **_ONE_UNIT | {"units": [_UNIT | {"prompt": 7}]})]
+    ),
     # A unit whose checker is missing, or whose kind is unknown or names
     # another checker type; TASK_ERRORS holds what loading says of each.
     "dataops-unit-without-checker": _manifest_text(
@@ -1504,6 +1514,9 @@ FIELD_ERRORS = {
     "dataops-task-without-units-field": "task 't1': units must be a list of items each an object",
     "dataops-task-with-units-3": "task 't1': units must be a list of items each an object",
     "dataops-task-without-hidden": "task 't1': hidden must be an object",
+    "reposcan-snapshot-not-an-object": "snapshots[0] must be an object",
+    "dataops-unit-not-an-object": "task 't1': units[0] must be an object",
+    "dataops-unit-with-prompt-7": "task 't1': units[0].prompt must be a string",
 }
 # What loading says of the one task of each malformed manifest.
 TASK_ERRORS = {

@@ -7,7 +7,9 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,17 @@ from qgp.actions import Edit, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
 from qgp.core import RunLedger, run_episode
 from qgp.controllers import StandardController
 from qgp.dataops import (
+    CHECKERS,
+    UNIT_EDITS,
     AnswerEquals,
     BacklogUnit,
+    CsvEdit,
     DataopsEnvironment,
     FieldEquals,
     FileDigest,
     FixtureSources,
     KeyPresent,
+    MetadataEdit,
     RowCount,
     Workspace,
     _load_sources,
@@ -461,3 +467,45 @@ class TestReplayDeterminism:
             finally:
                 env.close()
         assert transcripts[0] == transcripts[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_between(start: str, end: str) -> str:
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    return text.split(start, 1)[1].split(end, 1)[0]
+
+
+def _quoted(text: str) -> list[str]:
+    return re.findall(r"`(\w+)`", text)
+
+
+class TestReadme:
+    """The README's dataops sentences say what the checker classes declare."""
+
+    def test_each_kind_is_checked_by_the_checker_that_declares_it(self):
+        bullet = _readme_between("- **dataops**: per task", "`run` and `smoke` read")
+        stated = dict(re.findall(r"`(\w+)` (?:is checked )?by `(\w+)`", bullet))
+        checkers = [
+            FieldEquals("f", "k", "c", "v"),
+            RowCount("f", 1),
+            KeyPresent("f", "k", "v"),
+            AnswerEquals("f", "a"),
+            FileDigest("f", "d"),
+        ]
+        assert stated == {c.kind: CHECKERS.encode(c)["type"] for c in checkers}
+        named = re.search(r"Each checker class in `qgp.dataops` \((.*?)\)", bullet)
+        assert _quoted(named[1]) == [type(c).__name__ for c in checkers]
+
+    def test_each_kind_takes_the_edit_payload_its_checker_declares(self):
+        paragraph = _readme_between("Each dataops run works", "Only `smoke`")
+        csv = re.search(r"CSV unit \((.*?)\) whose payload .*? fields (.*?), or", paragraph)
+        meta = re.search(r"metadata unit \((.*?)\) without the string fields (.*?):", paragraph)
+        text = re.search(r"The edit payload of (.*?) unit is the file's new text", paragraph)
+        stated = {kind: CsvEdit for kind in _quoted(csv[1])}
+        stated |= {kind: MetadataEdit for kind in _quoted(meta[1])}
+        stated |= {kind: None for kind in _quoted(text[1])}
+        assert stated == UNIT_EDITS
+        assert _quoted(csv[2]) == [f.name for f in fields(CsvEdit)]
+        assert _quoted(meta[2]) == [f.name for f in fields(MetadataEdit)]

@@ -98,3 +98,31 @@ def test_only_the_field_codec_reads_annotations():
         names = _names(tree).union(alias.name for node in imports for alias in node.names)
         found += [f"{path.name}: {name}" for name in sorted(names & ANNOTATION_WALKS)]
     assert not found, "annotations read outside the field codec: " + ", ".join(found)
+
+
+# Each unit kind and the checker class in `dataops.py` that declares it.
+UNIT_KINDS = {
+    "csv_field_check": "FieldEquals",
+    "csv_count_check": "RowCount",
+    "metadata_repair": "KeyPresent",
+    "consistency_answer": "AnswerEquals",
+    "artifact_validation": "FileDigest",
+}
+
+
+def test_each_unit_kind_is_written_once_on_its_checker_class():
+    # Every string literal equal to a kind name, with its module and the
+    # innermost class it sits in.
+    found: dict[str, list] = {kind: [] for kind in UNIT_KINDS}
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        owner = {
+            id(node): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in found:
+                found[node.value].append((path.name, owner.get(id(node))))
+    assert found == {kind: [("dataops.py", cls)] for kind, cls in UNIT_KINDS.items()}
