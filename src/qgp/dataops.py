@@ -28,6 +28,7 @@ from .actions import (
     Family,
     Inspect,
     Observation,
+    Outcome,
     RunCheck,
     Schema,
     SubmitFeedback,
@@ -752,15 +753,15 @@ def generate_dataops_manifest(
 
 def _assert_solvable(env: DataopsEnvironment) -> None:
     # The scripted solver must clear every generated backlog within budget.
-    from .controllers import StateQgpController
+    from .controllers import StandardController
     from .core import run_episode
     from .policies import SolverPolicy
 
     try:
-        record = run_episode(env.task, env, StateQgpController("standard"), SolverPolicy())
+        record = run_episode(env.task, env, StandardController(), SolverPolicy())
     finally:
         env.close()
-    if record.outcome.value != "success":
+    if record.outcome != Outcome.SUCCESS:
         raise GenerationError(
             f"backlog {env.task.task_id} not solvable within budget "
             f"(outcome={record.outcome.value}, valid={record.ledger.valid_count})"

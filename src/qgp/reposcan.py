@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import re
 from collections import Counter
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .actions import (
     Action,
@@ -192,7 +193,7 @@ class Corpus:
         if found is None:
             ids = self.ids
             found = self._matching.setdefault(
-                predicate, tuple([ids[i] for i in _selected(self, predicate)])
+                predicate, tuple([ids[i] for i in predicate.select(self)])
             )
         return found
 
@@ -378,7 +379,8 @@ def index_snapshot(root: str | Path) -> Corpus:
 
 
 def snapshot_digest(root: str | Path) -> str:
-    """Content hash over (relpath, bytes) pairs of the whole snapshot."""
+    """The snapshot's digest, as `read_snapshot` computes it. Kept only because
+    `bench/tracing.py` spans it by name, until ROADMAP item 3 moves the tracer."""
     return read_snapshot(root).digest
 
 
@@ -387,25 +389,124 @@ def snapshot_digest(root: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+_MAX_SAMPLING_ATTEMPTS = 200
+
+
 @dataclass(frozen=True)
 class KeywordOrPattern:
+    """Selects an artifact whose blob contains a lowered keyword or whose text a pattern finds."""
+
     keywords: tuple[str, ...]
     patterns: tuple[str, ...] = ()
+
+    tag: ClassVar[str] = "keyword_or_pattern"
+
+    def select(self, corpus: Corpus) -> list[int]:
+        hits: set[int] = set()
+        for k in self.keywords:
+            hits.update(corpus.containing(k.lower()))
+        # A pattern is compiled, and may fail, only when some artifact is left
+        # outside every earlier match, as an artifact-by-artifact scan would.
+        for p in self.patterns:
+            if len(hits) == len(corpus):
+                break
+            hits.update(corpus.found_by(p))
+        return sorted(hits)
+
+    def objective(self, target: int) -> str:
+        # Leading tokens are the searchable handles; scripted policies query them in order.
+        head = " ".join(self.keywords)
+        return f"{head} : find and submit {target} distinct repository artifacts matching these keywords"
+
+    @classmethod
+    def sample(cls, rng, corpus: Corpus, vocabulary: _Vocabulary, target: int):
+        candidates = vocabulary.band
+        if not candidates:
+            return None
+        for _ in range(_MAX_SAMPLING_ATTEMPTS):
+            primary = rng.choice(candidates)
+            extras = [t for t in candidates if t != primary]
+            keywords = [primary]
+            if extras and rng.random() < 0.5:
+                keywords.append(rng.choice(extras))
+            predicate = cls(keywords=tuple(keywords), patterns=(re.escape(primary),))
+            if len(corpus.matching(predicate)) >= target:
+                return predicate
+        return None
 
 
 @dataclass(frozen=True)
 class PathAndContent:
+    """Selects an artifact whose relpath contains the path substring and
+    whose lowered text contains the lowered content substring."""
+
     path_substring: str
     content_substring: str
+
+    tag: ClassVar[str] = "path_and_content"
+
+    def select(self, corpus: Corpus) -> list[int]:
+        # `text.lower()` is a prefix of `blob`, so the blob positions hold every match.
+        path, content = self.path_substring, self.content_substring.lower()
+        relpaths, texts = corpus.relpaths, corpus.texts
+        return [
+            i
+            for i in corpus.containing(content)
+            if path in relpaths[i] and content in texts[i].lower()
+        ]
+
+    def objective(self, target: int) -> str:
+        return (
+            f"{self.content_substring} {self.path_substring} : submit {target} distinct "
+            f"artifacts under {self.path_substring} mentioning {self.content_substring}"
+        )
+
+    @classmethod
+    def sample(cls, rng, corpus: Corpus, vocabulary: _Vocabulary, target: int):
+        top_dirs, wide = vocabulary.top_dirs, vocabulary.wide
+        if not top_dirs:
+            return None
+        pool = vocabulary.band or wide
+        if not pool:
+            return None
+        for _ in range(_MAX_SAMPLING_ATTEMPTS):
+            token = rng.choice(pool if rng.random() < 0.5 else wide or pool)
+            dirs = list(top_dirs)
+            rng.shuffle(dirs)
+            for directory in dirs:
+                predicate = cls(path_substring=directory, content_substring=token)
+                if len(corpus.matching(predicate)) >= target:
+                    return predicate
+        return None
 
 
 @dataclass(frozen=True)
 class TestOrDocumentation:
+    """Selects an artifact of one of its kinds."""
+
     __test__ = False  # keep pytest collection away from the Test- prefix
 
     kinds: tuple[str, ...] = (KIND_TEST, KIND_DOCUMENTATION)
 
+    tag: ClassVar[str] = "test_or_documentation"
 
+    def select(self, corpus: Corpus) -> list[int]:
+        return [i for i, kind in enumerate(corpus.kinds) if kind in self.kinds]
+
+    def objective(self, target: int) -> str:
+        return (
+            f"tests test docs .md .rst : submit {target} distinct test or documentation artifacts"
+        )
+
+    @classmethod
+    def sample(cls, rng, corpus: Corpus, vocabulary: _Vocabulary, target: int):
+        predicate = cls()
+        return predicate if len(corpus.matching(predicate)) >= target else None
+
+
+# Each type declares its manifest `tag`, the artifacts it `select`s, its task's
+# `objective` and how generation `sample`s one; generation cycles in this order.
+PREDICATE_TYPES = (KeywordOrPattern, PathAndContent, TestOrDocumentation)
 Predicate = Union[KeywordOrPattern, PathAndContent, TestOrDocumentation]
 
 _COMPILED: dict[str, re.Pattern] = {}
@@ -433,50 +534,8 @@ def _compiled(pattern: str) -> re.Pattern:
     return found
 
 
-def _selected(corpus: Corpus, predicate: Predicate) -> list[int]:
-    """Ascending positions of the artifacts that satisfy the predicate, read
-    from the corpus memos.
-
-    A keyword or pattern predicate selects an artifact whose blob contains a
-    lowered keyword, or whose text a pattern finds; a path and content
-    predicate one whose relpath contains the path substring and whose
-    lowered text the lowered content substring; a test or documentation
-    predicate one of its kinds.
-    """
-    if isinstance(predicate, KeywordOrPattern):
-        hits: set[int] = set()
-        for k in predicate.keywords:
-            hits.update(corpus.containing(k.lower()))
-        # A pattern is compiled, and may fail, only when some artifact is left
-        # outside every earlier match, as an artifact-by-artifact scan would.
-        for p in predicate.patterns:
-            if len(hits) == len(corpus):
-                break
-            hits.update(corpus.found_by(p))
-        return sorted(hits)
-    if isinstance(predicate, PathAndContent):
-        # `text.lower()` is a prefix of `blob`, so the blob positions hold every match.
-        path, content = predicate.path_substring, predicate.content_substring.lower()
-        relpaths, texts = corpus.relpaths, corpus.texts
-        return [
-            i
-            for i in corpus.containing(content)
-            if path in relpaths[i] and content in texts[i].lower()
-        ]
-    if isinstance(predicate, TestOrDocumentation):
-        return [i for i, kind in enumerate(corpus.kinds) if kind in predicate.kinds]
-    raise ConfigurationError(f"unknown predicate: {predicate!r}")
-
-
 PREDICATES = TaggedCodec(
-    "predicate",
-    "type",
-    {
-        "keyword_or_pattern": KeywordOrPattern,
-        "path_and_content": PathAndContent,
-        "test_or_documentation": TestOrDocumentation,
-    },
-    ValueError,
+    "predicate", "type", {cls.tag: cls for cls in PREDICATE_TYPES}, ValueError
 )
 
 
@@ -505,8 +564,6 @@ def search(corpus: Corpus, query: str, page: int, page_size: int = PAGE_SIZE) ->
 # Manifest generation
 # ---------------------------------------------------------------------------
 
-PREDICATE_FAMILIES = ("keyword_or_pattern", "path_and_content", "test_or_documentation")
-_MAX_SAMPLING_ATTEMPTS = 200
 # Tokens this common across a corpus make degenerate "match everything" predicates.
 _MAX_DF_FRACTION = 0.6
 
@@ -574,10 +631,10 @@ class ReposcanManifest:
         return environment, changed
 
     def smoke_failures(self, environments: Sequence, public_text: str) -> list[str]:
-        """Each task's hidden set must be what its predicate selects now, hold
-        at least the target, and share no id with the text policies see."""
+        """Each task's hidden set must be what its predicate selects now, hold at least
+        the target, and share no id, sought as JSON escapes it, with the JSON policies see."""
         hidden = {hidden_id for task in self.tasks for hidden_id in task.valid_ids}
-        leaked = {hidden_id for hidden_id in hidden if hidden_id in public_text}
+        leaked = {hidden_id for hidden_id in hidden if json.dumps(hidden_id)[1:-1] in public_text}
         failures = []
         for task, env in zip(self.tasks, environments):
             task_id = task.spec.task_id
@@ -609,71 +666,6 @@ def _vocabulary(table: Counter, target: int, corpus_size: int, top_dirs: list[st
     band = sorted(t for t, df in table.items() if target <= df <= high)
     wide = sorted(t for t, df in table.items() if target <= df <= max(6 * target, target + 40))
     return _Vocabulary(band, wide, top_dirs)
-
-
-def _sample_keyword_predicate(rng, corpus, vocabulary, target):
-    candidates = vocabulary.band
-    if not candidates:
-        return None
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        primary = rng.choice(candidates)
-        extras = [t for t in candidates if t != primary]
-        keywords = [primary]
-        if extras and rng.random() < 0.5:
-            keywords.append(rng.choice(extras))
-        predicate = KeywordOrPattern(
-            keywords=tuple(keywords), patterns=(re.escape(primary),)
-        )
-        if len(corpus.matching(predicate)) >= target:
-            return predicate
-    return None
-
-
-def _sample_path_content_predicate(rng, corpus, vocabulary, target):
-    top_dirs, wide = vocabulary.top_dirs, vocabulary.wide
-    if not top_dirs:
-        return None
-    pool = vocabulary.band or wide
-    if not pool:
-        return None
-    for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        token = rng.choice(pool if rng.random() < 0.5 else wide or pool)
-        dirs = list(top_dirs)
-        rng.shuffle(dirs)
-        for directory in dirs:
-            predicate = PathAndContent(path_substring=directory, content_substring=token)
-            if len(corpus.matching(predicate)) >= target:
-                return predicate
-    return None
-
-
-def _sample_test_doc_predicate(rng, corpus, vocabulary, target):
-    predicate = TestOrDocumentation()
-    if len(corpus.matching(predicate)) >= target:
-        return predicate
-    return None
-
-
-_SAMPLERS = {
-    "keyword_or_pattern": _sample_keyword_predicate,
-    "path_and_content": _sample_path_content_predicate,
-    "test_or_documentation": _sample_test_doc_predicate,
-}
-
-
-def _objective_text(predicate: Predicate, target: int) -> str:
-    # Leading tokens are the searchable handles; scripted policies query them in order.
-    if isinstance(predicate, KeywordOrPattern):
-        head = " ".join(predicate.keywords)
-        return f"{head} : find and submit {target} distinct repository artifacts matching these keywords"
-    if isinstance(predicate, PathAndContent):
-        return (
-            f"{predicate.content_substring} {predicate.path_substring} : submit {target} distinct "
-            f"artifacts under {predicate.path_substring} mentioning {predicate.content_substring}"
-        )
-    return (
-        f"tests test docs .md .rst : submit {target} distinct test or documentation artifacts"
-    )
 
 
 def generate_manifest(
@@ -716,26 +708,26 @@ def generate_manifest(
             )
         )
 
-    combos = [(info.name, fam) for info in infos for fam in PREDICATE_FAMILIES]
+    combos = [(info.name, kind) for info in infos for kind in PREDICATE_TYPES]
     tasks: list[ReposcanTask] = []
     for target in targets:
         if target not in REPOSCAN_BUDGETS:
             raise GenerationError(f"no budget configured for target {target}")
         for idx in range(instances_per_target):
-            snap_name, fam = combos[idx % len(combos)]
-            rng = stream(seed, "reposcan", snap_name, fam, target, idx)
+            snap_name, kind = combos[idx % len(combos)]
+            rng = stream(seed, "reposcan", snap_name, kind.tag, target, idx)
             corpus = corpora[snap_name]
-            predicate = _SAMPLERS[fam](rng, corpus, vocabularies[snap_name, target], target)
+            predicate = kind.sample(rng, corpus, vocabularies[snap_name, target], target)
             if predicate is None:
                 raise GenerationError(
-                    f"no {fam} predicate with >= {target} matches in snapshot {snap_name!r}"
+                    f"no {kind.tag} predicate with >= {target} matches in snapshot {snap_name!r}"
                 )
             valid_ids = tuple(sorted(corpus.matching(predicate)))
-            task_id = f"reposcan-{snap_name}-{fam}-n{target}-i{idx}"
+            task_id = f"reposcan-{snap_name}-{kind.tag}-n{target}-i{idx}"
             spec = TaskSpec(
                 task_id=task_id,
                 family=Family.REPOSCAN,
-                objective_text=_objective_text(predicate, target),
+                objective_text=predicate.objective(target),
                 target_count=target,
                 budget=REPOSCAN_BUDGETS[target],
                 seed=derive_seed(seed, task_id),

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 CONTROLLERS = "src/qgp/controllers.py"
 DATAOPS = "src/qgp/dataops.py"
 METRICS = "src/qgp/metrics.py"
+REPOSCAN = "src/qgp/reposcan.py"
 UNIT = "tests/test_controllers.py::TestUnitQgp::"
 STATE = "tests/test_controllers.py::TestStateQgp::"
 CHECKER = "tests/test_dataops.py::TestEditAndCheck::test_checker_verdict"
@@ -221,6 +222,31 @@ MUTANTS = (
             "tests/test_dataops.py::TestInspect::test_passed_unit",
             "tests/test_dataops.py::TestEditAndCheck::test_metadata_repair_flow",
             "tests/test_dataops.py::TestEditAndCheck::test_edit_on_passed_unit_is_noop",
+        ),
+    ),
+    # Reposcan predicates, each rule on its predicate class, and search ranking.
+    Mutant(
+        "keyword-case-sensitive",
+        REPOSCAN,
+        "containing(k.lower())",
+        "containing(k)",
+        ("tests/test_snapshot_search.py::TestMatchMemo::test_random_predicates_match_the_scan",),
+    ),
+    Mutant(
+        "path-predicate-ignores-content",
+        REPOSCAN,
+        " and content in texts[i].lower()",
+        "",
+        ("tests/test_reposcan.py::TestManifest::test_hidden_set_consistency",),
+    ),
+    Mutant(
+        "rank-ties-by-corpus-order",
+        REPOSCAN,
+        "(-scores[i], ids[i], i)",
+        "(-scores[i], i)",
+        (
+            "tests/test_snapshot_search.py::TestMemoisedSearch::"
+            "test_tie_break_by_id_not_corpus_order",
         ),
     ),
     # The workspace boundary.

@@ -1231,6 +1231,32 @@ class TestSmoke:
             f"FAIL: hidden id leaked: {task_id}\n" for task_id in flagged
         )
 
+    @pytest.mark.parametrize("name", ["café0.md", 'q"0.md', "b\\0.md"])
+    def test_hidden_id_that_json_escapes_is_a_leak(self, name, tmp_path, capsys):
+        # JSON writes a non-ASCII character, a quote or a backslash escaped,
+        # and smoke must still find the id that a policy reads.
+        docs = tmp_path / "snap" / "docs"
+        docs.mkdir(parents=True)
+        for i in range(12):
+            (docs / (name if i == 0 else f"d{i}.md")).write_text("gadget")
+            (docs.parent / f"m{i}.py").write_text("widget")
+        manifest = tmp_path / "escaped.json"
+        args = ["--targets", "10", "--instances", "3", "--out", str(manifest)]
+        assert main(["gen-reposcan", "--snapshot", str(docs.parent), *args]) == 0
+        assert main(["smoke", "--manifest", str(manifest)]) == 0
+        obj = json.loads(manifest.read_text(encoding="utf-8"))
+        leaked = f"docs/{name}#documentation"
+        flagged = [t["task_id"] for t in obj["tasks"] if leaked in t["hidden"]["valid_ids"]]
+        assert flagged
+        task = next(t for t in obj["tasks"] if t["task_id"] == flagged[0])
+        task["objective_text"] += " " + leaked
+        manifest.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["smoke", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().out == "".join(
+            f"FAIL: hidden id leaked: {task_id}\n" for task_id in flagged
+        )
+
     def test_target_above_hidden_set_size(self, mini_manifest, tmp_path, capsys):
         obj = json.loads(Path(mini_manifest).read_text())
         task = obj["tasks"][0]

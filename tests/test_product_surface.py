@@ -13,6 +13,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+import pytest
+
 from qgp import reposcan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,20 +102,30 @@ def test_only_the_field_codec_reads_annotations():
     assert not found, "annotations read outside the field codec: " + ", ".join(found)
 
 
-# Each unit kind and the checker class in `dataops.py` that declares it.
-UNIT_KINDS = {
-    "csv_field_check": "FieldEquals",
-    "csv_count_check": "RowCount",
-    "metadata_repair": "KeyPresent",
-    "consistency_answer": "AnswerEquals",
-    "artifact_validation": "FileDigest",
+# Each kind's name and the class that declares it, per module: a dataops unit
+# kind on its checker class, a reposcan predicate type on its predicate class.
+KIND_DECLARATIONS = {
+    "dataops.py": {
+        "csv_field_check": "FieldEquals",
+        "csv_count_check": "RowCount",
+        "metadata_repair": "KeyPresent",
+        "consistency_answer": "AnswerEquals",
+        "artifact_validation": "FileDigest",
+    },
+    "reposcan.py": {
+        "keyword_or_pattern": "KeywordOrPattern",
+        "path_and_content": "PathAndContent",
+        "test_or_documentation": "TestOrDocumentation",
+    },
 }
 
 
-def test_each_unit_kind_is_written_once_on_its_checker_class():
+@pytest.mark.parametrize("module", sorted(KIND_DECLARATIONS))
+def test_each_unit_kind_is_written_once_on_its_checker_class(module):
+    declared = KIND_DECLARATIONS[module]
     # Every string literal equal to a kind name, with its module and the
     # innermost class it sits in.
-    found: dict[str, list] = {kind: [] for kind in UNIT_KINDS}
+    found: dict[str, list] = {kind: [] for kind in declared}
     for path in sorted(SRC.glob("*.py")):
         tree = _parse(path)
         owner = {
@@ -125,4 +137,4 @@ def test_each_unit_kind_is_written_once_on_its_checker_class():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and node.value in found:
                 found[node.value].append((path.name, owner.get(id(node))))
-    assert found == {kind: [("dataops.py", cls)] for kind, cls in UNIT_KINDS.items()}
+    assert found == {kind: [(module, cls)] for kind, cls in declared.items()}

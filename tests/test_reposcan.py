@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
 from qgp.errors import GenerationError
 from qgp.reposcan import (
+    PREDICATE_TYPES,
     KeywordOrPattern,
     PathAndContent,
     TestOrDocumentation,
@@ -83,7 +86,7 @@ class TestIndexing:
 
 
 class TestPredicates:
-    """Each predicate family on one artifact: the corpus and the per-record
+    """Each predicate type on one artifact: the corpus and the per-record
     oracle must give the same verdict."""
 
     def _selects(self, artifact, predicate) -> bool:
@@ -258,3 +261,21 @@ class TestTokenTable:
         table = build_token_table(corpus)
         assert table["zeta"] == 3
         assert table["module"] == 10
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    """The README's reposcan bullet says what the predicate classes declare."""
+
+    def test_each_predicate_type_is_named_with_its_class_and_fields(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        bullet = text.split("- **reposcan**: a top-level", 1)[1].split("- **dataops**:", 1)[0]
+        assert "Each predicate `type` is declared by one class in `qgp.reposcan`" in bullet
+        # Each clause: `tag` is `Class`, then what it selects, naming its fields.
+        clauses = re.findall(r"`(\w+)` is `(\w+)`, an artifact ([^;]*)", bullet)
+        stated = [(tag, name, re.findall(r"`(\w+)`", rule)) for tag, name, rule in clauses]
+        assert stated == [
+            (cls.tag, cls.__name__, [f.name for f in fields(cls)]) for cls in PREDICATE_TYPES
+        ]
