@@ -1,13 +1,13 @@
 """Checker-backed backlog family: work units over CSV snippets and repo fixtures.
 
-A backlog is its task: a spec, its units and the files they start from. A
-manifest reads each CSV source and walks each snapshot root once, and every
-backlog is built from those loaded tables and fixtures. Each run keeps fresh
-copies of the units keyed by unit id and seeds an isolated workspace, a file
-tree held in memory: no policy can reach it, and a run creates no file or
-directory. A unit only counts after its deterministic checker accepts it and
-the unit is then submitted; checker internals stay hidden from the
-policy-facing surfaces, which a manifest's own smoke checks scan.
+A backlog is its task: a spec, its units and the files they start from. Each
+unit kind is declared once, on its checker class, from the sources its units
+draw from and how generation builds one to how a repair is read back from
+the unit's public prompt and diagnostic. A manifest reads each CSV source and
+walks each snapshot root once. Each run copies the units, keyed by unit id,
+and a workspace held in memory that no policy can reach. A unit only counts
+once its checker accepts it and it is then submitted; checker internals stay
+out of the policy-facing views, which a manifest's own smoke checks scan.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import posixpath
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,9 +103,26 @@ class MetadataEdit:
         workspace.write(relpath, "\n".join(lines) + "\n")
 
 
-# Each checker class declares the unit `kind` it checks, the record its
-# unit's edit payload is read as (None: the payload is the file's new text)
-# and its rule, `verdict`, on a workspace that holds its file.
+_EDIT_SCHEMAS = {edit: Schema(edit, ConfigurationError) for edit in (CsvEdit, MetadataEdit)}
+_FILE_MISSING = "artifact file missing: {}"
+_QUOTED = re.compile(r'"([^"]*)"')
+
+
+def _quote(text: str, index: int) -> str:
+    """The `index`th double-quoted string in `text`, or "" when there is none."""
+    quotes = _QUOTED.findall(text)
+    return quotes[index] if -len(quotes) <= index < len(quotes) else ""
+
+
+def _payload(edit: CsvEdit | MetadataEdit) -> str:
+    return json.dumps(_EDIT_SCHEMAS[type(edit)].encode(edit))
+
+
+# Each checker class declares its unit `kind`, its manifest `tag`, the source
+# its units `draws` from ("tables", "fixtures" or None), the record its edit
+# payload is read as (`edit`; None: the file's new text), its answer while its
+# file is `missing`, how generation `build`s a unit from one drawn source, its
+# rule (`verdict`), and the `repair` it reads from the prompt and diagnostic.
 
 
 @dataclass(frozen=True)
@@ -115,7 +133,34 @@ class FieldEquals:
     expected: str
 
     kind: ClassVar[str] = "csv_field_check"
+    tag: ClassVar[str] = "field_equals"
+    draws: ClassVar[str | None] = "tables"
     edit: ClassVar[type | None] = CsvEdit
+    missing: ClassVar[str] = _FILE_MISSING
+
+    @classmethod
+    def build(cls, rng, index: int, table: CsvTable, files: dict[str, str]):
+        stem, header, data = table
+        rows = _fixture_rows(rng, data)
+        relpath = f"data/{stem}_{index:03d}.csv"
+        columns = [c for c in range(1, len(header)) if header[c].strip()]
+        if not columns:
+            raise GenerationError(f"source {stem} has no non-key columns")
+        col = rng.choice(columns)
+        usable = [r for r in rows if len(r) > col and r[col].strip()]
+        if not usable:
+            raise GenerationError(f"source {stem} column {header[col]!r} has no usable cells")
+        # Row keys are unique, and `rows` are the unit's own copies.
+        row = rng.choice(usable)
+        key, expected = row[0].strip(), row[col].strip()
+        row[col] = _corrupt_value(rng, expected)
+        files[relpath] = _csv_text(header, rows)
+        prompt = (
+            f'Ensure column "{header[col]}" of the row keyed "{key}" in '
+            f"{relpath} matches the verified source value; run the check and repair "
+            f"the cell if it fails."
+        )
+        return cls(file=relpath, row_key=key, column=header[col], expected=expected), prompt
 
     def verdict(self, workspace: Workspace) -> tuple[bool, str]:
         header, rows = _read_rows(workspace, self.file)
@@ -130,6 +175,12 @@ class FieldEquals:
                 return False, f'field check failed: expected "{self.expected}", actual "{actual}"'
         return False, f'field check failed: no row keyed "{self.row_key}"'
 
+    @classmethod
+    def repair(cls, prompt: str, detail: str) -> str:
+        # The prompt quotes the column, then the row key; a diagnostic, the value first.
+        row_key, column, value = _quote(prompt, 1), _quote(prompt, 0), _quote(detail, 0)
+        return _payload(cls.edit(row_key=row_key, column=column, value=value))
+
 
 @dataclass(frozen=True)
 class RowCount:
@@ -137,7 +188,21 @@ class RowCount:
     expected: int
 
     kind: ClassVar[str] = "csv_count_check"
+    tag: ClassVar[str] = "row_count"
+    draws: ClassVar[str | None] = "tables"
     edit: ClassVar[type | None] = CsvEdit
+    missing: ClassVar[str] = _FILE_MISSING
+    # Its file starts right; a cell edit is read back as a field unit's.
+    repair = FieldEquals.repair
+
+    @classmethod
+    def build(cls, rng, index: int, table: CsvTable, files: dict[str, str]):
+        stem, header, data = table
+        rows = _fixture_rows(rng, data)
+        relpath = f"data/{stem}_{index:03d}.csv"
+        files[relpath] = _csv_text(header, rows)
+        prompt = f"Run the row-count check for {relpath} and submit the unit once it passes."
+        return cls(file=relpath, expected=len(rows)), prompt
 
     def verdict(self, workspace: Workspace) -> tuple[bool, str]:
         _, rows = _read_rows(workspace, self.file)
@@ -153,16 +218,46 @@ class KeyPresent:
     expected_value: str
 
     kind: ClassVar[str] = "metadata_repair"
+    tag: ClassVar[str] = "key_present"
+    draws: ClassVar[str | None] = "fixtures"
     edit: ClassVar[type | None] = MetadataEdit
+    missing: ClassVar[str] = _FILE_MISSING
+
+    @classmethod
+    def build(cls, rng, index: int, fixture: _SnapshotFixture, files: dict[str, str]):
+        relpath = f"meta/{fixture.name}_{index:03d}.txt"
+        lines = list(fixture.metadata_lines)
+        target_line = rng.randrange(len(lines))
+        key, value = (part.strip() for part in lines[target_line].split(":", 1))
+        if rng.random() < 0.5:
+            lines[target_line] = f"{key}: {value}x"
+        else:
+            del lines[target_line]
+        files[relpath] = "\n".join(lines) + "\n"
+        prompt = (
+            f'Ensure metadata key "{key}" in {relpath} carries the verified value; '
+            f"repair it if the check fails."
+        )
+        return cls(file=relpath, key=key, expected_value=value), prompt
 
     def verdict(self, workspace: Workspace) -> tuple[bool, str]:
-        actual = _read_metadata(workspace, self.file).get(self.key, "<missing>")
+        # The last `key: value` line of its key counts.
+        actual = "<missing>"
+        for line in workspace.read(self.file).splitlines():
+            key, colon, value = line.partition(":")
+            if colon and key.strip() == self.key:
+                actual = value.strip()
         if actual == self.expected_value:
             return True, "check passed"
         return False, (
             f'metadata check failed: key "{self.key}" expected '
             f'"{self.expected_value}", actual "{actual}"'
         )
+
+    @classmethod
+    def repair(cls, prompt: str, detail: str) -> str:
+        # The diagnostic quotes the key, then the expected value.
+        return _payload(cls.edit(key=_quote(prompt, 0), value=_quote(detail, 1)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +266,20 @@ class AnswerEquals:
     expected_normalized: str
 
     kind: ClassVar[str] = "consistency_answer"
+    tag: ClassVar[str] = "answer_equals"
+    draws: ClassVar[str | None] = None
     edit: ClassVar[type | None] = None
+    missing: ClassVar[str] = "no answer recorded yet"
+
+    @classmethod
+    def build(cls, rng, index: int, source: None, files: dict[str, str]):
+        token = f"tag-{rng.randrange(16 ** 8):08x}"
+        prompt = (
+            f'Record the consistency answer for this backlog: reply with the reference '
+            f'token "{token}" exactly.'
+        )
+        checker = cls(file=f"answers/u{index:03d}.txt", expected_normalized=normalize_answer(token))
+        return checker, prompt
 
     def verdict(self, workspace: Workspace) -> tuple[bool, str]:
         # The diagnostic never echoes the expected answer.
@@ -180,6 +288,10 @@ class AnswerEquals:
             return True, "check passed"
         return False, "stored answer does not match the required value"
 
+    @staticmethod
+    def repair(prompt: str, detail: str) -> str:
+        return _quote(prompt, -1)
+
 
 @dataclass(frozen=True)
 class FileDigest:
@@ -187,7 +299,19 @@ class FileDigest:
     expected_digest: str
 
     kind: ClassVar[str] = "artifact_validation"
+    tag: ClassVar[str] = "file_digest"
+    draws: ClassVar[str | None] = "fixtures"
     edit: ClassVar[type | None] = None
+    missing: ClassVar[str] = _FILE_MISSING
+
+    @classmethod
+    def build(cls, rng, index: int, fixture: _SnapshotFixture, files: dict[str, str]):
+        basename, text = fixture.artifacts[rng.randrange(len(fixture.artifacts))]
+        relpath = f"artifacts/{index:03d}_{basename}"
+        files[relpath] = text
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        prompt = f"Run the integrity check for {relpath} and submit the unit once the digest verifies."
+        return cls(file=relpath, expected_digest=digest), prompt
 
     def verdict(self, workspace: Workspace) -> tuple[bool, str]:
         actual = hashlib.sha256(workspace.read(self.file).encode("utf-8")).hexdigest()
@@ -198,21 +322,19 @@ class FileDigest:
             f"actual {actual[:12]}"
         )
 
+    @staticmethod
+    def repair(prompt: str, detail: str) -> str:
+        # Its file starts right; the text it was built from is not public.
+        return ""
+
 
 CheckerSpec = Union[FieldEquals, RowCount, KeyPresent, AnswerEquals, FileDigest]
 
-_CHECKER_TYPES = {
-    "field_equals": FieldEquals,
-    "row_count": RowCount,
-    "key_present": KeyPresent,
-    "answer_equals": AnswerEquals,
-    "file_digest": FileDigest,
-}
-CHECKERS = TaggedCodec("checker", "type", _CHECKER_TYPES, ValueError)
-
-# The record each unit kind's edit payload is read as, from its checker class.
-UNIT_EDITS = {cls.kind: cls.edit for cls in _CHECKER_TYPES.values()}
-_EDIT_READERS = {edit: Schema(edit, ConfigurationError) for edit in (CsvEdit, MetadataEdit)}
+# Generation cycles through the kinds whose sources a manifest has, in this order.
+CHECKER_TYPES = (FieldEquals, RowCount, KeyPresent, FileDigest, AnswerEquals)
+CHECKERS = TaggedCodec("checker", "type", {cls.tag: cls for cls in CHECKER_TYPES}, ValueError)
+# The checker class of each unit kind, which policies look a unit's repair up in.
+UNIT_KINDS = {cls.kind: cls for cls in CHECKER_TYPES}
 
 
 def normalize_answer(text: str) -> str:
@@ -228,11 +350,14 @@ def normalize_answer(text: str) -> str:
 @dataclass
 class BacklogUnit:
     unit_id: str
-    kind: str
     prompt: str
     artifact_path: str
     checker: CheckerSpec
     status: UnitStatus = UnitStatus.PENDING
+
+    @property
+    def kind(self) -> str:
+        return self.checker.kind
 
     def mark_attempted(self) -> None:
         if self.status == UnitStatus.PENDING:
@@ -340,15 +465,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return out.getvalue()
 
 
-def _read_metadata(workspace: Workspace, relpath: str) -> dict[str, str]:
-    table: dict[str, str] = {}
-    for line in workspace.read(relpath).splitlines():
-        if ":" in line:
-            key, value = line.split(":", 1)
-            table[key.strip()] = value.strip()
-    return table
-
-
 def evaluate_checker(checker: CheckerSpec, workspace: Workspace) -> tuple[bool, str]:
     """Deterministic verdict plus a bounded diagnostic: the checker's rule,
     once its file exists.
@@ -358,9 +474,7 @@ def evaluate_checker(checker: CheckerSpec, workspace: Workspace) -> tuple[bool, 
     """
     if workspace.exists(checker.file):
         return checker.verdict(workspace)
-    if isinstance(checker, AnswerEquals):
-        return False, "no answer recorded yet"
-    return False, f"artifact file missing: {checker.file}"
+    return False, checker.missing.format(checker.file)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +521,9 @@ def apply_edit(
         if edit is None:
             workspace.write(unit.artifact_path, payload)
         else:
-            record = _EDIT_READERS[edit].decode(json.loads(payload), "payload.")
+            record = _EDIT_SCHEMAS[edit].decode(json.loads(payload), "payload.")
             if not workspace.exists(unit.artifact_path):
-                error = f"artifact file missing: {unit.artifact_path}"
+                error = _FILE_MISSING.format(unit.artifact_path)
             else:
                 error = record.apply(workspace, unit.artifact_path)
     except (json.JSONDecodeError, ConfigurationError) as exc:
@@ -566,14 +680,12 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
     corpus = snapshot.corpus
     if not corpus:
         raise GenerationError(f"snapshot {root} has no indexable artifacts")
-    kinds = Counter(corpus.kinds)
     lines = [
         f"name: {root.name}",
         f"artifacts: {len(corpus)}",
         f"revision: {snapshot.digest[:12]}",
     ]
-    for kind in sorted(kinds):
-        lines.append(f"{kind}_count: {kinds[kind]}")
+    lines += [f"{kind}_count: {n}" for kind, n in sorted(Counter(corpus.kinds).items())]
     artifacts = [
         (relpath.replace("/", "_"), text[:2000])
         for relpath, text in zip(corpus.relpaths, corpus.texts)
@@ -593,84 +705,6 @@ def _load_sources(sources: FixtureSources) -> tuple[list[CsvTable], list[_Snapsh
     return tables, fixtures
 
 
-def _build_unit(
-    rng,
-    checker_type: type,
-    unit_idx: int,
-    tables: Sequence[CsvTable],
-    fixtures: Sequence[_SnapshotFixture],
-    files: dict[str, str],
-) -> BacklogUnit:
-    unit_id = f"u{unit_idx:03d}"
-    if checker_type.edit is CsvEdit:
-        stem, header, data = tables[rng.randrange(len(tables))]
-        rows = _fixture_rows(rng, data)
-        relpath = f"data/{stem}_{unit_idx:03d}.csv"
-        if checker_type is RowCount:
-            files[relpath] = _csv_text(header, rows)
-            checker: CheckerSpec = RowCount(file=relpath, expected=len(rows))
-            prompt = f"Run the row-count check for {relpath} and submit the unit once it passes."
-        else:
-            columns = [c for c in range(1, len(header)) if header[c].strip()]
-            if not columns:
-                raise GenerationError(f"source {stem} has no non-key columns")
-            col = rng.choice(columns)
-            usable = [r for r in rows if len(r) > col and r[col].strip()]
-            if not usable:
-                raise GenerationError(f"source {stem} column {header[col]!r} has no usable cells")
-            row = rng.choice(usable)
-            expected = row[col].strip()
-            corrupted = [list(r) for r in rows]
-            for r in corrupted:
-                if r[0].strip() == row[0].strip():
-                    r[col] = _corrupt_value(rng, expected)
-            files[relpath] = _csv_text(header, corrupted)
-            checker = FieldEquals(
-                file=relpath, row_key=row[0].strip(), column=header[col], expected=expected
-            )
-            prompt = (
-                f'Ensure column "{header[col]}" of the row keyed "{row[0].strip()}" in '
-                f"{relpath} matches the verified source value; run the check and repair "
-                f"the cell if it fails."
-            )
-    elif checker_type is KeyPresent:
-        fixture = fixtures[rng.randrange(len(fixtures))]
-        relpath = f"meta/{fixture.name}_{unit_idx:03d}.txt"
-        lines = list(fixture.metadata_lines)
-        target_line = rng.randrange(len(lines))
-        key, value = lines[target_line].split(":", 1)
-        key, value = key.strip(), value.strip()
-        if rng.random() < 0.5:
-            lines[target_line] = f"{key}: {value}x"
-        else:
-            del lines[target_line]
-        files[relpath] = "\n".join(lines) + "\n"
-        checker = KeyPresent(file=relpath, key=key, expected_value=value)
-        prompt = (
-            f'Ensure metadata key "{key}" in {relpath} carries the verified value; '
-            f"repair it if the check fails."
-        )
-    elif checker_type is AnswerEquals:
-        token = f"tag-{rng.randrange(16 ** 8):08x}"
-        relpath = f"answers/{unit_id}.txt"
-        checker = AnswerEquals(file=relpath, expected_normalized=normalize_answer(token))
-        prompt = (
-            f'Record the consistency answer for this backlog: reply with the reference '
-            f'token "{token}" exactly.'
-        )
-    else:  # FileDigest
-        fixture = fixtures[rng.randrange(len(fixtures))]
-        basename, text = fixture.artifacts[rng.randrange(len(fixture.artifacts))]
-        relpath = f"artifacts/{unit_idx:03d}_{basename}"
-        files[relpath] = text
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        checker = FileDigest(file=relpath, expected_digest=digest)
-        prompt = f"Run the integrity check for {relpath} and submit the unit once the digest verifies."
-    return BacklogUnit(
-        unit_id=unit_id, kind=checker.kind, prompt=prompt, artifact_path=relpath, checker=checker
-    )
-
-
 def generate_backlog(
     tables: Sequence[CsvTable],
     fixtures: Sequence[_SnapshotFixture],
@@ -688,19 +722,18 @@ def generate_backlog(
     if not tables and not fixtures:
         raise GenerationError("dataops generation needs at least one CSV or snapshot source")
     rng = stream(seed, "dataops-backlog")
-    checker_types: list[type] = []
-    if tables:
-        checker_types += [FieldEquals, RowCount]
-    if fixtures:
-        checker_types += [KeyPresent, FileDigest]
-    checker_types.append(AnswerEquals)
+    pools = {"tables": tables, "fixtures": fixtures}
+    checker_types = [cls for cls in CHECKER_TYPES if cls.draws is None or pools[cls.draws]]
     rng.shuffle(checker_types)
 
     files: dict[str, str] = {}
-    units = [
-        _build_unit(rng, checker_types[i % len(checker_types)], i, tables, fixtures, files)
-        for i in range(target_count + 2)
-    ]
+    units = []
+    for i in range(target_count + 2):
+        cls = checker_types[i % len(checker_types)]
+        pool = pools.get(cls.draws)
+        source = pool[rng.randrange(len(pool))] if pool else None
+        checker, prompt = cls.build(rng, i, source, files)
+        units.append(BacklogUnit(f"u{i:03d}", prompt, checker.file, checker))
     spec = TaskSpec(
         task_id=task_id,
         family=Family.DATAOPS,
@@ -826,7 +859,7 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
                     Workspace._key(relpath)
                 except ConfigurationError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-            units.append(BacklogUnit(**vars(view), checker=checker))
+            units.append(BacklogUnit(view.unit_id, view.prompt, view.artifact_path, checker))
         if not units:
             raise ValueError(f"{task} has no units")
         if len({u.unit_id for u in units}) < len(units):
@@ -860,7 +893,7 @@ class DataopsEnvironment:
         # Fresh unit state, keyed by unit id, and fresh files per run; manifests
         # are immutable.
         self.units = {
-            u.unit_id: BacklogUnit(u.unit_id, u.kind, u.prompt, u.artifact_path, u.checker)
+            u.unit_id: BacklogUnit(u.unit_id, u.prompt, u.artifact_path, u.checker)
             for u in units
         }
         self.workspace = workspace.copy()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import select
 import shlex
 import subprocess
@@ -58,7 +57,7 @@ from .actions import (
     observation_to_dict,
 )
 from .core import PublicTaskView, UnitPublicView, objective_queries
-from .dataops import UNIT_EDITS, AnswerEquals, CsvEdit, MetadataEdit
+from .dataops import UNIT_KINDS
 from .errors import AdapterError, ConfigurationError
 
 History = Sequence[tuple[object, object]]
@@ -398,28 +397,6 @@ def _fold_unit_trace(backlog: _Backlog, action: object, obs: object) -> None:
                 backlog.reopen(unit_id)
 
 
-_QUOTED = re.compile(r'"([^"]*)"')
-
-
-def derive_edit_payload(unit: UnitPublicView, fail_detail: str) -> str:
-    """Build a repair payload from the public prompt plus the last diagnostic."""
-    prompt_quotes = _QUOTED.findall(unit.prompt)
-    detail_quotes = _QUOTED.findall(fail_detail)
-    edit = UNIT_EDITS.get(unit.kind)
-    if edit is CsvEdit:
-        column = prompt_quotes[0] if prompt_quotes else ""
-        row_key = prompt_quotes[1] if len(prompt_quotes) > 1 else ""
-        value = detail_quotes[0] if detail_quotes else ""
-        return json.dumps({"row_key": row_key, "column": column, "value": value})
-    if edit is MetadataEdit:
-        key = prompt_quotes[0] if prompt_quotes else ""
-        value = detail_quotes[1] if len(detail_quotes) > 1 else ""
-        return json.dumps({"key": key, "value": value})
-    if unit.kind == AnswerEquals.kind:
-        return prompt_quotes[-1] if prompt_quotes else ""
-    return ""
-
-
 def _next_work_action(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
     """One work step for this unit, or None when done or given up."""
     if trace.status == UnitStatus.PASSED:
@@ -429,7 +406,7 @@ def _next_work_action(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
     if trace.checks_since_change == 0:
         return RunCheck(unit_id=unit.unit_id)
     if trace.edits == 0:
-        payload = derive_edit_payload(unit, trace.last_fail_detail)
+        payload = UNIT_KINDS[unit.kind].repair(unit.prompt, trace.last_fail_detail)
         return Edit(unit_id=unit.unit_id, payload=payload)
     # One repair attempt per unit; a still-failing unit is abandoned.
     return None

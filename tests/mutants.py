@@ -52,6 +52,7 @@ REPOSCAN = "src/qgp/reposcan.py"
 UNIT = "tests/test_controllers.py::TestUnitQgp::"
 STATE = "tests/test_controllers.py::TestStateQgp::"
 CHECKER = "tests/test_dataops.py::TestEditAndCheck::test_checker_verdict"
+REPAIR = "tests/test_dataops.py::TestRepair::"
 BULK = "tests/test_metrics.py::TestBulkDraws::test_equals_reference_loop"
 MEANS = "tests/test_metrics.py::TestBulkDraws::test_means_equal_reference_in_draw_order"
 
@@ -201,16 +202,52 @@ MUTANTS = (
         'workspace.read(self.file).strip().encode("utf-8")',
         (CHECKER + "[digest-trailing-newline]",),
     ),
-    # Each unit kind's one declaration: its edit record and its feedback.
+    # Each unit kind's one declaration: its sources, its edit record, its
+    # repair and its feedback.
     Mutant(
         "field-edit-read-as-text",
         DATAOPS,
-        'kind: ClassVar[str] = "csv_field_check"\n    edit: ClassVar[type | None] = CsvEdit',
-        'kind: ClassVar[str] = "csv_field_check"\n    edit: ClassVar[type | None] = None',
+        '"field_equals"\n    draws: ClassVar[str | None] = "tables"\n'
+        "    edit: ClassVar[type | None] = CsvEdit",
+        '"field_equals"\n    draws: ClassVar[str | None] = "tables"\n'
+        "    edit: ClassVar[type | None] = None",
         (
             "tests/test_dataops.py::TestEditAndCheck::test_csv_cell_replacement",
-            "tests/test_policies.py::TestPayloadDerivation::"
-            "test_csv_payload_from_prompt_and_diagnostic",
+            REPAIR + "test_field_payload_from_prompt_and_diagnostic",
+        ),
+    ),
+    Mutant(
+        "row-count-draws-fixtures",
+        DATAOPS,
+        'tag: ClassVar[str] = "row_count"\n    draws: ClassVar[str | None] = "tables"',
+        'tag: ClassVar[str] = "row_count"\n    draws: ClassVar[str | None] = "fixtures"',
+        (
+            "tests/test_dataops.py::TestGeneration::"
+            "test_each_kind_draws_from_the_sources_it_declares",
+        ),
+    ),
+    Mutant(
+        "csv-repair-row-key-wrong-quote",
+        DATAOPS,
+        "_quote(prompt, 1), _quote(prompt, 0)",
+        "_quote(prompt, 0), _quote(prompt, 0)",
+        (REPAIR + "test_field_payload_from_prompt_and_diagnostic",),
+    ),
+    Mutant(
+        "metadata-repair-value-quote-0",
+        DATAOPS,
+        "value=_quote(detail, 1)",
+        "value=_quote(detail, 0)",
+        (REPAIR + "test_metadata_payload",),
+    ),
+    Mutant(
+        "answer-missing-read-as-file",
+        DATAOPS,
+        'missing: ClassVar[str] = "no answer recorded yet"',
+        "missing: ClassVar[str] = _FILE_MISSING",
+        (
+            "tests/test_dataops.py::TestEditAndCheck::"
+            "test_each_kind_answers_for_its_missing_file",
         ),
     ),
     Mutant(

@@ -1187,6 +1187,25 @@ class TestSmoke:
         assert main(["smoke", "--manifest", str(mini_dataops_manifest)]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_public_strings_that_name_hidden_sections_are_no_leak(
+        self, mini_manifest, mini_dataops_manifest, tmp_path, capsys
+    ):
+        # The public views have fixed fields, so a value that reads like a
+        # hidden section's key is only text.
+        obj = json.loads(Path(mini_manifest).read_text())
+        obj["tasks"][0]["objective_text"] = "hidden"
+        reposcan_path = tmp_path / "reposcan.json"
+        reposcan_path.write_text(json.dumps(obj))
+        obj = json.loads(Path(mini_dataops_manifest).read_text())
+        # A unit whose file starts right, so the solver never reads its prompt.
+        unit = next(u for u in obj["tasks"][0]["units"] if u["kind"] == "csv_count_check")
+        unit["prompt"] = "checkers"
+        dataops_path = tmp_path / "dataops.json"
+        dataops_path.write_text(json.dumps(obj))
+        for path in (reposcan_path, dataops_path):
+            assert main(["smoke", "--manifest", str(path)]) == 0
+            assert capsys.readouterr().out.startswith("ok:")
+
     def test_injected_fault_detected(self, mini_manifest, tmp_path, capsys):
         obj = json.loads(Path(mini_manifest).read_text())
         obj["tasks"][0]["hidden"]["valid_ids"].pop()

@@ -401,7 +401,6 @@ def reference_dataops_load_manifest(path: str | Path) -> DataopsManifest:
             units = [
                 BacklogUnit(
                     unit_id=u["unit_id"],
-                    kind=u["kind"],
                     prompt=u["prompt"],
                     artifact_path=u["artifact_path"],
                     checker=checker_from_dict(checkers[u["unit_id"]]),

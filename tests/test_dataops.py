@@ -18,8 +18,8 @@ from qgp.actions import Edit, Inspect, RunCheck, SubmitUnit, UnitStatus, Verdict
 from qgp.core import RunLedger, run_episode
 from qgp.controllers import StandardController
 from qgp.dataops import (
+    CHECKER_TYPES,
     CHECKERS,
-    UNIT_EDITS,
     AnswerEquals,
     BacklogUnit,
     CsvEdit,
@@ -56,7 +56,6 @@ def small_backlog():
     units = [
         BacklogUnit(
             unit_id="u1",
-            kind="csv_field_check",
             prompt=(
                 'Ensure column "score" of the row keyed "r1" in data/t.csv matches '
                 "the verified source value; run the check and repair the cell if it fails."
@@ -66,14 +65,12 @@ def small_backlog():
         ),
         BacklogUnit(
             unit_id="u2",
-            kind="csv_count_check",
             prompt="Run the row-count check for data/t.csv and submit the unit once it passes.",
             artifact_path="data/t.csv",
             checker=RowCount(file="data/t.csv", expected=2),
         ),
         BacklogUnit(
             unit_id="u3",
-            kind="metadata_repair",
             prompt=(
                 'Ensure metadata key "license_tag" in meta/m.txt carries the verified '
                 "value; repair it if the check fails."
@@ -83,7 +80,6 @@ def small_backlog():
         ),
         BacklogUnit(
             unit_id="u4",
-            kind="consistency_answer",
             prompt=(
                 "Record the consistency answer for this backlog: reply with the "
                 'reference token "tag-12ab" exactly.'
@@ -93,7 +89,6 @@ def small_backlog():
         ),
         BacklogUnit(
             unit_id="u5",
-            kind="artifact_validation",
             prompt="Run the integrity check for artifacts/a.txt.",
             artifact_path="artifacts/a.txt",
             checker=FileDigest(file="artifacts/a.txt", expected_digest=digest),
@@ -170,7 +165,6 @@ class TestEditAndCheck:
         ws.write("data/wide.csv", "id,name,score\n" + rows + "\n")
         backlog["u6"] = BacklogUnit(
             unit_id="u6",
-            kind="csv_count_check",
             prompt="count",
             artifact_path="data/wide.csv",
             checker=RowCount(file="data/wide.csv", expected=32),
@@ -248,11 +242,27 @@ class TestEditAndCheck:
         assert fb.verdict == Verdict.FAIL
         assert "tag-12ab" not in fb.detail
 
+    def test_each_kind_answers_for_its_missing_file(self):
+        checkers = [
+            FieldEquals("a/f", "k", "c", "v"),
+            RowCount("a/f", 1),
+            KeyPresent("a/f", "k", "v"),
+            AnswerEquals("a/f", "x"),
+            FileDigest("a/f", "d"),
+        ]
+        missing = (False, "artifact file missing: a/f")
+        assert {c.kind: evaluate_checker(c, Workspace()) for c in checkers} == {
+            "csv_field_check": missing,
+            "csv_count_check": missing,
+            "metadata_repair": missing,
+            "consistency_answer": (False, "no answer recorded yet"),
+            "artifact_validation": missing,
+        }
+
     def test_missing_artifact_fails_with_diagnostic(self):
         backlog, ws = small_backlog()
         backlog["u7"] = BacklogUnit(
             unit_id="u7",
-            kind="artifact_validation",
             prompt="x",
             artifact_path="artifacts/gone.txt",
             checker=FileDigest(file="artifacts/gone.txt", expected_digest="0" * 64),
@@ -273,6 +283,38 @@ class TestEditAndCheck:
             ws.write("../outside.txt", "nope")
         with pytest.raises(ConfigurationError):
             ws.read("../../etc/hosts")
+
+
+class TestRepair:
+    """Each checker class reads a repair payload back from the public prompt
+    and the last diagnostic of its unit, as the solver asks it to."""
+
+    def test_field_payload_from_prompt_and_diagnostic(self):
+        prompt = 'Ensure column "mpg" of the row keyed "car003" in data/x.csv matches.'
+        detail = 'field check failed: expected "21", actual "19"'
+        assert FieldEquals.repair(prompt, detail) == (
+            '{"row_key": "car003", "column": "mpg", "value": "21"}'
+        )
+
+    def test_row_count_payload_is_an_empty_cell_edit(self):
+        prompt = "Run the row-count check for data/x.csv and submit the unit once it passes."
+        detail = "row count check failed: expected 12, found 11"
+        assert RowCount.repair(prompt, detail) == '{"row_key": "", "column": "", "value": ""}'
+
+    def test_metadata_payload(self):
+        prompt = 'Ensure metadata key "license_tag" in meta/m.txt carries the value.'
+        detail = 'metadata check failed: key "license_tag" expected "mit", actual "apache"'
+        assert KeyPresent.repair(prompt, detail) == '{"key": "license_tag", "value": "mit"}'
+
+    def test_consistency_payload_is_last_quoted_token(self):
+        prompt = 'Reply with the reference token "tag-00ff" exactly.'
+        assert AnswerEquals.repair(prompt, "") == "tag-00ff"
+        assert AnswerEquals.repair("Reply with nothing quoted.", "") == ""
+
+    def test_digest_payload_is_empty(self):
+        prompt = "Run the integrity check for artifacts/a.txt."
+        detail = "digest check failed: expected 0123456789ab, actual ba9876543210"
+        assert FileDigest.repair(prompt, detail) == ""
 
 
 class TestSubmitUnit:
@@ -379,6 +421,18 @@ class TestGeneration:
         m1 = generate_dataops_manifest(fixture_sources, targets=(3,), instances_per_target=2, seed=7)
         m2 = generate_dataops_manifest(fixture_sources, targets=(3,), instances_per_target=2, seed=7)
         assert write_manifest(m1, tmp_path / "a.json") == write_manifest(m2, tmp_path / "b.json")
+
+    @pytest.mark.parametrize(
+        "kept, kinds",
+        [
+            ("csv_paths", {"csv_field_check", "csv_count_check", "consistency_answer"}),
+            ("snapshot_roots", {"metadata_repair", "artifact_validation", "consistency_answer"}),
+        ],
+    )
+    def test_each_kind_draws_from_the_sources_it_declares(self, fixture_sources, kept, kinds):
+        sources = FixtureSources(**{kept: getattr(fixture_sources, kept)})
+        manifest = generate_dataops_manifest(sources, targets=(5,), instances_per_target=2)
+        assert {u.kind for t in manifest.tasks for u in t.units} == kinds
 
     def test_insufficient_rows_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -506,6 +560,6 @@ class TestReadme:
         stated = {kind: CsvEdit for kind in _quoted(csv[1])}
         stated |= {kind: MetadataEdit for kind in _quoted(meta[1])}
         stated |= {kind: None for kind in _quoted(text[1])}
-        assert stated == UNIT_EDITS
+        assert stated == {cls.kind: cls.edit for cls in CHECKER_TYPES}
         assert _quoted(csv[2]) == [f.name for f in fields(CsvEdit)]
         assert _quoted(meta[2]) == [f.name for f in fields(MetadataEdit)]

@@ -41,7 +41,6 @@ from qgp.policies import (
     RedundantSearcherPolicy,
     SolverPolicy,
     build_policy,
-    derive_edit_payload,
 )
 from qgp.reposcan import ReposcanEnvironment
 
@@ -151,46 +150,6 @@ class TestRedundantSearcher:
         record = _run(RedundantSearcherPolicy(submit_width=2), target=30, budget=3, valid=8, total=12)
         submits = [a for a, _ in record.ledger.history if isinstance(a, Submit)]
         assert all(len(s.ids) == 2 for s in submits)
-
-
-class TestPayloadDerivation:
-    def test_csv_payload_from_prompt_and_diagnostic(self):
-        from qgp.core import UnitPublicView
-
-        unit = UnitPublicView(
-            unit_id="u1",
-            kind="csv_field_check",
-            prompt='Ensure column "mpg" of the row keyed "car003" in data/x.csv matches.',
-            artifact_path="data/x.csv",
-        )
-        payload = derive_edit_payload(unit, 'field check failed: expected "21", actual "19"')
-        assert json.loads(payload) == {"row_key": "car003", "column": "mpg", "value": "21"}
-
-    def test_metadata_payload(self):
-        from qgp.core import UnitPublicView
-
-        unit = UnitPublicView(
-            unit_id="u2",
-            kind="metadata_repair",
-            prompt='Ensure metadata key "license_tag" in meta/m.txt carries the value.',
-            artifact_path="meta/m.txt",
-        )
-        detail = 'metadata check failed: key "license_tag" expected "mit", actual "apache"'
-        assert json.loads(derive_edit_payload(unit, detail)) == {
-            "key": "license_tag",
-            "value": "mit",
-        }
-
-    def test_consistency_payload_is_last_quoted_token(self):
-        from qgp.core import UnitPublicView
-
-        unit = UnitPublicView(
-            unit_id="u3",
-            kind="consistency_answer",
-            prompt='Reply with the reference token "tag-00ff" exactly.',
-            artifact_path="answers/u3.txt",
-        )
-        assert derive_edit_payload(unit, "") == "tag-00ff"
 
 
 class TestLooperAndSolver:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qgp import reposcan
+from qgp import dataops, reposcan
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qgp"
@@ -138,3 +138,33 @@ def test_each_unit_kind_is_written_once_on_its_checker_class(module):
             if isinstance(node, ast.Constant) and node.value in found:
                 found[node.value].append((path.name, owner.get(id(node))))
     assert found == {kind: [(module, cls)] for kind, cls in declared.items()}
+
+
+def test_only_dataops_knows_the_checker_classes():
+    # A unit kind's rules all sit on its checker class: no other module
+    # imports or names a checker class or an edit record, and policies read a
+    # unit's `kind` only to look its class up in `UNIT_KINDS`.
+    classes = set(KIND_DECLARATIONS["dataops.py"].values())
+    edits = {getattr(dataops, name).edit for name in classes}
+    classes |= {edit.__name__ for edit in edits if edit is not None}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "dataops.py":
+            continue
+        tree = _parse(path)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        names = _names(tree).union(alias.name for node in imports for alias in node.names)
+        found += [f"{path.name}: {name}" for name in sorted(names & classes)]
+    assert not found, "checker classes named outside dataops.py: " + ", ".join(found)
+    tree = _parse(SRC / "policies.py")
+    lookups = {
+        id(node.slice)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and _names(node.value) == {"UNIT_KINDS"}
+    }
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "kind" and id(node) not in lookups
+    ]
+    assert not reads, f"policies.py branches on a unit kind at lines {reads}"
