@@ -11,9 +11,10 @@ intact; it refuses an output directory that does not exist before its first
 task. An output that cannot be written ends any command with one `error:`
 line and exit code 2. `run --jobs` overlaps the runs of the `external`
 policy only, whose time goes to adapter I/O; a scripted policy holds the
-interpreter lock, so its runs go in task order on the calling thread. All
-pipelines are deterministic under a fixed seed, and records are identical
-for every worker count.
+interpreter lock, so its runs go in task order on the calling thread. The
+`gen-*` seed fixes a manifest's bytes and the `delta` seed its interval;
+`run` takes none, since its records follow from the manifest alone, and
+they are identical for every worker count.
 
 Each `run` flag of a policy parameter stores under the parameter's name in
 `policies.POLICY_TYPES`. Only `smoke` takes a workspace root, and ignores it.
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import dataops, reposcan
-from .actions import Family, Outcome, Schema, Seed
+from .actions import Family, Outcome, Schema
 from .controllers import (
     AblationFlag,
     ControllerConfig,
@@ -52,7 +53,6 @@ from .metrics import (
     paired_bootstrap,
 )
 from .policies import POLICY_TYPES, PolicyKind, build_policy
-from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,7 +66,6 @@ class RunConfig:
     ablation: str | None = None
     policy_params: dict = field(default_factory=dict)
     no_progress_limit: int = ControllerConfig.no_progress_limit
-    seed: Seed = 0
     jobs: int = 1
 
     def save(self, path: str | Path) -> None:
@@ -178,7 +177,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         ablation=args.ablation,
         policy_params=_policy_params(args),
         no_progress_limit=args.no_progress_limit,
-        seed=args.seed,
         jobs=args.jobs,
     )
 
@@ -188,7 +186,7 @@ def run_manifest(
     controller_config: ControllerConfig,
     policy_kind: str,
     policy_params: dict,
-    seed: int,
+    seed: int | None = None,
     jobs: int = 1,
     workspace_root: str | None = None,
 ) -> tuple[list[dict], int]:
@@ -198,8 +196,9 @@ def run_manifest(
     they wait on adapter I/O. Every other policy is Python code that holds
     the interpreter lock, so its runs go in task order on the calling
     thread, whatever `jobs` is. The rows do not depend on `jobs`.
-    `workspace_root` is ignored: dataops workspaces are held in memory. It
-    stays until ROADMAP item 3a moves the benchmark off it.
+    `seed` and `workspace_root` are ignored: no policy draws a random
+    number, and dataops workspaces are held in memory. `bench/run.py`
+    passes both, so they stay until ROADMAP item 3a drops them.
     """
     manifest = read_manifest_file(manifest_path, _PAYLOADS)
     environment, changed = manifest.open()
@@ -215,14 +214,7 @@ def run_manifest(
         policy = build_policy(policy_kind, **policy_params)
         env = environment(task)
         try:
-            record = run_episode(
-                task.spec,
-                env,
-                controller,
-                policy,
-                run_seed=derive_seed(seed, task.spec.task_id),
-            )
-            return record_to_dict(record)
+            return record_to_dict(run_episode(task.spec, env, controller, policy))
         finally:
             if hasattr(policy, "close"):
                 policy.close()
@@ -263,7 +255,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         controller_config=config.controller_config(),
         policy_kind=config.policy,
         policy_params=config.policy_params,
-        seed=config.seed,
         jobs=config.jobs,
     )
     with writing(config.out):
@@ -293,12 +284,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _metrics_by_task(path: str) -> dict:
-    table = {}
-    for metric in _record_metrics(path):
-        if metric.task_id in table:
-            raise QgpError(f"duplicate task {metric.task_id} in {path}")
-        table[metric.task_id] = metric
-    return table
+    return {metric.task_id: metric for metric in _record_metrics(path)}
 
 
 def _task_list(tasks: list[str], noun: str) -> str:
@@ -434,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--submit-width", type=int, default=None)
     r.add_argument("--submits-per-search", type=int, default=None)
     r.add_argument("--no-progress-limit", type=int, default=ControllerConfig.no_progress_limit)
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument(
         "--jobs", type=int, default=1, help="external adapter runs at once; others run serially"
     )

@@ -39,6 +39,9 @@ from .verifier import IdVerdict
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A task's public fields. `seed` is derived at generation and carried in
+    the manifest, but no rule reads it: the manifest fixes every run."""
+
     task_id: str
     family: Family
     objective_text: str
@@ -229,7 +232,7 @@ class Policy(Protocol):
     label: str
 
     def decide(
-        self, view: PublicTaskView, history: Sequence[tuple[object, object]], seed: int
+        self, view: PublicTaskView, history: Sequence[tuple[object, object]]
     ) -> Action | Malformed: ...
 
 
@@ -259,7 +262,6 @@ def run_episode(
     environment: Environment,
     controller: Controller,
     policy: Policy,
-    run_seed: int | None = None,
 ) -> RunRecord:
     """Drive one run to a classified outcome; this is the only place a run ends.
 
@@ -276,7 +278,6 @@ def run_episode(
             f"environment family {environment.family} does not match task {task.family}"
         )
     legal = FAMILY_ACTIONS[family]
-    seed = task.seed if run_seed is None else run_seed
     view = environment.public_view()
     page_size = environment.page_size
     ledger = RunLedger(target_count=task.target_count, budget=task.budget)
@@ -288,7 +289,7 @@ def run_episode(
 
     while ledger.step < budget:
         try:
-            proposal = policy.decide(view, history, seed)
+            proposal = policy.decide(view, history)
         except AdapterError as exc:
             ledger.outcome, abort_reason = Outcome.ABORTED, str(exc)
             break
@@ -356,6 +357,21 @@ class RecordRow:
     reported_count: int | None
     intervention_count: int
 
+    def broken_rule(self) -> str | None:
+        """The first rule every run keeps that this row breaks, or None."""
+        valid, target = self.valid_count, self.target_count
+        submitted, duplicates = self.submission_occurrences, self.duplicate_occurrences
+        if duplicates > submitted:
+            return f"duplicate_occurrences {duplicates} exceeds submission_occurrences {submitted}"
+        if valid > submitted - duplicates:
+            return f"valid_count {valid} exceeds the {submitted - duplicates} non-duplicates"
+        if self.steps_used > self.budget:
+            return f"steps_used {self.steps_used} exceeds budget {self.budget}"
+        succeeded = self.outcome == Outcome.SUCCESS
+        if self.outcome != Outcome.ABORTED and succeeded != (valid >= target):
+            return f"outcome {self.outcome.value} with valid_count {valid} of target {target}"
+        return None
+
 
 _RECORD_ROWS = Schema(RecordRow)
 RECORD_FIELDS = tuple(f.name for f in fields(RecordRow))
@@ -397,14 +413,21 @@ def _task_label(entry: object, fallback: str) -> str:
 
 
 def read_record_dicts(path: str | Path) -> list[dict]:
-    """The record lines of a file as parsed, each checked to hold a RecordRow."""
+    """The record lines of a file as parsed, each checked to hold a RecordRow
+    that breaks no rule of a run and names a task no earlier line names."""
     rows = []
+    lines_by_task: dict[str, int] = {}
     with loading(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 row = json.loads(line)
-                _RECORD_ROWS.decode(row, f"{_task_label(row, 'record')} on line {lineno}: ")
+                where = f"{_task_label(row, 'record')} on line {lineno}: "
+                record = _RECORD_ROWS.decode(row, where)
+                first = lines_by_task.setdefault(record.task_id, lineno)
+                broken = record.broken_rule() if first == lineno else f"repeats line {first}"
+                if broken:
+                    raise ValueError(where + broken)
                 rows.append(row)
     return rows
 

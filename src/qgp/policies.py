@@ -1,10 +1,10 @@
 """Scripted deterministic policies plus the external subprocess adapter.
 
 Scripted policies are pure functions of the public task view and the step
-history, so identical (task, seed) inputs replay identical action sequences.
-Each one reproduces a specific behavior: duplicate resubmission, premature
-stopping, unsupported completion claims, no-submit work loops, redundant
-searching, or a straightforward greedy/solver baseline.
+history that draw no random number, so the same task and history replay the
+same action sequence. Each one reproduces a specific behavior: duplicate
+resubmission, premature stopping, unsupported completion claims, no-submit
+work loops, redundant searching, or a straightforward greedy/solver baseline.
 
 The duplicator, greedy, solver and looper policies memoise what they
 derive from the history in a `HistoryFold`, which folds each new entry once
@@ -184,7 +184,7 @@ class DuplicatorPolicy:
         lambda view: _DuplicatorState(), _fold_duplicator
     )
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         state = self._fold(view, history)
         latest = state.latest_search
         if latest is None:
@@ -207,7 +207,7 @@ class EarlyStopperPolicy:
     stop_step: int = 1
     label: ClassVar[str] = PolicyKind.EARLY_STOPPER.value
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         if len(history) + 1 >= self.stop_step:
             return AskUser(message="I have made some progress; should I continue?")
         return _filler_action(view)
@@ -221,7 +221,7 @@ class FalseCompleterPolicy:
     claim_count: int | None = None
     label: ClassVar[str] = PolicyKind.FALSE_COMPLETER.value
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         if len(history) + 1 >= self.final_step:
             reported = self.claim_count if self.claim_count is not None else view.target_count
             return Final(completion_claim=True, reported_count=reported)
@@ -268,7 +268,7 @@ class GreedyOraclePolicy:
     submit_batch: ClassVar[int] = 10
     _fold: HistoryFold[_SearchState] = _fold_field(lambda view: _SearchState(), _fold_search)
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         state = self._fold(view, history)
         last_feedback = state.last_feedback
         if last_feedback is not None and last_feedback.remaining == 0:
@@ -292,7 +292,7 @@ class RedundantSearcherPolicy:
     submits_per_search: int = 3
     label: ClassVar[str] = PolicyKind.REDUNDANT_SEARCHER.value
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         token = objective_queries(view.objective_text)[0]
         cycle = 1 + self.submits_per_search
         if len(history) % cycle == 0:
@@ -427,7 +427,7 @@ class SolverPolicy:
         partial(_start_unit_traces, PolicyKind.SOLVER.value), _fold_unit_trace
     )
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         backlog = self._fold(view, history)
         action = backlog.next_action(view.units, _solver_need)
         if action is not None:
@@ -449,7 +449,7 @@ class NoSubmitLooperPolicy:
         partial(_start_unit_traces, PolicyKind.NO_SUBMIT_LOOPER.value), _fold_unit_trace
     )
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action:
+    def decide(self, view: PublicTaskView, history: History) -> Action:
         if self.loop_unit is not None:
             return Inspect(unit_id=self.loop_unit)
         action = self._fold(view, history).next_action(view.units, _next_work_action)
@@ -542,7 +542,7 @@ class ExternalAdapterPolicy:
                 raise AdapterError(f"adapter closed its output stream{cut}")
             buffer += chunk
 
-    def decide(self, view: PublicTaskView, history: History, seed: int) -> Action | Malformed:
+    def decide(self, view: PublicTaskView, history: History) -> Action | Malformed:
         self._ensure_started()
         request = AdapterRequest(
             task_id=view.task_id,

@@ -55,6 +55,8 @@ CHECKER = "tests/test_dataops.py::TestEditAndCheck::test_checker_verdict"
 REPAIR = "tests/test_dataops.py::TestRepair::"
 BULK = "tests/test_metrics.py::TestBulkDraws::test_equals_reference_loop"
 MEANS = "tests/test_metrics.py::TestBulkDraws::test_means_equal_reference_in_draw_order"
+STALL = "tests/test_record_digest.py::test_stalling_backlog_record_bytes_are_pinned"
+RULES = "tests/test_cli.py::TestMalformedInputs::test_record_breaking_a_run_rule_is_one_error_line"
 
 MUTANTS = (
     # Termination gating and retrieval (StateQgpController).
@@ -137,6 +139,27 @@ MUTANTS = (
             UNIT + "test_hard_stop_disables_routing_keeps_gating",
             UNIT + "test_pure_stall_ends_with_no_progress_stop",
         ),
+    ),
+    Mutant(
+        "no-progress-default-seven",
+        CONTROLLERS,
+        "no_progress_limit: int = 6",
+        "no_progress_limit: int = 7",
+        (STALL,),
+    ),
+    Mutant(
+        "stop-detail-three-k",
+        CONTROLLERS,
+        "no progress for {2 * self.k} steps",
+        "no progress for {3 * self.k} steps",
+        (STALL,),
+    ),
+    Mutant(
+        "limit-of-one-refused",
+        CONTROLLERS,
+        "if self.no_progress_limit < 1:",
+        "if self.no_progress_limit <= 1:",
+        ("tests/test_controllers.py::TestConfig::test_unit_qgp_limit_of_one_is_accepted",),
     ),
     Mutant(
         "stale-only-inspect",
@@ -317,6 +340,28 @@ MUTANTS = (
         "return max(0, self.target_count - self.valid_count)",
         "return self.target_count - self.valid_count",
         ("tests/test_verifier.py::TestSnapshot::test_clamped_at_zero",),
+    ),
+    Mutant(
+        "objective-drops-two-letter-words",
+        "src/qgp/core.py",
+        "if len(t) >= 2]",
+        "if len(t) > 2]",
+        ("tests/test_policies.py::TestGreedyOracle::test_objective_queries_keep_two_letter_words",),
+    ),
+    # Whole record files: the one reader refuses what no run writes.
+    Mutant(
+        "record-repeat-read",
+        "src/qgp/core.py",
+        "record.broken_rule() if first == lineno else",
+        "record.broken_rule() if True else",
+        (RULES + "[aggregate-task-repeated]", RULES + "[delta-task-repeated]"),
+    ),
+    Mutant(
+        "record-failure-at-target-read",
+        "src/qgp/core.py",
+        "succeeded != (valid >= target)",
+        "succeeded != (valid > target)",
+        (RULES + "[aggregate-failure-at-target]",),
     ),
     # The adapter request.
     Mutant(

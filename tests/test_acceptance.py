@@ -232,8 +232,6 @@ def test_criterion_10_pipeline_determinism(snapshot_roots, csv_sources, tmp_path
                         controller,
                         "--policy",
                         "duplicator",
-                        "--seed",
-                        "31",
                         "--jobs",
                         jobs,
                         "--out",
@@ -292,8 +290,6 @@ def test_criterion_10_pipeline_determinism(snapshot_roots, csv_sources, tmp_path
                     str(dmanifest),
                     "--policy",
                     "solver",
-                    "--seed",
-                    "31",
                     "--jobs",
                     jobs,
                     "--out",

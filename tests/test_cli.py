@@ -99,7 +99,7 @@ class TestDeterminismAcrossInterpreters:
 
         def run(manifest, records):
             argv = ["run", "--manifest", str(manifest), "--controller", "state_qgp"]
-            return argv + ["--policy", "duplicator", "--seed", "4", "--out", str(records)]
+            return argv + ["--policy", "duplicator", "--out", str(records)]
 
         outputs = self._outputs_per_hash_seed(tmp_path, gen, run)
         assert outputs[0] == outputs[1]
@@ -113,7 +113,7 @@ class TestDeterminismAcrossInterpreters:
 
         def run(manifest, records):
             argv = ["run", "--manifest", str(manifest), "--controller", "unit_qgp"]
-            return argv + ["--policy", "solver", "--seed", "4", "--out", str(records)]
+            return argv + ["--policy", "solver", "--out", str(records)]
 
         outputs = self._outputs_per_hash_seed(tmp_path, gen, run)
         assert outputs[0] == outputs[1]
@@ -493,7 +493,7 @@ class TestPolicyParams:
         run = subcommands.choices["run"]
         # Every `run` flag but these sets a policy parameter.
         others = {"help", "config", "manifest", "controller", "ablation", "policy"}
-        others |= {"no_progress_limit", "seed", "jobs", "out"}
+        others |= {"no_progress_limit", "jobs", "out"}
         flags = {a.dest: a.option_strings[0] for a in run._actions if a.dest not in others}
         names = {name for _, checks in policies.POLICY_TYPES.values() for name in checks}
         assert flags.keys() == names
@@ -508,6 +508,15 @@ class TestPolicyParams:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --workspace-root" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_flag_is_a_usage_error(self, mini_manifest, tmp_path, capsys):
+        # No policy draws a random number, so `run` has no seed to set.
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(mini_manifest), "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_flags_the_policy_takes_are_kept(self, mini_manifest, tmp_path):
@@ -529,8 +538,6 @@ class TestRun:
                 "state_qgp",
                 "--policy",
                 "duplicator",
-                "--seed",
-                "1",
                 "--out",
                 str(out),
             ]
@@ -556,8 +563,6 @@ class TestRun:
                     "verifier_gated",
                     "--policy",
                     "greedy_oracle",
-                    "--seed",
-                    "2",
                     "--jobs",
                     jobs,
                     "--out",
@@ -628,8 +633,6 @@ class TestRun:
                 "standard",
                 "--policy",
                 "solver",
-                "--seed",
-                "0",
                 "--out",
                 str(out),
             ]
@@ -652,8 +655,6 @@ class TestRun:
                         controller,
                         "--policy",
                         "false_completer",
-                        "--seed",
-                        "0",
                         "--out",
                         str(out),
                     ]
@@ -804,8 +805,6 @@ def record_files(mini_manifest, tmp_path_factory):
                 controller,
                 "--policy",
                 "duplicator",
-                "--seed",
-                "4",
                 "--out",
                 str(out),
             ]
@@ -900,11 +899,13 @@ class TestAnalysis:
     def test_delta_with_a_wide_interval_has_no_note(self, record_files, tmp_path, capsys):
         rows = [json.loads(line) for line in record_files["standard"].read_text().splitlines()]
         sides = {}
-        for side, first_outcome in (("left", "success"), ("right", "budget_exhausted")):
-            outcomes = [first_outcome] + ["success"] * (len(rows) - 1)
+        # A budget-exhausted row is short of its target, or the reader refuses it.
+        failure = {"outcome": "budget_exhausted", "valid_count": 0}
+        for side, first in (("left", {"outcome": "success"}), ("right", failure)):
+            edits = [first] + [{"outcome": "success"}] * (len(rows) - 1)
             sides[side] = tmp_path / f"{side}.jsonl"
             sides[side].write_text(
-                "".join(json.dumps(row | {"outcome": o}) + "\n" for row, o in zip(rows, outcomes))
+                "".join(json.dumps(row | edit) + "\n" for row, edit in zip(rows, edits))
             )
         out = tmp_path / "delta.csv"
         argv = ["delta", "--left", str(sides["left"]), "--right", str(sides["right"])]
@@ -1082,7 +1083,6 @@ class TestRunConfig:
             out="/abs/records.jsonl",
             policy_params={"loop_unit": "u003"},
             no_progress_limit=4,
-            seed=17,
             jobs=3,
         )
         path = tmp_path / "run.json"
@@ -1098,7 +1098,6 @@ class TestRunConfig:
             controller="state_qgp",
             policy="duplicator",
             out=str(out),
-            seed=1,
         )
         config_path = tmp_path / "cfg.json"
         config.save(config_path)
@@ -1113,8 +1112,6 @@ class TestRunConfig:
                 "state_qgp",
                 "--policy",
                 "duplicator",
-                "--seed",
-                "1",
                 "--out",
                 str(direct),
             ]
@@ -1143,7 +1140,7 @@ class TestRunConfig:
         "field, value, expected",
         [
             ("jobs", "2", "a non-negative integer"),
-            ("seed", True, "an integer"),
+            ("no_progress_limit", True, "a non-negative integer"),
             ("ablation", 3, "a string or null"),
             ("policy_params", [], "an object"),
         ],
@@ -1162,8 +1159,10 @@ class TestRunConfig:
         )
         assert not out.exists()
 
-    # `workspace_root` is what a config saved by an older version holds.
-    @pytest.mark.parametrize("field, value", [("job", 2), ("workspace_root", "/abs/ws")])
+    # `workspace_root` and `seed` are what a config saved by an older version holds.
+    @pytest.mark.parametrize(
+        "field, value", [("job", 2), ("workspace_root", "/abs/ws"), ("seed", 1)]
+    )
     def test_unknown_field_is_refused(self, field, value, mini_manifest, tmp_path, capsys):
         saved = {"manifest": str(mini_manifest), "controller": "standard"}
         saved |= {"policy": "duplicator", "out": str(tmp_path / "r.jsonl"), field: value}
@@ -1631,6 +1630,37 @@ RECORD_FIELD_ERRORS = {
     "task-id-missing": ({"task_id": None}, "record on line 2: task_id must be a string"),
 }
 
+# One rule every run keeps, broken by the second row of a two-row records
+# file whose first row is task 't1', and the whole error line that loading
+# gives for it, after "error: cannot load PATH: ".
+RECORD_RULE_ERRORS = {
+    "task-repeated": ({"task_id": "t1"}, "task 't1' on line 2: repeats line 1"),
+    "valid-count-99-of-10-submissions": (
+        {"valid_count": 99},
+        "task 't2' on line 2: valid_count 99 exceeds the 10 non-duplicates",
+    ),
+    "duplicates-over-submissions": (
+        {"duplicate_occurrences": 11},
+        "task 't2' on line 2: duplicate_occurrences 11 exceeds submission_occurrences 10",
+    ),
+    "valid-count-over-non-duplicates": (
+        {"duplicate_occurrences": 1},
+        "task 't2' on line 2: valid_count 10 exceeds the 9 non-duplicates",
+    ),
+    "steps-over-budget": (
+        {"steps_used": 31},
+        "task 't2' on line 2: steps_used 31 exceeds budget 30",
+    ),
+    "success-short-of-target": (
+        {"valid_count": 9},
+        "task 't2' on line 2: outcome success with valid_count 9 of target 10",
+    ),
+    "failure-at-target": (
+        {"outcome": "budget_exhausted"},
+        "task 't2' on line 2: outcome budget_exhausted with valid_count 10 of target 10",
+    ),
+}
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("content", sorted(FIELD_ERRORS))
@@ -1647,6 +1677,22 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["aggregate", "delta"])
     def test_mistyped_record_field_is_one_error_line(self, command, case, tmp_path, capsys):
         mutation, message = RECORD_FIELD_ERRORS[case]
+        path = tmp_path / "records.jsonl"
+        rows = [_record_row("t1"), _record_row("t2") | mutation]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = {
+            "aggregate": ["aggregate", "--records", str(path)],
+            "delta": ["delta", "--left", str(path), "--right", str(path), "--resamples", "10"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load {path}: ValueError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(RECORD_RULE_ERRORS))
+    @pytest.mark.parametrize("command", ["aggregate", "delta"])
+    def test_record_breaking_a_run_rule_is_one_error_line(self, command, case, tmp_path, capsys):
+        mutation, message = RECORD_RULE_ERRORS[case]
         path = tmp_path / "records.jsonl"
         rows = [_record_row("t1"), _record_row("t2") | mutation]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")

@@ -682,7 +682,7 @@ class TestManifests:
             json.dumps([asdict(environment(task).public_view()) for task in manifest.tasks])
         )
         views = [{k: v for k, v in view.items() if v is not None} for view in views]
-        # A view has no seed: the loop hands policies the run seed.
+        # A view has no seed: no policy reads one.
         reference = [{k: v for k, v in row.items() if k != "seed"} for row in ref_public(path)]
         assert views == reference
 

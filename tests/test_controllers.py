@@ -543,3 +543,7 @@ class TestConfig:
     def test_unit_qgp_limit_validated(self):
         with pytest.raises(ConfigurationError):
             ControllerConfig(kind=ControllerKind.UNIT_QGP, no_progress_limit=0)
+
+    def test_unit_qgp_limit_of_one_is_accepted(self):
+        config = ControllerConfig(kind=ControllerKind.UNIT_QGP, no_progress_limit=1)
+        assert build_controller(config).k == 1

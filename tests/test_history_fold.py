@@ -231,7 +231,7 @@ class TestFoldEquivalence:
                 # The policies decide on the folded state, from their cursors,
                 # as a scan from the first unit on a fresh fold does.
                 for policy, submits in ((solver, True), (looper, False)):
-                    decision = policy.decide(view, grown, 0)
+                    decision = policy.decide(view, grown)
                     assert decision == reference_backlog_decide(submits, view, grown)
             longest = max(longest, len(history))
         assert longest == 160
@@ -266,7 +266,7 @@ class TestFoldEquivalence:
         policy = SolverPolicy()
         decisions, cursors = [], []
         for grown in _grow(entries):
-            decisions.append(policy.decide(view, grown, 0))
+            decisions.append(policy.decide(view, grown))
             assert decisions[-1] == reference_backlog_decide(True, view, grown)
             cursors.append(policy._fold(view, grown).cursor)
         assert decisions[4:] == [
@@ -285,7 +285,7 @@ class TestFoldEquivalence:
         for view, history in greedy_histories:
             policy = GreedyOraclePolicy()
             for grown in _grow(history):
-                assert policy.decide(view, grown, 0) == reference_greedy_decide(10, view, grown)
+                assert policy.decide(view, grown) == reference_greedy_decide(10, view, grown)
                 state, fresh = policy._fold(view, grown), GreedyOraclePolicy()._fold(view, grown)
                 assert state == fresh and list(state.pending) == list(fresh.pending)
             steps += len(history)
@@ -304,7 +304,7 @@ class TestFoldEquivalence:
         for page in (-5, 3, 1, 3, -1):
             obs = SearchResults(query=token, page=page, candidates=(Candidate("z", ""),))
             grown.append((Search(query=token, page=page), obs))
-            decision = policy.decide(view, grown, 0)
+            decision = policy.decide(view, grown)
             assert decision == reference_greedy_decide(10, view, grown)
         assert decision == Search(query=token, page=4)
 
@@ -313,7 +313,7 @@ class TestFoldEquivalence:
         for view, history in duplicator_histories:
             policy = DuplicatorPolicy()
             for grown in _grow(history):
-                assert policy.decide(view, grown, 0) == reference_duplicator_decide(view, grown)
+                assert policy.decide(view, grown) == reference_duplicator_decide(view, grown)
                 assert policy._fold(view, grown) == DuplicatorPolicy()._fold(view, grown)
             steps += len(history)
         assert steps > 300
@@ -343,7 +343,7 @@ class TestFoldEquivalence:
         policy = DuplicatorPolicy()
         decisions = []
         for grown in _grow(entries):
-            decisions.append(policy.decide(view, grown, 0))
+            decisions.append(policy.decide(view, grown))
             assert decisions[-1] == reference_duplicator_decide(view, grown)
         assert decisions[:4] == [Search(query=objective_queries(view.objective_text)[0], page=0)] + [
             Search(query="q", page=p) for p in (1, 2, 2)

@@ -283,7 +283,7 @@ def _random_run(seed: int):
     class RandomPolicy:
         label = "random"
 
-        def decide(self, view, history, seed_):
+        def decide(self, view, history):
             roll = rng.random()
             if roll < 0.55:
                 batch = [rng.choice(all_ids) for _ in range(rng.randrange(0, 5))]
@@ -319,7 +319,7 @@ def _random_dataops_run(seed: int, task):
     class RandomUnitPolicy:
         label = "random"
 
-        def decide(self, view, history, seed_):
+        def decide(self, view, history):
             roll = rng.random()
             unit_id = rng.choice(choices)
             if roll < 0.35:

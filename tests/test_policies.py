@@ -27,7 +27,7 @@ from qgp.actions import (
     action_to_dict,
 )
 from qgp.controllers import StandardController, StateQgpController, VerifierGatedController
-from qgp.core import TaskSpec, run_episode
+from qgp.core import TaskSpec, objective_queries, run_episode
 from qgp.errors import ConfigurationError
 from qgp.policies import (
     MAX_REPLY_BYTES,
@@ -116,6 +116,10 @@ class TestFalseCompleter:
 
 
 class TestGreedyOracle:
+    def test_objective_queries_keep_two_letter_words(self):
+        assert objective_queries("An IO bus a") == ["an", "io", "bus"]
+        assert objective_queries("a : b") == ["artifact"]
+
     def test_token_schedule_and_ascending_pages(self):
         # Tokens are tried in objective order; each token's pages ascend until
         # an empty page, then the next token starts at page zero. Three
@@ -616,7 +620,7 @@ class TestExternalAdapter:
         policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
         view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
         try:
-            assert policy.decide(view, [], 0) == AskUser(message="done")
+            assert policy.decide(view, []) == AskUser(message="done")
             process = policy._process
         finally:
             closing = time.monotonic()
@@ -666,11 +670,11 @@ class TestExternalAdapter:
         policy = ExternalAdapterPolicy(command=command, timeout=0.3)
         view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
         try:
-            first = policy.decide(view, [], 0)
+            first = policy.decide(view, [])
             assert isinstance(first, Malformed) and first.reason == "adapter_timeout"
             notice = ControllerNotice(reason="parse_error", valid_count=0, remaining=3)
             policy.timeout = 5.0
-            second = policy.decide(view, [(first, notice)], 0)
+            second = policy.decide(view, [(first, notice)])
         finally:
             policy.close()
         assert second == AskUser(message="reply-to-step-2")
@@ -690,9 +694,9 @@ class TestExternalAdapter:
         monkeypatch.setattr(os, "read", read)
         view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
         try:
-            first = policy.decide(view, [], 0)
+            first = policy.decide(view, [])
             notice = ControllerNotice(reason="parse_error", valid_count=0, remaining=3)
-            second = policy.decide(view, [(first, notice)], 0)
+            second = policy.decide(view, [(first, notice)])
         finally:
             policy.close()
         assert first == Malformed(raw="", reason="reply_too_long")

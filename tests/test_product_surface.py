@@ -9,13 +9,14 @@ oracles in `tests/oracle.py` do.
 from __future__ import annotations
 
 import ast
+import inspect
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
 
-from qgp import dataops, reposcan
+from qgp import core, dataops, policies, reposcan
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qgp"
@@ -168,3 +169,15 @@ def test_only_dataops_knows_the_checker_classes():
         if isinstance(node, ast.Attribute) and node.attr == "kind" and id(node) not in lookups
     ]
     assert not reads, f"policies.py branches on a unit kind at lines {reads}"
+
+
+def test_every_policy_decides_from_the_view_and_history_alone():
+    # A parameter that no policy reads, as the run seed was, cannot come back
+    # on one policy alone.
+    def shape(method):
+        return [(p.name, p.kind) for p in inspect.signature(method).parameters.values()]
+
+    expected = shape(core.Policy.decide)
+    assert [name for name, _ in expected] == ["self", "view", "history"]
+    for cls, _ in policies.POLICY_TYPES.values():
+        assert shape(cls.decide) == expected, cls.__name__

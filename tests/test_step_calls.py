@@ -46,12 +46,12 @@ class _Prefixed:
     def __init__(self, policy, illegal) -> None:
         self.policy, self.illegal, self.label = policy, illegal, policy.label
 
-    def decide(self, view, history, seed):
+    def decide(self, view, history):
         if not history:
             return Malformed(raw="not an action")
         if len(history) == 1:
             return self.illegal
-        return self.policy.decide(view, history, seed)
+        return self.policy.decide(view, history)
 
 
 def _count_calls(obj, name: str, counts: dict, returned: list | None = None) -> None:

@@ -111,7 +111,7 @@ class TestLedgerCoupling:
         class Submitter:
             label = "submitter"
 
-            def decide(self, view, history, seed):
+            def decide(self, view, history):
                 return Submit(ids=tuple(rng.choice(all_ids) for _ in range(3)))
 
         env = ReposcanEnvironment(task, corpus, valid_ids)
@@ -120,7 +120,7 @@ class TestLedgerCoupling:
         view = env.public_view()
         submitted: set[str] = set()
         for _ in range(task.budget):
-            action = policy.decide(view, ledger.history, 0)
+            action = policy.decide(view, ledger.history)
             obs = env.execute(action, ledger)
             ledger.history.append((action, obs))
             submitted.update(action.ids)
