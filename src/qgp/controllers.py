@@ -34,7 +34,7 @@ from .actions import (
 )
 from .core import RunContext, StepDecision, objective_queries
 from .errors import ConfigurationError
-from .verifier import normalize_id
+from .verifier import IdVerdict, judge_ids, normalize_id
 
 
 class ControllerKind(str, Enum):
@@ -100,35 +100,22 @@ def _ablation_label(flag: AblationFlag) -> str:
     return f"{ControllerKind.ABLATION.value}:{AblationFlag(flag).value}"
 
 
-def gate_termination(
-    action: Action, valid_count: int, target_count: int
-) -> Action | ControllerNotice:
-    """Block Final/AskUser while the count invariant is unmet."""
-    if isinstance(action, (Final, AskUser)) and valid_count < target_count:
-        remaining = target_count - valid_count
-        return ControllerNotice(
-            reason=(
-                f"termination blocked: target not met, {remaining} of "
-                f"{target_count} still required"
-            ),
-            valid_count=valid_count,
-            remaining=remaining,
-        )
-    return action
-
-
 def _intervention(ctx: RunContext, kind: InterventionKind, detail: str) -> list[Intervention]:
     """A decision's interventions when one rule changed this step's proposal."""
     return [Intervention(step=ctx.step, kind=kind, detail=detail)]
 
 
 def _blocked_termination(action: Action, ctx: RunContext) -> StepDecision | None:
-    """The notice and its intervention for a blocked Final/AskUser, else None."""
-    gated = gate_termination(action, ctx.valid_count, ctx.target_count)
-    if not isinstance(gated, ControllerNotice):
+    """The notice and its intervention for a Final/AskUser while the count
+    invariant is unmet, else None."""
+    valid_count, target_count = ctx.valid_count, ctx.target_count
+    if not isinstance(action, (Final, AskUser)) or valid_count >= target_count:
         return None
-    blocked = InterventionKind.BLOCKED_TERMINATION
-    return StepDecision(notice=gated, interventions=_intervention(ctx, blocked, gated.reason))
+    remaining = target_count - valid_count
+    reason = f"termination blocked: target not met, {remaining} of {target_count} still required"
+    notice = ControllerNotice(reason=reason, valid_count=valid_count, remaining=remaining)
+    blocked = _intervention(ctx, InterventionKind.BLOCKED_TERMINATION, reason)
+    return StepDecision(notice=notice, interventions=blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +193,9 @@ class StateQgpController:
         if not (self.dedupe and isinstance(action, Submit)):
             return StepDecision(action)
 
-        filtered: list[str] = []
-        batch_keys: set[str] = set()
-        for raw in action.ids:
-            key = normalize_id(raw)
-            if key in state.submitted_ids or key in batch_keys:
-                continue
-            batch_keys.add(key)
-            filtered.append(raw)
+        # The verifier's repeat rule, against what was submitted before.
+        verdicts = judge_ids(frozenset(), state.submitted_ids, action.ids)
+        filtered = [raw for raw, (_, v) in zip(action.ids, verdicts) if v != IdVerdict.DUPLICATE]
         deduped = InterventionKind.DEDUP_FILTERED
         # Nothing is left: substitute buffered candidates, else search.
         if not filtered and self.buffered_submit and state.candidate_buffer:
@@ -245,9 +227,10 @@ class StateQgpController:
                 if key not in self.state.submitted_ids:
                     self.state.candidate_buffer.setdefault(key, None)
         elif isinstance(observation, SubmitFeedback) and isinstance(action, Submit):
-            self.state.submitted_ids.update(normalize_id(i) for i in action.ids)
-            for raw in action.ids:
-                self.state.candidate_buffer.pop(normalize_id(raw), None)
+            # The keys the verifier judged, so the memory holds what the ledger holds.
+            for key in observation.accepted + observation.rejected + observation.duplicates:
+                self.state.submitted_ids.add(key)
+                self.state.candidate_buffer.pop(key, None)
 
 
 class StandardController(StateQgpController):

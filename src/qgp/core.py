@@ -414,7 +414,8 @@ def _task_label(entry: object, fallback: str) -> str:
 
 def read_record_dicts(path: str | Path) -> list[dict]:
     """The record lines of a file as parsed, each checked to hold a RecordRow
-    that breaks no rule of a run and names a task no earlier line names."""
+    that breaks no rule of a run, names a task no earlier line names, and
+    logs a list of exactly `intervention_count` interventions."""
     rows = []
     lines_by_task: dict[str, int] = {}
     with loading(path), open(path, "r", encoding="utf-8") as fh:
@@ -426,6 +427,12 @@ def read_record_dicts(path: str | Path) -> list[dict]:
                 record = _RECORD_ROWS.decode(row, where)
                 first = lines_by_task.setdefault(record.task_id, lineno)
                 broken = record.broken_rule() if first == lineno else f"repeats line {first}"
+                # The log's length only: decoding every entry would slow each read.
+                log, count = row.get("intervention_log"), record.intervention_count
+                if not broken and not isinstance(log, list):
+                    broken = "intervention_log must be a list"
+                elif not broken and len(log) != count:
+                    broken = f"intervention_count {count} with {len(log)} intervention_log entries"
                 if broken:
                     raise ValueError(where + broken)
                 rows.append(row)

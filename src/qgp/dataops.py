@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 from .actions import (
     Action,
@@ -48,7 +48,7 @@ from .core import (
     record_submission,
     write_manifest_file,
 )
-from .errors import ConfigurationError, GenerationError, QgpError
+from .errors import ConfigurationError, GenerationError, QgpError, loading
 from .seeding import derive_seed, stream
 from .verifier import IdVerdict, normalize_id
 
@@ -449,9 +449,24 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 
+class CsvParseError(ValueError):
+    """CSV text that the `csv` module refuses, such as a field longer than
+    `csv.field_size_limit()`."""
+
+
+def _csv_rows(lines: Iterable[str]) -> list[list[str]]:
+    """The non-empty rows of CSV text."""
+    reader = csv.reader(lines)
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise CsvParseError(f"line {reader.line_num}: {exc}") from exc
+
+
 def _read_rows(workspace: Workspace, relpath: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(io.StringIO(workspace.read(relpath)))
-    rows = [row for row in reader if row]
+    """A workspace CSV file's header and data rows; text that an edit made
+    unreadable raises CsvParseError, which fails the check or the edit."""
+    rows = _csv_rows(io.StringIO(workspace.read(relpath)))
     if not rows:
         return [], []
     return rows[0], rows[1:]
@@ -472,9 +487,12 @@ def evaluate_checker(checker: CheckerSpec, workspace: Workspace) -> tuple[bool, 
     Diagnostics may describe expected-versus-actual shape, but never echo the
     expected value of an answer-style unit.
     """
-    if workspace.exists(checker.file):
+    if not workspace.exists(checker.file):
+        return False, checker.missing.format(checker.file)
+    try:
         return checker.verdict(workspace)
-    return False, checker.missing.format(checker.file)
+    except CsvParseError as exc:
+        return False, f"check failed: cannot parse {checker.file}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +546,8 @@ def apply_edit(
                 error = record.apply(workspace, unit.artifact_path)
     except (json.JSONDecodeError, ConfigurationError) as exc:
         error = f"malformed edit payload: {exc}"
+    except CsvParseError as exc:
+        error = f"edit failed: cannot parse {unit.artifact_path}: {exc}"
     return unit.feedback(error is None, error or f"edit applied to {unit.artifact_path}")
 
 
@@ -629,8 +649,8 @@ CsvTable = tuple[str, list[str], list[list[str]]]
 
 
 def _load_csv_source(path: Path) -> CsvTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    with loading(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = _csv_rows(fh)
     if len(rows) < 4:
         raise GenerationError(f"insufficient source rows in {path}")
     return path.stem, rows[0], rows[1:]

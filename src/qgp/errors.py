@@ -19,7 +19,9 @@ def loading(path: object) -> Iterator[None]:
     """Report an unreadable or malformed input file as a ConfigurationError naming it."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    # What outside input raises: an unreadable file, a malformed or mistyped
+    # value, and JSON nested deeper than the decoder recurses.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -1,9 +1,13 @@
 """Identifier normalization and the retrieval verdict rule.
 
-The verifier is the only component that knows which identifiers count. It
-answers one verdict per submitted identifier; nothing it emits ever enumerates
-hidden members that the caller has not itself submitted. It holds no state:
-the run ledger is the only record of what was submitted and counted.
+Each identifier rule is written once. Here: what makes two identifiers one
+(`normalize_id`) and the retrieval verdict (`judge_ids`), which the reposcan
+environment applies to each submission and the retrieval controllers' dedupe
+rows apply, with no members, to decide which ids are repeats. The backlog
+verdict lives in `dataops.submit_unit`, and `core.record_submission` only
+counts the verdicts it is given. Nothing emitted here ever enumerates hidden
+members that the caller has not itself submitted. It holds no state: the run
+ledger is the only record of what was submitted and counted.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ class IdVerdict(str, Enum):
     REJECT = "reject"
 
 
-def normalize_id(raw: str) -> str:
-    # Identifier identity is the surrounding-whitespace-trimmed string; no case folding.
-    return raw.strip()
+# Identifier identity is the surrounding-whitespace-trimmed string; no case
+# folding. The method itself, so a call pays no wrapper frame.
+normalize_id = str.strip
 
 
 def judge_ids(

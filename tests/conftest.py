@@ -15,6 +15,14 @@ from synth import build_cars_csv, build_flights_csv, build_snapshot  # noqa: E40
 from qgp import dataops, reposcan  # noqa: E402
 
 
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--whole-grid",
+        action="store_true",
+        help="run every type-swap case of tests/test_type_swap.py, not a sample",
+    )
+
+
 @pytest.fixture(scope="session")
 def snapshot_roots(tmp_path_factory) -> list[Path]:
     base = tmp_path_factory.mktemp("snapshots")

@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant(
         "gate-one-short",
         CONTROLLERS,
-        "valid_count < target_count:",
-        "valid_count < target_count - 1:",
+        "valid_count >= target_count:",
+        "valid_count >= target_count - 1:",
         (
             "tests/test_controllers.py::TestGateTermination::"
             "test_one_short_of_target_is_blocked_and_at_target_forwarded",
@@ -72,10 +72,13 @@ MUTANTS = (
     ),
     Mutant(
         "batch-repeat-forwarded",
-        CONTROLLERS,
-        "batch_keys.add(key)",
+        "src/qgp/verifier.py",
+        "seen.add(key)",
         "pass",
-        (STATE + "test_fresh_id_repeated_in_one_batch_is_forwarded_once",),
+        (
+            "tests/test_verifier.py::TestJudgeIds::test_within_batch_repeat",
+            STATE + "test_fresh_id_repeated_in_one_batch_is_forwarded_once",
+        ),
     ),
     Mutant(
         "buffer-over-page",
@@ -355,6 +358,13 @@ MUTANTS = (
         "record.broken_rule() if first == lineno else",
         "record.broken_rule() if True else",
         (RULES + "[aggregate-task-repeated]", RULES + "[delta-task-repeated]"),
+    ),
+    Mutant(
+        "record-log-short-read",
+        "src/qgp/core.py",
+        "elif not broken and len(log) != count:",
+        "elif not broken and len(log) > count:",
+        (RULES + "[aggregate-intervention-count-over-the-log]",),
     ),
     Mutant(
         "record-failure-at-target-read",

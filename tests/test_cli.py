@@ -186,6 +186,29 @@ class TestGeneration:
         assert capsys.readouterr().err == f"error: source path not found: {missing}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, refusal",
+        [
+            (
+                b"id,name\nr1,caf\xe9\nr2,b\nr3,c\nr4,d\n",
+                "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+                "invalid continuation byte",
+            ),
+            (
+                b"id,name\nr1," + b"x" * 200_000 + b"\nr2,b\nr3,c\nr4,d\n",
+                "CsvParseError: line 2: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["not-utf-8", "field-over-the-csv-limit"],
+    )
+    def test_csv_source_the_csv_module_refuses_is_named(self, content, refusal, tmp_path, capsys):
+        source = tmp_path / "source.csv"
+        source.write_bytes(content)
+        out = tmp_path / "m.json"
+        assert main(["gen-dataops", "--csv", str(source), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot load {source}: {refusal}\n"
+        assert not out.exists()
+
 
 class TestMissingSnapshotRoot:
     @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
@@ -1659,6 +1682,23 @@ RECORD_RULE_ERRORS = {
         {"outcome": "budget_exhausted"},
         "task 't2' on line 2: outcome budget_exhausted with valid_count 10 of target 10",
     ),
+    # The log is checked for its type and length only, not entry by entry.
+    "intervention-count-over-the-log": (
+        {"intervention_count": 5},
+        "task 't2' on line 2: intervention_count 5 with 0 intervention_log entries",
+    ),
+    "intervention-log-over-the-count": (
+        {"intervention_log": [{}]},
+        "task 't2' on line 2: intervention_count 0 with 1 intervention_log entries",
+    ),
+    "intervention-log-a-string": (
+        {"intervention_log": "[]"},
+        "task 't2' on line 2: intervention_log must be a list",
+    ),
+    "intervention-log-null": (
+        {"intervention_log": None},
+        "task 't2' on line 2: intervention_log must be a list",
+    ),
 }
 
 
@@ -1703,6 +1743,23 @@ class TestMalformedInputs:
         }[command]
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot load {path}: ValueError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "run-config", "smoke", "aggregate", "delta"])
+    def test_json_nested_too_deep_is_one_error_line(self, command, tmp_path, capsys):
+        # Well-formed JSON nested deeper than the decoder recurses, read as a
+        # manifest, a saved config or a records file.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "delta":
+            argv = ["delta", "--left", str(path), "--right", str(path), "--out", str(out)]
+        else:
+            argv = COMMANDS[command](str(path), str(out))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load ") and err.count("\n") == 1
+        assert f"{path.name}: RecursionError: maximum recursion depth exceeded" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field", RECORD_FIELDS)

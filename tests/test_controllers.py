@@ -32,7 +32,6 @@ from qgp.controllers import (
     UnitQgpController,
     VerifierGatedController,
     build_controller,
-    gate_termination,
 )
 from qgp.core import RunContext, TaskSpec, run_episode
 from qgp.errors import ConfigurationError
@@ -87,16 +86,19 @@ class TestStandard:
 
 class TestGateTermination:
     def test_blocks_with_remaining(self):
-        result = gate_termination(Final(completion_claim=True, reported_count=10), 6, 10)
-        assert isinstance(result, ControllerNotice)
-        assert result.remaining == 4
+        action = Final(completion_claim=True, reported_count=10)
+        result = VerifierGatedController().transform(action, make_ctx(valid=6, target=10))
+        assert result.action is None and isinstance(result.notice, ControllerNotice)
+        assert result.notice.remaining == 4 and result.notice.valid_count == 6
 
     def test_boundary_forwards(self):
         action = Final(completion_claim=True, reported_count=10)
-        assert gate_termination(action, 10, 10) == action
+        result = VerifierGatedController().transform(action, make_ctx(valid=10, target=10))
+        assert result.action == action and result.notice is None
 
     def test_ask_user_blocked(self):
-        assert isinstance(gate_termination(AskUser(message="?"), 0, 3), ControllerNotice)
+        result = VerifierGatedController().transform(AskUser(message="?"), make_ctx(target=3))
+        assert isinstance(result.notice, ControllerNotice) and result.notice.remaining == 3
 
     @pytest.mark.parametrize(
         "action", [Final(completion_claim=True, reported_count=10), AskUser(message="?")]
@@ -197,6 +199,28 @@ class TestStateQgp:
         controller.observe(Search(query="q", page=0), results, make_ctx())
         assert ("q", 0) in controller.state.seen_pages
         assert list(controller.state.candidate_buffer) == ["new"]
+
+    def test_observe_learns_the_keys_the_verifier_judged(self):
+        controller = StateQgpController()
+        controller.state.candidate_buffer.update(dict.fromkeys(["a", "c"]))
+        feedback = SubmitFeedback(
+            accepted=("a",), rejected=("b",), duplicates=("a",), valid_count=1, remaining=9
+        )
+        controller.observe(Submit(ids=(" a ", "b", "a")), feedback, make_ctx())
+        assert controller.state.submitted_ids == {"a", "b"}
+        assert list(controller.state.candidate_buffer) == ["c"]
+
+    def test_memory_holds_what_the_ledger_holds(self, reposcan_loaded):
+        # After every reference run the controller remembers exactly the ids
+        # the ledger holds, since it learns them from the verifier's feedback.
+        manifest, corpora = reposcan_loaded
+        assert len(manifest.tasks) == 36
+        for task in manifest.tasks:
+            env = ReposcanEnvironment(task.spec, corpora[task.snapshot], task.valid_ids)
+            controller = StateQgpController()
+            ledger = run_episode(task.spec, env, controller, DuplicatorPolicy()).ledger
+            assert ledger.submissions, task.spec.task_id
+            assert controller.state.submitted_ids == set(ledger.submissions), task.spec.task_id
 
 
 class TestAblations:

@@ -154,6 +154,49 @@ class TestEditAndCheck:
         apply_edit(backlog, ws, "u1", json.dumps({"row_key": "r1", "column": "score", "value": "6"}))
         assert run_check(backlog, ws, "u1").verdict == Verdict.PASS
 
+    # Each way a CSV cell edit can fail, or fill a short row: its feedback
+    # and the file after it. Row r2 has its key cell only.
+    SHORT_ROW = "id,name,score\nr1,alpha,5\nr2\n"
+
+    @pytest.mark.parametrize(
+        "edit, detail, after",
+        [
+            ({"column": "grade"}, 'edit failed: column "grade" missing', SHORT_ROW),
+            ({"row_key": "r9"}, 'edit failed: no row keyed "r9"', SHORT_ROW),
+            ({}, "edit applied to data/t.csv", "id,name,score\nr1,alpha,5\nr2,,6\n"),
+        ],
+        ids=["column-missing", "no-row-keyed", "short-row-padded"],
+    )
+    def test_csv_edit_feedback(self, edit, detail, after):
+        backlog, ws = small_backlog()
+        ws.write("data/t.csv", self.SHORT_ROW)
+        payload = {"row_key": "r2", "column": "score", "value": "6"} | edit
+        fb = apply_edit(backlog, ws, "u1", json.dumps(payload))
+        assert fb.detail == detail and (fb.verdict == Verdict.PASS) == (after != self.SHORT_ROW)
+        assert fb.status_after == UnitStatus.ATTEMPTED and ws.read("data/t.csv") == after
+
+    def test_a_cell_over_the_csv_limit_fails_later_steps_not_the_run(self, dataops_loaded):
+        # The edit writes the cell; after it the file is text `csv` refuses,
+        # so the next check and the next edit of the unit fail, naming it.
+        task = next(
+            t for t in dataops_loaded.tasks if any(u.kind == "csv_field_check" for u in t.units)
+        )
+        unit = next(u for u in task.units if u.kind == "csv_field_check")
+        checker = unit.checker
+        env = DataopsEnvironment(task.spec, task.units, task.workspace)
+        ledger = RunLedger(target_count=task.spec.target_count, budget=task.spec.budget)
+        huge = {"row_key": checker.row_key, "column": checker.column, "value": "9" * 200_000}
+        fix = huge | {"value": checker.expected}
+        edited = env.execute(Edit(unit_id=unit.unit_id, payload=json.dumps(huge)), ledger)
+        checked = env.execute(RunCheck(unit_id=unit.unit_id), ledger)
+        refused = env.execute(Edit(unit_id=unit.unit_id, payload=json.dumps(fix)), ledger)
+        assert edited.verdict == Verdict.PASS
+        assert checked.verdict == refused.verdict == Verdict.FAIL
+        limit = "field larger than field limit (131072)"
+        assert checked.detail.startswith(f"check failed: cannot parse {checker.file}: line ")
+        assert refused.detail.startswith(f"edit failed: cannot parse {checker.file}: line ")
+        assert checked.detail.endswith(limit) and refused.detail.endswith(limit)
+
     def test_field_equals_satisfied(self):
         backlog, ws = small_backlog()
         fb = run_check(backlog, ws, "u5")
@@ -174,6 +217,7 @@ class TestEditAndCheck:
         assert "expected 32, found 31" in fb.detail
 
     CSV = "id,name,score\nr1,alpha,6\nr2,beta,7\n"
+    LIMIT = "field larger than field limit (131072)"
     DIGEST = hashlib.sha256(b"r1,alpha,6").hexdigest()
     # (checker, its file's text, the verdict and diagnostic it must give): the
     # boundaries of each rule, and the diagnostics no scripted run reaches.
@@ -198,6 +242,17 @@ class TestEditAndCheck:
             RowCount(file="t.csv", expected=1),
             CSV,
             (False, "row count check failed: expected 1, found 2"),
+        ),
+        # A cell longer than `csv.field_size_limit()` fails the check, naming the file.
+        "field-over-the-csv-limit": (
+            FieldEquals(file="t.csv", row_key="r1", column="score", expected="6"),
+            "id,name,score\nr1,alpha," + "6" * 200_000 + "\n",
+            (False, f"check failed: cannot parse t.csv: line 2: {LIMIT}"),
+        ),
+        "count-over-the-csv-limit": (
+            RowCount(file="t.csv", expected=1),
+            "id,name,score\nr1,alpha," + "6" * 200_000 + "\n",
+            (False, f"check failed: cannot parse t.csv: line 2: {LIMIT}"),
         ),
         "metadata-value-case-changed": (
             KeyPresent(file="m.txt", key="license_tag", expected_value="mit"),

@@ -6,20 +6,25 @@ must equal one constant. The pairs cover every controller label
 and every scripted policy at least once. An engine change that moves any
 record byte fails here; a change that means to move them must say so and
 update the constant. The bytes `qgp aggregate` writes over those records
-are pinned the same way, and so, under a constant of its own, are the
-records of a stalling backlog pair, the only one that reaches the backlog
-controller's steering and its no-progress stop.
+are pinned the same way. Two backlog runs reach rules no pair reaches, and
+each has a constant of its own: a stalling pair, steered and then stopped by
+the backlog controller, and an external adapter whose second inspect is routed
+to the check its edit left pending. Together the pinned files log every
+intervention kind.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qgp import dataops
 from qgp.cli import main
+from qgp.controllers import CONTROLLER_FEATURES, InterventionKind
 from qgp.core import read_record_dicts
 
 # (manifest fixture, controller, ablation flag, policy)
@@ -49,6 +54,26 @@ AGGREGATE_SHA256 = "21e3b406bbccc3e374bd23235f14be78551e73e300f9dc4e6046846e733f
 # progress. At k = 7 it steers seven times and the stop's detail reads 14.
 STALL_ARGV = ("--controller", "unit_qgp", "--policy", "no_submit_looper", "--loop-unit", "u004")
 STALL_RECORDS_SHA256 = "9bd816899c00d8c729b980b1cdbc544dee340f01180c8066c30e5c94249ef3da"
+
+# An adapter that inspects u000, sends it one wrong edit, proposes to inspect
+# it again, and then asks the user on every step. Every scripted backlog
+# policy checks the unit it just edited, so only this run reaches unit_qgp's
+# `routed_to_check`: the second inspect becomes the pending check. It runs on
+# the two target-3 backlogs of the seed-23 sources.
+CHECK_ADAPTER = """
+import json, sys
+replies = [
+    {"kind": "inspect", "unit_id": "u000"},
+    {"kind": "edit", "unit_id": "u000", "payload": "wrong"},
+    {"kind": "inspect", "unit_id": "u000"},
+]
+for line in sys.stdin:
+    step = json.loads(line)["step"]
+    reply = replies[step - 1] if step <= len(replies) else {"kind": "ask_user", "message": "?"}
+    sys.stdout.write(json.dumps(reply) + "\\n")
+    sys.stdout.flush()
+"""
+CHECK_RECORDS_SHA256 = "3716bea5508c7883ba107fc7f8c5b844d9e4599dc7d9507f7a6ebc48402e262a"
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +132,65 @@ def test_stalling_backlog_is_steered_then_stopped(stall_path):
     assert {row["outcome"] for row in rows} == {"budget_exhausted"}
 
 
-def test_every_pinned_record_file_loads(record_paths, stall_path):
+@pytest.fixture(scope="module")
+def check_path(fixture_sources, tmp_path_factory) -> Path:
+    base = tmp_path_factory.mktemp("routed-check")
+    manifest = base / "dataops.json"
+    dataops.write_manifest(
+        dataops.generate_dataops_manifest(
+            fixture_sources, targets=(3,), instances_per_target=2, seed=23
+        ),
+        manifest,
+    )
+    adapter = base / "adapter.py"
+    adapter.write_text(CHECK_ADAPTER, encoding="utf-8")
+    out = base / "records.jsonl"
+    argv = ["run", "--manifest", str(manifest), "--controller", "unit_qgp"]
+    argv += ["--policy", "external", "--policy-cmd", f"{sys.executable} {adapter}"]
+    assert main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+def test_routed_check_record_bytes_are_pinned(check_path):
+    assert hashlib.sha256(check_path.read_bytes()).hexdigest() == CHECK_RECORDS_SHA256
+
+
+def test_routed_check_is_logged_once_per_run(check_path):
+    rows = read_record_dicts(check_path)
+    routed = [
+        (row["task_id"], entry["step"], entry["detail"])
+        for row in rows
+        for entry in row["intervention_log"]
+        if entry["kind"] == "routed_to_check"
+    ]
+    detail = "post-edit action routed to checker for u000"
+    assert routed == [("dataops-n3-b0", 3, detail), ("dataops-n3-b1", 3, detail)]
+
+
+def test_every_intervention_kind_is_pinned(record_paths, stall_path, check_path):
+    logged = {
+        entry["kind"]
+        for path in [*record_paths, stall_path, check_path]
+        for row in read_record_dicts(path)
+        for entry in row["intervention_log"]
+    }
+    assert logged == {kind.value for kind in InterventionKind}
+
+
+def test_dedupe_rows_forward_no_duplicate(record_paths):
+    for (_, controller, ablation, _), path in zip(PAIRS, record_paths):
+        features = CONTROLLER_FEATURES.get(f"{controller}:{ablation}" if ablation else controller)
+        if features is not None and features.dedupe:
+            rows = read_record_dicts(path)
+            assert rows and {row["duplicate_occurrences"] for row in rows} == {0}, path
+
+
+def test_every_pinned_record_file_loads(record_paths, stall_path, check_path):
     # The reader refuses a row that breaks a rule every run keeps, and a
     # repeated task; no reference run does either.
-    tasks = {"reposcan": 36, "dataops": 24}
-    for (family, *_), path in zip([*PAIRS, ("dataops",)], [*record_paths, stall_path]):
+    tasks = {"reposcan": 36, "dataops": 24, "check": 2}
+    pinned = [*PAIRS, ("dataops",), ("check",)]
+    for (family, *_), path in zip(pinned, [*record_paths, stall_path, check_path]):
         rows = read_record_dicts(path)
         assert len({row["task_id"] for row in rows}) == len(rows) == tasks[family], path
 

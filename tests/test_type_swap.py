@@ -8,14 +8,17 @@ run config. No exception may escape `main`, an exit code of 2 comes with one
 replaces must exit 2. The declared types are written here, from the file
 formats, not read from the product's annotations.
 
-Tier-1 runs a fixed sample of SAMPLE cases per file kind. `type_swap_grid`
-gives every case, for a whole-grid run.
+Tier-1 runs a fixed sample of SAMPLE cases per file kind. The whole grid,
+every case of `type_swap_grid`, runs outside it:
+
+    PYTHONPATH=src python tests/test_type_swap.py
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +37,9 @@ NULLABLE = {"reported_count": 0, "ablation": ""}
 # Objects whose contents have no declared type: what they hold is free, or
 # checked by something other than a type (policy parameters by their policy).
 FREE_CONTENTS = {"metadata", "policy_params"}
-# What a record line holds past its typed fields, which no command reads.
+# What a record line holds past its typed fields. No command reads an entry
+# of the log; the reader refuses a log that is not a list of
+# `intervention_count` entries, which a swap may or may not make.
 FREE = {"intervention_log", "abort_reason"}
 
 
@@ -167,9 +172,11 @@ def run_case(files: dict, case: tuple, work: Path, capsys) -> list[str]:
     return faults
 
 
-def _sample(files: dict) -> list[tuple]:
+def _sample(files: dict, whole: bool) -> list[tuple]:
     docs = {kind: doc for kind, (doc, _) in files.items()}
     cases = type_swap_grid(docs)
+    if whole:
+        return cases
     rng = random.Random(SEED)
     return [
         case
@@ -178,10 +185,14 @@ def _sample(files: dict) -> list[tuple]:
     ]
 
 
-def test_sampled_type_swaps(files, tmp_path, monkeypatch, capsys):
+def test_sampled_type_swaps(files, tmp_path, monkeypatch, capsys, request):
     # A swapped config may name a relative output; keep it in tmp_path.
     monkeypatch.chdir(tmp_path)
-    cases = _sample(files)
+    cases = _sample(files, request.config.getoption("--whole-grid"))
     assert any(breaks for *_, breaks in cases)
     faults = [(case[:3], run_case(files, case, tmp_path, capsys)) for case in cases]
     assert not [(case, fault) for case, fault in faults if fault]
+
+
+if __name__ == "__main__":
+    sys.exit(pytest.main([__file__, "-q", "-p", "no:cacheprovider", "--whole-grid", *sys.argv[1:]]))
