@@ -181,14 +181,22 @@ class AdapterRequest:
 _BAD = object()  # what a field check returns for a value its annotation does not admit
 
 Seed = NewType("Seed", int)  # any integer, where a record's other integers are counts
+# An adapter's command line: a string, split as a shell would, or a list of strings.
+AdapterCommand = NewType("AdapterCommand", list)
 
 # (admits, expected) per scalar annotation: a bool or a float, even a whole
-# one, is not an integer. `T.__instancecheck__` is `isinstance(v, T)`.
+# one, is not an integer, and a bool is not a number. `T.__instancecheck__`
+# is `isinstance(v, T)`.
 _SCALARS = {
     str: (str.__instancecheck__, "a string"),
     bool: (bool.__instancecheck__, "a boolean"),
     int: (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     Seed: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    AdapterCommand: (
+        lambda v: isinstance(v, str) or type(v) is list and all(isinstance(a, str) for a in v),
+        "a string or a list of strings",
+    ),
     dict: (dict.__instancecheck__, "an object"),
 }
 
@@ -245,16 +253,19 @@ def _has_default(f: Field) -> bool:
 
 
 class Schema:
-    """A dataclass as a JSON object, written in field order and read by
-    checking each field against its annotation. Other keys are ignored, a
-    missing field takes its default where there is one, and a field that
-    does not fit, or is missing with no default, raises `error` naming it."""
+    """A dataclass as a JSON object of its init fields, written in field
+    order and read by checking each field against its annotation. Other keys
+    are ignored, a missing field takes its default where there is one, and a
+    field that does not fit, or is missing with no default, raises `error`
+    naming it."""
 
     def __init__(self, cls: type, error: type[Exception] = ValueError) -> None:
         self.cls, self.error, hints = cls, error, get_type_hints(cls)
         # (name, encode, check, expected, has a default) per field.
         self.plan = [
-            (f.name, *_field_codec(hints[f.name], error), _has_default(f)) for f in fields(cls)
+            (f.name, *_field_codec(hints[f.name], error), _has_default(f))
+            for f in fields(cls)
+            if f.init
         ]
 
     def encode(self, record: object) -> dict:

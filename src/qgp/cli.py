@@ -16,8 +16,9 @@ interpreter lock, so its runs go in task order on the calling thread. The
 `run` takes none, since its records follow from the manifest alone, and
 they are identical for every worker count.
 
-Each `run` flag of a policy parameter stores under the parameter's name in
-`policies.POLICY_TYPES`. Only `smoke` takes a workspace root, and ignores it.
+`run` checks its flags and a saved `--config` alike, in `RunConfig.check`; a
+policy parameter's flag stores under the name of its policy's init field.
+Only `smoke` takes a workspace root, and ignores it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import dataops, reposcan
@@ -74,22 +75,28 @@ class RunConfig:
         )
 
     @classmethod
+    def check(cls, saved: object) -> "RunConfig":
+        """The run `saved` holds in its file form. A field it does not have,
+        a field whose value is not of its annotated type, and a controller,
+        ablation flag or policy parameter that `run` would refuse, raise
+        ConfigurationError naming it."""
+        config = _RUN_CONFIGS.decode(saved)
+        unknown = sorted(saved.keys() - asdict(config).keys())
+        if unknown:
+            raise ConfigurationError(f"unknown field {unknown[0]!r}")
+        config.controller_config()
+        build_policy(config.policy, **config.policy_params)
+        return config
+
+    @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        """Read a saved run; a field it does not have, a field whose value is
-        not of its annotated type, and a controller, ablation flag or policy
-        parameter that `run` would refuse, are refused here, naming the file."""
+        """Read and `check` a saved run; a refusal names the file."""
         with loading(path):
             saved = json.loads(Path(path).read_text(encoding="utf-8"))
-            config = _RUN_CONFIGS.decode(saved)
-            unknown = sorted(saved.keys() - asdict(config).keys())
-            if unknown:
-                raise ValueError(f"unknown field {unknown[0]!r}")
             try:
-                config.controller_config()
-                build_policy(config.policy, **config.policy_params)
+                return cls.check(saved)
             except ConfigurationError as exc:
                 raise ValueError(exc) from exc
-        return config
 
     def controller_config(self) -> ControllerConfig:
         flag = AblationFlag(self.ablation) if self.ablation else None
@@ -100,7 +107,7 @@ class RunConfig:
         )
 
 
-_RUN_CONFIGS = Schema(RunConfig)
+_RUN_CONFIGS = Schema(RunConfig, ConfigurationError)
 
 
 def _parse_targets(text: str) -> list[int]:
@@ -160,24 +167,27 @@ def cmd_gen_dataops(args: argparse.Namespace) -> int:
 def _policy_params(args: argparse.Namespace) -> dict:
     """The policy parameters set on the command line: each `run` flag of a
     policy parameter stores under the parameter's name."""
-    names = dict.fromkeys(name for _, checks in POLICY_TYPES.values() for name in checks)
+    names = dict.fromkeys(f.name for cls in POLICY_TYPES.values() for f in fields(cls) if f.init)
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run the flags or the saved `--config` give, checked the same way."""
     if args.config:
         return RunConfig.load(args.config)
     if not args.manifest or not args.out:
         raise QgpError("run requires --manifest and --out (or --config)")
-    return RunConfig(
-        manifest=str(Path(args.manifest).resolve()),
-        controller=args.controller,
-        policy=args.policy,
-        out=str(Path(args.out).resolve()),
-        ablation=args.ablation,
-        policy_params=_policy_params(args),
-        no_progress_limit=args.no_progress_limit,
-        jobs=args.jobs,
+    return RunConfig.check(
+        {
+            "manifest": str(Path(args.manifest).resolve()),
+            "controller": args.controller,
+            "policy": args.policy,
+            "out": str(Path(args.out).resolve()),
+            "ablation": args.ablation,
+            "policy_params": _policy_params(args),
+            "no_progress_limit": args.no_progress_limit,
+            "jobs": args.jobs,
+        }
     )
 
 
@@ -246,7 +256,6 @@ def _write_records(path: str, rows: list[dict]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config_from_args(args)
-    build_policy(config.policy, **config.policy_params)  # refuse its parameters before any task
     out_dir = Path(config.out).parent
     if not out_dir.is_dir():
         raise QgpError(f"cannot write {config.out}: no directory {out_dir}")

@@ -303,7 +303,7 @@ def run_episode(
             action, notice, made = controller.transform(proposal, ctx)
             interventions.extend(made)
         elif isinstance(proposal, Malformed):
-            action, notice = None, _notice("parse_error", ledger)
+            action, notice = None, _notice(proposal.reason, ledger)
         else:
             action, notice = None, _notice("unsupported_action", ledger)
         if notice is not None:

@@ -69,7 +69,11 @@ class CsvEdit:
     value: str
 
     def apply(self, workspace: Workspace, relpath: str) -> str | None:
-        """Set the cell; returns why it could not, or None."""
+        """Set the cell; returns why it could not, or None. A value the `csv`
+        module would refuse to read back is refused, leaving the file as it was."""
+        limit = csv.field_size_limit()
+        if len(self.value) > limit:
+            return f"edit failed: value longer than the CSV field limit ({limit} characters)"
         header, rows = _read_rows(workspace, relpath)
         if self.column not in header:
             return f'edit failed: column "{self.column}" missing'

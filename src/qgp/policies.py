@@ -37,6 +37,7 @@ from typing import Callable, ClassVar, Generic, Sequence, TypeVar
 from .actions import (
     ADAPTER_REQUESTS,
     Action,
+    AdapterCommand,
     AdapterRequest,
     AskUser,
     Edit,
@@ -45,6 +46,7 @@ from .actions import (
     Inspect,
     Malformed,
     RunCheck,
+    Schema,
     Search,
     SearchResults,
     Submit,
@@ -482,14 +484,27 @@ class ExternalAdapterPolicy:
     is read and dropped before the reply to a later step.
     """
 
-    command: list[str]
+    command: AdapterCommand
     timeout: float = 30.0
     label: ClassVar[str] = PolicyKind.EXTERNAL.value
     _process: subprocess.Popen | None = field(default=None, init=False, repr=False)
-    _poll: select.poll | None = field(default=None, init=False, repr=False)
+    _poll: object = field(default=None, init=False, repr=False)  # a `select.poll()`
     _buffer: bytearray = field(default_factory=bytearray, init=False, repr=False)
     _dropping: bool = field(default=False, init=False, repr=False)
     _owed: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.command, str):
+            try:
+                self.command = shlex.split(self.command)
+            except ValueError as exc:  # such as an unclosed quote
+                raise ConfigurationError(f"cannot split adapter command: {exc}") from None
+        # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
+        if not 0 < self.timeout <= 86400:
+            shown = f"{self.timeout:g}" if isinstance(self.timeout, float) else self.timeout
+            message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {shown}"
+            raise ConfigurationError(message)
+        self.timeout = float(self.timeout)
 
     def _ensure_started(self) -> None:
         if self._process is not None:
@@ -615,77 +630,27 @@ def _wait_for_exit(process: subprocess.Popen, timeout: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _integer(name: str, value: object) -> int:
-    """An integer policy parameter as given, or as a float with no fraction,
-    which is how JSON may write it; anything else is refused, not coerced.
-    Only policy parameters take a whole float: every other integer a file
-    holds is read by the field codec, which refuses any float."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"policy parameter {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _string(name: str, value: object) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"policy parameter {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _optional(check: Callable[[str, object], object]) -> Callable[[str, object], object]:
-    """`check`, letting None through: a parameter whose default is None."""
-    return lambda name, value: None if value is None else check(name, value)
-
-
-def _command(name: str, value: object) -> list[str]:
-    if isinstance(value, str):
-        value = shlex.split(value)
-    if not isinstance(value, (list, tuple)) or not all(isinstance(a, str) for a in value):
-        expected = "a string or a list of strings"
-        raise ConfigurationError(f"policy parameter {name!r} must be {expected}, got {value!r}")
-    return list(value)
-
-
-def _timeout(name: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"policy parameter {name!r} must be a number, got {value!r}")
-    # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
-    if not 0 < value <= 86400:
-        shown = f"{value:g}" if isinstance(value, float) else value
-        message = f"adapter timeout must be more than 0 and at most 86400 seconds, got {shown}"
-        raise ConfigurationError(message)
-    return float(value)
-
-
-# Each policy's class and the parameters `build_policy` passes it, each with
-# the check its value must pass. A parameter left out takes the class default.
-POLICY_TYPES: dict[PolicyKind, tuple[type, dict[str, Callable[[str, object], object]]]] = {
-    PolicyKind.DUPLICATOR: (DuplicatorPolicy, {}),
-    PolicyKind.EARLY_STOPPER: (EarlyStopperPolicy, {"stop_step": _integer}),
-    PolicyKind.FALSE_COMPLETER: (
-        FalseCompleterPolicy,
-        {"final_step": _integer, "claim_count": _optional(_integer)},
-    ),
-    PolicyKind.NO_SUBMIT_LOOPER: (NoSubmitLooperPolicy, {"loop_unit": _optional(_string)}),
-    PolicyKind.GREEDY_ORACLE: (GreedyOraclePolicy, {}),
-    PolicyKind.SOLVER: (SolverPolicy, {}),
-    PolicyKind.REDUNDANT_SEARCHER: (
-        RedundantSearcherPolicy,
-        {"submit_width": _integer, "submits_per_search": _integer},
-    ),
-    PolicyKind.EXTERNAL: (ExternalAdapterPolicy, {"command": _command, "timeout": _timeout}),
+# Each policy's class. Its parameters are its init fields, which `build_policy`
+# reads with the field codec; a parameter left out takes the class default.
+POLICY_TYPES: dict[PolicyKind, type] = {
+    PolicyKind.DUPLICATOR: DuplicatorPolicy,
+    PolicyKind.EARLY_STOPPER: EarlyStopperPolicy,
+    PolicyKind.FALSE_COMPLETER: FalseCompleterPolicy,
+    PolicyKind.NO_SUBMIT_LOOPER: NoSubmitLooperPolicy,
+    PolicyKind.GREEDY_ORACLE: GreedyOraclePolicy,
+    PolicyKind.SOLVER: SolverPolicy,
+    PolicyKind.REDUNDANT_SEARCHER: RedundantSearcherPolicy,
+    PolicyKind.EXTERNAL: ExternalAdapterPolicy,
 }
+_PARAMETERS = {kind: Schema(cls, ConfigurationError) for kind, cls in POLICY_TYPES.items()}
 
 
 def build_policy(kind: PolicyKind | str, **params):
     kind = PolicyKind(kind)
-    cls, checks = POLICY_TYPES[kind]
-    unknown = sorted(params.keys() - checks.keys())
+    schema = _PARAMETERS[kind]
+    unknown = sorted(params.keys() - {name for name, *_ in schema.plan})
     if unknown:
         raise ConfigurationError(f"policy {kind.value} does not take {', '.join(unknown)}")
     if kind == PolicyKind.EXTERNAL and not params.get("command"):
         raise ConfigurationError("external policy requires a command")
-    return cls(
-        **{name: check(name, params[name]) for name, check in checks.items() if name in params}
-    )
+    return schema.decode(params, "policy parameter ")

@@ -57,6 +57,7 @@ BULK = "tests/test_metrics.py::TestBulkDraws::test_equals_reference_loop"
 MEANS = "tests/test_metrics.py::TestBulkDraws::test_means_equal_reference_in_draw_order"
 STALL = "tests/test_record_digest.py::test_stalling_backlog_record_bytes_are_pinned"
 RULES = "tests/test_cli.py::TestMalformedInputs::test_record_breaking_a_run_rule_is_one_error_line"
+FLAGS = "tests/test_cli.py::TestPolicyParams::test_flag_the_codec_refuses_ends_before_any_task"
 
 MUTANTS = (
     # Termination gating and retrieval (StateQgpController).
@@ -418,6 +419,36 @@ MUTANTS = (
         '_column("confidence", ".4f")',
         '_column("confidence", ".6f")',
         ("tests/test_metrics.py::TestBulkDraws::test_golden_delta_bytes",),
+    ),
+    # One integer rule for every value `run` reads, in files and on the command line.
+    Mutant(
+        "codec-admits-negative-integer",
+        "src/qgp/actions.py",
+        "type(v) is int and v >= 0",
+        "type(v) is int",
+        (FLAGS + "[claim-count]", FLAGS + "[submits-per-search]", FLAGS + "[jobs]"),
+    ),
+    # A malformed step is answered with its own reason.
+    Mutant(
+        "notice-reason-always-parse-error",
+        "src/qgp/core.py",
+        "_notice(proposal.reason",
+        '_notice("parse_error"',
+        (
+            "tests/test_policies.py::TestExternalAdapter::"
+            "test_a_malformed_step_is_answered_with_its_own_reason",
+        ),
+    ),
+    # A CSV edit keeps each cell within what `csv.reader` reads back.
+    Mutant(
+        "csv-edit-limit-one-short",
+        DATAOPS,
+        "len(self.value) > limit",
+        "len(self.value) >= limit",
+        (
+            "tests/test_dataops.py::TestEditAndCheck::"
+            "test_a_cell_over_the_csv_limit_is_refused_and_the_unit_stays_repairable",
+        ),
     ),
     Mutant(
         "record-duplicates-wrong-count",

@@ -10,12 +10,13 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from qgp import cli, policies, reposcan
-from qgp.actions import Family
+from qgp.actions import Family, Outcome
 from qgp.cli import _write_records, main
 from qgp.controllers import ControllerConfig, ControllerKind, VerifierGatedController
 from qgp.core import RECORD_FIELDS, TaskSpec, read_record_dicts, record_to_dict, run_episode
@@ -23,7 +24,7 @@ from qgp.metrics import aggregate, metrics_from_record_dict
 from qgp.policies import ExternalAdapterPolicy
 from qgp.reposcan import ReposcanEnvironment
 
-from synth import tiny_corpus
+from synth import build_snapshot, tiny_corpus
 from test_policies import ECHO_ADAPTER, _running, _write_adapter
 
 
@@ -185,6 +186,28 @@ class TestGeneration:
         assert main(["gen-dataops", "--csv", str(missing), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: source path not found: {missing}\n"
         assert not out.exists()
+
+    def test_gen_dataops_without_a_source_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["gen-dataops", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dataops generation needs at least one CSV or snapshot source\n"
+        )
+        assert not out.exists()
+
+    def test_snapshots_sharing_a_basename_get_distinct_names(self, tmp_path, capsys):
+        roots = [build_snapshot(tmp_path / side / "snap", offset=i) for i, side in enumerate("ab")]
+        out = tmp_path / "m.json"
+        argv = ["gen-reposcan", "--targets", "10", "--instances", "2", "--out", str(out)]
+        assert main(argv + [arg for root in roots for arg in ("--snapshot", str(root))]) == 0
+        capsys.readouterr()
+        snapshots = json.loads(out.read_text())["snapshots"]
+        assert [(s["name"], s["root"]) for s in snapshots] == [
+            ("snap", str(roots[0])),
+            ("snap_", str(roots[1])),
+        ]
+        assert main(["smoke", "--manifest", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
 
     @pytest.mark.parametrize(
         "content, refusal",
@@ -444,38 +467,55 @@ class TestPolicyParams:
     @pytest.mark.parametrize(
         "policy, params, refusal",
         [
-            ("early_stopper", {"stop_step": 2.7}, "'stop_step' must be an integer, got 2.7"),
-            ("early_stopper", {"stop_step": "3"}, "'stop_step' must be an integer, got '3'"),
-            ("early_stopper", {"stop_step": True}, "'stop_step' must be an integer, got True"),
-            ("false_completer", {"final_step": None}, "'final_step' must be an integer, got None"),
-            ("false_completer", {"claim_count": "4"}, "'claim_count' must be an integer, got '4'"),
+            ("early_stopper", {"stop_step": 2.7}, "stop_step must be a non-negative integer"),
+            ("early_stopper", {"stop_step": "3"}, "stop_step must be a non-negative integer"),
+            ("early_stopper", {"stop_step": True}, "stop_step must be a non-negative integer"),
+            # A whole float is no integer here either, as in every other field.
+            ("early_stopper", {"stop_step": 2.0}, "stop_step must be a non-negative integer"),
+            ("false_completer", {"final_step": None}, "final_step must be a non-negative integer"),
+            (
+                "false_completer",
+                {"claim_count": "4"},
+                "claim_count must be a non-negative integer or null",
+            ),
+            (
+                "false_completer",
+                {"claim_count": -3},
+                "claim_count must be a non-negative integer or null",
+            ),
             (
                 "redundant_searcher",
                 {"submit_width": 1.5},
-                "'submit_width' must be an integer, got 1.5",
+                "submit_width must be a non-negative integer",
             ),
             (
                 "redundant_searcher",
                 {"submits_per_search": False},
-                "'submits_per_search' must be an integer, got False",
+                "submits_per_search must be a non-negative integer",
             ),
-            ("external", {"timeout": True}, "'timeout' must be a number, got True"),
-            ("external", {"timeout": "5"}, "'timeout' must be a number, got '5'"),
+            (
+                "redundant_searcher",
+                {"submits_per_search": -1},
+                "submits_per_search must be a non-negative integer",
+            ),
+            ("external", {"timeout": True}, "timeout must be a number"),
+            ("external", {"timeout": "5"}, "timeout must be a number"),
             (
                 "external",
                 {"command": ["python3", 5]},
-                "'command' must be a string or a list of strings, got ['python3', 5]",
+                "command must be a string or a list of strings",
             ),
-            ("no_submit_looper", {"loop_unit": 7}, "'loop_unit' must be a string, got 7"),
+            ("no_submit_looper", {"loop_unit": 7}, "loop_unit must be a string or null"),
         ],
     )
     def test_saved_parameter_of_the_wrong_type_is_refused(
-        self, policy, params, refusal, mini_manifest, tmp_path, capsys
+        self, policy, params, refusal, mini_manifest, tmp_path, monkeypatch, capsys
     ):
         from qgp.cli import RunConfig
 
         if policy == "external":
             params = {"command": "python3 -c pass", **params}
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
         out = tmp_path / "refused.jsonl"
         config = RunConfig(
             manifest=str(mini_manifest),
@@ -492,23 +532,50 @@ class TestPolicyParams:
         )
         assert not out.exists()
 
-    def test_saved_whole_number_parameters_are_kept(self, mini_manifest, tmp_path):
-        from qgp.cli import RunConfig
+    # A flag value the field codec refuses, as it would in a saved `--config`.
+    @pytest.mark.parametrize(
+        "flags, refusal",
+        [
+            (
+                ["--policy", "false_completer", "--claim-count", "-3"],
+                "policy parameter claim_count must be a non-negative integer or null",
+            ),
+            (
+                ["--policy", "redundant_searcher", "--submits-per-search", "-1"],
+                "policy parameter submits_per_search must be a non-negative integer",
+            ),
+            (
+                ["--policy", "early_stopper", "--stop-step", "-1"],
+                "policy parameter stop_step must be a non-negative integer",
+            ),
+            (["--jobs", "-3"], "jobs must be a non-negative integer"),
+            (["--no-progress-limit", "-1"], "no_progress_limit must be a non-negative integer"),
+            (
+                ["--policy", "external", "--policy-cmd", '"unclosed'],
+                "cannot split adapter command: No closing quotation",
+            ),
+        ],
+        ids=[
+            "claim-count", "submits-per-search", "stop-step", "jobs", "no-progress-limit",
+            "unclosed-quote",
+        ],
+    )
+    def test_flag_the_codec_refuses_ends_before_any_task(
+        self, flags, refusal, mini_manifest, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
+        out = tmp_path / "refused.jsonl"
+        argv = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not out.exists()
+
+    def test_a_number_parameter_takes_an_integer(self):
         from qgp.policies import build_policy
 
-        out = tmp_path / "records.jsonl"
-        config = RunConfig(
-            manifest=str(mini_manifest),
-            controller="standard",
-            policy="early_stopper",
-            out=str(out),
-            policy_params={"stop_step": 2.0},
-        )
-        config_path = tmp_path / "cfg.json"
-        config.save(config_path)
-        assert main(["run", "--config", str(config_path)]) == 0
-        assert all(r["steps_used"] == 2 for r in read_record_dicts(out))
-        assert build_policy("external", command="python3 -c pass", timeout=5).timeout == 5.0
+        policy = build_policy("external", command="python3 -c pass", timeout=5)
+        assert policy.timeout == 5.0 and type(policy.timeout) is float
+        assert policy.command == ["python3", "-c", "pass"]
 
     def test_each_policy_flag_reaches_its_parameter(self):
         parser = cli.build_parser()
@@ -518,7 +585,7 @@ class TestPolicyParams:
         others = {"help", "config", "manifest", "controller", "ablation", "policy"}
         others |= {"no_progress_limit", "jobs", "out"}
         flags = {a.dest: a.option_strings[0] for a in run._actions if a.dest not in others}
-        names = {name for _, checks in policies.POLICY_TYPES.values() for name in checks}
+        names = {f.name for cls in policies.POLICY_TYPES.values() for f in fields(cls) if f.init}
         assert flags.keys() == names
         for name, flag in flags.items():
             params = cli._policy_params(parser.parse_args(["run", flag, "7"]))
@@ -572,6 +639,18 @@ class TestRun:
             assert tuple(list(row)[: len(RECORD_FIELDS)]) == RECORD_FIELDS
             assert row["duplicate_occurrences"] == 0
             assert "intervention_log" in row
+
+    def test_an_adapter_that_cannot_launch_aborts_every_run(self, mini_manifest, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "adapter"
+        out = tmp_path / "records.jsonl"
+        argv = ["run", "--manifest", str(mini_manifest), "--policy", "external"]
+        assert main(argv + ["--policy-cmd", str(missing), "--out", str(out)]) == 1
+        rows = read_record_dicts(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["outcome"] == Outcome.ABORTED.value
+            assert row["abort_reason"].startswith(f"could not launch adapter ['{missing}']: ")
+        assert capsys.readouterr().out == f"wrote {out} runs=3 aborts=3\n"
 
     def test_jobs_do_not_change_output(self, mini_manifest, tmp_path):
         outputs = []
@@ -861,6 +940,14 @@ class TestAnalysis:
             "false_completion_rate,provider_error_rate"
         )
         assert len(lines) == 3
+
+    def test_delta_confidence_out_of_range_is_one_error_line(self, record_files, tmp_path, capsys):
+        records = str(record_files["standard"])
+        out = tmp_path / "delta.csv"
+        argv = ["delta", "--left", records, "--right", records, "--confidence", "1.5"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: confidence must be in (0, 1), got 1.5\n"
+        assert not out.exists()
 
     def test_delta_identical_files_zero(self, record_files, tmp_path):
         out = tmp_path / "delta.csv"
@@ -1208,6 +1295,20 @@ class TestSmoke:
         assert "ok:" in capsys.readouterr().out
         assert main(["smoke", "--manifest", str(mini_dataops_manifest)]) == 0
         assert "ok:" in capsys.readouterr().out
+
+    def test_backlog_the_solver_cannot_clear_fails_solvability(
+        self, mini_dataops_manifest, tmp_path, capsys
+    ):
+        obj = json.loads(Path(mini_dataops_manifest).read_text())
+        task = obj["tasks"][0]
+        task["budget"] = 1
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(obj))
+        assert main(["smoke", "--manifest", str(short)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL: solvability: backlog {task['task_id']} not solvable within budget "
+            "(outcome=budget_exhausted, valid=0)\n"
+        )
 
     def test_public_strings_that_name_hidden_sections_are_no_leak(
         self, mini_manifest, mini_dataops_manifest, tmp_path, capsys
@@ -1712,6 +1813,19 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load ") and err.count("\n") == 1
         assert err.endswith(f"{path.name}: ValueError: {FIELD_ERRORS[content]}\n")
+
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_repeated_task_id_is_one_error_line(self, command, mini_manifest, tmp_path, capsys):
+        obj = json.loads(Path(mini_manifest).read_text())
+        obj["tasks"][1]["task_id"] = obj["tasks"][0]["task_id"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.jsonl"
+        assert main(COMMANDS[command](str(path), str(out))) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {path}: ValueError: duplicate task ids\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(RECORD_FIELD_ERRORS))
     @pytest.mark.parametrize("command", ["aggregate", "delta"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -31,6 +32,7 @@ from qgp.dataops import (
     MetadataEdit,
     RowCount,
     Workspace,
+    _csv_text,
     _load_sources,
     apply_edit,
     evaluate_checker,
@@ -175,9 +177,30 @@ class TestEditAndCheck:
         assert fb.detail == detail and (fb.verdict == Verdict.PASS) == (after != self.SHORT_ROW)
         assert fb.status_after == UnitStatus.ATTEMPTED and ws.read("data/t.csv") == after
 
-    def test_a_cell_over_the_csv_limit_fails_later_steps_not_the_run(self, dataops_loaded):
-        # The edit writes the cell; after it the file is text `csv` refuses,
-        # so the next check and the next edit of the unit fail, naming it.
+    @pytest.mark.parametrize(
+        "unit_id, edit",
+        [
+            ("u1", {"row_key": "r1", "column": "score", "value": "6"}),
+            ("u3", {"key": "license_tag", "value": "mit"}),
+        ],
+        ids=["csv", "metadata"],
+    )
+    def test_edit_while_the_file_is_missing_creates_no_file(self, unit_id, edit):
+        backlog, _ = small_backlog()
+        ws = Workspace()
+        ws.seed({"artifacts/a.txt": "hello world\n"})
+        path = backlog[unit_id].artifact_path
+        fb = apply_edit(backlog, ws, unit_id, json.dumps(edit))
+        assert (fb.verdict, fb.detail) == (Verdict.FAIL, f"artifact file missing: {path}")
+        assert fb.status_after == UnitStatus.ATTEMPTED
+        assert not ws.exists(path)
+
+    def test_a_cell_over_the_csv_limit_is_refused_and_the_unit_stays_repairable(
+        self, dataops_loaded
+    ):
+        # The edit that would write a cell `csv.reader` refuses fails, leaves
+        # the file as it was, and a correct edit then passes the check. The
+        # limit counts the cell as read back, so quoting moves no boundary.
         task = next(
             t for t in dataops_loaded.tasks if any(u.kind == "csv_field_check" for u in t.units)
         )
@@ -185,17 +208,36 @@ class TestEditAndCheck:
         checker = unit.checker
         env = DataopsEnvironment(task.spec, task.units, task.workspace)
         ledger = RunLedger(target_count=task.spec.target_count, budget=task.spec.budget)
-        huge = {"row_key": checker.row_key, "column": checker.column, "value": "9" * 200_000}
-        fix = huge | {"value": checker.expected}
-        edited = env.execute(Edit(unit_id=unit.unit_id, payload=json.dumps(huge)), ledger)
+        limit = csv.field_size_limit()
+        assert limit == 131_072
+
+        def edit(value: str):
+            payload = {"row_key": checker.row_key, "column": checker.column, "value": value}
+            return env.execute(Edit(unit_id=unit.unit_id, payload=json.dumps(payload)), ledger)
+
+        before = env.workspace.read(checker.file)
+        refused = edit('"' + "9" * limit)
+        assert refused.verdict == Verdict.FAIL
+        assert refused.detail == (
+            "edit failed: value longer than the CSV field limit (131072 characters)"
+        )
+        assert env.workspace.read(checker.file) == before
+        # 131,072 characters are written and read back; the check runs its rule.
+        assert edit('"' + "9" * (limit - 1)).verdict == Verdict.PASS
         checked = env.execute(RunCheck(unit_id=unit.unit_id), ledger)
-        refused = env.execute(Edit(unit_id=unit.unit_id, payload=json.dumps(fix)), ledger)
-        assert edited.verdict == Verdict.PASS
-        assert checked.verdict == refused.verdict == Verdict.FAIL
-        limit = "field larger than field limit (131072)"
-        assert checked.detail.startswith(f"check failed: cannot parse {checker.file}: line ")
-        assert refused.detail.startswith(f"edit failed: cannot parse {checker.file}: line ")
-        assert checked.detail.endswith(limit) and refused.detail.endswith(limit)
+        assert checked.verdict == Verdict.FAIL
+        assert checked.detail.startswith("field check failed:")
+        assert edit(checker.expected).verdict == Verdict.PASS
+        assert env.execute(RunCheck(unit_id=unit.unit_id), ledger).verdict == Verdict.PASS
+        # The boundary is the reader's own.
+        for length, readable in ((limit, True), (limit + 1, False)):
+            text = _csv_text(["id", "value"], [["r1", "9" * length]])
+            try:
+                list(csv.reader(io.StringIO(text)))
+            except csv.Error:
+                assert not readable
+            else:
+                assert readable
 
     def test_field_equals_satisfied(self):
         backlog, ws = small_backlog()

@@ -201,8 +201,7 @@ class TestFactory:
 
     @pytest.mark.parametrize("kind", [k for k in PolicyKind if k != PolicyKind.EXTERNAL])
     def test_a_parameter_left_out_takes_the_class_default(self, kind):
-        cls, _ = POLICY_TYPES[kind]
-        assert build_policy(kind) == cls()
+        assert build_policy(kind) == POLICY_TYPES[kind]()
 
     # A valid value for each table parameter, other than its class default.
     VALID_PARAMS = {
@@ -218,10 +217,10 @@ class TestFactory:
 
     @pytest.mark.parametrize(
         "kind, name",
-        [(kind, name) for kind, (_, checks) in POLICY_TYPES.items() for name in checks],
+        [(kind, f.name) for kind, cls in POLICY_TYPES.items() for f in fields(cls) if f.init],
     )
     def test_each_table_parameter_sets_its_field(self, kind, name):
-        cls, _ = POLICY_TYPES[kind]
+        cls = POLICY_TYPES[kind]
         value = self.VALID_PARAMS[name]
         assert {f.name: f.default for f in fields(cls)}[name] != value
         params = {"command": "python3"} if kind == PolicyKind.EXTERNAL else {}
@@ -678,6 +677,36 @@ class TestExternalAdapter:
         finally:
             policy.close()
         assert second == AskUser(message="reply-to-step-2")
+
+    def test_a_malformed_step_is_answered_with_its_own_reason(self, tmp_path):
+        # The adapter logs each request; it answers the first with a line over
+        # the cap and no later one, so steps 2 and 3 time out.
+        body = (
+            'log = os.path.join(os.path.dirname(__file__), "requests.jsonl")\n'
+            "for step, line in enumerate(sys.stdin.buffer):\n"
+            '    with open(log, "ab") as fh:\n'
+            "        fh.write(line)\n"
+            "    if step == 0:\n"
+            f"        send(b'x' * {MAX_REPLY_BYTES + 1} + b'\\n')\n"
+        )
+        command = _write_adapter(tmp_path, FAULT_PRELUDE + body)
+        policy = ExternalAdapterPolicy(command=command, timeout=0.3)
+        try:
+            record = _run(policy, target=3, budget=3)
+        finally:
+            policy.close()
+        reasons = ["reply_too_long", "adapter_timeout", "adapter_timeout"]
+        assert [(type(p), o.reason) for p, o in record.ledger.history] == [
+            (Malformed, reason) for reason in reasons
+        ]
+        assert [p.reason for p, _ in record.ledger.history] == reasons
+        requests = (tmp_path / "requests.jsonl").read_bytes().decode().splitlines()
+        seen = [json.loads(line)["last_observation"] for line in requests]
+        assert seen[0] is None
+        assert [(o["kind"], o["reason"]) for o in seen[1:]] == [
+            ("controller_notice", "reply_too_long"),
+            ("controller_notice", "adapter_timeout"),
+        ]
 
     def test_over_long_reply_is_read_within_the_line_cap(self, tmp_path, monkeypatch):
         # 5 MiB with no newline, then a valid reply in the same write.

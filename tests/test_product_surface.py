@@ -179,5 +179,5 @@ def test_every_policy_decides_from_the_view_and_history_alone():
 
     expected = shape(core.Policy.decide)
     assert [name for name, _ in expected] == ["self", "view", "history"]
-    for cls, _ in policies.POLICY_TYPES.values():
+    for cls in policies.POLICY_TYPES.values():
         assert shape(cls.decide) == expected, cls.__name__
