@@ -77,13 +77,15 @@ class RunConfig:
     @classmethod
     def check(cls, saved: object) -> "RunConfig":
         """The run `saved` holds in its file form. A field it does not have,
-        a field whose value is not of its annotated type, and a controller,
-        ablation flag or policy parameter that `run` would refuse, raise
-        ConfigurationError naming it."""
+        a field whose value is not of its annotated type, `jobs` below 1, and a
+        controller, ablation flag or policy parameter that `run` would refuse,
+        raise ConfigurationError naming it."""
         config = _RUN_CONFIGS.decode(saved)
         unknown = sorted(saved.keys() - asdict(config).keys())
         if unknown:
             raise ConfigurationError(f"unknown field {unknown[0]!r}")
+        if config.jobs < 1:
+            raise ConfigurationError("jobs must be >= 1")
         config.controller_config()
         build_policy(config.policy, **config.policy_params)
         return config

@@ -33,7 +33,7 @@ from .actions import (
     SubmitFeedback,
     Terminal,
 )
-from .errors import AdapterError, ConfigurationError, TerminatedRunError, loading
+from .errors import AdapterError, ConfigurationError, GenerationError, TerminatedRunError, loading
 from .verifier import IdVerdict
 
 
@@ -458,6 +458,18 @@ class _Envelope:  # the typed fields every manifest file shares, but its format
 _ENVELOPES = Schema(_Envelope)
 
 M = TypeVar("M")
+
+
+def check_generation_grid(targets: Sequence[int], instances_per_target: int) -> None:
+    """Refuse a target grid that would give a manifest of no task, or one whose
+    repeated target repeats task ids, which `read_manifest_file` refuses."""
+    if instances_per_target < 1:
+        raise GenerationError(f"instances per target must be >= 1, got {instances_per_target}")
+    if not targets:
+        raise GenerationError("at least one target is required")
+    repeated = sorted(t for t, n in Counter(targets).items() if n > 1)
+    if repeated:
+        raise GenerationError(f"target {repeated[0]} is given more than once")
 
 
 def read_manifest_file(

@@ -44,6 +44,7 @@ from .core import (
     RunLedger,
     TaskSpec,
     UnitPublicView,
+    check_generation_grid,
     read_manifest_file,
     record_submission,
     write_manifest_file,
@@ -781,6 +782,7 @@ def generate_dataops_manifest(
     `workspace_root` is ignored: workspaces are held in memory. It stays
     until ROADMAP item 3a moves the benchmark off it.
     """
+    check_generation_grid(targets, instances_per_target)
     tables, fixtures = _load_sources(sources)
     tasks: list[DataopsTask] = []
     for target in targets:

@@ -470,7 +470,8 @@ class NoSubmitLooperPolicy:
 MAX_REPLY_BYTES = 1 << 20
 _READ_BYTES = 65536
 _TOO_LONG = object()  # what `_read_line` returns for such a reply
-# How long `close` waits for the adapter to exit after SIGTERM before killing it.
+# How long `close` waits for the adapter to exit after SIGTERM, sent while its
+# stdin is still open, before killing it.
 _EXIT_WAIT_SECONDS = 5.0
 
 
@@ -590,12 +591,16 @@ class ExternalAdapterPolicy:
             return Malformed(raw=line.decode("utf-8", "replace").strip())
 
     def close(self) -> None:
+        """Send SIGTERM, the adapter's one stop notice, while its stdin is still
+        open; then close stdin, wait for the exit and kill after
+        `_EXIT_WAIT_SECONDS`. Closing stdin first would have the engine wait
+        while the adapter raced the signal through its end-of-input exit."""
         if self._process is None:
             return
         process, self._process = self._process, None
         try:
-            process.stdin.close()
             process.terminate()
+            process.stdin.close()
             _wait_for_exit(process, _EXIT_WAIT_SECONDS)
         except Exception:
             process.kill()

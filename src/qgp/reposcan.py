@@ -42,6 +42,7 @@ from .core import (
     PublicTaskView,
     RunLedger,
     TaskSpec,
+    check_generation_grid,
     read_manifest_file,
     record_submission,
     write_manifest_file,
@@ -680,6 +681,7 @@ def generate_manifest(
     satisfying its predicate; generation retries predicate parameters from the
     seeded stream until the match count reaches the target.
     """
+    check_generation_grid(targets, instances_per_target)
     roots = [Path(p) for p in snapshots]
     if not roots:
         raise GenerationError("at least one snapshot is required")

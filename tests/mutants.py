@@ -382,6 +382,14 @@ MUTANTS = (
         "budget_remaining=view.budget,",
         ("tests/test_policies.py::TestExternalAdapter::test_request_bytes_are_pinned",),
     ),
+    # The adapter stop: SIGTERM goes out while its stdin is still open.
+    Mutant(
+        "stdin-closed-before-sigterm",
+        "src/qgp/policies.py",
+        "process.terminate()\n            process.stdin.close()",
+        "process.stdin.close()\n            process.terminate()",
+        ("tests/test_policies.py::TestExternalAdapter::test_sigterm_is_sent_while_stdin_is_open",),
+    ),
     # The bulk bootstrap: ids are [n-resamples-seed], and None is a count
     # whose draws span more than one draw block.
     Mutant(

@@ -232,6 +232,66 @@ class TestGeneration:
         assert capsys.readouterr().err == f"error: cannot load {source}: {refusal}\n"
         assert not out.exists()
 
+    # A count below 1, and a grid whose manifest `run` would refuse for its
+    # repeated task ids, are refused before any file is written.
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (
+                ["gen-reposcan", "--snapshot", "{snapshot}", "--instances", "-1"],
+                "instances per target must be >= 1, got -1",
+            ),
+            (
+                ["gen-reposcan", "--snapshot", "{snapshot}", "--instances", "0"],
+                "instances per target must be >= 1, got 0",
+            ),
+            (
+                ["gen-reposcan", "--snapshot", "{snapshot}", "--targets", ""],
+                "at least one target is required",
+            ),
+            (
+                ["gen-reposcan", "--snapshot", "{snapshot}", "--targets", "10,10"],
+                "target 10 is given more than once",
+            ),
+            (
+                ["gen-dataops", "--csv", "{csv}", "--instances", "0"],
+                "instances per target must be >= 1, got 0",
+            ),
+            (
+                ["gen-dataops", "--csv", "{csv}", "--targets", "3,3"],
+                "target 3 is given more than once",
+            ),
+            (["run", "--manifest", "{manifest}", "--jobs", "0"], "jobs must be >= 1"),
+            (
+                ["run", "--config", "{config}"],
+                "cannot load {config}: ValueError: jobs must be >= 1",
+            ),
+        ],
+        ids=[
+            "reposcan-instances-negative", "reposcan-instances-0", "reposcan-no-target",
+            "reposcan-repeated-target", "dataops-instances-0", "dataops-repeated-target",
+            "run-jobs-0", "run-config-jobs-0",
+        ],
+    )
+    def test_a_count_below_one_is_one_error_line(
+        self, argv, refusal, snapshot_roots, csv_sources, mini_manifest, tmp_path,
+        monkeypatch, capsys,
+    ):
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        cli.RunConfig(
+            manifest=str(mini_manifest), controller="standard", policy="greedy_oracle",
+            out=str(out), jobs=0,
+        ).save(config)
+        paths = dict(
+            snapshot=snapshot_roots[0], csv=csv_sources[0], manifest=mini_manifest, config=config
+        )
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv + ([] if "--config" in argv else ["--out", str(out)])) == 2
+        assert capsys.readouterr().err == f"error: {refusal.format(**paths)}\n"
+        assert not out.exists()
+
 
 class TestMissingSnapshotRoot:
     @pytest.mark.parametrize("command", ["run", "smoke", "gen-reposcan"])
@@ -1023,6 +1083,36 @@ class TestAnalysis:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[4]) < float(row[5])  # ci_low < ci_high
         assert capsys.readouterr().err == ""
+
+    def test_delta_labels_tell_two_external_agents_apart(self, record_files, tmp_path):
+        # Two adapters both record as `standard/external`; only the flags name them.
+        rows = [json.loads(line) for line in record_files["standard"].read_text().splitlines()]
+        failure = {"outcome": "budget_exhausted", "valid_count": 0}
+        sides = {}
+        for side, first in (("left", {}), ("right", failure)):
+            edits = [first] + [{}] * (len(rows) - 1)
+            sides[side] = tmp_path / f"{side}.jsonl"
+            sides[side].write_text(
+                "".join(
+                    json.dumps(row | {"policy": "external"} | edit) + "\n"
+                    for row, edit in zip(rows, edits)
+                )
+            )
+        argv = ["delta", "--left", str(sides["left"]), "--right", str(sides["right"])]
+        argv += ["--resamples", "500", "--seed", "6"]
+        tables = []
+        for name, labels in (
+            ("plain.csv", []),
+            ("named.csv", ["--left-label", "claude", "--right-label", "codex"]),
+        ):
+            out = tmp_path / name
+            assert main(argv + labels + ["--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()
+            tables.append(dict(zip(header.split(","), row.split(","))))
+        plain, named = tables
+        assert (plain["left"], plain["right"]) == ("standard/external", "standard/external")
+        assert (named["left"], named["right"]) == ("claude", "codex")
+        assert plain | {"left": "claude", "right": "codex"} == named
 
     @pytest.mark.parametrize("resamples", ["0", "-3"])
     def test_delta_resamples_below_one_refused(self, record_files, tmp_path, capsys, resamples):

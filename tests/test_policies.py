@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import signal
+import subprocess
 import sys
 import textwrap
 import threading
@@ -628,6 +629,64 @@ class TestExternalAdapter:
         assert set(os.listdir("/proc/self/fd")) == descriptors
         assert process.returncode == (-signal.SIGTERM if sigterm == "exits" else -signal.SIGKILL)
         assert opened == ([] if wait == "no-pidfd-open" else [process.pid])
+
+    def test_sigterm_is_sent_while_stdin_is_open(self, tmp_path, monkeypatch):
+        stdin_closed = []
+        real_terminate = subprocess.Popen.terminate
+
+        def terminate(process):
+            stdin_closed.append(process.stdin.closed)
+            real_terminate(process)
+
+        monkeypatch.setattr(subprocess.Popen, "terminate", terminate)
+        body = "for line in sys.stdin:\n    send(ASK)\n"
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        try:
+            assert policy.decide(view, []) == AskUser(message="done")
+        finally:
+            policy.close()
+        assert stdin_closed == [False]
+
+    def test_an_adapter_that_exits_at_end_of_input_is_stopped_by_sigterm(self, tmp_path):
+        # Closing stdin first let this adapter exit 0 in about a third of its closes.
+        body = "while sys.stdin.buffer.readline():\n    send(ASK)\nos._exit(0)\n"
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        codes = []
+        for _ in range(20):
+            try:
+                assert policy.decide(view, []) == AskUser(message="done")
+                process = policy._process
+            finally:
+                policy.close()
+            codes.append(process.returncode)
+        assert codes == [-signal.SIGTERM] * 20
+
+    def test_an_adapter_cleans_up_in_its_sigterm_handler(self, tmp_path):
+        body = (
+            "import signal\n"
+            "marker = os.path.join(os.path.dirname(__file__), 'stopped')\n"
+            "def stop(signum, frame):\n"
+            "    open(marker, 'w').close()\n"
+            "    sys.exit(0)\n"
+            "signal.signal(signal.SIGTERM, stop)\n"
+            "for line in sys.stdin:\n"
+            "    send(ASK)\n"
+        )
+        policy = ExternalAdapterPolicy(command=_write_adapter(tmp_path, FAULT_PRELUDE + body))
+        view = ReposcanEnvironment(_task(), tiny_corpus(), []).public_view()
+        marker = tmp_path / "stopped"
+        for _ in range(5):
+            try:
+                assert policy.decide(view, []) == AskUser(message="done")
+                process = policy._process
+            finally:
+                closing = time.monotonic()
+                policy.close()
+            assert time.monotonic() - closing < 1.0
+            assert (process.returncode, marker.exists()) == (0, True)
+            marker.unlink()
 
     def test_timeout_is_malformed_step(self, tmp_path):
         command = _write_adapter(
