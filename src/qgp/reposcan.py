@@ -3,10 +3,11 @@ and opening and smoke-checking a manifest.
 
 A snapshot is a local directory tree. Reading it once yields its content
 digest and an immutable corpus; every read reads and hashes every byte. A
-corpus is only its columns (ids, relpaths, kinds, texts, previews and the
-blobs derived from them), and every rule here reads them. A predicate over
-the corpus defines a hidden valid set; search is deterministic ranked
-pagination over the same corpus. One memo per corpus, from a lowercase
+corpus is only its columns, the four read from disk (ids, relpaths, kinds and
+texts) and the blobs derived from them, and every rule here reads them. A
+predicate over the corpus defines a hidden valid set; search is deterministic
+ranked pagination over the same corpus, and a result's preview is the first
+200 characters of its text. One memo per corpus, from a lowercase
 needle to the artifacts whose text and path contain it, serves search
 rankings, predicate sampling, each task's valid ids and smoke's
 recomputation of them.
@@ -21,7 +22,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -85,12 +86,15 @@ def _blob(text: str, relpath: str) -> str:
     return (text + "\n" + relpath).lower()
 
 
+# Not slotted: on Python 3.11 a slotted frozen dataclass raises TypeError, not
+# AttributeError, when a name that is no field is set or deleted.
+@dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """An immutable, ordered corpus of artifacts, stored by column.
 
-    The i-th artifact has the i-th value of each tuple: `ids`, `relpaths`,
-    `kinds`, `texts`, `previews` and `blobs`, the lowercase text-plus-path
-    that search and keywords match, which the constructor derives.
+    The i-th artifact has the i-th value of each tuple: the four columns read
+    from disk, `ids`, `relpaths`, `kinds` and `texts`, and `blobs`, the
+    lowercase text-plus-path that search and keywords match, derived from them.
 
     It owns the memos that search and predicates read, so they live exactly
     as long as the corpus and are shared by every task and worker thread
@@ -103,31 +107,19 @@ class Corpus:
     build them, and every build is equal.
     """
 
-    __slots__ = (
-        "ids", "relpaths", "kinds", "texts", "previews", "blobs",
-        "_containing", "_found_by", "_ranked", "_matching", "_non_ascii",
-    )
+    ids: tuple[str, ...]
+    relpaths: tuple[str, ...]
+    kinds: tuple[str, ...]
+    texts: tuple[str, ...]
+    blobs: tuple[str, ...] = field(init=False)
+    _containing: dict[str, tuple[int, ...]] = field(init=False, default_factory=dict)
+    _found_by: dict[str, tuple[int, ...]] = field(init=False, default_factory=dict)
+    _ranked: dict[tuple[str, ...], tuple[int, ...]] = field(init=False, default_factory=dict)
+    _matching: dict[Predicate, tuple[str, ...]] = field(init=False, default_factory=dict)
+    _non_ascii: tuple[int, ...] | None = field(init=False, default=None)
 
-    def __init__(
-        self,
-        ids: tuple[str, ...],
-        relpaths: tuple[str, ...],
-        kinds: tuple[str, ...],
-        texts: tuple[str, ...],
-        previews: tuple[str, ...],
-    ) -> None:
-        blobs = tuple(map(_blob, texts, relpaths))
-        # The six columns, four empty memos and the unbuilt non-ASCII
-        # positions, in slot order.
-        values = (ids, relpaths, kinds, texts, previews, blobs, {}, {}, {}, {}, None)
-        for name, value in zip(Corpus.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a Corpus is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a Corpus is immutable: cannot delete {name!r}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blobs", tuple(map(_blob, self.texts, self.relpaths)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -363,13 +355,8 @@ def read_snapshot(root: str | Path) -> Snapshot:
     # Relpaths are unique, so this is the order by relpath then kind.
     found.sort(key=_BY_RELPATH)
     relpaths, kinds, texts = zip(*found) if found else ((), (), ())
-    corpus = Corpus(
-        tuple([f"{relpath}#{kind}" for relpath, kind in zip(relpaths, kinds)]),
-        relpaths,
-        kinds,
-        texts,
-        tuple([text[:200] for text in texts]),
-    )
+    ids = tuple([f"{relpath}#{kind}" for relpath, kind in zip(relpaths, kinds)])
+    corpus = Corpus(ids, relpaths, kinds, texts)
     return Snapshot(digest=h.hexdigest(), corpus=corpus)
 
 
@@ -510,9 +497,6 @@ class TestOrDocumentation:
 PREDICATE_TYPES = (KeywordOrPattern, PathAndContent, TestOrDocumentation)
 Predicate = Union[KeywordOrPattern, PathAndContent, TestOrDocumentation]
 
-_COMPILED: dict[str, re.Pattern] = {}
-
-
 _ESCAPED_CHARACTER = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -525,14 +509,10 @@ def _escaped_ascii_literal(pattern: str) -> str | None:
 
 
 def _compiled(pattern: str) -> re.Pattern:
-    found = _COMPILED.get(pattern)
-    if found is None:
-        try:
-            found = re.compile(pattern, re.IGNORECASE)
-        except re.error as exc:
-            raise GenerationError(f"invalid predicate pattern {pattern!r}: {exc}") from exc
-        _COMPILED[pattern] = found
-    return found
+    try:
+        return re.compile(pattern, re.IGNORECASE)
+    except re.error as exc:
+        raise GenerationError(f"invalid predicate pattern {pattern!r}: {exc}") from exc
 
 
 PREDICATES = TaggedCodec(
@@ -556,8 +536,8 @@ def search(corpus: Corpus, query: str, page: int, page_size: int = PAGE_SIZE) ->
         raise ConfigurationError("page must be >= 0 and page_size >= 1")
     tokens = tuple(dict.fromkeys(query.lower().split()))
     window = corpus.ranked(tokens)[page * page_size : (page + 1) * page_size]
-    ids, previews = corpus.ids, corpus.previews
-    candidates = tuple(Candidate(artifact_id=ids[i], preview=previews[i]) for i in window)
+    ids, texts = corpus.ids, corpus.texts
+    candidates = tuple(Candidate(artifact_id=ids[i], preview=texts[i][:200]) for i in window)
     return SearchResults(query=query, page=page, candidates=candidates)
 
 

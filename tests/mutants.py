@@ -313,6 +313,16 @@ MUTANTS = (
             "test_tie_break_by_id_not_corpus_order",
         ),
     ),
+    Mutant(
+        "preview-one-short",
+        REPOSCAN,
+        "preview=texts[i][:200]",
+        "preview=texts[i][:199]",
+        (
+            "tests/test_snapshot_search.py::TestMemoisedSearch::"
+            "test_preview_is_the_first_200_characters_of_the_text",
+        ),
+    ),
     # The workspace boundary.
     Mutant(
         "workspace-parent-path-allowed",

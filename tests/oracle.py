@@ -28,7 +28,6 @@ class ArtifactRecord:
     relpath: str
     kind: str
     text: str
-    preview: str
     # What search and keywords match.
     blob: str = field(init=False, repr=False, compare=False)
 
@@ -56,7 +55,7 @@ def classify_kind(relpath: str) -> str:
 def record(relpath: str, text: str) -> ArtifactRecord:
     """The record that a snapshot file at `relpath` holding `text` reads as."""
     kind = classify_kind(relpath)
-    return ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text, text[:200])
+    return ArtifactRecord(f"{relpath}#{kind}", relpath, kind, text)
 
 
 def build_corpus(records: Iterable[ArtifactRecord]) -> Corpus:
@@ -67,14 +66,12 @@ def build_corpus(records: Iterable[ArtifactRecord]) -> Corpus:
         tuple(r.relpath for r in records),
         tuple(r.kind for r in records),
         tuple(r.text for r in records),
-        tuple(r.preview for r in records),
     )
 
 
 def records_of(corpus: Corpus) -> list[ArtifactRecord]:
     """The corpus's artifacts as records, each blob made here, not read."""
-    columns = (corpus.ids, corpus.relpaths, corpus.kinds, corpus.texts, corpus.previews)
-    return list(map(ArtifactRecord, *columns))
+    return list(map(ArtifactRecord, corpus.ids, corpus.relpaths, corpus.kinds, corpus.texts))
 
 
 def _compiled(pattern: str) -> re.Pattern:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
+import os
+import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -181,3 +184,62 @@ def test_every_policy_decides_from_the_view_and_history_alone():
     assert [name for name, _ in expected] == ["self", "view", "history"]
     for cls in policies.POLICY_TYPES.values():
         assert shape(cls.decide) == expected, cls.__name__
+
+
+# Run in a fresh interpreter, so that no earlier test has filled a table: the
+# length of every module-level dict, list and set of each `qgp` module before
+# and after whole commands run, written as JSON to the file named first.
+MODULE_STATE_PROBE = """
+import importlib, json, pkgutil, sys
+import qgp
+from qgp.cli import main
+
+def lengths():
+    names = [f"qgp.{m.name}" for m in pkgutil.iter_modules(qgp.__path__)]
+    modules = [importlib.import_module(name) for name in names]
+    return {
+        f"{module.__name__}.{name}": len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+before = lengths()
+for argv in commands:
+    assert main(argv) == 0, argv
+with open(out, "w") as f:
+    json.dump([before, lengths()], f)
+"""
+
+
+def test_no_module_level_table_grows_while_commands_run(snapshot_roots, csv_sources, tmp_path):
+    # Whatever a run builds lives on the objects it builds, as a corpus owns
+    # its memos: a module-level table would carry state from one run, or one
+    # manifest, into the next.
+    repo, backlog = tmp_path / "reposcan.json", tmp_path / "dataops.json"
+    gen = ["gen-reposcan", "--targets", "10,25", "--instances", "3", "--seed", "7"]
+    gen += [arg for root in snapshot_roots for arg in ("--snapshot", str(root))]
+    gen_dataops = ["gen-dataops", "--targets", "3,5", "--instances", "2", "--seed", "7"]
+    gen_dataops += [arg for path in csv_sources for arg in ("--csv", str(path))]
+    commands = [
+        gen + ["--out", str(repo)],
+        ["smoke", "--manifest", str(repo)],
+        ["run", "--manifest", str(repo), "--controller", "state_qgp", "--policy", "greedy_oracle"]
+        + ["--out", str(tmp_path / "reposcan.jsonl")],
+        gen_dataops + ["--out", str(backlog)],
+        ["run", "--manifest", str(backlog), "--controller", "unit_qgp", "--policy", "solver"]
+        + ["--out", str(tmp_path / "dataops.jsonl")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    lengths = tmp_path / "lengths.json"
+    done = subprocess.run(
+        [sys.executable, "-c", MODULE_STATE_PROBE, str(lengths), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(lengths.read_text())
+    assert "qgp.reposcan.REPOSCAN_BUDGETS" in before and "qgp.policies.POLICY_TYPES" in before
+    assert {name: n for name, n in after.items() if before.get(name) != n} == {}
+    assert after.keys() == before.keys()

@@ -12,6 +12,7 @@ same ids for every predicate.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import os
@@ -112,20 +113,18 @@ def reference_search(corpus, query: str, page: int, page_size: int = PAGE_SIZE) 
     scored.sort(key=lambda item: (item[0], item[1]))
     window = scored[page * page_size : (page + 1) * page_size]
     candidates = tuple(
-        Candidate(artifact_id=a.artifact_id, preview=a.preview) for _, _, a in window
+        Candidate(artifact_id=a.artifact_id, preview=a.text[:200]) for _, _, a in window
     )
     return SearchResults(query=query, page=page, candidates=candidates)
 
 
 def _fields(records) -> list[tuple]:
-    return [(r.artifact_id, r.relpath, r.kind, r.text, r.preview, r.blob) for r in records]
+    return [(r.artifact_id, r.relpath, r.kind, r.text, r.blob) for r in records]
 
 
 def _columns(corpus: Corpus) -> list[tuple]:
     """The corpus row by row, in the order of `_fields`, blobs as stored."""
-    return list(
-        zip(corpus.ids, corpus.relpaths, corpus.kinds, corpus.texts, corpus.previews, corpus.blobs)
-    )
+    return list(zip(corpus.ids, corpus.relpaths, corpus.kinds, corpus.texts, corpus.blobs))
 
 
 def _assert_reads_as(corpus: Corpus, expected: list[ArtifactRecord]) -> None:
@@ -506,15 +505,15 @@ class TestMemoisedSearch:
 
     def test_tie_break_by_id_not_corpus_order(self):
         # Corpus order: a, a b, a!x, a#b, a-b, a.b; id order puts "a#source"
-        # after "a#b#source". Neither ids nor previews derive from the
-        # relpath and text, and search returns them as given.
+        # after "a#b#source". The ids do not derive from the relpaths, and
+        # search returns them as given; each text, and so each preview, is
+        # labelled by its position.
         records = [
             ArtifactRecord(
                 artifact_id=f"{name}#source",
                 relpath=f"src/m{i}.py",
                 kind="source",
-                text="same token",
-                preview=f"preview {i}",
+                text=f"same token {i}",
             )
             for i, name in enumerate(("a", "a b", "a!x", "a#b", "a-b", "a.b"))
         ]
@@ -525,7 +524,7 @@ class TestMemoisedSearch:
         assert ids != [r.artifact_id for r in records]
         assert candidates == reference_search(records, "token", 0).candidates
         assert {c.preview: c.artifact_id for c in candidates} == {
-            r.preview: r.artifact_id for r in records
+            r.text: r.artifact_id for r in records
         }
         assert [c.artifact_id for c in search(corpus, "token", 1, 4).candidates] == ids[4:]
         assert records_of(corpus) == records
@@ -533,7 +532,7 @@ class TestMemoisedSearch:
     def test_equal_score_and_id_keep_corpus_order(self):
         texts = ("beta gamma", "beta", "gamma beta", "beta", "alpha")
         records = [
-            ArtifactRecord("dup#source", "dup", "source", text, f"#{i}")
+            ArtifactRecord("dup#source", "dup", "source", f"{text} #{i}")
             for i, text in enumerate(texts)
         ]
         corpus = build_corpus(records)
@@ -541,9 +540,21 @@ class TestMemoisedSearch:
             ranking = [c.preview for c in search(corpus, query, 0).candidates]
             assert ranking == [c.preview for c in reference_search(records, query, 0).candidates]
 
+    def test_preview_is_the_first_200_characters_of_the_text(self):
+        # The last text's 200th code point is outside the BMP: the preview
+        # keeps it whole and ends with it.
+        astral = "é" * 199 + "\U0001F600" + "tail"
+        texts = ("", "x" * 199, "y" * 200, "z" * 201, astral)
+        expected = ("", "x" * 199, "y" * 200, "z" * 200, "é" * 199 + "\U0001F600")
+        records = [record(f"src/item{i}.py", text) for i, text in enumerate(texts)]
+        candidates = search(build_corpus(records), "item", 0).candidates
+        previews = {c.artifact_id: c.preview for c in candidates}
+        assert previews == {r.artifact_id: e for r, e in zip(records, expected)}
+        assert len(previews[records[-1].artifact_id]) == 200
+
     def test_ranking_computed_once_per_token_set(self):
         corpus = build_corpus(
-            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"alpha {i}", "") for i in range(5)
+            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"alpha {i}") for i in range(5)
         )
         first = corpus.ranked(("alpha",))
         assert corpus.ranked(("alpha",)) is first
@@ -553,12 +564,11 @@ class TestMemoisedSearch:
 
     def test_corpus_cannot_change_after_search(self):
         records = [
-            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"beta {i}", f"beta {i}")
-            for i in range(3)
+            ArtifactRecord(f"f{i}#source", f"f{i}", "source", f"beta {i}") for i in range(3)
         ]
         corpus = build_corpus(records)
         before = search(corpus, "beta", 0)
-        records.append(ArtifactRecord("g#source", "g", "source", "beta", "beta"))
+        records.append(ArtifactRecord("g#source", "g", "source", "beta"))
         assert len(corpus) == 3
         with pytest.raises(TypeError):
             corpus[0] = records[-1]
@@ -833,9 +843,26 @@ class TestMatchMemo:
         # and inside the blob alike: the newline after it is no cased letter.
         sigma = build_corpus([record("Βeta/x.py", "ΟΔΟΣ")])
         assert sigma.texts[0].lower() == "οδος" and sigma.blobs[0].startswith("οδος\n")
-        # The blobs are derived, never given.
-        with pytest.raises(TypeError):
-            Corpus(("a#source",), ("a",), ("source",), ("Text",), ("Text",), blobs=("other",))
+        # The four columns read from disk are the only ones given: the blobs
+        # are derived, and no previews are stored.
+        columns = (("a#source",), ("a",), ("source",), ("Text",))
+        assert Corpus(*columns).blobs == ("text\na",)
+        for derived in ("blobs", "previews"):
+            with pytest.raises(TypeError):
+                Corpus(*columns, **{derived: ("other",)})
+        # No column or memo can be set or deleted, even after the memos fill.
+        corpus = Corpus(*columns)
+        corpus.matching(KeywordOrPattern(keywords=("zzqq",), patterns=("t",)))
+        search(corpus, "text", 0)
+        names = [f.name for f in dataclasses.fields(Corpus)]
+        assert names[:5] == ["ids", "relpaths", "kinds", "texts", "blobs"] and len(names) == 10
+        before = [getattr(corpus, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(corpus, name, ())
+            with pytest.raises(AttributeError):
+                delattr(corpus, name)
+        assert [getattr(corpus, name) for name in names] == before
 
     def test_invalid_pattern_raises_exactly_when_the_scan_does(self):
         corpus = build_corpus(UNICODE_RECORDS)
