@@ -102,13 +102,6 @@ class Malformed:
     reason: str = "parse_error"
 
 
-# The action types legal in each family; any other proposal is unsupported.
-FAMILY_ACTIONS: dict[Family, tuple[type, ...]] = {
-    Family.REPOSCAN: (Search, Submit, Final, AskUser),
-    Family.DATAOPS: (Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser),
-}
-
-
 # ---------------------------------------------------------------------------
 # Observations
 # ---------------------------------------------------------------------------
@@ -118,6 +111,9 @@ FAMILY_ACTIONS: dict[Family, tuple[type, ...]] = {
 class Candidate:
     artifact_id: str
     preview: str
+
+
+PAGE_SIZE = 10  # the most candidates one SearchResults page holds
 
 
 @dataclass(frozen=True)
@@ -355,6 +351,5 @@ OBSERVATIONS = TaggedCodec(
 )
 ADAPTER_REQUESTS = Schema(AdapterRequest, ActionParseError)
 
-action_to_dict = ACTIONS.encode
 action_from_dict = ACTIONS.decode
 observation_to_dict = OBSERVATIONS.encode

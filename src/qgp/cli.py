@@ -285,6 +285,12 @@ def _record_metrics(path: str) -> list:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    # The same file twice, under any path, would count each of its runs twice.
+    for i, path in enumerate(args.records):
+        for earlier in args.records[:i]:
+            with contextlib.suppress(OSError):  # a missing file fails when it is read
+                if os.path.samefile(earlier, path):
+                    raise ConfigurationError(f"records file {earlier} is given twice")
     rows = [metric for path in args.records for metric in _record_metrics(path)]
     group_keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
     csv_text = aggregate_csv(rows, group_keys)

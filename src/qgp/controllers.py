@@ -16,6 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .actions import (
+    PAGE_SIZE,
     Action,
     AskUser,
     ControllerNotice,
@@ -199,7 +200,7 @@ class StateQgpController:
         deduped = InterventionKind.DEDUP_FILTERED
         # Nothing is left: substitute buffered candidates, else search.
         if not filtered and self.buffered_submit and state.candidate_buffer:
-            batch = tuple(state.candidate_buffer)[: ctx.page_size]
+            batch = tuple(state.candidate_buffer)[:PAGE_SIZE]
             detail = f"fully duplicate submission replaced with {len(batch)} buffered candidates"
             substituted = _intervention(ctx, deduped, detail)
             return StepDecision(Submit(ids=batch), interventions=substituted)

@@ -14,12 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
 from .actions import (
-    FAMILY_ACTIONS,
     Action,
     AskUser,
     ControllerNotice,
@@ -197,7 +196,6 @@ class RunContext(NamedTuple):
     valid_count: int
     target_count: int
     objective_text: str
-    page_size: int
     unit_order: tuple[str, ...] = ()
 
 
@@ -221,7 +219,7 @@ class Controller(Protocol):
 
 class Environment(Protocol):
     family: Family
-    page_size: int
+    actions: tuple[type, ...]  # the action types `execute` serves
 
     def public_view(self) -> PublicTaskView: ...
 
@@ -272,14 +270,12 @@ def run_episode(
     before its decision arrives aborts the run: that step is not counted, and
     the record keeps the ledger as the verifier left it and the reason.
     """
-    family = Family(task.family)
-    if Family(environment.family) != family:
+    if Family(environment.family) != Family(task.family):
         raise ConfigurationError(
             f"environment family {environment.family} does not match task {task.family}"
         )
-    legal = FAMILY_ACTIONS[family]
+    legal = (*environment.actions, Final, AskUser)
     view = environment.public_view()
-    page_size = environment.page_size
     ledger = RunLedger(target_count=task.target_count, budget=task.budget)
     interventions: list = []
     abort_reason = None
@@ -294,9 +290,7 @@ def run_episode(
             ledger.outcome, abort_reason = Outcome.ABORTED, str(exc)
             break
         ledger.step += 1
-        ctx = RunContext(
-            ledger.step, len(valid_ids), target_count, objective_text, page_size, unit_order
-        )
+        ctx = RunContext(ledger.step, len(valid_ids), target_count, objective_text, unit_order)
         # The controller transforms only well-formed, legal proposals; every
         # other proposal, and every one it blocks, is answered with a notice.
         if isinstance(proposal, legal):
@@ -374,11 +368,10 @@ class RecordRow:
 
 
 _RECORD_ROWS = Schema(RecordRow)
-RECORD_FIELDS = tuple(f.name for f in fields(RecordRow))
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    """The record line of a run: RECORD_FIELDS, the intervention log and, for
+    """The record line of a run: RecordRow's fields, the intervention log and, for
     an aborted run only, its `abort_reason` last."""
     task, ledger = record.task, record.ledger
     row = _RECORD_ROWS.encode(

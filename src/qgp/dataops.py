@@ -907,10 +907,10 @@ def load_manifest(path: str | Path) -> DataopsManifest:
 
 
 class DataopsEnvironment:
-    """Serves Inspect/Edit/RunCheck/SubmitUnit inside its own in-memory workspace."""
+    """Serves its `actions` for one task inside its own in-memory workspace."""
 
     family = Family.DATAOPS
-    page_size = 10
+    actions = (Inspect, Edit, RunCheck, SubmitUnit)
 
     def __init__(
         self, task: TaskSpec, units: Sequence[BacklogUnit], workspace: Workspace
@@ -939,5 +939,5 @@ class DataopsEnvironment:
         raise ConfigurationError(f"dataops cannot execute {action!r}")
 
     def close(self) -> None:
-        """Nothing to release: the workspace lives in memory and goes with the
-        environment. Kept so that callers close every environment alike."""
+        """Nothing to release: the workspace lives in memory. Kept only because
+        `bench/tracing.py` patches it by name, until ROADMAP item 3a."""

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import ClassVar, NamedTuple, Union
 
 from .actions import (
+    PAGE_SIZE,
     Action,
     Candidate,
     Family,
@@ -52,7 +53,6 @@ from .errors import ConfigurationError, GenerationError
 from .seeding import derive_seed, stream
 from .verifier import judge_ids, normalize_id
 
-PAGE_SIZE = 10
 TEXT_TRUNCATE_BYTES = 64 * 1024
 _READ_CHUNK = 64 * 1024
 REPOSCAN_BUDGETS = {10: 30, 25: 60, 50: 100, 100: 180}
@@ -769,10 +769,10 @@ def load_manifest(path: str | Path) -> ReposcanManifest:
 
 
 class ReposcanEnvironment:
-    """Serves Search and Submit for one task over an indexed corpus."""
+    """Serves its `actions` for one task over an indexed corpus."""
 
     family = Family.REPOSCAN
-    page_size = PAGE_SIZE
+    actions = (Search, Submit)
 
     def __init__(self, task: TaskSpec, corpus: Corpus, valid_ids: Sequence[str]) -> None:
         self.task = task
@@ -784,7 +784,7 @@ class ReposcanEnvironment:
 
     def execute(self, action: Action, ledger: RunLedger) -> Observation:
         if isinstance(action, Search):
-            return search(self.corpus, action.query, action.page, self.page_size)
+            return search(self.corpus, action.query, action.page)
         if isinstance(action, Submit):
             verdicts = judge_ids(self.members, ledger.submissions, action.ids)
             return record_submission(ledger, verdicts)

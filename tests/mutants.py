@@ -84,8 +84,8 @@ MUTANTS = (
     Mutant(
         "buffer-over-page",
         CONTROLLERS,
-        "[: ctx.page_size]",
-        "[: ctx.page_size + 1]",
+        "[:PAGE_SIZE]",
+        "[:PAGE_SIZE + 1]",
         (STATE + "test_buffer_substitution_caps_at_page_size",),
     ),
     Mutant(
@@ -445,6 +445,15 @@ MUTANTS = (
         "type(v) is int and v >= 0",
         "type(v) is int",
         (FLAGS + "[claim-count]", FLAGS + "[submits-per-search]", FLAGS + "[jobs]"),
+    ),
+    # A proposal of another family's action is answered, not executed:
+    # `Action.__args__[0]` is reposcan's Search, now legal in dataops too.
+    Mutant(
+        "legal-set-admits-search",
+        "src/qgp/core.py",
+        "legal = (*environment.actions, Final, AskUser)",
+        "legal = (*environment.actions, Final, AskUser, Action.__args__[0])",
+        ("tests/test_step_calls.py::test_each_layer_is_called_once_per_step_that_needs_it",),
     ),
     # A malformed step is answered with its own reason.
     Mutant(

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
 from qgp.actions import (
+    ACTIONS,
     ADAPTER_REQUESTS,
-    FAMILY_ACTIONS,
     OBSERVATIONS,
+    PAGE_SIZE,
+    Action,
     AskUser,
     Candidate,
     ControllerNotice,
@@ -31,10 +34,11 @@ from qgp.actions import (
     UnitStatus,
     Verdict,
     action_from_dict,
-    action_to_dict,
     observation_to_dict,
 )
+from qgp.dataops import DataopsEnvironment
 from qgp.errors import ActionParseError
+from qgp.reposcan import ReposcanEnvironment
 
 ALL_ACTIONS = [
     Search(query="session cookie", page=2),
@@ -52,7 +56,7 @@ ALL_ACTIONS = [
 class TestActionRoundTrip:
     @pytest.mark.parametrize("action", ALL_ACTIONS, ids=lambda a: type(a).__name__)
     def test_round_trip(self, action):
-        assert action_from_dict(action_to_dict(action)) == action
+        assert action_from_dict(ACTIONS.encode(action)) == action
 
     @pytest.mark.parametrize(
         "obj",
@@ -80,15 +84,22 @@ class TestActionRoundTrip:
 
 
 class TestFamilyLegality:
+    """Each environment class declares the actions its `execute` serves: its
+    family's own, and neither Final nor AskUser, which end a run."""
+
+    def test_all_eight_action_types_are_checked(self):
+        assert {type(action) for action in ALL_ACTIONS} == set(get_args(Action))
+        assert len(get_args(Action)) == 8
+
     def test_reposcan_vocabulary(self):
-        legal = {Search, Submit, Final, AskUser}
+        served = {Search, Submit}
         for action in ALL_ACTIONS:
-            assert isinstance(action, FAMILY_ACTIONS[Family.REPOSCAN]) == (type(action) in legal)
+            assert isinstance(action, ReposcanEnvironment.actions) == (type(action) in served)
 
     def test_dataops_vocabulary(self):
-        legal = {Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser}
+        served = {Inspect, Edit, RunCheck, SubmitUnit}
         for action in ALL_ACTIONS:
-            assert isinstance(action, FAMILY_ACTIONS[Family.DATAOPS]) == (type(action) in legal)
+            assert isinstance(action, DataopsEnvironment.actions) == (type(action) in served)
 
 
 class TestObservationSerialization:
@@ -168,4 +179,11 @@ def test_readme_reply_examples_are_actions():
     assert len(lines) == 8
     for line in lines:
         example = json.loads(line)
-        assert action_to_dict(action_from_dict(example)) == example, line
+        assert ACTIONS.encode(action_from_dict(example)) == example, line
+
+
+def test_readme_page_size_is_page_size():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"at most `PAGE_SIZE` ({PAGE_SIZE}) candidates" in text
+    assert f"Page n holds ranks {PAGE_SIZE}n to {PAGE_SIZE}n+{PAGE_SIZE - 1}" in text
+    assert f"one page of at most {PAGE_SIZE} candidates" in text

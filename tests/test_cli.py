@@ -19,13 +19,16 @@ from qgp import cli, policies, reposcan
 from qgp.actions import Family, Outcome
 from qgp.cli import _write_records, main
 from qgp.controllers import ControllerConfig, ControllerKind, VerifierGatedController
-from qgp.core import RECORD_FIELDS, TaskSpec, read_record_dicts, record_to_dict, run_episode
+from qgp.core import RecordRow, TaskSpec, read_record_dicts, record_to_dict, run_episode
 from qgp.metrics import aggregate, metrics_from_record_dict
 from qgp.policies import ExternalAdapterPolicy
 from qgp.reposcan import ReposcanEnvironment
 
 from synth import build_snapshot, tiny_corpus
 from test_policies import ECHO_ADAPTER, _running, _write_adapter
+
+# The typed fields that lead every record line, in line order.
+RECORD_FIELDS = tuple(f.name for f in fields(RecordRow))
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +196,13 @@ class TestGeneration:
         assert capsys.readouterr().err == (
             "error: dataops generation needs at least one CSV or snapshot source\n"
         )
+        assert not out.exists()
+
+    def test_unknown_dataops_target_is_one_error_line(self, csv_sources, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["gen-dataops", "--csv", str(csv_sources[0]), "--targets", "7", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no budget configured for target 7\n"
         assert not out.exists()
 
     def test_snapshots_sharing_a_basename_get_distinct_names(self, tmp_path, capsys):
@@ -1000,6 +1010,29 @@ class TestAnalysis:
             "false_completion_rate,provider_error_rate"
         )
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("again", ["r.jsonl", "./r.jsonl", "link.jsonl"])
+    def test_aggregate_refuses_a_records_file_given_twice(
+        self, again, record_files, tmp_path, monkeypatch, capsys
+    ):
+        # Under any path, the same file twice would count each of its runs twice.
+        shutil.copy(record_files["standard"], tmp_path / "r.jsonl")
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "r.jsonl")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "agg.csv"
+        argv = ["aggregate", "--records", "r.jsonl", "--records", again, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: records file r.jsonl is given twice\n"
+        assert not out.exists()
+
+    def test_aggregate_sums_two_files_with_the_same_runs(self, record_files, tmp_path):
+        copy = tmp_path / "copy.jsonl"
+        shutil.copy(record_files["standard"], copy)
+        out = tmp_path / "agg.csv"
+        argv = ["aggregate", "--records", str(record_files["standard"]), "--records", str(copy)]
+        assert main(argv + ["--out", str(out)]) == 0
+        runs = len(read_record_dicts(copy))
+        assert out.read_text().splitlines()[1].split(",")[2] == str(2 * runs)
 
     def test_delta_confidence_out_of_range_is_one_error_line(self, record_files, tmp_path, capsys):
         records = str(record_files["standard"])

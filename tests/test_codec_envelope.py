@@ -23,6 +23,7 @@ import pytest
 
 from qgp import dataops, reposcan
 from qgp.actions import (
+    ACTIONS,
     Action,
     AskUser,
     Candidate,
@@ -44,7 +45,6 @@ from qgp.actions import (
     UnitStatus,
     Verdict,
     action_from_dict,
-    action_to_dict,
     observation_to_dict,
 )
 from qgp.cli import main
@@ -437,7 +437,7 @@ def reference_dataops_load_public_tasks(path: str | Path) -> list[dict]:
 # Encoding
 # ---------------------------------------------------------------------------
 
-ACTIONS = [
+EXAMPLE_ACTIONS = [
     Search(query="session cookie", page=2),
     Search(query="", page=0),
     Submit(ids=("a#source", "a#source", " b#test")),
@@ -467,9 +467,9 @@ OBSERVATIONS = [
 
 
 class TestEncoding:
-    @pytest.mark.parametrize("action", ACTIONS, ids=repr)
+    @pytest.mark.parametrize("action", EXAMPLE_ACTIONS, ids=repr)
     def test_action_bytes_equal_reference(self, action):
-        assert json.dumps(action_to_dict(action)) == json.dumps(reference_action_to_dict(action))
+        assert json.dumps(ACTIONS.encode(action)) == json.dumps(reference_action_to_dict(action))
 
     @pytest.mark.parametrize("obs", OBSERVATIONS, ids=repr)
     def test_observation_bytes_equal_reference(self, obs):
@@ -477,7 +477,7 @@ class TestEncoding:
         assert json.dumps(observation_to_dict(obs)) == expected
 
     def test_every_kind_covered(self):
-        assert {type(a) for a in ACTIONS} == {
+        assert {type(a) for a in EXAMPLE_ACTIONS} == {
             Search, Submit, Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser
         }
         assert {type(o) for o in OBSERVATIONS} == {
@@ -487,7 +487,7 @@ class TestEncoding:
     @pytest.mark.parametrize("record", [object(), Candidate("a", "b"), None])
     def test_unknown_record_rejected(self, record):
         with pytest.raises(ActionParseError):
-            action_to_dict(record)
+            ACTIONS.encode(record)
         with pytest.raises(ActionParseError):
             observation_to_dict(record)
 

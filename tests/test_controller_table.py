@@ -17,6 +17,7 @@ import pytest
 
 from qgp import controllers
 from qgp.actions import (
+    PAGE_SIZE,
     Action,
     ControllerNotice,
     Observation,
@@ -179,7 +180,7 @@ class StateQgpController:
                 return StepDecision(action=forwarded, interventions=ivs)
             # Everything was filtered out: substitute buffered candidates, else search.
             if self.buffered_submit and self.state.candidate_buffer:
-                batch = list(self.state.candidate_buffer)[: ctx.page_size]
+                batch = list(self.state.candidate_buffer)[:PAGE_SIZE]
                 for key in batch:
                     self.state.candidate_buffer.pop(key, None)
                 self.state.submitted_ids.update(batch)

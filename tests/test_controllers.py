@@ -52,7 +52,6 @@ def make_ctx(step=1, valid=0, target=10, objective="session : find artifacts", u
         valid_count=valid,
         target_count=target,
         objective_text=objective,
-        page_size=10,
         unit_order=tuple(units),
     )
 

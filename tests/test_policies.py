@@ -17,6 +17,7 @@ import pytest
 
 from qgp import policies
 from qgp.actions import (
+    ACTIONS,
     AskUser,
     ControllerNotice,
     Family,
@@ -25,7 +26,6 @@ from qgp.actions import (
     Outcome,
     Search,
     Submit,
-    action_to_dict,
 )
 from qgp.controllers import StandardController, StateQgpController, VerifierGatedController
 from qgp.core import TaskSpec, objective_queries, run_episode
@@ -76,7 +76,7 @@ class TestScriptedDeterminism:
         for _ in range(2):
             record = _run(make_policy(), target=8, budget=20, valid=6, total=14)
             actions = [
-                action_to_dict(a) for a, _ in record.ledger.history if not isinstance(a, tuple)
+                ACTIONS.encode(a) for a, _ in record.ledger.history if not isinstance(a, tuple)
                 and type(a).__name__ != "Malformed"
             ]
             transcripts.append(json.dumps(actions, sort_keys=True))

@@ -1,6 +1,7 @@
 """The product holds only the product.
 
-Every top-level function and class in `src/qgp` must be referred to by name
+Every top-level function and class in `src/qgp`, and every name a
+module-level assignment binds (dunders aside), must be referred to by name
 from the package itself (outside its own definition) or from `bench/`. A name
 that only tests keep alive belongs in `tests/`, as the per-record corpus
 oracles in `tests/oracle.py` do.
@@ -44,6 +45,28 @@ def _names(node: ast.AST) -> set[str]:
     return found
 
 
+def _bound(target: ast.expr) -> list[str]:
+    """The names an assignment target binds: a name, or those of a tuple or list."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for element in target.elts for name in _bound(element)]
+    return []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines, dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        names = [name for target in node.targets for name in _bound(target)]
+    elif isinstance(node, ast.AnnAssign):
+        names = _bound(node.target)
+    else:
+        return []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_top_level_definition_is_used():
     # The names each top-level statement of each module refers to.
     statements = {
@@ -56,12 +79,10 @@ def test_every_top_level_definition_is_used():
             *(names for other, rest in statements.items() if other != path for _, names in rest)
         )
         for node, _ in body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            here = (names for other, names in body if other is not node)
-            if node.name in elsewhere or any(node.name in names for names in here):
-                continue
-            unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+            here = set().union(*(names for other, names in body if other is not node))
+            for name in _defined(node):
+                if name not in elsewhere and name not in here:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "referred to by nothing outside tests: " + ", ".join(unused)
 
 

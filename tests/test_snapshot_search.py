@@ -28,11 +28,10 @@ from pathlib import Path
 import pytest
 
 from qgp import cli, reposcan
-from qgp.actions import Candidate, SearchResults
+from qgp.actions import PAGE_SIZE, Candidate, SearchResults
 from qgp.controllers import AblationFlag, ControllerConfig, ControllerKind
 from qgp.errors import ConfigurationError, GenerationError
 from qgp.reposcan import (
-    PAGE_SIZE,
     TEXT_TRUNCATE_BYTES,
     Corpus,
     KeywordOrPattern,

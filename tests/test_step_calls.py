@@ -13,8 +13,9 @@ exactly as often as the run's steps require:
 
 Each family's working policy, and a policy that claims completion at step 5,
 run under every controller row, so that runs end in success, in a Final and
-when the budget runs out. Each policy first proposes one malformed and one
-illegal action, so that both notices occur before the scripted work.
+when the budget runs out. Each policy first proposes one malformed action
+and one of the other family, so that both notices occur before the scripted
+work; the second is answered with `unsupported_action`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,17 @@ from __future__ import annotations
 import pytest
 
 from qgp.actions import (
-    FAMILY_ACTIONS,
+    AskUser,
     ControllerNotice,
+    Edit,
     Family,
+    Final,
     Inspect,
     Malformed,
+    RunCheck,
     Search,
+    Submit,
+    SubmitUnit,
     Terminal,
 )
 from qgp.controllers import AblationFlag, ControllerConfig, ControllerKind, build_controller
@@ -38,6 +44,13 @@ from qgp.reposcan import ReposcanEnvironment
 
 CONFIGS = [ControllerConfig(kind=k) for k in ControllerKind if k != ControllerKind.ABLATION]
 CONFIGS += [ControllerConfig(kind=ControllerKind.ABLATION, ablation_flags=f) for f in AblationFlag]
+
+# The action types legal in each family, written out here rather than read
+# from the environments that declare them.
+LEGAL = {
+    Family.REPOSCAN: (Search, Submit, Final, AskUser),
+    Family.DATAOPS: (Inspect, Edit, RunCheck, SubmitUnit, Final, AskUser),
+}
 
 
 class _Prefixed:
@@ -54,15 +67,15 @@ class _Prefixed:
         return self.policy.decide(view, history)
 
 
-def _count_calls(obj, name: str, counts: dict, returned: list | None = None) -> None:
-    """Count each call of `obj.name`, keeping what it returned in `returned`."""
+def _count_calls(obj, name: str, counts: dict, calls: list) -> None:
+    """Count each call of `obj.name`, keeping its arguments and what it
+    returned in `calls`."""
     method = getattr(obj, name)
 
     def counted(*args):
         counts[name] += 1
         result = method(*args)
-        if returned is not None:
-            returned.append(result)
+        calls.append((args, result))
         return result
 
     setattr(obj, name, counted)
@@ -70,7 +83,7 @@ def _count_calls(obj, name: str, counts: dict, returned: list | None = None) -> 
 
 def _run_parts(family, reposcan_loaded, dataops_loaded):
     """A task of the family, its environment, its working policy and an
-    action illegal in it."""
+    action of the other family."""
     if family == Family.REPOSCAN:
         manifest, corpora = reposcan_loaded
         task = manifest.tasks[0]
@@ -92,18 +105,18 @@ def test_each_layer_is_called_once_per_step_that_needs_it(
         scripted = FalseCompleterPolicy(final_step=5)
     policy, controller = _Prefixed(scripted, illegal), build_controller(config)
     counts = dict.fromkeys(("decide", "transform", "execute", "observe"), 0)
-    proposals: list = []
-    decisions: list = []
-    _count_calls(policy, "decide", counts, proposals)
-    _count_calls(controller, "transform", counts, decisions)
-    _count_calls(controller, "observe", counts)
-    _count_calls(env, "execute", counts)
+    calls: dict = {name: [] for name in counts}
+    _count_calls(policy, "decide", counts, calls["decide"])
+    _count_calls(controller, "transform", counts, calls["transform"])
+    _count_calls(controller, "observe", counts, calls["observe"])
+    _count_calls(env, "execute", counts, calls["execute"])
 
     record = run_episode(spec, env, controller, policy)
 
     history = record.ledger.history
+    proposals = [proposal for _, proposal in calls["decide"]]
     assert len(history) == record.ledger.step == len(proposals)
-    legal = [p for p in proposals if isinstance(p, FAMILY_ACTIONS[family])]
+    legal = [p for p in proposals if isinstance(p, LEGAL[family])]
     assert len(legal) == len(proposals) - 2
     executed = [obs for _, obs in history if not isinstance(obs, (ControllerNotice, Terminal))]
     ended_by_policy = isinstance(history[-1][1], Terminal)
@@ -113,7 +126,13 @@ def test_each_layer_is_called_once_per_step_that_needs_it(
         "execute": len(executed),
         "observe": record.ledger.step - ended_by_policy,
     }
+    # The cross-family proposal costs its step and is answered by a notice,
+    # which reaches observe; neither transform nor execute sees it.
+    notice = ControllerNotice("unsupported_action", valid_count=0, remaining=spec.target_count)
+    assert history[1] == (illegal, notice)
+    assert calls["observe"][1][0][:2] == (illegal, notice)
+    assert illegal not in [args[0] for args, _ in calls["transform"] + calls["execute"]]
     # The interventions the transforms returned are the record's, in order.
-    returned = [iv for decision in decisions for iv in decision.interventions]
+    returned = [iv for _, decision in calls["transform"] for iv in decision.interventions]
     assert returned == record.interventions
     assert record_to_dict(record)["intervention_count"] == len(returned)
