@@ -53,7 +53,7 @@ from .metrics import (
     metrics_from_record_dict,
     paired_bootstrap,
 )
-from .policies import POLICY_TYPES, PolicyKind, build_policy
+from .policies import POLICY_TYPES, ExternalAdapterPolicy, GreedyOraclePolicy, build_policy
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -233,7 +233,7 @@ def run_manifest(
             if hasattr(env, "close"):
                 env.close()
 
-    if jobs > 1 and policy_kind == PolicyKind.EXTERNAL:
+    if jobs > 1 and policy_kind == ExternalAdapterPolicy.label:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_one, manifest.tasks))
     else:
@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     r.add_argument(
         "--policy",
-        default=PolicyKind.GREEDY_ORACLE.value,
-        choices=[k.value for k in PolicyKind],
+        default=GreedyOraclePolicy.label,
+        choices=list(POLICY_TYPES),
     )
     r.add_argument(
         "--policy-cmd", dest="command", default=None, help="external adapter command line"

@@ -453,9 +453,14 @@ _ENVELOPES = Schema(_Envelope)
 M = TypeVar("M")
 
 
-def check_generation_grid(targets: Sequence[int], instances_per_target: int) -> None:
-    """Refuse a target grid that would give a manifest of no task, or one whose
-    repeated target repeats task ids, which `read_manifest_file` refuses."""
+def check_generation_grid(
+    seed: int, targets: Sequence[int], instances_per_target: int, budgets: Mapping[int, int]
+) -> dict:
+    """The metadata a manifest records for its grid, once the grid is checked.
+
+    Refuse a grid that would give a manifest of no task, one whose repeated
+    target repeats task ids, which `read_manifest_file` refuses, and one with
+    a target the family's `budgets` table has no budget for."""
     if instances_per_target < 1:
         raise GenerationError(f"instances per target must be >= 1, got {instances_per_target}")
     if not targets:
@@ -463,6 +468,16 @@ def check_generation_grid(targets: Sequence[int], instances_per_target: int) -> 
     repeated = sorted(t for t, n in Counter(targets).items() if n > 1)
     if repeated:
         raise GenerationError(f"target {repeated[0]} is given more than once")
+    for target in targets:
+        if target not in budgets:
+            raise GenerationError(f"no budget configured for target {target}")
+    return {
+        "seed": seed,
+        "targets": list(targets),
+        "instances_per_target": instances_per_target,
+        "budget_map": {str(k): v for k, v in sorted(budgets.items())},
+        "task_count": len(targets) * instances_per_target,
+    }
 
 
 def read_manifest_file(

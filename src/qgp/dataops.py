@@ -412,8 +412,8 @@ class Workspace:
         return key
 
     # A stored key is a `normpath` output that passed `_key`'s checks, and
-    # `normpath` is idempotent, so `exists` and `read` look a stored key up as
-    # it is and send every other path through `_key`.
+    # `normpath` is idempotent, so `exists`, `read` and `place` look a stored
+    # key up as it is and send every other path through `_key`.
 
     def exists(self, relpath: str) -> bool:
         return relpath in self._files or self._key(relpath) in self._files
@@ -427,7 +427,11 @@ class Workspace:
         except KeyError:
             raise ConfigurationError(f"no such workspace file: {relpath}") from None
 
-    def write(self, relpath: str, content: str) -> None:
+    def place(self, relpath: str) -> tuple[str, list[str]]:
+        """The key a file written at `relpath` is stored under, and its parent
+        directories; refuses a path where a directory is or under a file."""
+        if relpath in self._files:  # its parents are directories already
+            return relpath, []
         key = self._key(relpath)
         parents = []
         parent = posixpath.dirname(key)
@@ -436,6 +440,10 @@ class Workspace:
             parent = posixpath.dirname(parent)
         if key in self._dirs or any(p in self._files for p in parents):
             raise ConfigurationError(f"path conflicts with a file or directory: {relpath}")
+        return key, parents
+
+    def write(self, relpath: str, content: str) -> None:
+        key, parents = self.place(relpath)
         if not content.isascii():
             try:
                 content.encode("utf-8")
@@ -721,7 +729,9 @@ def _snapshot_fixture(root: Path) -> _SnapshotFixture:
 
 def _load_sources(sources: FixtureSources) -> tuple[list[CsvTable], list[_SnapshotFixture]]:
     """Read every CSV source and walk every snapshot root, once each, in order,
-    after checking that every source path exists."""
+    after checking that there is a source and that every source path exists."""
+    if not sources.csv_paths and not sources.snapshot_roots:
+        raise GenerationError("dataops generation needs at least one CSV or snapshot source")
     for path in (*sources.csv_paths, *sources.snapshot_roots):
         if not Path(path).exists():
             raise ConfigurationError(f"source path not found: {path}")
@@ -742,10 +752,6 @@ def generate_backlog(
     The loaded tables and fixtures are shared by every backlog of a manifest;
     units copy what they take from them.
     """
-    if target_count not in DATAOPS_BUDGETS:
-        raise GenerationError(f"no budget configured for target {target_count}")
-    if not tables and not fixtures:
-        raise GenerationError("dataops generation needs at least one CSV or snapshot source")
     rng = stream(seed, "dataops-backlog")
     pools = {"tables": tables, "fixtures": fixtures}
     checker_types = [cls for cls in CHECKER_TYPES if cls.draws is None or pools[cls.draws]]
@@ -782,7 +788,7 @@ def generate_dataops_manifest(
     `workspace_root` is ignored: workspaces are held in memory. It stays
     until ROADMAP item 3a moves the benchmark off it.
     """
-    check_generation_grid(targets, instances_per_target)
+    metadata = check_generation_grid(seed, targets, instances_per_target, DATAOPS_BUDGETS)
     tables, fixtures = _load_sources(sources)
     tasks: list[DataopsTask] = []
     for target in targets:
@@ -796,16 +802,9 @@ def generate_dataops_manifest(
             )
             _assert_solvable(DataopsEnvironment(task.spec, task.units, task.workspace))
             tasks.append(task)
-    metadata = {
-        "seed": seed,
-        "targets": list(targets),
-        "instances_per_target": instances_per_target,
-        "budget_map": {str(k): v for k, v in sorted(DATAOPS_BUDGETS.items())},
-        "task_count": len(tasks),
-        "sources": {
-            "csv": [str(p) for p in sources.csv_paths],
-            "snapshots": [str(p) for p in sources.snapshot_roots],
-        },
+    metadata["sources"] = {
+        "csv": [str(p) for p in sources.csv_paths],
+        "snapshots": [str(p) for p in sources.snapshot_roots],
     }
     return DataopsManifest(metadata=metadata, tasks=tasks)
 
@@ -861,8 +860,8 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
     checkers and files. Each unit has a checker of the class that declares
     its kind. A task has at least one unit, unit ids are unique within it
     and neither start nor end with whitespace (feedback echoes submitted ids
-    trimmed), every artifact path and checker file must be a file path
-    inside the workspace, and a workspace must take every file."""
+    trimmed), a workspace must take every file, and then every artifact path
+    and checker file must be a path the workspace can write."""
     tasks = []
     for spec, entry in zip(specs, obj["tasks"]):
         task = f"task {spec.task_id!r}"
@@ -880,20 +879,22 @@ def manifest_payload(obj: dict, specs: list[TaskSpec]) -> DataopsManifest:
             checker = CHECKERS.decode(raw, f"{where}: ")
             if type(checker).kind != view.kind:
                 raise ValueError(f"{where}: kind {view.kind!r} is not checked by {raw['type']}")
-            for relpath in (view.artifact_path, checker.file):
-                try:
-                    Workspace._key(relpath)
-                except ConfigurationError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
             units.append(BacklogUnit(view.unit_id, view.prompt, view.artifact_path, checker))
         if not units:
             raise ValueError(f"{task} has no units")
         if len({u.unit_id for u in units}) < len(units):
             raise ValueError(f"{task} repeats a unit id")
         try:
-            tasks.append(DataopsTask(spec, units, entry.hidden.files))
+            backlog = DataopsTask(spec, units, entry.hidden.files)
         except ConfigurationError as exc:
             raise ValueError(f"{task} {exc}") from None
+        for unit in units:
+            for relpath in (unit.artifact_path, unit.checker.file):
+                try:
+                    backlog.workspace.place(relpath)
+                except ConfigurationError as exc:
+                    raise ValueError(f"{task} unit {unit.unit_id!r}: {exc}") from None
+        tasks.append(backlog)
     return DataopsManifest(metadata=obj["metadata"], tasks=tasks)
 
 

@@ -29,7 +29,6 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 from itertools import chain, islice
 from typing import Callable, ClassVar, Generic, Sequence, TypeVar
@@ -63,17 +62,6 @@ from .dataops import UNIT_KINDS
 from .errors import AdapterError, ConfigurationError
 
 History = Sequence[tuple[object, object]]
-
-
-class PolicyKind(str, Enum):
-    DUPLICATOR = "duplicator"
-    EARLY_STOPPER = "early_stopper"
-    FALSE_COMPLETER = "false_completer"
-    NO_SUBMIT_LOOPER = "no_submit_looper"
-    GREEDY_ORACLE = "greedy_oracle"
-    SOLVER = "solver"
-    REDUNDANT_SEARCHER = "redundant_searcher"
-    EXTERNAL = "external"
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +169,7 @@ def _fold_duplicator(state: _DuplicatorState, action: object, obs: object) -> No
 class DuplicatorPolicy:
     """Submits one full result page, then fixates on resubmitting one id."""
 
-    label: ClassVar[str] = PolicyKind.DUPLICATOR.value
+    label: ClassVar[str] = "duplicator"
     _fold: HistoryFold[_DuplicatorState] = _fold_field(
         lambda view: _DuplicatorState(), _fold_duplicator
     )
@@ -207,7 +195,7 @@ class EarlyStopperPolicy:
     """Asks the user long before the target could be met."""
 
     stop_step: int = 1
-    label: ClassVar[str] = PolicyKind.EARLY_STOPPER.value
+    label: ClassVar[str] = "early_stopper"
 
     def decide(self, view: PublicTaskView, history: History) -> Action:
         if len(history) + 1 >= self.stop_step:
@@ -221,7 +209,7 @@ class FalseCompleterPolicy:
 
     final_step: int = 3
     claim_count: int | None = None
-    label: ClassVar[str] = PolicyKind.FALSE_COMPLETER.value
+    label: ClassVar[str] = "false_completer"
 
     def decide(self, view: PublicTaskView, history: History) -> Action:
         if len(history) + 1 >= self.final_step:
@@ -266,7 +254,7 @@ class GreedyOraclePolicy:
     every unseen candidate; finals only once the verifier reports zero
     remaining."""
 
-    label: ClassVar[str] = PolicyKind.GREEDY_ORACLE.value
+    label: ClassVar[str] = "greedy_oracle"
     submit_batch: ClassVar[int] = 10
     _fold: HistoryFold[_SearchState] = _fold_field(lambda view: _SearchState(), _fold_search)
 
@@ -292,7 +280,7 @@ class RedundantSearcherPolicy:
 
     submit_width: int = 3
     submits_per_search: int = 3
-    label: ClassVar[str] = PolicyKind.REDUNDANT_SEARCHER.value
+    label: ClassVar[str] = "redundant_searcher"
 
     def decide(self, view: PublicTaskView, history: History) -> Action:
         token = objective_queries(view.objective_text)[0]
@@ -424,9 +412,9 @@ def _solver_need(unit: UnitPublicView, trace: _UnitTrace) -> Action | None:
 class SolverPolicy:
     """Inspect, check, repair if needed, recheck, submit; unit by unit."""
 
-    label: ClassVar[str] = PolicyKind.SOLVER.value
+    label: ClassVar[str] = "solver"
     _fold: HistoryFold[_Backlog] = _fold_field(
-        partial(_start_unit_traces, PolicyKind.SOLVER.value), _fold_unit_trace
+        partial(_start_unit_traces, label), _fold_unit_trace
     )
 
     def decide(self, view: PublicTaskView, history: History) -> Action:
@@ -446,9 +434,9 @@ class NoSubmitLooperPolicy:
     """
 
     loop_unit: str | None = None
-    label: ClassVar[str] = PolicyKind.NO_SUBMIT_LOOPER.value
+    label: ClassVar[str] = "no_submit_looper"
     _fold: HistoryFold[_Backlog] = _fold_field(
-        partial(_start_unit_traces, PolicyKind.NO_SUBMIT_LOOPER.value), _fold_unit_trace
+        partial(_start_unit_traces, label), _fold_unit_trace
     )
 
     def decide(self, view: PublicTaskView, history: History) -> Action:
@@ -485,9 +473,9 @@ class ExternalAdapterPolicy:
     is read and dropped before the reply to a later step.
     """
 
-    command: AdapterCommand
+    command: AdapterCommand = ""  # left out, it is empty and refused
     timeout: float = 30.0
-    label: ClassVar[str] = PolicyKind.EXTERNAL.value
+    label: ClassVar[str] = "external"
     _process: subprocess.Popen | None = field(default=None, init=False, repr=False)
     _poll: object = field(default=None, init=False, repr=False)  # a `select.poll()`
     _buffer: bytearray = field(default_factory=bytearray, init=False, repr=False)
@@ -500,6 +488,8 @@ class ExternalAdapterPolicy:
                 self.command = shlex.split(self.command)
             except ValueError as exc:  # such as an unclosed quote
                 raise ConfigurationError(f"cannot split adapter command: {exc}") from None
+        if not self.command:  # a blank string splits to []
+            raise ConfigurationError("external policy requires a command")
         # False for nan as well. A day is well inside one poll's limit of about 24.8 days.
         if not 0 < self.timeout <= 86400:
             shown = f"{self.timeout:g}" if isinstance(self.timeout, float) else self.timeout
@@ -635,27 +625,24 @@ def _wait_for_exit(process: subprocess.Popen, timeout: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Each policy's class. Its parameters are its init fields, which `build_policy`
-# reads with the field codec; a parameter left out takes the class default.
-POLICY_TYPES: dict[PolicyKind, type] = {
-    PolicyKind.DUPLICATOR: DuplicatorPolicy,
-    PolicyKind.EARLY_STOPPER: EarlyStopperPolicy,
-    PolicyKind.FALSE_COMPLETER: FalseCompleterPolicy,
-    PolicyKind.NO_SUBMIT_LOOPER: NoSubmitLooperPolicy,
-    PolicyKind.GREEDY_ORACLE: GreedyOraclePolicy,
-    PolicyKind.SOLVER: SolverPolicy,
-    PolicyKind.REDUNDANT_SEARCHER: RedundantSearcherPolicy,
-    PolicyKind.EXTERNAL: ExternalAdapterPolicy,
+# Each policy's class by its label, in the order `qgp run --help` lists them.
+# Its parameters are its init fields, which `build_policy` reads with the field
+# codec; a parameter left out takes the class default.
+POLICY_TYPES: dict[str, type] = {
+    cls.label: cls
+    for cls in (
+        DuplicatorPolicy, EarlyStopperPolicy, FalseCompleterPolicy, NoSubmitLooperPolicy,
+        GreedyOraclePolicy, SolverPolicy, RedundantSearcherPolicy, ExternalAdapterPolicy,
+    )
 }
-_PARAMETERS = {kind: Schema(cls, ConfigurationError) for kind, cls in POLICY_TYPES.items()}
+_PARAMETERS = {label: Schema(cls, ConfigurationError) for label, cls in POLICY_TYPES.items()}
 
 
-def build_policy(kind: PolicyKind | str, **params):
-    kind = PolicyKind(kind)
-    schema = _PARAMETERS[kind]
+def build_policy(label: str, **params):
+    schema = _PARAMETERS.get(label)
+    if schema is None:
+        raise ConfigurationError(f"policy must be one of {', '.join(POLICY_TYPES)}")
     unknown = sorted(params.keys() - {name for name, *_ in schema.plan})
     if unknown:
-        raise ConfigurationError(f"policy {kind.value} does not take {', '.join(unknown)}")
-    if kind == PolicyKind.EXTERNAL and not params.get("command"):
-        raise ConfigurationError("external policy requires a command")
+        raise ConfigurationError(f"policy {label} does not take {', '.join(unknown)}")
     return schema.decode(params, "policy parameter ")

@@ -661,7 +661,7 @@ def generate_manifest(
     satisfying its predicate; generation retries predicate parameters from the
     seeded stream until the match count reaches the target.
     """
-    check_generation_grid(targets, instances_per_target)
+    metadata = check_generation_grid(seed, targets, instances_per_target, REPOSCAN_BUDGETS)
     roots = [Path(p) for p in snapshots]
     if not roots:
         raise GenerationError("at least one snapshot is required")
@@ -693,8 +693,6 @@ def generate_manifest(
     combos = [(info.name, kind) for info in infos for kind in PREDICATE_TYPES]
     tasks: list[ReposcanTask] = []
     for target in targets:
-        if target not in REPOSCAN_BUDGETS:
-            raise GenerationError(f"no budget configured for target {target}")
         for idx in range(instances_per_target):
             snap_name, kind = combos[idx % len(combos)]
             rng = stream(seed, "reposcan", snap_name, kind.tag, target, idx)
@@ -719,13 +717,6 @@ def generate_manifest(
                     spec=spec, snapshot=snap_name, predicate=predicate, valid_ids=valid_ids
                 )
             )
-    metadata = {
-        "seed": seed,
-        "targets": list(targets),
-        "instances_per_target": instances_per_target,
-        "budget_map": {str(k): v for k, v in sorted(REPOSCAN_BUDGETS.items())},
-        "task_count": len(tasks),
-    }
     return ReposcanManifest(metadata=metadata, snapshots=infos, tasks=tasks)
 
 

@@ -58,6 +58,15 @@ MEANS = "tests/test_metrics.py::TestBulkDraws::test_means_equal_reference_in_dra
 STALL = "tests/test_record_digest.py::test_stalling_backlog_record_bytes_are_pinned"
 RULES = "tests/test_cli.py::TestMalformedInputs::test_record_breaking_a_run_rule_is_one_error_line"
 FLAGS = "tests/test_cli.py::TestPolicyParams::test_flag_the_codec_refuses_ends_before_any_task"
+BEFORE_WORK = (
+    "tests/test_cli.py::TestGeneration::test_target_with_no_budget_is_refused_before_any_work"
+)
+UNIT_PATH = (
+    "tests/test_cli.py::TestMalformedInputs::test_unit_path_its_workspace_cannot_hold_is_refused"
+)
+SAVED = (
+    "tests/test_cli.py::TestPolicyParams::test_saved_policy_run_would_refuse_ends_before_any_task"
+)
 
 MUTANTS = (
     # Termination gating and retrieval (StateQgpController).
@@ -400,6 +409,19 @@ MUTANTS = (
         "process.stdin.close()\n            process.terminate()",
         ("tests/test_policies.py::TestExternalAdapter::test_sigterm_is_sent_while_stdin_is_open",),
     ),
+    # A blank adapter command is refused after it is split, as a missing one is.
+    Mutant(
+        "blank-command-admitted",
+        "src/qgp/policies.py",
+        "if not self.command:",
+        "if self.command is None:",
+        (
+            FLAGS + "[blank-command]",
+            SAVED + "[blank-string]",
+            SAVED + "[empty-list]",
+            "tests/test_policies.py::TestFactory::test_external_requires_command",
+        ),
+    ),
     # The bulk bootstrap: ids are [n-resamples-seed], and None is a count
     # whose draws span more than one draw block.
     Mutant(
@@ -475,6 +497,31 @@ MUTANTS = (
         (
             "tests/test_dataops.py::TestEditAndCheck::"
             "test_a_cell_over_the_csv_limit_is_refused_and_the_unit_stays_repairable",
+        ),
+    ),
+    # A family's budget table is the only list of targets it accepts, and the
+    # grid check reads it before any source is.
+    Mutant(
+        "grid-admits-unbudgeted-target",
+        "src/qgp/core.py",
+        "if target not in budgets:",
+        "if False:",
+        (
+            "tests/test_cli.py::TestGeneration::test_unknown_dataops_target_is_one_error_line",
+            "tests/test_reposcan.py::TestManifest::test_unknown_target_budget_rejected",
+            BEFORE_WORK + "[gen-reposcan-10,7]",
+            BEFORE_WORK + "[gen-dataops-3,7]",
+        ),
+    ),
+    # A unit path its seeded workspace cannot write is refused at load.
+    Mutant(
+        "unit-path-conflict-admitted",
+        DATAOPS,
+        "backlog.workspace.place(relpath)",
+        "Workspace._key(relpath)",
+        (
+            UNIT_PATH + "[run-under-a-file]",
+            UNIT_PATH + "[smoke-checker-file-a-directory]",
         ),
     ),
     Mutant(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qgp import cli, policies, reposcan
+from qgp import cli, dataops, policies, reposcan
 from qgp.actions import Family, Outcome
 from qgp.cli import _write_records, main
 from qgp.controllers import ControllerConfig, ControllerKind, VerifierGatedController
@@ -203,6 +203,25 @@ class TestGeneration:
         argv = ["gen-dataops", "--csv", str(csv_sources[0]), "--targets", "7", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: no budget configured for target 7\n"
+        assert not out.exists()
+
+    # The grid check refuses a target with no budget before either generator
+    # reads a source or solves a backlog.
+    @pytest.mark.parametrize(
+        "command, targets", [("gen-reposcan", "10,7"), ("gen-dataops", "3,7")]
+    )
+    def test_target_with_no_budget_is_refused_before_any_work(
+        self, command, targets, snapshot_roots, tmp_path, monkeypatch, capsys
+    ):
+        work = []
+        monkeypatch.setattr(reposcan, "read_snapshot", lambda root: work.append(root))
+        monkeypatch.setattr(dataops, "_assert_solvable", lambda env: work.append(env))
+        out = tmp_path / "m.json"
+        argv = [command, "--targets", targets, "--out", str(out)]
+        argv += [arg for root in snapshot_roots for arg in ("--snapshot", str(root))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no budget configured for target 7\n"
+        assert work == []
         assert not out.exists()
 
     def test_snapshots_sharing_a_basename_get_distinct_names(self, tmp_path, capsys):
@@ -624,10 +643,14 @@ class TestPolicyParams:
                 ["--policy", "external", "--policy-cmd", '"unclosed'],
                 "cannot split adapter command: No closing quotation",
             ),
+            (
+                ["--policy", "external", "--policy-cmd", "   "],
+                "external policy requires a command",
+            ),
         ],
         ids=[
             "claim-count", "submits-per-search", "stop-step", "jobs", "no-progress-limit",
-            "unclosed-quote",
+            "unclosed-quote", "blank-command",
         ],
     )
     def test_flag_the_codec_refuses_ends_before_any_task(
@@ -638,6 +661,44 @@ class TestPolicyParams:
         argv = ["run", "--manifest", str(mini_manifest), "--out", str(out)]
         assert main(argv + flags) == 2
         assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not out.exists()
+
+    # A command that splits to no word is refused before any task, as one left
+    # out is; a saved policy must be one of the `--policy` choices.
+    @pytest.mark.parametrize(
+        "policy, params, refusal",
+        [
+            ("external", {"command": "  "}, "external policy requires a command"),
+            ("external", {"command": []}, "external policy requires a command"),
+            (
+                "bogus",
+                {},
+                "policy must be one of duplicator, early_stopper, false_completer, "
+                "no_submit_looper, greedy_oracle, solver, redundant_searcher, external",
+            ),
+        ],
+        ids=["blank-string", "empty-list", "unknown-policy"],
+    )
+    def test_saved_policy_run_would_refuse_ends_before_any_task(
+        self, policy, params, refusal, mini_manifest, tmp_path, monkeypatch, capsys
+    ):
+        from qgp.cli import RunConfig
+
+        monkeypatch.setattr(cli, "run_manifest", _no_tasks)
+        out = tmp_path / "refused.jsonl"
+        config = RunConfig(
+            manifest=str(mini_manifest),
+            controller="standard",
+            policy=policy,
+            out=str(out),
+            policy_params=params,
+        )
+        config_path = tmp_path / "cfg.json"
+        config.save(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {config_path}: ValueError: {refusal}\n"
+        )
         assert not out.exists()
 
     def test_a_number_parameter_takes_an_integer(self):
@@ -2065,3 +2126,33 @@ class TestMalformedInputs:
         assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot load {path}: ValueError: task 't1' file {refused!r}: ")
+
+    # A unit's artifact path and checker file must be paths its seeded
+    # workspace can write, or the policy's first well-formed edit would fail.
+    @pytest.mark.parametrize(
+        "artifact, checked, files, refusal",
+        [
+            ("a/b", "a/b", {"a": "x"}, "path conflicts with a file or directory: a/b"),
+            ("a.txt", "d", {"d/e": "x"}, "path conflicts with a file or directory: d"),
+            ("../a.txt", "a.txt", {}, "not a file path inside the workspace: '../a.txt'"),
+        ],
+        ids=["under-a-file", "checker-file-a-directory", "outside-the-workspace"],
+    )
+    @pytest.mark.parametrize("command", ["run", "smoke"])
+    def test_unit_path_its_workspace_cannot_hold_is_refused(
+        self, command, artifact, checked, files, refusal, tmp_path, capsys
+    ):
+        checker = {"type": "answer_equals", "file": checked, "expected_normalized": "x"}
+        backlog = {
+            "units": [_UNIT | {"artifact_path": artifact}],
+            "hidden": {"checkers": {"u0": checker}, "files": files},
+        }
+        path = tmp_path / "manifest.json"
+        text = _manifest_text("dataops", [_task("dataops", **backlog)])
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(COMMANDS[command](str(path), str(out))) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load {path}: ValueError: task 't1' unit 'u0': {refusal}\n"
+        )
+        assert not out.exists()

@@ -38,7 +38,7 @@ from qgp.controllers import (
 from qgp.core import RunContext, StepDecision, record_to_dict, run_episode
 from qgp.dataops import DataopsEnvironment
 from qgp.errors import ConfigurationError
-from qgp.policies import PolicyKind, build_policy
+from qgp.policies import POLICY_TYPES, build_policy
 from qgp.reposcan import ReposcanEnvironment
 
 from oracle import gate_termination
@@ -256,10 +256,10 @@ REFERENCES = {
     },
 }
 # The backlog policies need units to work on; the rest run on both families.
-BACKLOG_POLICIES = (PolicyKind.SOLVER, PolicyKind.NO_SUBMIT_LOOPER)
+BACKLOG_POLICIES = ("solver", "no_submit_looper")
 SCRIPTED_POLICIES = {
-    "reposcan": [k for k in PolicyKind if k not in (PolicyKind.EXTERNAL, *BACKLOG_POLICIES)],
-    "dataops": [k for k in PolicyKind if k != PolicyKind.EXTERNAL],
+    "reposcan": [k for k in POLICY_TYPES if k not in ("external", *BACKLOG_POLICIES)],
+    "dataops": [k for k in POLICY_TYPES if k != "external"],
 }
 
 # Every row but the passthrough intervenes on retrieval; on a backlog only

@@ -38,7 +38,6 @@ from qgp.policies import (
     FalseCompleterPolicy,
     GreedyOraclePolicy,
     NoSubmitLooperPolicy,
-    PolicyKind,
     RedundantSearcherPolicy,
     SolverPolicy,
     build_policy,
@@ -191,7 +190,7 @@ class TestLooperAndSolver:
 
 class TestFactory:
     def test_build_all_kinds(self):
-        assert isinstance(build_policy(PolicyKind.DUPLICATOR), DuplicatorPolicy)
+        assert isinstance(build_policy("duplicator"), DuplicatorPolicy)
         assert build_policy("early_stopper", stop_step=4).stop_step == 4
         assert build_policy("false_completer", claim_count=9).claim_count == 9
         assert build_policy("redundant_searcher", submit_width=5).submit_width == 5
@@ -200,7 +199,7 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             build_policy("external")
 
-    @pytest.mark.parametrize("kind", [k for k in PolicyKind if k != PolicyKind.EXTERNAL])
+    @pytest.mark.parametrize("kind", [k for k in POLICY_TYPES if k != "external"])
     def test_a_parameter_left_out_takes_the_class_default(self, kind):
         assert build_policy(kind) == POLICY_TYPES[kind]()
 
@@ -224,7 +223,7 @@ class TestFactory:
         cls = POLICY_TYPES[kind]
         value = self.VALID_PARAMS[name]
         assert {f.name: f.default for f in fields(cls)}[name] != value
-        params = {"command": "python3"} if kind == PolicyKind.EXTERNAL else {}
+        params = {"command": "python3"} if kind == "external" else {}
         assert getattr(build_policy(kind, **params | {name: value}), name) == value
 
 

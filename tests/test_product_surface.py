@@ -128,7 +128,8 @@ def test_only_the_field_codec_reads_annotations():
 
 
 # Each kind's name and the class that declares it, per module: a dataops unit
-# kind on its checker class, a reposcan predicate type on its predicate class.
+# kind on its checker class, a reposcan predicate type on its predicate class,
+# and a policy's label on its policy class.
 KIND_DECLARATIONS = {
     "dataops.py": {
         "csv_field_check": "FieldEquals",
@@ -141,6 +142,16 @@ KIND_DECLARATIONS = {
         "keyword_or_pattern": "KeywordOrPattern",
         "path_and_content": "PathAndContent",
         "test_or_documentation": "TestOrDocumentation",
+    },
+    "policies.py": {
+        "duplicator": "DuplicatorPolicy",
+        "early_stopper": "EarlyStopperPolicy",
+        "false_completer": "FalseCompleterPolicy",
+        "no_submit_looper": "NoSubmitLooperPolicy",
+        "greedy_oracle": "GreedyOraclePolicy",
+        "solver": "SolverPolicy",
+        "redundant_searcher": "RedundantSearcherPolicy",
+        "external": "ExternalAdapterPolicy",
     },
 }
 
